@@ -12,7 +12,6 @@ __version__ = "0.1.0"
 from .numeric import (  # noqa: F401
     Dyadic,
     IntervalEnclosure,
-    Rational,
     dy_avg,
     exp_enclosure,
     fib_nstep,

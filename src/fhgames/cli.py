@@ -42,22 +42,29 @@ def _read_game(path: str) -> Game:
         return load(handle.read())
 
 
-def _gadget_from_spec(spec: str) -> Game:
-    family, _, param = spec.partition(":")
+def _make_gadget(family: str, param: str | None) -> Game:
+    """One gadget from its family and its parameter text (None if absent)."""
     if family not in _GADGETS:
         raise ValueError(f"unknown gadget family {family!r}")
     if family == "M":
+        if param is not None:
+            raise ValueError(f"family M takes no parameter, got {param!r}")
         return make_M()
-    if not param:
-        raise ValueError(f"family {family} needs a parameter, e.g. {family}:4")
-    return _GADGETS[family](int(param))
+    try:
+        n = int(param)
+    except (TypeError, ValueError):  # TypeError: no parameter at all
+        raise ValueError(
+            f"family {family} needs an integer parameter, e.g. {family}:4"
+        ) from None
+    return _GADGETS[family](n)
 
 
 def _resolve_game(args) -> Game:
     if getattr(args, "game", None):
         return _read_game(args.game)
     if getattr(args, "gadget", None):
-        return _gadget_from_spec(args.gadget)
+        family, colon, param = args.gadget.partition(":")
+        return _make_gadget(family, param if colon else None)
     raise ValueError("a game is required: pass -g FILE or --gadget SPEC")
 
 
@@ -155,13 +162,7 @@ def _cmd_minimize(args) -> int:
 
 
 def _cmd_gadget(args) -> int:
-    if args.family == "M":
-        g = make_M()
-    else:
-        if args.param is None:
-            raise ValueError(f"family {args.family} requires --param")
-        g = _GADGETS[args.family](args.param)
-    text = store(g)
+    text = store(_make_gadget(args.family, args.param))
     if args.output:
         with open(args.output, "w", encoding="utf-8") as handle:
             handle.write(text)
@@ -320,6 +321,18 @@ def _cmd_scan(args) -> int:
 # -- parser ---------------------------------------------------------------
 
 
+def _at_least(low: int):
+    """argparse type for an integer count of at least ``low``."""
+
+    def count(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    return count
+
+
 def _add_game_source(p):
     p.add_argument("-g", "--game", help="game document file")
     p.add_argument("--gadget", help="generated game, e.g. M, H:4, G:5, F:2")
@@ -336,7 +349,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("solve", help="exact values by backward induction")
     _add_game_source(p)
-    p.add_argument("-T", "--horizon", type=int, required=True)
+    p.add_argument("-T", "--horizon", type=_at_least(0), required=True)
     p.add_argument("--csv", action="store_true", help="full value table as CSV")
     p.add_argument("--decimal", type=int, default=0, metavar="N",
                    help="append approximate decimals with N digits")
@@ -345,7 +358,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("strategy", help="one optimal remaining-time strategy")
     _add_game_source(p)
-    p.add_argument("-T", "--horizon", type=int, required=True)
+    p.add_argument("-T", "--horizon", type=_at_least(0), required=True)
     p.add_argument("--player", type=int, choices=(1, 2), default=1)
     p.add_argument("--tiebreak", choices=("lo", "hi"), default="lo")
     p.add_argument("--json", action="store_true")
@@ -353,7 +366,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("minimize", help="smallest counter automaton")
     _add_game_source(p)
-    p.add_argument("-T", "--horizon", type=int, required=True)
+    p.add_argument("-T", "--horizon", type=_at_least(0), required=True)
     p.add_argument("--sets", action="store_true",
                    help="compress the optimal action sets instead of one strategy")
     p.add_argument("--player", type=int, choices=(1, 2), default=1)
@@ -363,7 +376,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gadget", help="emit a generated game document")
     p.add_argument("--family", choices=sorted(_GADGETS), required=True)
-    p.add_argument("--param", type=int)
+    p.add_argument("--param")
     p.add_argument("-o", "--output", help="write to file instead of stdout")
     p.set_defaults(handler=_cmd_gadget)
 
@@ -387,16 +400,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("oracle", help="brute-force ground truth")
     _add_game_source(p)
-    p.add_argument("-T", "--horizon", type=int)
-    p.add_argument("--maxmem", type=int)
+    p.add_argument("-T", "--horizon", type=_at_least(0))
+    p.add_argument("--maxmem", type=_at_least(1))
     p.add_argument("--eps", help='dyadic, e.g. "1/2^6"')
     p.add_argument("--json", action="store_true")
     p.set_defaults(handler=_cmd_oracle)
 
     p = sub.add_parser("simulate", help="seeded Monte-Carlo cross-check")
     _add_game_source(p)
-    p.add_argument("-T", "--horizon", type=int, required=True)
-    p.add_argument("--trials", type=int, required=True)
+    p.add_argument("-T", "--horizon", type=_at_least(0), required=True)
+    p.add_argument("--trials", type=_at_least(1), required=True)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--tiebreak", choices=("lo", "hi"), default="lo")
     p.add_argument("--json", action="store_true")
@@ -404,8 +417,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("scan", help="random hunt for long optimal periods")
     p.add_argument("-n", type=int, required=True, help="states per sampled game")
-    p.add_argument("--samples", type=int, required=True)
-    p.add_argument("-T", "--horizon", type=int, required=True)
+    p.add_argument("--samples", type=_at_least(1), required=True)
+    p.add_argument("-T", "--horizon", type=_at_least(0), required=True)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--json", action="store_true")
     p.add_argument("--timing", action="store_true")
@@ -417,6 +430,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # exact values at long horizons outgrow Python's int-to-str digit
+    # limit; lift it for this run and restore it afterwards
+    limited = hasattr(sys, "set_int_max_str_digits")
+    if limited:
+        saved = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
     try:
         return args.handler(args)
     except GuardExceeded as exc:
@@ -425,6 +444,9 @@ def main(argv=None) -> int:
     except (FhgamesError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        if limited:
+            sys.set_int_max_str_digits(saved)
 
 
 if __name__ == "__main__":  # pragma: no cover

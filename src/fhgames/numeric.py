@@ -24,7 +24,6 @@ from fractions import Fraction
 
 __all__ = [
     "Dyadic",
-    "Rational",
     "IntervalEnclosure",
     "ZERO",
     "HALF",
@@ -36,10 +35,6 @@ __all__ = [
     "run_threshold",
     "exp_enclosure",
 ]
-
-# General rationals.  fractions.Fraction already maintains the canonical
-# form (coprime, positive denominator) this code relies on.
-Rational = Fraction
 
 
 class Dyadic:

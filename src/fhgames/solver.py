@@ -123,35 +123,29 @@ def _plan(g: Game) -> list[tuple[str, StateKind, tuple[str, str] | None]]:
     return [(s.id, s.kind, s.arcs) for s in g.states]
 
 
-def _base_row(plan) -> dict[str, Dyadic]:
-    return {sid: ONE if arcs is None else ZERO for sid, kind, arcs in plan}
-
-
 def _sweep(
-    g: Game,
+    plan: list,
     horizon: int,
     fixed: tuple[StateKind, Callable[[int, str], int]] | None = None,
     sets: dict | None = None,
-    keep_rows: bool = False,
     checkpoints: Iterable[int] | None = None,
 ):
-    """Shared induction loop.
+    """The induction loop, over a plan of (id, kind, arcs) entries.
 
-    Returns (last_row, all_rows_or_None, snapshots) where snapshots maps
-    each requested checkpoint horizon to a copy of its row.
+    Returns (last_row, snapshots) where snapshots maps each requested
+    checkpoint horizon to its row; rows are never mutated once built,
+    so snapshots share them.
     """
     if horizon < 0:
         raise ValueError("horizon must be non-negative")
-    plan = _plan(g)
     wanted = set(checkpoints) if checkpoints is not None else set()
     bad = [t for t in wanted if t < 0 or t > horizon]
     if bad:
         raise ValueError(f"checkpoints out of range: {sorted(bad)}")
-    row = _base_row(plan)
-    rows = [row] if keep_rows else None
-    snapshots: dict[int, dict[str, Dyadic]] = {}
+    row = {sid: ONE if arcs is None else ZERO for sid, kind, arcs in plan}
+    snapshots: dict[int, dict] = {}
     if 0 in wanted:
-        snapshots[0] = dict(row)
+        snapshots[0] = row
     for t in range(1, horizon + 1):
         prev = row
         row = {}
@@ -169,7 +163,7 @@ def _sweep(
                     raise StrategyError(f"arc index {arc!r} at t={t}, state {sid!r}")
                 v = a if arc == 0 else b
             else:
-                if a == b:
+                if a is b or a == b:
                     v = a
                     chosen = (0, 1)
                 elif (a > b) == (kind is StateKind.MAX):
@@ -182,23 +176,24 @@ def _sweep(
                     sets[(t, sid)] = chosen
             assert v.exponent <= t, "denominator exponent exceeded the horizon"
             row[sid] = v
-        if keep_rows:
-            rows.append(row)
         if t in wanted:
-            snapshots[t] = dict(row)
-    return row, rows, snapshots
+            snapshots[t] = row
+    return row, snapshots
+
+
+def _all_rows(plan, horizon: int, fixed=None) -> tuple[dict, ...]:
+    _, snaps = _sweep(plan, horizon, fixed=fixed, checkpoints=range(horizon + 1))
+    return tuple(snaps.values())
 
 
 def backward_induction(g: Game, horizon: int) -> ValueTable:
     """Exact optimal values for every state and every t in 0..horizon."""
-    _, rows, _ = _sweep(g, horizon, keep_rows=True)
-    return ValueTable(ids=g.ids(), horizon=horizon, rows=tuple(rows))
+    return ValueTable(ids=g.ids(), horizon=horizon, rows=_all_rows(_plan(g), horizon))
 
 
 def final_values(g: Game, horizon: int) -> dict[str, Dyadic]:
     """Optimal values at the full horizon only (two-row streaming)."""
-    last, _, _ = _sweep(g, horizon)
-    return last
+    return _sweep(_plan(g), horizon)[0]
 
 
 def values_at(
@@ -215,8 +210,7 @@ def values_at(
     fixed = None
     if strategy is not None:
         fixed = (PLAYER_KIND[strategy.player], strategy.action)
-    _, _, snaps = _sweep(g, cps[-1], fixed=fixed, checkpoints=cps)
-    return snaps
+    return _sweep(_plan(g), cps[-1], fixed=fixed, checkpoints=cps)[1]
 
 
 def optimal_action_sets(g: Game, horizon: int) -> OptimalActionSets:
@@ -226,7 +220,7 @@ def optimal_action_sets(g: Game, horizon: int) -> OptimalActionSets:
     thousands stay cheap even though the sets for every t are retained.
     """
     sets: dict[tuple[int, str], tuple[int, ...]] = {}
-    _sweep(g, horizon, sets=sets)
+    _sweep(_plan(g), horizon, sets=sets)
     return OptimalActionSets(horizon=horizon, sets=sets)
 
 
@@ -259,15 +253,14 @@ def evaluate_fixed(g: Game, horizon: int, strategy: Strategy) -> ValueTable:
     whose lone player is fixed this is plain Markov-chain evaluation.
     """
     fixed = (PLAYER_KIND[strategy.player], strategy.action)
-    _, rows, _ = _sweep(g, horizon, fixed=fixed, keep_rows=True)
-    return ValueTable(ids=g.ids(), horizon=horizon, rows=tuple(rows))
+    rows = _all_rows(_plan(g), horizon, fixed=fixed)
+    return ValueTable(ids=g.ids(), horizon=horizon, rows=rows)
 
 
 def evaluate_fixed_final(g: Game, horizon: int, strategy: Strategy) -> dict[str, Dyadic]:
     """Final row of evaluate_fixed without retaining the trajectory."""
     fixed = (PLAYER_KIND[strategy.player], strategy.action)
-    last, _, _ = _sweep(g, horizon, fixed=fixed)
-    return last
+    return _sweep(_plan(g), horizon, fixed=fixed)[0]
 
 
 def evaluate_counter(
@@ -280,51 +273,33 @@ def evaluate_counter(
     """Value of a counter strategy against a best-responding opponent.
 
     Built on the product of (memory, game state): memory advances on
-    every traversal independent of the state, the fixed player's arcs
-    come from the strategy's action map, and the opponent minimises (or
-    maximises) over the product by backward induction.
+    every traversal independent of the state, and each fixed-player
+    state has both arcs on the destination the strategy's action map
+    chooses.  The shared induction kernel then lets the opponent
+    minimise (or maximise) over the product.
     """
-    memories = cs.initial + cs.period
-    cells = (horizon + 1) * memories * len(g.states)
+    cells = (horizon + 1) * cs.size * len(g.states)
     if cells > cell_cap:
         raise GuardExceeded(
             f"memory-product size {cells} exceeds cell cap {cell_cap}"
         )
-    plan = _plan(g)
     own_kind = PLAYER_KIND[player]
-    succ = [cs.next_memory(m) for m in range(memories)]
-
-    row = {
-        (m, sid): ONE if arcs is None else ZERO
-        for m in range(memories)
-        for sid, kind, arcs in plan
-    }
-    rows = [row]
-    for t in range(1, horizon + 1):
-        prev = row
-        row = {}
-        for m in range(memories):
-            nm = succ[m]
-            for sid, kind, arcs in plan:
-                if arcs is None:
-                    row[(m, sid)] = ONE
-                    continue
-                a = prev[(nm, arcs[0])]
-                b = prev[(nm, arcs[1])]
-                if kind is StateKind.COIN:
-                    v = dy_avg(a, b)
-                elif kind is own_kind:
+    game_plan = _plan(g)
+    plan = []
+    for m in range(cs.size):
+        nm = cs.next_memory(m)
+        for sid, kind, arcs in game_plan:
+            if arcs is not None:
+                arcs = ((nm, arcs[0]), (nm, arcs[1]))
+                if kind is own_kind:
                     arc = cs.actions.get((m, sid))
-                    if arc is None:
+                    if arc is not None:
+                        arcs = (arcs[arc], arcs[arc])
+                    elif horizon > 0:  # at horizon 0 no action is ever read
                         raise StrategyError(
                             f"counter strategy has no action for memory {m}, "
                             f"state {sid!r}"
                         )
-                    v = a if arc == 0 else b
-                elif kind is StateKind.MAX:
-                    v = a if a >= b else b
-                else:
-                    v = a if a <= b else b
-                row[(m, sid)] = v
-        rows.append(row)
-    return CounterEvaluation(value=rows[horizon][(0, g.start)], rows=tuple(rows))
+            plan.append(((m, sid), kind, arcs))
+    rows = _all_rows(plan, horizon)
+    return CounterEvaluation(value=rows[horizon][(0, g.start)], rows=rows)

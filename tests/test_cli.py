@@ -1,8 +1,11 @@
 import json
+import sys
 
 import pytest
 
 from fhgames.cli import main
+from fhgames.gadgets import make_H
+from fhgames.solver import final_values
 
 
 def run(capsys, *argv):
@@ -179,3 +182,54 @@ class TestDeterminismAndErrors:
         with pytest.raises(SystemExit) as exc:
             main(["solve", "--gadget", "M"])  # missing -T
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("solve", "--gadget", "M", "-T", "-1"),
+            ("strategy", "--gadget", "M", "-T", "-3"),
+            ("scan", "-n", "3", "--samples", "0", "-T", "8", "--seed", "1"),
+            ("oracle", "--gadget", "M", "--maxmem", "0", "-T", "5", "--eps", "1/2^6"),
+            ("simulate", "--gadget", "M", "-T", "5", "--trials", "0", "--seed", "1"),
+            ("solve", "--gadget", "M", "-T", "x"),
+        ],
+    )
+    def test_out_of_range_counts_rejected_by_parser(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "must be at least" in err or "invalid count value" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("solve", "--gadget", "M:9", "-T", "3"),
+            ("gadget", "--family", "M", "--param", "9"),
+            ("solve", "--gadget", "H:x", "-T", "3"),
+            ("gadget", "--family", "H", "--param", "x"),
+            ("solve", "--gadget", "G", "-T", "3"),
+            ("gadget", "--family", "G"),
+        ],
+    )
+    def test_bad_gadget_parameter(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert "family" in err and "invalid literal" not in err
+
+    @pytest.mark.skipif(
+        not hasattr(sys, "set_int_max_str_digits"), reason="no int-to-str digit limit"
+    )
+    def test_exact_values_beyond_the_int_digit_limit(self, capsys):
+        limit = sys.get_int_max_str_digits()
+        code, out, err = run(capsys, "solve", "--gadget", "H:2", "-T", "15000", "--json")
+        assert (code, err) == (0, "")
+        assert sys.get_int_max_str_digits() == limit  # restored after the run
+        g = make_H(2)
+        sys.set_int_max_str_digits(0)
+        try:
+            expected = {sid: str(v) for sid, v in final_values(g, 15000).items()}
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert json.loads(out)["result"]["values"] == expected

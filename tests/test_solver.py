@@ -2,9 +2,11 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import play_value
-from fhgames.counter import CounterStrategy
+from fhgames.counter import CounterStrategy, to_markov
 from fhgames.errors import GuardExceeded, StrategyError
 from fhgames.game import Game, State, StateKind
 from fhgames.gadgets import make_F, make_G, make_M, random_game
@@ -242,6 +244,48 @@ class TestEvaluateCounter:
         cs = CounterStrategy(0, 2, {(0, "x"): 0})
         with pytest.raises(StrategyError):
             evaluate_counter(make_M(), 4, cs)
+
+    def test_negative_horizon_rejected(self):
+        cs = CounterStrategy(0, 1, {(0, "x"): 0})
+        for horizon in (-1, -2):
+            with pytest.raises(ValueError):
+                evaluate_counter(make_M(), horizon, cs)
+
+    def test_zero_horizon_needs_no_actions(self):
+        g = make_M()
+        result = evaluate_counter(g, 0, CounterStrategy(0, 1, {}))
+        assert result.value == ZERO
+        assert result.rows == ({(0, sid): ONE if sid == "bot" else ZERO for sid in g.ids()},)
+
+    @given(
+        st.integers(0, 2**32),
+        st.integers(2, 6),
+        st.integers(0, 2),
+        st.integers(1, 3),
+        st.integers(0, 8),
+        st.sampled_from((1, 2)),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_product_matches_unrolled_evaluation(self, seed, n, initial, period, horizon, player):
+        rng = random.Random(seed)
+        g = random_game(n, rng)
+        actions = {
+            (m, sid): rng.randint(0, 1)
+            for m in range(initial + period)
+            for sid in g.controlled_ids(player)
+        }
+        cs = CounterStrategy(initial, period, actions)
+        result = evaluate_counter(g, horizon, cs, player=player)
+        unrolled = to_markov(cs, horizon, player)
+        assert result.value == evaluate_fixed_final(g, horizon, unrolled)[g.start]
+        if not g.controlled_ids(3 - player):
+            tables = (unrolled.choices, {}) if player == 1 else ({}, unrolled.choices)
+            assert result.value.as_fraction() == play_value(g, horizon, *tables)
+        # the kernel's exponent assert vanishes under python -O; check it here
+        for rows in (result.rows, backward_induction(g, horizon).rows):
+            assert len(rows) == horizon + 1
+            for t, row in enumerate(rows):
+                assert all(v.exponent <= t for v in row.values())
 
 
 class TestOracleEquivalence:
