@@ -351,7 +351,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_game_source(p)
     p.add_argument("-T", "--horizon", type=_at_least(0), required=True)
     p.add_argument("--csv", action="store_true", help="full value table as CSV")
-    p.add_argument("--decimal", type=int, default=0, metavar="N",
+    p.add_argument("--decimal", type=_at_least(0), default=0, metavar="N",
                    help="append approximate decimals with N digits")
     p.add_argument("--json", action="store_true")
     p.set_defaults(handler=_cmd_solve)

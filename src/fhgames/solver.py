@@ -11,6 +11,22 @@ starting from s.  The recurrence is
 for coin / max / min states respectively.  All values are dyadic
 rationals and the denominator exponent of v[t][s] never exceeds t.
 
+The kernel therefore keeps row t as plain ints on the common scale
+2^t, M[t][i] = v[t][i] * 2^t, one per state position, and the updates
+are integer ones:
+
+    coin      M[t][i] = A + B
+    max/min   M[t][i] = max(A, B) << 1  /  min(A, B) << 1
+    fixed     M[t][i] = (A if arc == 0 else B) << 1
+    terminal  M[t][i] = 1 << t
+
+with A, B the entries of row t-1 at the two arc destinations.  Dyadic
+values are built only for the rows a caller gets back (the last row,
+checkpoint rows, every row of a full table) as Dyadic(M, t), whose
+exponent is at most t by construction; 0 and 1 are the shared ZERO
+and ONE.  Paths that keep every row refuse, with GuardExceeded, a
+table of more than CELL_CAP values.
+
 Strategies are indexed by REMAINING moves: a Markov strategy maps
 (t, state) with t in 1..T to an arc.  Counter strategies advance their
 memory on every traversal regardless of the observed state; they are
@@ -28,12 +44,13 @@ from typing import TYPE_CHECKING, Callable, Iterable, Protocol
 
 from .errors import GuardExceeded, StrategyError
 from .game import Game, StateKind, PLAYER_KIND
-from .numeric import Dyadic, ONE, ZERO, dy_avg
+from .numeric import Dyadic, ONE, ZERO
 
 if TYPE_CHECKING:  # pragma: no cover
     from .counter import CounterStrategy
 
 __all__ = [
+    "CELL_CAP",
     "ValueTable",
     "OptimalActionSets",
     "MarkovStrategy",
@@ -47,6 +64,10 @@ __all__ = [
     "evaluate_fixed_final",
     "evaluate_counter",
 ]
+
+
+CELL_CAP = 5_000_000
+"""Most value cells, (horizon + 1) * states, that a full table may hold."""
 
 
 class Strategy(Protocol):
@@ -133,8 +154,9 @@ def _sweep(
     """The induction loop, over a plan of (id, kind, arcs) entries.
 
     Returns (last_row, snapshots) where snapshots maps each requested
-    checkpoint horizon to its row; rows are never mutated once built,
-    so snapshots share them.
+    checkpoint horizon to its row.  Rows are built as Dyadic dicts in
+    plan order only for those horizons; the loop itself keeps one list
+    of scaled ints per t (see the module docstring).
     """
     if horizon < 0:
         raise ValueError("horizon must be non-negative")
@@ -142,43 +164,72 @@ def _sweep(
     bad = [t for t in wanted if t < 0 or t > horizon]
     if bad:
         raise ValueError(f"checkpoints out of range: {sorted(bad)}")
-    row = {sid: ONE if arcs is None else ZERO for sid, kind, arcs in plan}
+    fixed_kind, choose = fixed if fixed is not None else (None, None)
+    # Index form.  Row positions run coins, optimising states, fixed
+    # states, terminals, so each row is built by appending in that order.
+    coins, players, chosen, terminals = [], [], [], []
+    for entry in plan:
+        sid, kind, arcs = entry
+        if arcs is None:
+            terminals.append(entry)
+        elif kind is StateKind.COIN:
+            coins.append(entry)
+        elif kind is fixed_kind:
+            chosen.append(entry)
+        else:
+            players.append(entry)
+    pos = {sid: i for i, (sid, _, _) in enumerate(coins + players + chosen + terminals)}
+    coin_ops = [(pos[a], pos[b]) for _, _, (a, b) in coins]
+    player_ops = [
+        (sid, kind is StateKind.MAX, pos[a], pos[b]) for sid, kind, (a, b) in players
+    ]
+    fixed_ops = [(sid, pos[a], pos[b]) for sid, _, (a, b) in chosen]
+    where = [(sid, pos[sid]) for sid, _, _ in plan]
+
+    def dyadic_row(row: list[int], t: int) -> dict:
+        one = 1 << t
+        return {
+            sid: ZERO if (m := row[i]) == 0 else ONE if m == one else Dyadic(m, t)
+            for sid, i in where
+        }
+
+    row = [0] * (len(pos) - len(terminals)) + [1] * len(terminals)
     snapshots: dict[int, dict] = {}
     if 0 in wanted:
-        snapshots[0] = row
+        snapshots[0] = dyadic_row(row, 0)
     for t in range(1, horizon + 1):
         prev = row
-        row = {}
-        for sid, kind, arcs in plan:
-            if arcs is None:
-                row[sid] = ONE
-                continue
-            a = prev[arcs[0]]
-            b = prev[arcs[1]]
-            if kind is StateKind.COIN:
-                v = dy_avg(a, b)
-            elif fixed is not None and kind is fixed[0]:
-                arc = fixed[1](t, sid)
-                if arc not in (0, 1):
-                    raise StrategyError(f"arc index {arc!r} at t={t}, state {sid!r}")
-                v = a if arc == 0 else b
+        row = [prev[a] + prev[b] for a, b in coin_ops]
+        for sid, is_max, a, b in player_ops:
+            va = prev[a]
+            vb = prev[b]
+            if va == vb:
+                best = (0, 1)
+            elif (va > vb) == is_max:
+                best = (0,)
             else:
-                if a is b or a == b:
-                    v = a
-                    chosen = (0, 1)
-                elif (a > b) == (kind is StateKind.MAX):
-                    v = a
-                    chosen = (0,)
-                else:
-                    v = b
-                    chosen = (1,)
-                if sets is not None:
-                    sets[(t, sid)] = chosen
-            assert v.exponent <= t, "denominator exponent exceeded the horizon"
-            row[sid] = v
+                best = (1,)
+                va = vb
+            if sets is not None:
+                sets[(t, sid)] = best
+            row.append(va << 1)
+        for sid, a, b in fixed_ops:
+            arc = choose(t, sid)
+            if arc not in (0, 1):
+                raise StrategyError(f"arc index {arc!r} at t={t}, state {sid!r}")
+            row.append((prev[a] if arc == 0 else prev[b]) << 1)
+        row += [1 << t] * len(terminals)
         if t in wanted:
-            snapshots[t] = row
-    return row, snapshots
+            snapshots[t] = dyadic_row(row, t)
+    last = snapshots[horizon] if horizon in snapshots else dyadic_row(row, horizon)
+    return last, snapshots
+
+
+def _guard_cells(states: int, horizon: int, cell_cap: int) -> None:
+    """Refuse a table of every row before any of it is built."""
+    cells = (horizon + 1) * states
+    if cells > cell_cap:
+        raise GuardExceeded(f"{cells} value cells exceed the cell cap {cell_cap}")
 
 
 def _all_rows(plan, horizon: int, fixed=None) -> tuple[dict, ...]:
@@ -188,6 +239,7 @@ def _all_rows(plan, horizon: int, fixed=None) -> tuple[dict, ...]:
 
 def backward_induction(g: Game, horizon: int) -> ValueTable:
     """Exact optimal values for every state and every t in 0..horizon."""
+    _guard_cells(len(g.states), horizon, CELL_CAP)
     return ValueTable(ids=g.ids(), horizon=horizon, rows=_all_rows(_plan(g), horizon))
 
 
@@ -252,6 +304,7 @@ def evaluate_fixed(g: Game, horizon: int, strategy: Strategy) -> ValueTable:
     The opponent best-responds through the same recurrence; for an MDP
     whose lone player is fixed this is plain Markov-chain evaluation.
     """
+    _guard_cells(len(g.states), horizon, CELL_CAP)
     fixed = (PLAYER_KIND[strategy.player], strategy.action)
     rows = _all_rows(_plan(g), horizon, fixed=fixed)
     return ValueTable(ids=g.ids(), horizon=horizon, rows=rows)
@@ -268,7 +321,7 @@ def evaluate_counter(
     horizon: int,
     cs: "CounterStrategy",
     player: int = 1,
-    cell_cap: int = 5_000_000,
+    cell_cap: int = CELL_CAP,
 ) -> CounterEvaluation:
     """Value of a counter strategy against a best-responding opponent.
 
@@ -278,11 +331,7 @@ def evaluate_counter(
     chooses.  The shared induction kernel then lets the opponent
     minimise (or maximise) over the product.
     """
-    cells = (horizon + 1) * cs.size * len(g.states)
-    if cells > cell_cap:
-        raise GuardExceeded(
-            f"memory-product size {cells} exceeds cell cap {cell_cap}"
-        )
+    _guard_cells(cs.size * len(g.states), horizon, cell_cap)
     own_kind = PLAYER_KIND[player]
     game_plan = _plan(g)
     plan = []

@@ -416,8 +416,10 @@ def check_shortcut_memory(c: int, guard: int = 2_000_000) -> CheckReport:
     only forced decisions, and a pure cycle of length c - 3 wraps the
     forced final "h" onto the step-0 slot, which step 0 leaves unused.
     The claimed c - 2 is the exact minimum one traversal later, at
-    horizon c.
+    horizon c.  A c below 1 is refused with ValueError.
     """
+    if c < 1:
+        raise ValueError(f"c must be at least 1, got {c}")
     started = time.perf_counter()
     params = {"c": c}
     in_regime = c >= 5

@@ -3,15 +3,20 @@
 These deliberately avoid the library's solver machinery: plays are
 evaluated by direct recursion over (state, remaining moves) so that
 backward induction has something genuinely separate to be checked
-against.
+against.  ``reference_sweep`` is the induction kernel as it was before
+rows became scaled ints: one ``Dyadic`` per cell, kept as the naive twin
+of ``fhgames.solver._sweep``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from typing import Callable, Iterable
 
+from fhgames.errors import StrategyError
 from fhgames.game import Game, StateKind
+from fhgames.numeric import ONE, ZERO, dy_avg
 
 
 def play_value(g: Game, horizon: int, actions1: dict, actions2: dict) -> Fraction:
@@ -49,3 +54,61 @@ def count_sequences_with_run(i: int, t: int) -> int:
         if acc:
             hits += 1
     return hits
+
+
+def reference_sweep(
+    plan: list,
+    horizon: int,
+    fixed: tuple[StateKind, Callable[[int, str], int]] | None = None,
+    sets: dict | None = None,
+    checkpoints: Iterable[int] | None = None,
+):
+    """The induction loop, over a plan of (id, kind, arcs) entries.
+
+    Returns (last_row, snapshots) where snapshots maps each requested
+    checkpoint horizon to its row; rows are never mutated once built,
+    so snapshots share them.
+    """
+    if horizon < 0:
+        raise ValueError("horizon must be non-negative")
+    wanted = set(checkpoints) if checkpoints is not None else set()
+    bad = [t for t in wanted if t < 0 or t > horizon]
+    if bad:
+        raise ValueError(f"checkpoints out of range: {sorted(bad)}")
+    row = {sid: ONE if arcs is None else ZERO for sid, kind, arcs in plan}
+    snapshots: dict[int, dict] = {}
+    if 0 in wanted:
+        snapshots[0] = row
+    for t in range(1, horizon + 1):
+        prev = row
+        row = {}
+        for sid, kind, arcs in plan:
+            if arcs is None:
+                row[sid] = ONE
+                continue
+            a = prev[arcs[0]]
+            b = prev[arcs[1]]
+            if kind is StateKind.COIN:
+                v = dy_avg(a, b)
+            elif fixed is not None and kind is fixed[0]:
+                arc = fixed[1](t, sid)
+                if arc not in (0, 1):
+                    raise StrategyError(f"arc index {arc!r} at t={t}, state {sid!r}")
+                v = a if arc == 0 else b
+            else:
+                if a is b or a == b:
+                    v = a
+                    chosen = (0, 1)
+                elif (a > b) == (kind is StateKind.MAX):
+                    v = a
+                    chosen = (0,)
+                else:
+                    v = b
+                    chosen = (1,)
+                if sets is not None:
+                    sets[(t, sid)] = chosen
+            assert v.exponent <= t, "denominator exponent exceeded the horizon"
+            row[sid] = v
+        if t in wanted:
+            snapshots[t] = row
+    return row, snapshots

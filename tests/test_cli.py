@@ -37,6 +37,14 @@ class TestGadgetAndSolve:
         assert code == 0
         assert out.splitlines()[0] == "t,start,x,h,top,2,1,bot"
 
+    def test_solve_csv_beyond_the_cell_cap_exits_three(self, capsys):
+        from fhgames.solver import CELL_CAP
+
+        code, out, err = run(capsys, "solve", "--gadget", "M", "-T", str(CELL_CAP), "--csv")
+        assert code == 3
+        assert out == ""
+        assert "cell cap" in err
+
     def test_gadget_stdout_is_loadable(self, capsys):
         from fhgames.game import load
 
@@ -77,6 +85,13 @@ class TestVerifyCommand:
         code, out, _ = run(capsys, "verify", "shortcut-memory", "--c", "5")
         assert code == 1
         assert "verdict: fail" in out
+
+    def test_shortcut_memory_needs_positive_c(self, capsys):
+        code, out, err = run(capsys, "verify", "shortcut-memory", "--c", "0")
+        assert code == 2
+        assert out == ""
+        assert "c must be at least 1" in err
+        assert "horizon" not in err
 
     def test_unknown_check_is_usage_error(self, capsys):
         code, _, err = run(capsys, "verify", "definitely-not-a-check")
@@ -192,14 +207,16 @@ class TestDeterminismAndErrors:
             ("oracle", "--gadget", "M", "--maxmem", "0", "-T", "5", "--eps", "1/2^6"),
             ("simulate", "--gadget", "M", "-T", "5", "--trials", "0", "--seed", "1"),
             ("solve", "--gadget", "M", "-T", "x"),
+            ("solve", "--gadget", "M", "-T", "2", "--decimal", "-1"),
         ],
     )
     def test_out_of_range_counts_rejected_by_parser(self, capsys, argv):
         with pytest.raises(SystemExit) as exc:
             main(list(argv))
         assert exc.value.code == 2
-        err = capsys.readouterr().err
-        assert "must be at least" in err or "invalid count value" in err
+        captured = capsys.readouterr()
+        assert captured.out == ""  # a usage error prints no partial output
+        assert "must be at least" in captured.err or "invalid count value" in captured.err
 
     @pytest.mark.parametrize(
         "argv",

@@ -1,17 +1,20 @@
 import itertools
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import play_value
+from conftest import play_value, reference_sweep
+from fhgames import solver
 from fhgames.counter import CounterStrategy, to_markov
 from fhgames.errors import GuardExceeded, StrategyError
 from fhgames.game import Game, State, StateKind
-from fhgames.gadgets import make_F, make_G, make_M, random_game
+from fhgames.gadgets import make_F, make_G, make_H, make_M, random_game
 from fhgames.numeric import Dyadic, HALF, ONE, ZERO
 from fhgames.solver import (
+    CELL_CAP,
     MarkovStrategy,
     backward_induction,
     evaluate_counter,
@@ -314,3 +317,108 @@ class TestOracleEquivalence:
                     worst = v if worst is None else min(worst, v)
                 best = worst if best is None else max(best, worst)
             assert best == expected.as_fraction()
+
+
+def _cells(rows_by_t):
+    """(t, [(id, mantissa, exponent), ...]) per row, in key order."""
+    out = []
+    for t, row in rows_by_t:
+        assert all(type(v) is Dyadic for v in row.values())
+        # the exponent bound is not an assert in the kernel; check it here
+        assert all(v.exponent <= t for v in row.values())
+        out.append((t, [(key, v.mantissa, v.exponent) for key, v in row.items()]))
+    return out
+
+
+class TestScaledKernel:
+    """The integer-scaled kernel against the per-cell Dyadic loop it replaced."""
+
+    @staticmethod
+    def results(g, horizon, checkpoints, strategy, cs, player):
+        return {
+            "table": _cells(enumerate(backward_induction(g, horizon).rows)),
+            "final": _cells([(horizon, final_values(g, horizon))]),
+            "best_at": _cells(values_at(g, checkpoints).items()),
+            "played_at": _cells(values_at(g, checkpoints, strategy).items()),
+            "fixed": _cells(enumerate(evaluate_fixed(g, horizon, strategy).rows)),
+            "fixed_final": _cells([(horizon, evaluate_fixed_final(g, horizon, strategy))]),
+            "sets": list(optimal_action_sets(g, horizon).sets.items()),
+            "counter": _cells(enumerate(evaluate_counter(g, horizon, cs, player).rows)),
+        }
+
+    @given(
+        st.integers(0, 2**32),
+        st.integers(2, 8),
+        st.integers(0, 40),
+        st.sampled_from((1, 2)),
+        st.integers(0, 2),
+        st.integers(1, 3),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_matches_dyadic_reference(self, seed, n, horizon, player, initial, period):
+        rng = random.Random(seed)
+        g = random_game(n, rng)
+        own = g.controlled_ids(player)
+        checkpoints = rng.sample(range(horizon + 1), rng.randint(1, min(4, horizon + 1)))
+        strategy = MarkovStrategy(
+            player=player,
+            horizon=horizon,
+            choices={(t, sid): rng.randint(0, 1) for t in range(1, horizon + 1) for sid in own},
+        )
+        cs = CounterStrategy(
+            initial,
+            period,
+            {(m, sid): rng.randint(0, 1) for m in range(initial + period) for sid in own},
+        )
+        args = (g, horizon, checkpoints, strategy, cs, player)
+        scaled = self.results(*args)
+        with mock.patch.object(solver, "_sweep", reference_sweep):
+            expected = self.results(*args)
+        assert scaled == expected
+
+    def test_wide_values_match_reference(self):
+        g = make_H(3)
+        checkpoints = (1000, 3072)
+        strategy = extract_markov(g, 3072, player=2)
+        scaled = values_at(g, checkpoints), values_at(g, checkpoints, strategy)
+        with mock.patch.object(solver, "_sweep", reference_sweep):
+            expected = values_at(g, checkpoints), values_at(g, checkpoints, strategy)
+        assert scaled == expected
+        assert scaled[0][3072][g.start].mantissa.bit_length() > 3000
+
+    def test_zero_and_one_are_shared(self):
+        table = backward_induction(make_M(), 6)
+        cells = [v for row in table.rows for v in row.values()]
+        assert any(v == ZERO for v in cells) and any(v == ONE for v in cells)
+        assert all(v is ZERO for v in cells if v == ZERO)
+        assert all(v is ONE for v in cells if v == ONE)
+
+    def test_bad_arc_index_raises(self):
+        g = make_M()
+        strategy = MarkovStrategy(player=1, horizon=3, choices={(t, "x"): 2 for t in (1, 2, 3)})
+        with pytest.raises(StrategyError):
+            evaluate_fixed_final(g, 3, strategy)
+
+
+class TestCellCap:
+    def test_full_tables_refuse_beyond_the_cap(self):
+        g = make_M()
+        horizon = CELL_CAP // len(g.states)  # (horizon + 1) rows exceed the cap
+        strategy = MarkovStrategy(player=1, horizon=horizon, choices={})
+        with pytest.raises(GuardExceeded):
+            backward_induction(g, horizon)
+        with pytest.raises(GuardExceeded):
+            evaluate_fixed(g, horizon, strategy)
+
+    def test_cap_is_inclusive(self, monkeypatch):
+        g = make_M()
+        n = len(g.states)
+        monkeypatch.setattr(solver, "CELL_CAP", 4 * n)
+        assert len(backward_induction(g, 3).rows) == 4
+        with pytest.raises(GuardExceeded):
+            backward_induction(g, 4)
+
+    def test_counter_default_is_the_shared_cap(self):
+        cs = CounterStrategy(0, 1, {(0, "x"): 0})
+        with pytest.raises(GuardExceeded):
+            evaluate_counter(make_M(), CELL_CAP // len(make_M().states), cs)
