@@ -19,6 +19,16 @@ Two minimisation problems are solved:
 Minimality is measured by the total memory-state count N + p (the
 reported space in bits is ceil(log2(N + p))), with ties broken towards
 the smaller period.
+
+Period search runs on bitsets.  An ActionSetSequence keeps, per
+controlled state, two ints only0/only1 whose bit t is set when only
+arc 0 / only arc 1 is optimal at elapsed t.  For a period p, with
+later_b = OR over k >= 1 of (only_b >> k*p), the least initial count is
+
+    N(p) = max over states of bit_length((only0 & later1) | (only1 & later0)),
+
+one past the latest step whose lone optimal arc a later step of its
+residue class contradicts.
 """
 
 from __future__ import annotations
@@ -181,11 +191,20 @@ class ActionSetSequence:
     masks: dict[tuple[int, str], int]
 
     def __post_init__(self):
+        only = [[0, 0] for _ in self.states]
         for t in range(self.length):
-            for sid in self.states:
+            bit = 1 << t
+            for k, sid in enumerate(self.states):
                 mask = self.masks.get((t, sid), 0)
-                if mask not in (1, 2, 3):
+                if mask == 1:
+                    only[k][0] |= bit
+                elif mask == 2:
+                    only[k][1] |= bit
+                elif mask != 3:
                     raise ValueError(f"empty or invalid action set at t={t}, {sid!r}")
+        # per state, (only0, only1): bit t set when only arc 0 / arc 1 is
+        # optimal at elapsed t; derived data, so not a dataclass field
+        object.__setattr__(self, "_only", tuple(map(tuple, only)))
 
     @classmethod
     def from_optimal(
@@ -212,24 +231,27 @@ class PeriodResult:
 
 def least_initial_for_period(seq: ActionSetSequence, period: int) -> int:
     """Smallest N such that, for every state and residue class mod the
-    period, the sets at elapsed steps >= N in that class intersect."""
+    period, the sets at elapsed steps >= N in that class intersect.
+
+    A class's sets fail to intersect from step t on exactly when a step
+    t' >= t in it allows only arc 0 and another only arc 1, so N is the
+    bitset formula of the module docstring.  later_b is built by
+    doubling the shift span, in O(log length) big-int operations per
+    state.
+    """
     if period < 1:
         raise ValueError("period must be at least 1")
     need = 0
     length = seq.length
-    for sid in seq.states:
-        for r in range(min(period, length)):
-            acc = 3
-            start = r + period * ((length - 1 - r) // period)
-            for t in range(start, -1, -period):
-                mask = seq.masks[(t, sid)]
-                if acc & mask == 0:
-                    # everything at or below t in this class must sit in
-                    # the once-used prefix
-                    if t + 1 > need:
-                        need = t + 1
-                    break
-                acc &= mask
+    for only0, only1 in seq._only:
+        later0 = only0 >> period
+        later1 = only1 >> period
+        span = period
+        while span < length:
+            later0 |= later0 >> span
+            later1 |= later1 >> span
+            span <<= 1
+        need = max(need, ((only0 & later1) | (only1 & later0)).bit_length())
     return need
 
 

@@ -24,22 +24,25 @@ with A, B the entries of row t-1 at the two arc destinations.  Dyadic
 values are built only for the rows a caller gets back (the last row,
 checkpoint rows, every row of a full table) as Dyadic(M, t), whose
 exponent is at most t by construction; 0 and 1 are the shared ZERO
-and ONE.  Paths that keep every row refuse, with GuardExceeded, a
-table of more than CELL_CAP values.
+and ONE.  Paths that keep every row, or every optimal action set,
+refuse with GuardExceeded a table of more than CELL_CAP cells.
 
 Strategies are indexed by REMAINING moves: a Markov strategy maps
 (t, state) with t in 1..T to an arc.  Counter strategies advance their
 memory on every traversal regardless of the observed state; they are
 evaluated on the product of memory and game state, where a backward
 induction best response for the opponent is optimal among all
-history-dependent responses.
+history-dependent responses.  The value of a counter strategy comes
+from one streaming sweep of that product; its full table of rows is
+built only when first read.
 
 All functions are pure; independent solves can run in parallel.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from typing import TYPE_CHECKING, Callable, Iterable, Protocol
 
 from .errors import GuardExceeded, StrategyError
@@ -134,10 +137,19 @@ class MarkovStrategy:
 
 @dataclass(frozen=True)
 class CounterEvaluation:
-    """Result of evaluating a counter strategy on the memory product."""
+    """Result of evaluating a counter strategy on the memory product.
+
+    ``value`` is computed up front; ``rows`` (every row of the product,
+    keyed (memory, state id)) is swept again on first read and cached.
+    """
 
     value: Dyadic
-    rows: tuple[dict[tuple[int, str], Dyadic], ...]
+    _plan: tuple = field(repr=False)
+    _horizon: int = field(repr=False)
+
+    @cached_property
+    def rows(self) -> tuple[dict[tuple[int, str], Dyadic], ...]:
+        return _all_rows(self._plan, self._horizon)
 
 
 def _plan(g: Game) -> list[tuple[str, StateKind, tuple[str, str] | None]]:
@@ -269,8 +281,10 @@ def optimal_action_sets(g: Game, horizon: int) -> OptimalActionSets:
     """Argmax/argmin sets of the recurrence, for both players' states.
 
     Streams the value rows (keeping two at a time), so horizons in the
-    thousands stay cheap even though the sets for every t are retained.
+    thousands stay cheap even though the sets for every t are retained;
+    like a full value table, the sets refuse more than CELL_CAP cells.
     """
+    _guard_cells(len(g.states), horizon, CELL_CAP)
     sets: dict[tuple[int, str], tuple[int, ...]] = {}
     _sweep(_plan(g), horizon, sets=sets)
     return OptimalActionSets(horizon=horizon, sets=sets)
@@ -329,7 +343,10 @@ def evaluate_counter(
     every traversal independent of the state, and each fixed-player
     state has both arcs on the destination the strategy's action map
     chooses.  The shared induction kernel then lets the opponent
-    minimise (or maximise) over the product.
+    minimise (or maximise) over the product.  The value comes from one
+    streaming sweep that keeps two rows at a time; the result's rows are
+    swept again, and kept, only when first read.  The cell cap guards
+    that table and is checked here, before any sweep.
     """
     _guard_cells(cs.size * len(g.states), horizon, cell_cap)
     own_kind = PLAYER_KIND[player]
@@ -350,5 +367,6 @@ def evaluate_counter(
                             f"state {sid!r}"
                         )
             plan.append(((m, sid), kind, arcs))
-    rows = _all_rows(plan, horizon)
-    return CounterEvaluation(value=rows[horizon][(0, g.start)], rows=rows)
+    plan = tuple(plan)
+    value = _sweep(plan, horizon)[0][(0, g.start)]
+    return CounterEvaluation(value=value, _plan=plan, _horizon=horizon)

@@ -408,7 +408,8 @@ def check_shortcut_memory(c: int, guard: int = 2_000_000) -> CheckReport:
     states, at horizon c - 1.  The claimed bound is c - 2 memory
     states; the check reports the exact minimum found and fails if it
     is smaller.  Regime: c >= 5 (below that the horizon is too short
-    for the structure to bind).
+    for the structure to bind, and the verdict is informational,
+    whether or not the search meets the claim).
 
     The horizon counts arc traversals and elapsed step 0 uses memory 0.
     Under that convention the exact minimum at horizon c - 1 is c - 3,
@@ -430,7 +431,8 @@ def check_shortcut_memory(c: int, guard: int = 2_000_000) -> CheckReport:
     bound = c - 2
     found = result.memory
     verdict = PASS if (found is not None and found >= bound) else FAIL
-    verdict = _demote(verdict, in_regime)
+    if not in_regime:
+        verdict = INFORMATIONAL  # a claim of c - 2 <= 2 states binds nothing
     evidence = {
         "horizon": c - 1,
         "epsilon": epsilon,

@@ -5,7 +5,9 @@ evaluated by direct recursion over (state, remaining moves) so that
 backward induction has something genuinely separate to be checked
 against.  ``reference_sweep`` is the induction kernel as it was before
 rows became scaled ints: one ``Dyadic`` per cell, kept as the naive twin
-of ``fhgames.solver._sweep``.
+of ``fhgames.solver._sweep``.  ``reference_least_initial`` is the
+per-residue-class scan that ``fhgames.counter.least_initial_for_period``
+replaced with bitsets.
 """
 
 from __future__ import annotations
@@ -112,3 +114,26 @@ def reference_sweep(
         if t in wanted:
             snapshots[t] = row
     return row, snapshots
+
+
+def reference_least_initial(seq, period: int) -> int:
+    """Smallest N such that, for every state and residue class mod the
+    period, the sets at elapsed steps >= N in that class intersect."""
+    if period < 1:
+        raise ValueError("period must be at least 1")
+    need = 0
+    length = seq.length
+    for sid in seq.states:
+        for r in range(min(period, length)):
+            acc = 3
+            start = r + period * ((length - 1 - r) // period)
+            for t in range(start, -1, -period):
+                mask = seq.masks[(t, sid)]
+                if acc & mask == 0:
+                    # everything at or below t in this class must sit in
+                    # the once-used prefix
+                    if t + 1 > need:
+                        need = t + 1
+                    break
+                acc &= mask
+    return need

@@ -60,6 +60,14 @@ class TestStrategyAndMinimize:
         assert "remaining=3 state=x arc=0 -> 2" in out
         assert "remaining=2 state=x arc=1 -> h" in out
 
+    def test_strategy_beyond_the_cell_cap_exits_three(self, capsys):
+        from fhgames.solver import CELL_CAP
+
+        code, out, err = run(capsys, "strategy", "--gadget", "M", "-T", str(CELL_CAP))
+        assert code == 3
+        assert out == ""
+        assert "cell cap" in err
+
     def test_minimize_sets_finds_primorial(self, capsys):
         code, out, _ = run(capsys, "minimize", "--gadget", "F:2", "-T", "22", "--sets")
         assert code == 0
@@ -85,6 +93,11 @@ class TestVerifyCommand:
         code, out, _ = run(capsys, "verify", "shortcut-memory", "--c", "5")
         assert code == 1
         assert "verdict: fail" in out
+
+    def test_shortcut_memory_below_its_regime_is_informational(self, capsys):
+        code, out, _ = run(capsys, "verify", "shortcut-memory", "--c", "1")
+        assert code == 0
+        assert out.splitlines()[1] == "verdict: informational"
 
     def test_shortcut_memory_needs_positive_c(self, capsys):
         code, out, err = run(capsys, "verify", "shortcut-memory", "--c", "0")

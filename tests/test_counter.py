@@ -18,6 +18,8 @@ from fhgames.counter import (
 from fhgames.gadgets import make_F, make_M, primorial
 from fhgames.solver import MarkovStrategy, extract_markov, optimal_action_sets
 
+from conftest import reference_least_initial
+
 
 def rho_walk(initial, period, steps):
     """Reference trajectory: 0,1,...,N+p-1 then cycling through N..N+p-1."""
@@ -238,6 +240,43 @@ class TestMinimalPeriod:
             res = minimal_period(seq)
             assert res.period == expected
             assert res.initial == 0
+
+
+class TestBitsetPeriodSearch:
+    """least_initial_for_period against the scalar scan it replaced."""
+
+    @given(
+        st.integers(0, 2**32),
+        st.integers(0, 80),
+        st.integers(1, 3),
+        st.integers(0, 4),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_matches_scalar_scan(self, seed, length, n_states, free_quarters):
+        rng = random.Random(seed)
+        states = tuple(f"s{k}" for k in range(n_states))
+        # free_quarters/4 of the steps allow both arcs, the rest one arc
+        masks = {
+            (t, sid): 3 if rng.randrange(4) < free_quarters else rng.choice((1, 2))
+            for t in range(length)
+            for sid in states
+        }
+        seq = ActionSetSequence(length=length, states=states, masks=masks)
+        for p in range(1, length + 3):
+            assert least_initial_for_period(seq, p) == reference_least_initial(seq, p)
+
+    @pytest.mark.parametrize("k, horizon", [(3, 70), (4, 430)])
+    def test_every_period_of_parallel_cycles(self, k, horizon):
+        g = make_F(k)
+        seq = ActionSetSequence.from_optimal(g, optimal_action_sets(g, horizon))
+        for p in range(1, horizon + 3):
+            assert least_initial_for_period(seq, p) == reference_least_initial(seq, p)
+
+    def test_period_must_be_positive(self):
+        seq = sequence_of_masks([1, 2])
+        for p in (0, -1):
+            with pytest.raises(ValueError):
+                least_initial_for_period(seq, p)
 
 
 class TestToMarkov:

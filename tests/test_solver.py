@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import random
 from unittest import mock
@@ -279,8 +280,13 @@ class TestEvaluateCounter:
         }
         cs = CounterStrategy(initial, period, actions)
         result = evaluate_counter(g, horizon, cs, player=player)
+        assert "rows" not in vars(result)  # value-only until rows are read
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            result.value = ZERO
         unrolled = to_markov(cs, horizon, player)
         assert result.value == evaluate_fixed_final(g, horizon, unrolled)[g.start]
+        assert result.value == result.rows[horizon][(0, g.start)]
+        assert result.rows is result.rows
         if not g.controlled_ids(3 - player):
             tables = (unrolled.choices, {}) if player == 1 else ({}, unrolled.choices)
             assert result.value.as_fraction() == play_value(g, horizon, *tables)
@@ -409,14 +415,19 @@ class TestCellCap:
             backward_induction(g, horizon)
         with pytest.raises(GuardExceeded):
             evaluate_fixed(g, horizon, strategy)
+        for solve in (optimal_action_sets, extract_markov):  # action-set tables
+            with pytest.raises(GuardExceeded):
+                solve(g, horizon)
 
     def test_cap_is_inclusive(self, monkeypatch):
         g = make_M()
         n = len(g.states)
         monkeypatch.setattr(solver, "CELL_CAP", 4 * n)
         assert len(backward_induction(g, 3).rows) == 4
-        with pytest.raises(GuardExceeded):
-            backward_induction(g, 4)
+        assert optimal_action_sets(g, 3).horizon == 3
+        for solve in (backward_induction, optimal_action_sets):
+            with pytest.raises(GuardExceeded):
+                solve(g, 4)
 
     def test_counter_default_is_the_shared_cap(self):
         cs = CounterStrategy(0, 1, {(0, "x"): 0})
