@@ -7,12 +7,16 @@ enumeration guard is exceeded.
 
 Every run records the tool version and its parameters in the output;
 JSON output is byte-stable for identical argv and seed (timing is only
-included on request via --timing).
+included on request via --timing).  Every indented JSON document, and
+``game.store``'s, is rendered by ``jsonout.dumps`` in one pass, straight
+from the library's values.  ``build_parser`` is cached, so a process
+builds the parser once however often it calls ``main``.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -32,7 +36,7 @@ from .solver import (
     optimal_action_sets,
 )
 from . import verify as checks
-from .verify import jsonable
+from .jsonout import dumps, jsonable
 
 _GADGETS = {"M": make_M, "H": make_H, "G": make_G, "F": make_F}
 
@@ -74,10 +78,10 @@ def _emit(args, command: str, params: dict, result: dict) -> None:
             "schema": "fhgames/1",
             "version": __version__,
             "command": command,
-            "params": jsonable(params),
-            "result": jsonable(result),
+            "params": params,
+            "result": result,
         }
-        print(json.dumps(doc, indent=2, ensure_ascii=False))
+        print(dumps(doc))
     else:
         rendered = " ".join(f"{k}={v}" for k, v in jsonable(params).items())
         print(f"# fhgames {__version__} {command} {rendered}")
@@ -210,18 +214,13 @@ def _req(args, name):
 
 def _print_report(args, report) -> None:
     if args.json:
-        print(
-            json.dumps(
-                {
-                    "schema": "fhgames/1",
-                    "version": __version__,
-                    "command": "verify",
-                    "report": report.to_dict(include_runtime=args.timing),
-                },
-                indent=2,
-                ensure_ascii=False,
-            )
-        )
+        doc = {
+            "schema": "fhgames/1",
+            "version": __version__,
+            "command": "verify",
+            "report": report.document(include_runtime=args.timing),
+        }
+        print(dumps(doc))
     else:
         print(f"# fhgames {__version__} verify {report.name}")
         print(f"verdict: {report.verdict}")
@@ -338,6 +337,7 @@ def _add_game_source(p):
     p.add_argument("--gadget", help="generated game, e.g. M, H:4, G:5, F:2")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fhgames",
@@ -391,7 +391,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--c", type=int)
     p.add_argument("--d", action="append", default=[], metavar="FRACTION")
     p.add_argument("--width", default="1/1000000000000", metavar="FRACTION")
-    p.add_argument("--eps-exp", action="append", type=int, default=[])
+    p.add_argument("--eps-exp", action="append", type=_at_least(1), default=[])
     _add_game_source(p)
     p.add_argument("--json", action="store_true")
     p.add_argument("--timing", action="store_true",
@@ -416,7 +416,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_simulate)
 
     p = sub.add_parser("scan", help="random hunt for long optimal periods")
-    p.add_argument("-n", type=int, required=True, help="states per sampled game")
+    p.add_argument("-n", type=_at_least(1), required=True,
+                   help="states per sampled game")
     p.add_argument("--samples", type=_at_least(1), required=True)
     p.add_argument("-T", "--horizon", type=_at_least(0), required=True)
     p.add_argument("--seed", type=int, required=True)

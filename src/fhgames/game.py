@@ -19,6 +19,7 @@ from enum import Enum
 from functools import cached_property
 
 from .errors import GameFormatError, InvalidGameError
+from .jsonout import dumps
 
 __all__ = [
     "StateKind",
@@ -216,4 +217,4 @@ def store(g: Game) -> str:
             for s in g.states
         ],
     }
-    return json.dumps(doc, indent=2, ensure_ascii=False) + "\n"
+    return dumps(doc) + "\n"

@@ -32,6 +32,7 @@ from .numeric import (
     run_threshold,
 )
 from .errors import GuardExceeded
+from .jsonout import jsonable
 from .oracle import RNG_ALGORITHM, min_counter_memory, solve_infinite
 from .solver import backward_induction, optimal_action_sets, values_at
 
@@ -73,35 +74,21 @@ class CheckReport:
     def succeeded(self) -> bool:
         return self.verdict in (PASS, INFORMATIONAL)
 
-    def to_dict(self, include_runtime: bool = False) -> dict:
+    def document(self, include_runtime: bool = False) -> dict:
+        """The report's fields, holding the values the check produced."""
         out = {
             "name": self.name,
-            "params": jsonable(self.params),
+            "params": self.params,
             "verdict": self.verdict,
-            "evidence": jsonable(self.evidence),
+            "evidence": self.evidence,
         }
         if include_runtime:
             out["runtime_seconds"] = self.runtime
         return out
 
-
-def jsonable(value):
-    """Recursively convert report payloads to JSON-safe structures."""
-    if isinstance(value, (str, int, bool)) or value is None:
-        return value
-    if isinstance(value, float):
-        return value
-    if isinstance(value, Dyadic):
-        return str(value)
-    if isinstance(value, Fraction):
-        return f"{value.numerator}/{value.denominator}"
-    if isinstance(value, IntervalEnclosure):
-        return {"lower": jsonable(value.lower), "upper": jsonable(value.upper)}
-    if isinstance(value, dict):
-        return {str(k): jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [jsonable(v) for v in value]
-    return str(value)
+    def to_dict(self, include_runtime: bool = False) -> dict:
+        """``document`` with JSON-safe values (see ``jsonable``)."""
+        return jsonable(self.document(include_runtime))
 
 
 def _finish(name, params, verdict, evidence, started) -> CheckReport:
@@ -176,7 +163,11 @@ def check_fib_ratio(i: int, a_max: int = 256) -> CheckReport:
 
 
 def check_threshold_growth(i_max: int = 14) -> CheckReport:
-    """The half-probability threshold grows like 2^(i-2) + i."""
+    """The half-probability threshold grows like 2^(i-2) + i, for
+    i = 1..i_max; ``i_max`` below 1 leaves nothing to check and raises
+    ValueError."""
+    if i_max < 1:
+        raise ValueError(f"i_max must be at least 1, got {i_max}")
     started = time.perf_counter()
     params = {"i_max": i_max}
     rows = []
@@ -451,9 +442,15 @@ def check_memoryless_horizon(
 ) -> CheckReport:
     """A memoryless infinite-horizon optimum is epsilon-optimal at long
     horizons: played at horizon 2 * j * 2^n it stays within 2^-j of the
-    finite-horizon value at the start state."""
+    finite-horizon value at the start state.  Each exponent j (eps =
+    2^-j) must be at least 1, and there must be one; otherwise
+    ValueError."""
     started = time.perf_counter()
     exponents = sorted(set(eps_exponents))
+    if not exponents:
+        raise ValueError("eps_exponents is empty: give at least one exponent j >= 1")
+    if exponents[0] < 1:
+        raise ValueError(f"eps exponent j must be at least 1, got {exponents[0]}")
     params = {"game": label, "eps_exponents": exponents}
     n = len(g.states)
     solution = solve_infinite(g)

@@ -7,17 +7,20 @@ against.  ``reference_sweep`` is the induction kernel as it was before
 rows became scaled ints: one ``Dyadic`` per cell, kept as the naive twin
 of ``fhgames.solver._sweep``.  ``reference_least_initial`` is the
 per-residue-class scan that ``fhgames.counter.least_initial_for_period``
-replaced with bitsets.
+replaced with bitsets.  ``reference_dumps`` is the stdlib rendering that
+``fhgames.jsonout.dumps`` replaced on the CLI and ``store`` paths.
 """
 
 from __future__ import annotations
 
+import json
 from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Iterable
 
 from fhgames.errors import StrategyError
 from fhgames.game import Game, StateKind
+from fhgames.jsonout import jsonable
 from fhgames.numeric import ONE, ZERO, dy_avg
 
 
@@ -137,3 +140,8 @@ def reference_least_initial(seq, period: int) -> int:
                     break
                 acc &= mask
     return need
+
+
+def reference_dumps(value) -> str:
+    """The CLI's indented JSON as the stdlib encoder renders it."""
+    return json.dumps(jsonable(value), indent=2, ensure_ascii=False)

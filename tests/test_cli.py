@@ -3,8 +3,11 @@ import sys
 
 import pytest
 
+import fhgames.cli as cli
+from conftest import reference_dumps
 from fhgames.cli import main
 from fhgames.gadgets import make_H
+from fhgames.jsonout import dumps
 from fhgames.solver import final_values
 
 
@@ -105,6 +108,12 @@ class TestVerifyCommand:
         assert out == ""
         assert "c must be at least 1" in err
         assert "horizon" not in err
+
+    @pytest.mark.parametrize("imax", ["0", "-2"])
+    def test_threshold_growth_needs_a_positive_imax(self, capsys, imax):
+        code, out, err = run(capsys, "verify", "threshold-growth", "--imax", imax, "--json")
+        assert (code, out) == (2, "")
+        assert f"i_max must be at least 1, got {imax}" in err
 
     def test_unknown_check_is_usage_error(self, capsys):
         code, _, err = run(capsys, "verify", "definitely-not-a-check")
@@ -221,6 +230,9 @@ class TestDeterminismAndErrors:
             ("simulate", "--gadget", "M", "-T", "5", "--trials", "0", "--seed", "1"),
             ("solve", "--gadget", "M", "-T", "x"),
             ("solve", "--gadget", "M", "-T", "2", "--decimal", "-1"),
+            ("scan", "-n", "-2", "--samples", "1", "-T", "3", "--seed", "0"),
+            ("verify", "memoryless-horizon", "--gadget", "M", "--eps-exp", "0"),
+            ("verify", "memoryless-horizon", "--gadget", "M", "--eps-exp", "-1"),
         ],
     )
     def test_out_of_range_counts_rejected_by_parser(self, capsys, argv):
@@ -263,3 +275,71 @@ class TestDeterminismAndErrors:
         finally:
             sys.set_int_max_str_digits(limit)
         assert json.loads(out)["result"]["values"] == expected
+
+
+def _stdlib_store(g) -> str:
+    """``game.store`` as the stdlib encoder rendered it."""
+    doc = {
+        "start": g.start,
+        "states": [
+            {"id": s.id, "kind": s.kind.value}
+            | ({"arcs": list(s.arcs)} if s.arcs is not None else {})
+            for s in g.states
+        ],
+    }
+    return json.dumps(doc, indent=2, ensure_ascii=False) + "\n"
+
+
+class TestDirectWriter:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("solve", "--gadget", "G:3", "-T", "9", "--json"),
+            ("strategy", "--gadget", "G:5", "-T", "12", "--json"),
+            ("minimize", "--gadget", "F:2", "-T", "22", "--sets", "--json"),
+            ("oracle", "--gadget", "M", "--json"),
+            ("oracle", "--gadget", "M", "--maxmem", "3", "-T", "6", "--eps", "1/2^6",
+             "--json"),
+            ("simulate", "--gadget", "M", "-T", "5", "--trials", "50", "--seed", "3",
+             "--json"),
+            ("verify", "threshold-growth", "--imax", "6", "--json"),
+            ("verify", "threshold-power-bounds", "--i", "4", "--json"),
+            ("scan", "-n", "3", "--samples", "5", "-T", "16", "--seed", "0", "--json"),
+        ],
+    )
+    def test_json_output_matches_the_stdlib_rendering(self, capsys, monkeypatch, argv):
+        docs = []
+
+        def recording_dumps(doc):
+            docs.append(doc)
+            return dumps(doc)
+
+        monkeypatch.setattr(cli, "dumps", recording_dumps)
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (0, "")
+        [doc] = docs
+        assert out == reference_dumps(doc) + "\n"
+
+    @pytest.mark.parametrize("family,param", [("M", None), ("H", "3"), ("F", "2")])
+    def test_gadget_output_equals_the_stdlib_document(self, capsys, family, param):
+        argv = ["gadget", "--family", family] + (["--param", param] if param else [])
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        assert out == _stdlib_store(cli._make_gadget(family, param))
+
+    def test_parser_is_built_once_and_reusable(self, capsys):
+        assert cli.build_parser() is cli.build_parser()
+        argv = ("verify", "below-threshold", "--i", "5", "--json")
+        _, out, _ = run(capsys, *argv, "--d", "1/5")
+        assert json.loads(out)["report"]["params"]["d_list"] == ["1/5"]
+        _, out, _ = run(capsys, *argv)
+        assert json.loads(out)["report"]["params"]["d_list"] == ["1/5", "2/5", "4/5"]
+        assert cli.build_parser().parse_args(["verify", "below-threshold"]).d == []
+
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", "--gadget", "M"])  # missing -T
+        assert exc.value.code == 2
+        capsys.readouterr()
+        code, out, err = run(capsys, "solve", "--gadget", "M", "-T", "3", "--json")
+        assert (code, err) == (0, "")
+        assert json.loads(out)["params"] == {"game": "M", "horizon": 3}

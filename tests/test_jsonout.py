@@ -1,0 +1,102 @@
+"""The direct JSON writer against the stdlib rendering it replaced."""
+
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from conftest import reference_dumps
+from fhgames.game import StateKind
+from fhgames.jsonout import dumps
+from fhgames.numeric import Dyadic, IntervalEnclosure
+
+class Count(int):
+    """An int subclass whose str() is not its JSON rendering."""
+
+    def __str__(self):
+        return f"Count({int(self)})"
+
+    __repr__ = __str__
+
+
+class Weight(float):
+    """A float subclass whose str() is not its JSON rendering."""
+
+    def __str__(self):
+        return f"Weight({float(self)})"
+
+    __repr__ = __str__
+
+
+texts = st.text(
+    st.one_of(
+        st.sampled_from('"\\/\b\f\n\r\t\x00\x1f\x7f é€😀'),
+        st.characters(),
+    ),
+    max_size=8,
+)
+fractions = st.fractions(max_denominator=10**6)
+scalars = st.one_of(
+    texts,
+    st.integers(),
+    st.booleans(),
+    st.none(),
+    st.floats(),  # NaN, infinities and -0.0 included
+    st.builds(Dyadic, st.integers(), st.integers(0, 80)),
+    fractions,
+    st.tuples(fractions, fractions).map(
+        lambda pair: IntervalEnclosure(min(pair), max(pair))
+    ),
+    st.sampled_from(StateKind),
+    st.integers().map(Count),
+    st.floats().map(Weight),
+)
+keys = st.one_of(
+    texts,
+    st.integers(-3, 3),
+    st.booleans(),
+    st.none(),
+    st.tuples(st.integers(0, 2), texts),
+    st.sampled_from(StateKind),
+    st.sampled_from(["0", "1", "True", "None", "StateKind.MAX"]),  # str(k) collisions
+)
+values = st.recursive(
+    scalars,
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        st.dictionaries(keys, children, max_size=4),
+    ),
+    max_leaves=30,
+)
+
+
+@given(values)
+@settings(max_examples=500, deadline=None)
+def test_matches_the_stdlib_rendering(value):
+    assert dumps(value) == reference_dumps(value)
+
+
+@pytest.mark.parametrize(
+    "value",
+    [
+        {},
+        [],
+        (),
+        {"a": {}, "b": [], "c": [{}, [[]]]},
+        StateKind.MAX,
+        {StateKind.COIN: StateKind.MIN},
+        {1: "int key", "1": "str key", None: "none key"},
+        {"s": [Dyadic(3, 2), Fraction(-1, 3), IntervalEnclosure(Fraction(1), Fraction(2))]},
+        [float("nan"), float("inf"), -float("inf"), -0.0, 1e300, True, False, None],
+        {(1, "x"): [("nested", ("tuple",))]},
+    ],
+)
+def test_fixed_cases(value):
+    assert dumps(value) == reference_dumps(value)
+
+
+def test_subclass_renders_its_value_not_its_str():
+    assert str(StateKind.MAX) == "StateKind.MAX"
+    assert dumps([StateKind.MAX]) == '[\n  "max"\n]'

@@ -45,6 +45,11 @@ class TestNumericChecks:
         rows = {row["i"]: row["k"] for row in report.evidence["rows"]}
         assert rows[1] == 2 and rows[2] == 5
 
+    @pytest.mark.parametrize("i_max", [0, -1])
+    def test_threshold_growth_rejects_an_empty_range(self, i_max):
+        with pytest.raises(ValueError, match="i_max must be at least 1"):
+            check_threshold_growth(i_max)
+
     def test_power_bounds_pass_in_regime(self):
         report = check_threshold_power_bounds(12)
         assert report.verdict == "pass"
@@ -112,6 +117,11 @@ class TestGadgetChecks:
         assert report.verdict == "pass"
         for row in report.evidence["rows"]:
             assert row["ok"] is True
+
+    @pytest.mark.parametrize("exponents", [(), (0,), (-1, 2), (0, 1)])
+    def test_memoryless_horizon_rejects_exponents_below_one(self, exponents):
+        with pytest.raises(ValueError, match="exponent"):
+            check_memoryless_horizon(make_M(), eps_exponents=exponents)
 
 
 class TestPeriodScan:
