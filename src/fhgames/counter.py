@@ -20,9 +20,11 @@ Minimality is measured by the total memory-state count N + p (the
 reported space in bits is ceil(log2(N + p))), with ties broken towards
 the smaller period.
 
-Period search runs on bitsets.  An ActionSetSequence keeps, per
-controlled state, two ints only0/only1 whose bit t is set when only
-arc 0 / only arc 1 is optimal at elapsed t.  For a period p, with
+An ActionSetSequence holds, per controlled state, the solver's bytes
+of arc masks (1 = arc 0, 2 = arc 1, 3 = both) reversed to elapsed time.
+Period search runs on bitsets derived from each row by a translation:
+only0/only1, whose bit t is set when only arc 0 / only arc 1 is
+optimal at elapsed t.  For a period p, with
 later_b = OR over k >= 1 of (only_b >> k*p), the least initial count is
 
     N(p) = max over states of bit_length((only0 & later1) | (only1 & later0)),
@@ -180,46 +182,34 @@ def from_markov(strategy: MarkovStrategy) -> CounterStrategy:
 
 @dataclass(frozen=True)
 class ActionSetSequence:
-    """Elapsed-time reindexing of optimal-action sets.
+    """Optimal action sets in elapsed time.
 
-    ``masks[(t, sid)]`` is a bitmask over arcs (bit 0 = arc 0, bit 1 =
-    arc 1), non-empty for every elapsed step t in 0..length-1.
+    ``masks[sid][t]`` is the mask over arcs (bit 0 = arc 0, bit 1 =
+    arc 1) of the set at elapsed step t in 0..length-1: 1, 2 or 3.
     """
 
     length: int
     states: tuple[str, ...]
-    masks: dict[tuple[int, str], int]
+    masks: dict[str, bytes]
+    _DIGITS = (bytes.maketrans(b"\1\2\3", b"100"), bytes.maketrans(b"\1\2\3", b"010"))
 
     def __post_init__(self):
-        only = [[0, 0] for _ in self.states]
-        for t in range(self.length):
-            bit = 1 << t
-            for k, sid in enumerate(self.states):
-                mask = self.masks.get((t, sid), 0)
-                if mask == 1:
-                    only[k][0] |= bit
-                elif mask == 2:
-                    only[k][1] |= bit
-                elif mask != 3:
-                    raise ValueError(f"empty or invalid action set at t={t}, {sid!r}")
-        # per state, (only0, only1): bit t set when only arc 0 / arc 1 is
-        # optimal at elapsed t; derived data, so not a dataclass field
-        object.__setattr__(self, "_only", tuple(map(tuple, only)))
+        only = []
+        for sid in self.states:
+            row = self.masks.get(sid)
+            if row is None or len(row) != self.length or row.translate(None, b"\1\2\3"):
+                raise ValueError(f"{sid!r} needs {self.length} masks of 1, 2 or 3")
+            row = row[::-1]  # elapsed t is the digit of weight 2^t; b"0" if empty
+            only.append(tuple(int(row.translate(d) or b"0", 2) for d in self._DIGITS))
+        # per state (only0, only1); derived data, so not a dataclass field
+        object.__setattr__(self, "_only", tuple(only))
 
     @classmethod
     def from_optimal(
         cls, g: Game, sets: OptimalActionSets, player: int = 1
     ) -> "ActionSetSequence":
         ids = tuple(sorted(g.controlled_ids(player)))
-        horizon = sets.horizon
-        masks = {}
-        for t in range(horizon):  # elapsed t, remaining horizon - t >= 1
-            for sid in ids:
-                mask = 0
-                for arc in sets.at(horizon - t, sid):
-                    mask |= 1 << arc
-                masks[(t, sid)] = mask
-        return cls(length=horizon, states=ids, masks=masks)
+        return cls(sets.horizon, ids, {sid: sets.masks[sid][::-1] for sid in ids})
 
 
 @dataclass(frozen=True)
@@ -255,22 +245,16 @@ def least_initial_for_period(seq: ActionSetSequence, period: int) -> int:
     return need
 
 
-def _pick(mask: int) -> int:
-    return 0 if mask & 1 else 1
-
-
 def _witness(seq: ActionSetSequence, n: int, p: int) -> CounterStrategy:
+    """Initial memory m takes arc 1 iff step m allows only arc 1, periodic
+    memory m iff a step of its class does: an arc in all of the class's sets."""
     actions = {}
     for sid in seq.states:
+        row = seq.masks[sid]
         for m in range(n):
-            actions[(m, sid)] = _pick(seq.masks[(m, sid)])
-        for j in range(p):
-            acc = 3
-            t = n + j
-            while t < seq.length:
-                acc &= seq.masks[(t, sid)]
-                t += p
-            actions[(n + j, sid)] = _pick(acc)
+            actions[(m, sid)] = int(row[m] == 2)
+        for m in range(n, n + p):
+            actions[(m, sid)] = int(2 in row[m::p])
     return CounterStrategy(initial=n, period=p, actions=actions)
 
 

@@ -25,7 +25,9 @@ values are built only for the rows a caller gets back (the last row,
 checkpoint rows, every row of a full table) as Dyadic(M, t), whose
 exponent is at most t by construction; 0 and 1 are the shared ZERO
 and ONE.  Paths that keep every row, or every optimal action set,
-refuse with GuardExceeded a table of more than CELL_CAP cells.
+refuse with GuardExceeded a table of more than CELL_CAP cells.  The
+loop also writes the optimal action sets, as the one form every reader
+uses: per optimising state, one mask byte per t (see OptimalActionSets).
 
 Strategies are indexed by REMAINING moves: a Markov strategy maps
 (t, state) with t in 1..T to an arc.  Counter strategies advance their
@@ -104,17 +106,21 @@ class ValueTable:
 class OptimalActionSets:
     """All value-optimal arcs per remaining time and controlled state.
 
-    sets[(t, sid)] is a non-empty tuple drawn from (0, 1); both arcs
-    appear exactly when their successor values tie.  Carrying the full
-    sets (rather than one tie-broken choice) is what allows period and
-    memory analyses to quantify over every optimal strategy.
+    masks[sid][t - 1] is the set at remaining time t, a mask over arcs:
+    1 (arc 0), 2 (arc 1) or 3 (both: their successor values tie).
+    Carrying the full sets (rather than one tie-broken choice) is what
+    allows period and memory analyses to quantify over every optimal
+    strategy.
     """
 
     horizon: int
-    sets: dict[tuple[int, str], tuple[int, ...]]
+    masks: dict[str, bytes]
+    _ARCS = ((), (0,), (1,), (0, 1))  # indexed by mask; not a field
 
     def at(self, t: int, sid: str) -> tuple[int, ...]:
-        return self.sets[(t, sid)]
+        if not 1 <= t <= self.horizon:
+            raise KeyError((t, sid))
+        return self._ARCS[self.masks[sid][t - 1]]
 
 
 @dataclass(frozen=True)
@@ -168,7 +174,8 @@ def _sweep(
     Returns (last_row, snapshots) where snapshots maps each requested
     checkpoint horizon to its row.  Rows are built as Dyadic dicts in
     plan order only for those horizons; the loop itself keeps one list
-    of scaled ints per t (see the module docstring).
+    of scaled ints per t (see the module docstring).  A ``sets`` dict
+    gets, per optimising state id, a bytearray of its mask per t.
     """
     if horizon < 0:
         raise ValueError("horizon must be non-negative")
@@ -193,7 +200,9 @@ def _sweep(
     pos = {sid: i for i, (sid, _, _) in enumerate(coins + players + chosen + terminals)}
     coin_ops = [(pos[a], pos[b]) for _, _, (a, b) in coins]
     player_ops = [
-        (sid, kind is StateKind.MAX, pos[a], pos[b]) for sid, kind, (a, b) in players
+        (kind is StateKind.MAX, pos[a], pos[b],
+         None if sets is None else sets.setdefault(sid, bytearray()).append)
+        for sid, kind, (a, b) in players
     ]
     fixed_ops = [(sid, pos[a], pos[b]) for sid, _, (a, b) in chosen]
     where = [(sid, pos[sid]) for sid, _, _ in plan]
@@ -212,18 +221,18 @@ def _sweep(
     for t in range(1, horizon + 1):
         prev = row
         row = [prev[a] + prev[b] for a, b in coin_ops]
-        for sid, is_max, a, b in player_ops:
+        for is_max, a, b, record in player_ops:
             va = prev[a]
             vb = prev[b]
             if va == vb:
-                best = (0, 1)
+                mask = 3
             elif (va > vb) == is_max:
-                best = (0,)
+                mask = 1
             else:
-                best = (1,)
+                mask = 2
                 va = vb
-            if sets is not None:
-                sets[(t, sid)] = best
+            if record is not None:
+                record(mask)
             row.append(va << 1)
         for sid, a, b in fixed_ops:
             arc = choose(t, sid)
@@ -285,9 +294,9 @@ def optimal_action_sets(g: Game, horizon: int) -> OptimalActionSets:
     like a full value table, the sets refuse more than CELL_CAP cells.
     """
     _guard_cells(len(g.states), horizon, CELL_CAP)
-    sets: dict[tuple[int, str], tuple[int, ...]] = {}
+    sets: dict[str, bytearray] = {}
     _sweep(_plan(g), horizon, sets=sets)
-    return OptimalActionSets(horizon=horizon, sets=sets)
+    return OptimalActionSets(horizon, {sid: bytes(row) for sid, row in sets.items()})
 
 
 def extract_markov(
@@ -301,14 +310,11 @@ def extract_markov(
     """
     if tiebreak not in ("lo", "hi"):
         raise ValueError("tiebreak must be 'lo' or 'hi'")
-    sets = optimal_action_sets(g, horizon)
-    pick = min if tiebreak == "lo" else max
+    pick = bytes.maketrans(b"\1\2\3", b"\0\1\0" if tiebreak == "lo" else b"\0\1\1")
+    masks = optimal_action_sets(g, horizon).masks
     controlled = set(g.controlled_ids(player))
-    choices = {
-        (t, sid): pick(arcs)
-        for (t, sid), arcs in sets.sets.items()
-        if sid in controlled
-    }
+    arcs = [(sid, row.translate(pick)) for sid, row in masks.items() if sid in controlled]
+    choices = {(t, sid): a[t - 1] for t in range(1, horizon + 1) for sid, a in arcs}
     return MarkovStrategy(player=player, horizon=horizon, choices=choices)
 
 

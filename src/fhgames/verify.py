@@ -137,10 +137,14 @@ def _demote(verdict: str, in_regime: bool) -> str:
 def check_fib_ratio(i: int, a_max: int = 256) -> CheckReport:
     """Growth-ratio bounds on i-step Fibonacci numbers.
 
-    F_b <= 2 F_{b-1} for 3 <= b <= a_max, and the sharper
-    F_a <= (2 - 2^{-i-1}) F_{a-1} for i+3 <= a <= a_max, both checked
-    by exact integer cross-multiplication.
+    F_b <= 2 F_{b-1} for 3 <= b <= a_max, and the sharper F_a <=
+    (2 - 2^{-i-1}) F_{a-1} for i+3 <= a <= a_max, by exact integer
+    cross-multiplication; i < 1 or an empty sharp range raises ValueError.
     """
+    if i < 1:
+        raise ValueError(f"i must be at least 1, got {i}")
+    if a_max < i + 3:
+        raise ValueError(f"a_max must be at least i+3 = {i + 3}, got {a_max}")
     started = time.perf_counter()
     params = {"i": i, "a_max": a_max}
     scale = 1 << (i + 1)
@@ -223,7 +227,9 @@ def check_threshold_power_bounds(
 
 
 def check_doubling(i: int, t_max: int = 256) -> CheckReport:
-    """Run probabilities at doubled horizons: p(2t - 2i) <= 2 p(t)."""
+    """Run probabilities at doubled horizons: p(2t - 2i) <= 2 p(t), i <= t <= t_max."""
+    if t_max < i:
+        raise ValueError(f"t_max must be at least i = {i}, got {t_max}")
     started = time.perf_counter()
     params = {"i": i, "t_max": t_max}
     failures = []
@@ -315,9 +321,11 @@ def check_cycle_values(p: int, t_max: int = 200) -> CheckReport:
     """Exact values of the cycle gadget.
 
     Numbered state j at horizon t must be worth 1 - 2^{-f} where f is
-    the latest horizon <= t in j's residue class mod p (0 if none);
-    starred state j* is worth 1 from horizon j on and 0 before.
+    the latest horizon <= t in j's residue class mod p (0 if none); j*
+    is worth 1 from horizon j on and 0 before; t runs over 0..t_max.
     """
+    if t_max < 0:
+        raise ValueError(f"t_max must be non-negative, got {t_max}")
     started = time.perf_counter()
     params = {"p": p, "t_max": t_max}
     table = backward_induction(make_G(p), t_max)

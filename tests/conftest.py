@@ -131,7 +131,7 @@ def reference_least_initial(seq, period: int) -> int:
             acc = 3
             start = r + period * ((length - 1 - r) // period)
             for t in range(start, -1, -period):
-                mask = seq.masks[(t, sid)]
+                mask = seq.masks[sid][t]
                 if acc & mask == 0:
                     # everything at or below t in this class must sit in
                     # the once-used prefix

@@ -1,4 +1,6 @@
+import hashlib
 import json
+import random
 import sys
 
 import pytest
@@ -6,7 +8,8 @@ import pytest
 import fhgames.cli as cli
 from conftest import reference_dumps
 from fhgames.cli import main
-from fhgames.gadgets import make_H
+from fhgames.gadgets import make_H, random_game
+from fhgames.game import store
 from fhgames.jsonout import dumps
 from fhgames.solver import final_values
 
@@ -114,6 +117,21 @@ class TestVerifyCommand:
         code, out, err = run(capsys, "verify", "threshold-growth", "--imax", imax, "--json")
         assert (code, out) == (2, "")
         assert f"i_max must be at least 1, got {imax}" in err
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("fib-ratio", "--i", "3", "--amax", "2"), "a_max must be at least i+3"),
+            (("fib-ratio", "--i", "-2"), "i must be at least 1"),
+            (("doubling", "--i", "3", "--tmax", "-4"), "t_max must be at least i"),
+            (("cycle-values", "--p", "3", "--tmax", "-5"), "t_max must be non-negative"),
+        ],
+    )
+    def test_empty_check_ranges_are_usage_errors(self, capsys, argv, message):
+        code, out, err = run(capsys, "verify", *argv, "--json")
+        assert (code, out) == (2, "")
+        assert message in err
+        assert "horizon" not in err
 
     def test_unknown_check_is_usage_error(self, capsys):
         code, _, err = run(capsys, "verify", "definitely-not-a-check")
@@ -343,3 +361,40 @@ class TestDirectWriter:
         code, out, err = run(capsys, "solve", "--gadget", "M", "-T", "3", "--json")
         assert (code, err) == (0, "")
         assert json.loads(out)["params"] == {"game": "M", "horizon": 3}
+
+
+class TestGoldenOutput:
+    """Pinned sha256 of whole stdout documents, so that a change of how
+    optimal action sets are stored or read cannot alter a byte.  The
+    digests include the tool version and change with it."""
+
+    @pytest.mark.parametrize(
+        "argv, digest",
+        [
+            (("minimize", "--gadget", "F:2", "-T", "22", "--sets", "--json"),
+             "82ac9c2c9c650b30425c94176162f00e19e8d0a8c40bf269a5962a1a3bbf81bd"),
+            (("minimize", "--gadget", "F:3", "-T", "70", "--sets", "--json"),
+             "1d9edc8338befbc6b91517b87f4c919c410287047bc790d0b36597eb001021b0"),
+            (("minimize", "--gadget", "F:4", "-T", "430", "--sets", "--json"),
+             "37210daceeeed11f11ce74807c6e31fd9519184dc4492d35dc3fc28bd86e2222"),
+            (("minimize", "--gadget", "G:11", "-T", "200", "--sets", "--json"),
+             "01ee534cd4d024a029487ab72579cb2bcd24b4e54e591723c3bea5afee569f61"),
+            (("minimize", "--gadget", "G:31", "-T", "200", "--sets", "--json"),
+             "b7c6056ced01aabfdeb7955d52aa398658acc93ea63b05952f006c4b50be8df8"),
+            (("strategy", "-g", "arena12.json", "-T", "12", "--player", "1",
+              "--tiebreak", "lo", "--json"),
+             "550855ac43036a71fd952bce6827d32d9c3a39ac17efc73b13c6e18d02ba7db6"),
+            (("strategy", "-g", "arena12.json", "-T", "12", "--player", "2",
+              "--tiebreak", "hi", "--json"),
+             "405f6c2f539088ff046eec044b59f4ec1cb00c1f5ba83d1fae1e8a0539aeaa12"),
+        ],
+    )
+    def test_stdout_digest(self, capsys, monkeypatch, tmp_path, argv, digest):
+        # random_game(12, Random(1)) has ties at T=12 for both players
+        (tmp_path / "arena12.json").write_text(
+            store(random_game(12, random.Random(1))), encoding="utf-8"
+        )
+        monkeypatch.chdir(tmp_path)  # the relative path is part of the params
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (0, "")
+        assert hashlib.sha256(out.encode()).hexdigest() == digest

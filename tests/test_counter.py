@@ -156,7 +156,7 @@ def sequence_of_masks(masks):
     return ActionSetSequence(
         length=len(masks),
         states=("x",),
-        masks={(t, "x"): m for t, m in enumerate(masks)},
+        masks={"x": bytes(masks)},
     )
 
 
@@ -173,13 +173,42 @@ def brute_minimal_period(seq):
                 acc = 3
                 for t in range(length):
                     if walk[t] == mem:
-                        acc &= seq.masks[(t, "x")]
+                        acc &= seq.masks["x"][t]
                 if acc == 0:
                     feasible = False
                     break
             if feasible:
                 return n, p
     return length - 1, 1
+
+
+class TestActionSetSequence:
+    @pytest.mark.parametrize(
+        "masks",
+        [
+            {"x": bytes([1, 0, 3])},  # an empty set
+            {"x": bytes([1, 4, 3])},  # a mask beyond both arcs
+            {"x": bytes([1, 2])},  # a row shorter than the length
+            {"x": bytes([1, 2, 3, 1])},  # a row longer than the length
+            {"y": bytes([1, 2, 3])},  # state x missing
+        ],
+    )
+    def test_invalid_rows_are_refused(self, masks):
+        with pytest.raises(ValueError, match="'x' needs 3 masks"):
+            ActionSetSequence(length=3, states=("x",), masks=masks)
+
+    def test_empty_rows_at_length_zero(self):
+        seq = ActionSetSequence(length=0, states=("x", "y"), masks={"x": b"", "y": b""})
+        assert least_initial_for_period(seq, 1) == 0
+        assert minimal_period(seq).witness.actions == {}
+
+    def test_from_optimal_reverses_to_elapsed_time(self):
+        g = make_M()
+        sets = optimal_action_sets(g, 5)
+        seq = ActionSetSequence.from_optimal(g, sets)
+        assert seq.states == ("x",)
+        # elapsed t is remaining 5 - t; see TestOptimalActionSets
+        assert list(seq.masks["x"]) == [1, 1, 1, 2, 3]
 
 
 class TestMinimalPeriod:
@@ -256,11 +285,12 @@ class TestBitsetPeriodSearch:
         rng = random.Random(seed)
         states = tuple(f"s{k}" for k in range(n_states))
         # free_quarters/4 of the steps allow both arcs, the rest one arc
-        masks = {
+        cells = {
             (t, sid): 3 if rng.randrange(4) < free_quarters else rng.choice((1, 2))
             for t in range(length)
             for sid in states
         }
+        masks = {sid: bytes(cells[(t, sid)] for t in range(length)) for sid in states}
         seq = ActionSetSequence(length=length, states=states, masks=masks)
         for p in range(1, length + 3):
             assert least_initial_for_period(seq, p) == reference_least_initial(seq, p)

@@ -88,6 +88,11 @@ class TestOptimalActionSets:
         assert sets.at(4, "x") == (0,)
         assert sets.at(1, "x") == (0, 1)  # both continuations worth 0
 
+    @pytest.mark.parametrize("t, sid", [(0, "x"), (6, "x"), (3, "h")])  # h: a coin
+    def test_sets_outside_the_table_raise(self, t, sid):
+        with pytest.raises(KeyError):
+            optimal_action_sets(make_M(), 5).at(t, sid)
+
     def test_sets_cover_min_states(self):
         g = Game(
             states=(
@@ -348,7 +353,6 @@ class TestScaledKernel:
             "played_at": _cells(values_at(g, checkpoints, strategy).items()),
             "fixed": _cells(enumerate(evaluate_fixed(g, horizon, strategy).rows)),
             "fixed_final": _cells([(horizon, evaluate_fixed_final(g, horizon, strategy))]),
-            "sets": list(optimal_action_sets(g, horizon).sets.items()),
             "counter": _cells(enumerate(evaluate_counter(g, horizon, cs, player).rows)),
         }
 
@@ -381,6 +385,15 @@ class TestScaledKernel:
         with mock.patch.object(solver, "_sweep", reference_sweep):
             expected = self.results(*args)
         assert scaled == expected
+        ref = {}
+        reference_sweep(solver._plan(g), horizon, sets=ref)
+        got = optimal_action_sets(g, horizon)
+        assert {k: got.at(*k) for k in ref} == ref
+        assert sum(len(row) for row in got.masks.values()) == len(ref)
+        for tiebreak, pick in (("lo", min), ("hi", max)):  # same picks, same key order
+            want = [(k, pick(arcs)) for k, arcs in ref.items() if k[1] in own]
+            choices = extract_markov(g, horizon, player, tiebreak).choices
+            assert list(choices.items()) == want
 
     def test_wide_values_match_reference(self):
         g = make_H(3)

@@ -50,6 +50,30 @@ class TestNumericChecks:
         with pytest.raises(ValueError, match="i_max must be at least 1"):
             check_threshold_growth(i_max)
 
+    @pytest.mark.parametrize(
+        "check, args, message",
+        [
+            (check_fib_ratio, (0,), "i must be at least 1, got 0"),
+            (check_fib_ratio, (-2,), "i must be at least 1, got -2"),
+            (check_fib_ratio, (3, 5), "a_max must be at least i\\+3 = 6, got 5"),
+            (check_doubling, (3, 2), "t_max must be at least i = 3, got 2"),
+            (check_doubling, (3, -4), "t_max must be at least i = 3, got -4"),
+            (check_cycle_values, (3, -1), "t_max must be non-negative, got -1"),
+        ],
+    )
+    def test_empty_ranges_are_refused(self, check, args, message):
+        with pytest.raises(ValueError, match=message):
+            check(*args)
+
+    def test_smallest_ranges_are_checked(self):
+        fib = check_fib_ratio(3, 6)
+        assert fib.verdict == "pass"
+        assert fib.evidence["sharp_range"] == [6, 6]
+        doubling = check_doubling(3, 3)
+        assert doubling.verdict == "pass"
+        assert doubling.evidence["range"] == [3, 3]
+        assert check_cycle_values(3, 0).verdict == "pass"  # the t=0 row
+
     def test_power_bounds_pass_in_regime(self):
         report = check_threshold_power_bounds(12)
         assert report.verdict == "pass"
