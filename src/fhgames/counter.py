@@ -9,12 +9,11 @@ and advances on every pebble move regardless of the observed state.
 Strategies over elapsed time and the solver's remaining-time tables are
 interconverted here (elapsed t corresponds to remaining T - t).
 
-Two minimisation problems are solved:
-
-* from_markov — the smallest automaton whose unrolled action sequence
-  reproduces one given Markov strategy exactly;
-* minimal_period — the smallest automaton able to pick, at every
-  elapsed step, SOME action from a given non-empty set of optimal arcs.
+One search finds the smallest automaton: minimal_period, over a given
+non-empty set of optimal arcs per state and elapsed step, picks SOME
+arc of every set.  from_markov is its singleton case: a Markov
+strategy's arcs as one-arc sets, so the automaton found reproduces the
+strategy exactly.
 
 Minimality is measured by the total memory-state count N + p (the
 reported space in bits is ceil(log2(N + p))), with ties broken towards
@@ -145,41 +144,6 @@ def to_markov(cs: CounterStrategy, horizon: int, player: int = 1) -> MarkovStrat
     return MarkovStrategy(player=player, horizon=horizon, choices=choices)
 
 
-def _minimal_replication(seq: list) -> tuple[int, int]:
-    """Smallest (N, p) by N+p, ties to smaller p, with seq[t] == seq[t+p]
-    for all N <= t <= len(seq)-1-p.  Always solvable: N = len-1, p = 1."""
-    length = len(seq)
-    if length == 0:
-        return 0, 1
-    for total in range(1, length + 1):
-        for p in range(1, total + 1):
-            n = total - p
-            if all(seq[t] == seq[t + p] for t in range(n, length - p)):
-                return n, p
-    return length - 1, 1  # unreachable; the total == length case always fits
-
-
-def from_markov(strategy: MarkovStrategy) -> CounterStrategy:
-    """Minimal counter strategy replaying a Markov strategy exactly.
-
-    The strategy's remaining-time table is reversed to elapsed time
-    first; the result's unrolled sequence over 0..T-1 equals it.
-    """
-    horizon = strategy.horizon
-    ids = sorted({sid for _, sid in strategy.choices})
-    seq = [
-        tuple(strategy.action(horizon - t, sid) for sid in ids)
-        for t in range(horizon)
-    ]
-    n, p = _minimal_replication(seq)
-    actions = {}
-    for m in range(n + p):
-        row = seq[m] if m < horizon else tuple(0 for _ in ids)
-        for k, sid in enumerate(ids):
-            actions[(m, sid)] = row[k]
-    return CounterStrategy(initial=n, period=p, actions=actions)
-
-
 @dataclass(frozen=True)
 class ActionSetSequence:
     """Optimal action sets in elapsed time.
@@ -280,3 +244,23 @@ def minimal_period(seq: ActionSetSequence) -> PeriodResult:
             best = (n + p, p, n)
     _, p, n = best
     return PeriodResult(initial=n, period=p, witness=_witness(seq, n, p))
+
+
+def from_markov(strategy: MarkovStrategy) -> CounterStrategy:
+    """Minimal counter strategy replaying a Markov strategy exactly.
+
+    The strategy's remaining-time table is reversed to elapsed time and
+    read as singleton action sets (mask 1 + arc), for which a residue
+    class's sets intersect exactly when its arcs agree; minimal_period
+    then finds the smallest automaton, and its witness replays the
+    strategy over 0..T-1.
+    """
+    horizon = strategy.horizon
+    ids = tuple(sorted({sid for _, sid in strategy.choices}))
+    arcs = [strategy.action(horizon - t, sid) for t in range(horizon) for sid in ids]
+    for arc in arcs:  # before the masks, where arc 2 would read as both arcs
+        if arc not in (0, 1):
+            raise ValueError(f"arc index must be 0 or 1, got {arc!r}")
+    flat = bytes(1 + arc for arc in arcs)  # t-major; state k at k::len(ids)
+    masks = {sid: flat[k :: len(ids)] for k, sid in enumerate(ids)}
+    return minimal_period(ActionSetSequence(horizon, ids, masks)).witness

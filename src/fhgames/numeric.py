@@ -62,14 +62,6 @@ class Dyadic:
         self.mantissa = mantissa
         self.exponent = exponent
 
-    @classmethod
-    def from_fraction(cls, value: Fraction) -> "Dyadic":
-        value = Fraction(value)
-        den = value.denominator
-        if den & (den - 1):
-            raise ValueError(f"{value} is not dyadic")
-        return cls(value.numerator, den.bit_length() - 1)
-
     _PATTERN = re.compile(r"^(-?\d+)(?:/2\^(\d+))?$")
 
     @classmethod
@@ -82,9 +74,6 @@ class Dyadic:
 
     def as_fraction(self) -> Fraction:
         return Fraction(self.mantissa, 1 << self.exponent)
-
-    def halved(self) -> "Dyadic":
-        return Dyadic(self.mantissa, self.exponent + 1)
 
     def decimal(self, digits: int = 6) -> str:
         """Rounded decimal rendering (half away from zero); approximate."""

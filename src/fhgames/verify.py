@@ -31,7 +31,6 @@ from .numeric import (
     run_probability,
     run_threshold,
 )
-from .errors import GuardExceeded
 from .jsonout import jsonable
 from .oracle import RNG_ALGORITHM, min_counter_memory, solve_infinite
 from .solver import backward_induction, optimal_action_sets, values_at
@@ -348,25 +347,21 @@ def check_cycle_values(p: int, t_max: int = 200) -> CheckReport:
     )
 
 
-def check_primorial_period(
-    k: int, slack: int = 10, cell_cap: int = 200_000
-) -> CheckReport:
+def check_primorial_period(k: int, slack: int = 10) -> CheckReport:
     """Minimal period of jointly optimal play in the parallel gadget.
 
     The optimal action sets of F(k) solved to horizon 2 * primorial + slack
     must admit a counter automaton with period exactly the primorial of
     k (at zero initial memories), every smaller period must need
     strictly more total memory, and the non-terminal state count must be
-    twice the sum of the first k primes.
+    twice the sum of the first k primes.  The action sets refuse more
+    than solver.CELL_CAP cells, as everywhere else.
     """
     started = time.perf_counter()
     params = {"k": k, "slack": slack}
     target_period = primorial(k)
     horizon = 2 * target_period + slack
     g = make_F(k)
-    cells = (horizon + 1) * len(g.states)
-    if cells > cell_cap:
-        raise GuardExceeded(f"{cells} table cells exceed the cap {cell_cap}")
     non_terminal = len(g.states) - 1
     expected_states = 2 * sum(primes(k))
     sets = optimal_action_sets(g, horizon)

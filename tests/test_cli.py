@@ -228,7 +228,7 @@ class TestDeterminismAndErrors:
 
     def test_guard_exit_code(self, capsys):
         code, _, err = run(
-            capsys, "verify", "primorial-period", "--k", "5"
+            capsys, "verify", "primorial-period", "--k", "7"
         )
         assert code == 3
         assert "guard" in err
@@ -365,8 +365,9 @@ class TestDirectWriter:
 
 class TestGoldenOutput:
     """Pinned sha256 of whole stdout documents, so that a change of how
-    optimal action sets are stored or read cannot alter a byte.  The
-    digests include the tool version and change with it."""
+    optimal action sets are stored or read, or of how a Markov strategy
+    is minimised (``minimize`` without ``--sets``), cannot alter a byte.
+    The digests include the tool version and change with it."""
 
     @pytest.mark.parametrize(
         "argv, digest",
@@ -387,6 +388,22 @@ class TestGoldenOutput:
             (("strategy", "-g", "arena12.json", "-T", "12", "--player", "2",
               "--tiebreak", "hi", "--json"),
              "405f6c2f539088ff046eec044b59f4ec1cb00c1f5ba83d1fae1e8a0539aeaa12"),
+            (("minimize", "--gadget", "M", "-T", "100", "--json"),
+             "a5462200d99be96962204ffbc2011145e69fd8486cbcbce1ad6371050f3770df"),
+            (("minimize", "--gadget", "H:4", "-T", "120", "--json"),
+             "f8fc09d1c648582d886775e61499edc1ec3c37ad8bd9d8f05cc9aba07bbc1f42"),
+            (("minimize", "-g", "arena12.json", "-T", "12", "--player", "1",
+              "--tiebreak", "lo", "--json"),
+             "2622df22cd47a5ba0a7321a5c0066a1ce511b1024f2ffdd7cb450b7475f8cfd2"),
+            (("minimize", "-g", "arena12.json", "-T", "12", "--player", "1",
+              "--tiebreak", "hi", "--json"),
+             "de105825daf269bf21b572866bc1ae7f542645ba41ccb02f9a3627ee0e8a00d4"),
+            (("minimize", "-g", "arena12.json", "-T", "12", "--player", "2",
+              "--tiebreak", "lo", "--json"),
+             "6036bf98bf7afe677e15bf83c0476fe1cfe61ed2eeed4df8c0a26aace1c0a626"),
+            (("minimize", "-g", "arena12.json", "-T", "12", "--player", "2",
+              "--tiebreak", "hi", "--json"),
+             "c3f050dfb2dd0a3a21218dac6b0275e9a2be48e9a3beebf76b0642e5b45af3cc"),
         ],
     )
     def test_stdout_digest(self, capsys, monkeypatch, tmp_path, argv, digest):

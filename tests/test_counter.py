@@ -15,7 +15,8 @@ from fhgames.counter import (
     to_markov,
     unroll,
 )
-from fhgames.gadgets import make_F, make_M, primorial
+from fhgames.errors import StrategyError
+from fhgames.gadgets import make_F, make_M, primorial, random_game
 from fhgames.solver import MarkovStrategy, extract_markov, optimal_action_sets
 
 from conftest import reference_least_initial
@@ -104,10 +105,34 @@ def brute_minimal_replication(seq):
     return length - 1, 1
 
 
+@st.composite
+def markov_rows(draw):
+    """(states, rows): 1-3 states and 0-60 elapsed steps of arcs, one tuple
+    per step; half of the non-empty ones end in a planted periodic tail."""
+    states = tuple(f"s{k}" for k in range(draw(st.integers(1, 3))))
+    step = st.tuples(*[st.integers(0, 1)] * len(states))
+    length = draw(st.integers(0, 60))
+    rows = draw(st.lists(step, min_size=length, max_size=length))
+    if rows and draw(st.booleans()):
+        start = draw(st.integers(0, length - 1))
+        period = draw(st.integers(1, length - start))
+        rows[start:] = [rows[start + t % period] for t in range(length - start)]
+    return states, rows
+
+
 class TestFromMarkov:
-    def make_strategy(self, seq):
+    def make_strategy(self, seq, states=None):
+        """Markov strategy playing seq[t] at elapsed t, i.e. at remaining
+        horizon - t: one arc of state "x", or with states given a tuple
+        of arcs, one per state."""
         horizon = len(seq)
-        choices = {(horizon - t, "x"): seq[t] for t in range(horizon)}
+        rows = seq if states else [(arc,) for arc in seq]
+        states = states or ("x",)
+        choices = {
+            (horizon - t, sid): arc
+            for t, row in enumerate(rows)
+            for sid, arc in zip(states, row)
+        }
         return MarkovStrategy(player=1, horizon=horizon, choices=choices)
 
     def test_constant_sequence(self):
@@ -132,17 +157,18 @@ class TestFromMarkov:
             cs = from_markov(extract_markov(make_M(), c - 1))
             assert cs.initial + cs.period >= c - 3
 
-    @given(st.lists(st.integers(0, 1), min_size=0, max_size=12))
-    @settings(max_examples=300, deadline=None)
-    def test_minimality_against_brute_force(self, seq):
-        cs = from_markov(self.make_strategy(seq))
-        if not seq:
+    @given(markov_rows())
+    @settings(max_examples=200, deadline=None)
+    def test_minimality_against_brute_force(self, case):
+        states, rows = case
+        cs = from_markov(self.make_strategy(rows, states))
+        if not rows:
             assert (cs.initial, cs.period) == (0, 1)
             return
-        n, p = brute_minimal_replication(tuple(seq))
-        assert cs.initial + cs.period == n + p
-        assert cs.period == p
-        assert [row["x"] for row in unroll(cs, len(seq))] == seq
+        n, p = brute_minimal_replication(tuple(rows))
+        assert (cs.initial + cs.period, cs.period) == (n + p, p)
+        expected = [dict(zip(states, row)) for row in rows]
+        assert unroll(cs, len(rows), ids=states) == expected
 
     def test_exhaustive_short_sequences(self):
         for length in range(1, 10):
@@ -150,6 +176,23 @@ class TestFromMarkov:
                 cs = from_markov(self.make_strategy(list(bits)))
                 n, p = brute_minimal_replication(bits)
                 assert (cs.initial + cs.period, cs.period) == (n + p, p)
+
+    def test_long_strategy_that_never_repeats(self):
+        strat = extract_markov(random_game(200, random.Random(1)), 600)
+        cs = from_markov(strat)
+        assert (cs.initial, cs.period) == (599, 1)
+        assert to_markov(cs, 600).choices == strat.choices
+
+    def test_arc_outside_zero_one_is_refused(self):
+        # mask 1 + 2 = 3 would read as "both arcs" if it were let through
+        with pytest.raises(ValueError, match="got 2"):
+            from_markov(self.make_strategy([0, 2, 1]))
+
+    def test_missing_entry_is_refused(self):
+        strat = self.make_strategy([0, 1, 1, 0])
+        del strat.choices[(2, "x")]
+        with pytest.raises(StrategyError, match="t=2, state 'x'"):
+            from_markov(strat)
 
 
 def sequence_of_masks(masks):

@@ -109,14 +109,15 @@ class TestGadgetChecks:
             assert check_cycle_values(p, 128).verdict == "pass"
 
     def test_primorial_period_small(self):
-        for k, period in ((1, 2), (2, 6)):
+        for k, period in ((1, 2), (2, 6), (5, 2310)):
             report = check_primorial_period(k)
             assert report.verdict == "pass"
             assert report.evidence["period"] == period
 
     def test_primorial_period_guard(self):
-        with pytest.raises(GuardExceeded):
-            check_primorial_period(5)
+        # F(7): 119,460,627 cells, refused by the cell cap before any sweep
+        with pytest.raises(GuardExceeded, match="119460627 value cells"):
+            check_primorial_period(7)
 
     def test_shortcut_memory_reports_true_minimum(self):
         # the claimed bound c-2 overshoots by one under the traversal
