@@ -23,10 +23,8 @@ from .game import Game, State, StateKind, is_mdp, load, store, validate  # noqa:
 from .solver import (  # noqa: F401
     MarkovStrategy,
     OptimalActionSets,
-    ValueTable,
     backward_induction,
     evaluate_counter,
-    evaluate_fixed,
     evaluate_fixed_final,
     extract_markov,
     final_values,

@@ -94,7 +94,10 @@ def _cmd_solve(args) -> int:
     g = _resolve_game(args)
     params = {"game": args.game or args.gadget, "horizon": args.horizon}
     if args.csv:
-        print(backward_induction(g, args.horizon).to_csv(), end="")
+        rows = backward_induction(g, args.horizon)  # a refusal prints nothing
+        print("t", *g.ids(), sep=",")
+        for t, row in enumerate(rows):
+            print(t, *row.values(), sep=",")
         return 0
     values = final_values(g, args.horizon)
     _emit(args, "solve", params, {"start": g.start, "values": values})

@@ -223,6 +223,8 @@ def min_counter_memory(
     action map over (memory, controlled state); each candidate is
     evaluated exactly on the memory product from the start state.
     """
+    if epsilon < 0:
+        raise ValueError(f"epsilon must be non-negative, got {epsilon}")
     controlled = sorted(g.controlled_ids(player))
     width = len(controlled)
     planned = sum(m * (1 << (width * m)) for m in range(1, max_mem + 1))

@@ -21,13 +21,18 @@ are integer ones:
     terminal  M[t][i] = 1 << t
 
 with A, B the entries of row t-1 at the two arc destinations.  Dyadic
-values are built only for the rows a caller gets back (the last row,
-checkpoint rows, every row of a full table) as Dyadic(M, t), whose
-exponent is at most t by construction; 0 and 1 are the shared ZERO
-and ONE.  Paths that keep every row, or every optimal action set,
-refuse with GuardExceeded a table of more than CELL_CAP cells.  The
-loop also writes the optimal action sets, as the one form every reader
-uses: per optimising state, one mask byte per t (see OptimalActionSets).
+values are built only for the rows a caller asks for, as Dyadic(M, t),
+whose exponent is at most t by construction; 0 and 1 are the shared
+ZERO and ONE.  The loop also writes the optimal action sets, as the one
+form every reader uses: per optimising state, one mask byte per t (see
+OptimalActionSets).
+
+Every value row of a game comes from values_at, which refuses with
+GuardExceeded to keep more than CELL_CAP cells (rows kept times
+states) before it sweeps.  The other value views are projections of
+it: final_values and evaluate_fixed_final keep the row at the horizon,
+backward_induction every row 0..T as a tuple of {state id: value}
+dicts.  Action-set tables are capped the same way.
 
 Strategies are indexed by REMAINING moves: a Markov strategy maps
 (t, state) with t in 1..T to an arc.  Counter strategies advance their
@@ -56,7 +61,6 @@ if TYPE_CHECKING:  # pragma: no cover
 
 __all__ = [
     "CELL_CAP",
-    "ValueTable",
     "OptimalActionSets",
     "MarkovStrategy",
     "CounterEvaluation",
@@ -65,41 +69,19 @@ __all__ = [
     "values_at",
     "optimal_action_sets",
     "extract_markov",
-    "evaluate_fixed",
     "evaluate_fixed_final",
     "evaluate_counter",
 ]
 
 
 CELL_CAP = 5_000_000
-"""Most value cells, (horizon + 1) * states, that a full table may hold."""
+"""Most value cells, rows kept times states, that one call may hold."""
 
 
 class Strategy(Protocol):
     player: int
 
     def action(self, t: int, sid: str) -> int: ...
-
-
-@dataclass(frozen=True)
-class ValueTable:
-    """Full trajectory of exact values: rows[t][sid] for t in 0..horizon."""
-
-    ids: tuple[str, ...]
-    horizon: int
-    rows: tuple[dict[str, Dyadic], ...]
-
-    def value(self, t: int, sid: str) -> Dyadic:
-        return self.rows[t][sid]
-
-    def final(self) -> dict[str, Dyadic]:
-        return dict(self.rows[-1])
-
-    def to_csv(self) -> str:
-        lines = ["t," + ",".join(self.ids)]
-        for t, row in enumerate(self.rows):
-            lines.append(f"{t}," + ",".join(str(row[sid]) for sid in self.ids))
-        return "\n".join(lines) + "\n"
 
 
 @dataclass(frozen=True)
@@ -155,7 +137,8 @@ class CounterEvaluation:
 
     @cached_property
     def rows(self) -> tuple[dict[tuple[int, str], Dyadic], ...]:
-        return _all_rows(self._plan, self._horizon)
+        horizon = self._horizon
+        return tuple(_sweep(self._plan, horizon, range(horizon + 1)).values())
 
 
 def _plan(g: Game) -> list[tuple[str, StateKind, tuple[str, str] | None]]:
@@ -165,21 +148,21 @@ def _plan(g: Game) -> list[tuple[str, StateKind, tuple[str, str] | None]]:
 def _sweep(
     plan: list,
     horizon: int,
+    checkpoints: Iterable[int] = (),
     fixed: tuple[StateKind, Callable[[int, str], int]] | None = None,
     sets: dict | None = None,
-    checkpoints: Iterable[int] | None = None,
-):
+) -> dict[int, dict]:
     """The induction loop, over a plan of (id, kind, arcs) entries.
 
-    Returns (last_row, snapshots) where snapshots maps each requested
-    checkpoint horizon to its row.  Rows are built as Dyadic dicts in
-    plan order only for those horizons; the loop itself keeps one list
-    of scaled ints per t (see the module docstring).  A ``sets`` dict
-    gets, per optimising state id, a bytearray of its mask per t.
+    Returns a dict from each requested checkpoint horizon, in increasing
+    order, to its row.  Rows are built as Dyadic dicts in plan order
+    only for those horizons; the loop itself keeps one list of scaled
+    ints per t (see the module docstring).  A ``sets`` dict gets, per
+    optimising state id, a bytearray of its mask per t.
     """
     if horizon < 0:
         raise ValueError("horizon must be non-negative")
-    wanted = set(checkpoints) if checkpoints is not None else set()
+    wanted = set(checkpoints)
     bad = [t for t in wanted if t < 0 or t > horizon]
     if bad:
         raise ValueError(f"checkpoints out of range: {sorted(bad)}")
@@ -242,31 +225,14 @@ def _sweep(
         row += [1 << t] * len(terminals)
         if t in wanted:
             snapshots[t] = dyadic_row(row, t)
-    last = snapshots[horizon] if horizon in snapshots else dyadic_row(row, horizon)
-    return last, snapshots
+    return snapshots
 
 
-def _guard_cells(states: int, horizon: int, cell_cap: int) -> None:
-    """Refuse a table of every row before any of it is built."""
-    cells = (horizon + 1) * states
+def _guard_cells(rows: int, states: int, cell_cap: int) -> None:
+    """Refuse to keep rows * states cells before any of them is built."""
+    cells = rows * states
     if cells > cell_cap:
         raise GuardExceeded(f"{cells} value cells exceed the cell cap {cell_cap}")
-
-
-def _all_rows(plan, horizon: int, fixed=None) -> tuple[dict, ...]:
-    _, snaps = _sweep(plan, horizon, fixed=fixed, checkpoints=range(horizon + 1))
-    return tuple(snaps.values())
-
-
-def backward_induction(g: Game, horizon: int) -> ValueTable:
-    """Exact optimal values for every state and every t in 0..horizon."""
-    _guard_cells(len(g.states), horizon, CELL_CAP)
-    return ValueTable(ids=g.ids(), horizon=horizon, rows=_all_rows(_plan(g), horizon))
-
-
-def final_values(g: Game, horizon: int) -> dict[str, Dyadic]:
-    """Optimal values at the full horizon only (two-row streaming)."""
-    return _sweep(_plan(g), horizon)[0]
 
 
 def values_at(
@@ -275,15 +241,37 @@ def values_at(
     """Value rows at selected horizons from a single streaming pass.
 
     With a strategy, that player's choices are fixed and the opponent
-    best-responds; without one, both sides play optimally.
+    best-responds; without one, both sides play optimally.  The rows
+    kept, not the horizon swept, count against CELL_CAP.
     """
-    cps = sorted(set(checkpoints))
+    if isinstance(checkpoints, range) and checkpoints.step > 0:
+        cps = checkpoints  # sorted and distinct: counted without building it
+    else:
+        cps = sorted(set(checkpoints))
     if not cps:
         return {}
+    _guard_cells(len(cps), len(g.states), CELL_CAP)
     fixed = None
     if strategy is not None:
         fixed = (PLAYER_KIND[strategy.player], strategy.action)
-    return _sweep(_plan(g), cps[-1], fixed=fixed, checkpoints=cps)[1]
+    return _sweep(_plan(g), cps[-1], cps, fixed=fixed)
+
+
+def backward_induction(
+    g: Game, horizon: int, strategy: Strategy | None = None
+) -> tuple[dict[str, Dyadic], ...]:
+    """Exact values for every state at every t in 0..horizon: rows[t][sid].
+
+    With a strategy, that player's choices are fixed (see values_at).
+    """
+    if horizon < 0:
+        raise ValueError("horizon must be non-negative")
+    return tuple(values_at(g, range(horizon + 1), strategy).values())
+
+
+def final_values(g: Game, horizon: int) -> dict[str, Dyadic]:
+    """Optimal values at the full horizon only (two-row streaming)."""
+    return values_at(g, (horizon,))[horizon]
 
 
 def optimal_action_sets(g: Game, horizon: int) -> OptimalActionSets:
@@ -293,7 +281,7 @@ def optimal_action_sets(g: Game, horizon: int) -> OptimalActionSets:
     thousands stay cheap even though the sets for every t are retained;
     like a full value table, the sets refuse more than CELL_CAP cells.
     """
-    _guard_cells(len(g.states), horizon, CELL_CAP)
+    _guard_cells(horizon + 1, len(g.states), CELL_CAP)
     sets: dict[str, bytearray] = {}
     _sweep(_plan(g), horizon, sets=sets)
     return OptimalActionSets(horizon, {sid: bytes(row) for sid, row in sets.items()})
@@ -318,22 +306,13 @@ def extract_markov(
     return MarkovStrategy(player=player, horizon=horizon, choices=choices)
 
 
-def evaluate_fixed(g: Game, horizon: int, strategy: Strategy) -> ValueTable:
-    """Exact values when one player's choices are fixed.
+def evaluate_fixed_final(g: Game, horizon: int, strategy: Strategy) -> dict[str, Dyadic]:
+    """Values at the full horizon when one player's choices are fixed.
 
     The opponent best-responds through the same recurrence; for an MDP
     whose lone player is fixed this is plain Markov-chain evaluation.
     """
-    _guard_cells(len(g.states), horizon, CELL_CAP)
-    fixed = (PLAYER_KIND[strategy.player], strategy.action)
-    rows = _all_rows(_plan(g), horizon, fixed=fixed)
-    return ValueTable(ids=g.ids(), horizon=horizon, rows=rows)
-
-
-def evaluate_fixed_final(g: Game, horizon: int, strategy: Strategy) -> dict[str, Dyadic]:
-    """Final row of evaluate_fixed without retaining the trajectory."""
-    fixed = (PLAYER_KIND[strategy.player], strategy.action)
-    return _sweep(_plan(g), horizon, fixed=fixed)[0]
+    return values_at(g, (horizon,), strategy)[horizon]
 
 
 def evaluate_counter(
@@ -354,7 +333,7 @@ def evaluate_counter(
     swept again, and kept, only when first read.  The cell cap guards
     that table and is checked here, before any sweep.
     """
-    _guard_cells(cs.size * len(g.states), horizon, cell_cap)
+    _guard_cells(horizon + 1, cs.size * len(g.states), cell_cap)
     own_kind = PLAYER_KIND[player]
     game_plan = _plan(g)
     plan = []
@@ -374,5 +353,5 @@ def evaluate_counter(
                         )
             plan.append(((m, sid), kind, arcs))
     plan = tuple(plan)
-    value = _sweep(plan, horizon)[0][(0, g.start)]
+    value = _sweep(plan, horizon, (horizon,))[horizon][(0, g.start)]
     return CounterEvaluation(value=value, _plan=plan, _horizon=horizon)

@@ -327,18 +327,18 @@ def check_cycle_values(p: int, t_max: int = 200) -> CheckReport:
         raise ValueError(f"t_max must be non-negative, got {t_max}")
     started = time.perf_counter()
     params = {"p": p, "t_max": t_max}
-    table = backward_induction(make_G(p), t_max)
+    rows = backward_induction(make_G(p), t_max)
     mismatches = []
     for t in range(t_max + 1):
         for j in range(1, p + 1):
             f = latest_residue_hit(t, j, p)
             expected = Dyadic((1 << f) - 1, f)
-            got = table.value(t, str(j))
+            got = rows[t][str(j)]
             if got != expected:
                 mismatches.append({"t": t, "state": str(j), "got": got, "want": expected})
         for j in range(1, p):
             want = ONE if t >= j else Dyadic(0)
-            got = table.value(t, f"{j}s")
+            got = rows[t][f"{j}s"]
             if got != want:
                 mismatches.append({"t": t, "state": f"{j}s", "got": got, "want": want})
     evidence = {"checked_states": 2 * p - 1, "mismatches": mismatches[:10]}

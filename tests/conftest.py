@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from functools import lru_cache
 from typing import Callable, Iterable
 
 from fhgames.errors import StrategyError
@@ -28,22 +27,28 @@ def play_value(g: Game, horizon: int, actions1: dict, actions2: dict) -> Fractio
     """Probability of reaching the terminal with both players fixed.
 
     ``actions1``/``actions2`` map (remaining, state id) -> arc index.
-    Direct memoised recursion, exact Fractions.
+    Direct recursion memoised in a plain dict, exact Fractions.
     """
+    memo: dict[tuple[str, int], Fraction] = {}
 
-    @lru_cache(maxsize=None)
     def value(sid: str, remaining: int) -> Fraction:
+        key = (sid, remaining)
+        if key in memo:
+            return memo[key]
         s = g.state(sid)
         if s.kind is StateKind.TERMINAL:
-            return Fraction(1)
-        if remaining == 0:
-            return Fraction(0)
-        if s.kind is StateKind.COIN:
-            return Fraction(1, 2) * (
+            v = Fraction(1)
+        elif remaining == 0:
+            v = Fraction(0)
+        elif s.kind is StateKind.COIN:
+            v = Fraction(1, 2) * (
                 value(s.arcs[0], remaining - 1) + value(s.arcs[1], remaining - 1)
             )
-        table = actions1 if s.kind is StateKind.MAX else actions2
-        return value(s.arcs[table[(remaining, sid)]], remaining - 1)
+        else:
+            table = actions1 if s.kind is StateKind.MAX else actions2
+            v = value(s.arcs[table[(remaining, sid)]], remaining - 1)
+        memo[key] = v
+        return v
 
     return value(g.start, horizon)
 
@@ -64,19 +69,18 @@ def count_sequences_with_run(i: int, t: int) -> int:
 def reference_sweep(
     plan: list,
     horizon: int,
+    checkpoints: Iterable[int] = (),
     fixed: tuple[StateKind, Callable[[int, str], int]] | None = None,
     sets: dict | None = None,
-    checkpoints: Iterable[int] | None = None,
 ):
     """The induction loop, over a plan of (id, kind, arcs) entries.
 
-    Returns (last_row, snapshots) where snapshots maps each requested
-    checkpoint horizon to its row; rows are never mutated once built,
-    so snapshots share them.
+    Returns a dict from each requested checkpoint horizon to its row;
+    rows are never mutated once built, so the dict shares them.
     """
     if horizon < 0:
         raise ValueError("horizon must be non-negative")
-    wanted = set(checkpoints) if checkpoints is not None else set()
+    wanted = set(checkpoints)
     bad = [t for t in wanted if t < 0 or t > horizon]
     if bad:
         raise ValueError(f"checkpoints out of range: {sorted(bad)}")
@@ -116,7 +120,7 @@ def reference_sweep(
             row[sid] = v
         if t in wanted:
             snapshots[t] = row
-    return row, snapshots
+    return snapshots
 
 
 def reference_least_initial(seq, period: int) -> int:

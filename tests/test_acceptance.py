@@ -16,7 +16,7 @@ from fhgames.game import load
 from fhgames.gadgets import make_H, make_M, make_star_chain, primes, random_game
 from fhgames.numeric import Dyadic, HALF, ONE, run_probability, run_threshold
 from fhgames.oracle import min_counter_memory
-from fhgames.solver import MarkovStrategy, backward_induction, evaluate_fixed
+from fhgames.solver import MarkovStrategy, backward_induction, evaluate_fixed_final
 from fhgames.verify import (
     check_above_threshold,
     check_below_threshold,
@@ -57,8 +57,7 @@ def _maximin(g, horizon):
             )
         else:
             strat = MarkovStrategy(player=1, horizon=horizon, choices=table1)
-            worst = evaluate_fixed(g, horizon, strat).value(horizon, g.start)
-            worst = worst.as_fraction()
+            worst = evaluate_fixed_final(g, horizon, strat)[g.start].as_fraction()
         best = worst if best is None else max(best, worst)
     return best
 
@@ -75,7 +74,7 @@ def test_criterion_01_oracle_equivalence():
         budget = 14 // max(1, len(g.controlled_ids(1)))
         horizon = min(horizon, budget) if g.controlled_ids(1) else horizon
         games += 1
-        solved = backward_induction(g, horizon).value(horizon, g.start).as_fraction()
+        solved = backward_induction(g, horizon)[horizon][g.start].as_fraction()
         enumerated = _maximin(g, horizon)
         if solved != enumerated:
             mismatches.append((games, solved, enumerated))
@@ -98,9 +97,9 @@ def test_criterion_03_run_probabilities():
     solver_ok = True
     for i in range(1, 9):
         chain = make_star_chain(i)
-        table = backward_induction(chain, 64)
+        rows = backward_induction(chain, 64)
         for t in range(65):
-            if table.value(t, f"{i}s") != run_probability(i, t):
+            if rows[t][f"{i}s"] != run_probability(i, t):
                 solver_ok = False
     counting_ok = True
     for i in range(1, 5):
@@ -172,8 +171,8 @@ def _shortcut_play_value(g, horizon, initial, period, arcs):
 def test_criterion_06_shortcut_gadget_memory():
     started = time.monotonic()
     g = make_M()
-    table = backward_induction(g, 3)
-    values_ok = table.value(2, "x") == HALF and table.value(3, "x") == ONE
+    rows = backward_induction(g, 3)
+    values_ok = rows[2]["x"] == HALF and rows[3]["x"] == ONE
     found = {}
     expected = {}
     optimum_ok = witnesses_ok = smaller_short = True

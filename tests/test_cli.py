@@ -183,6 +183,13 @@ class TestOracleSimulateScan:
         code, _, err = run(capsys, "oracle", "--gadget", "M", "--maxmem", "4")
         assert code == 2
 
+    def test_oracle_memory_rejects_a_negative_eps(self, capsys):
+        code, out, err = run(
+            capsys, "oracle", "--gadget", "M", "--maxmem", "3", "-T", "4", "--eps", "-1"
+        )
+        assert (code, out) == (2, "")
+        assert "epsilon must be non-negative" in err
+
     def test_simulate_reports_exact_reference(self, capsys):
         code, out, _ = run(
             capsys,
@@ -365,8 +372,9 @@ class TestDirectWriter:
 
 class TestGoldenOutput:
     """Pinned sha256 of whole stdout documents, so that a change of how
-    optimal action sets are stored or read, or of how a Markov strategy
-    is minimised (``minimize`` without ``--sets``), cannot alter a byte.
+    optimal action sets are stored or read, of how a Markov strategy
+    is minimised (``minimize`` without ``--sets``), or of how value rows
+    are written (``solve --csv``), cannot alter a byte.
     The digests include the tool version and change with it."""
 
     @pytest.mark.parametrize(
@@ -404,12 +412,23 @@ class TestGoldenOutput:
             (("minimize", "-g", "arena12.json", "-T", "12", "--player", "2",
               "--tiebreak", "hi", "--json"),
              "c3f050dfb2dd0a3a21218dac6b0275e9a2be48e9a3beebf76b0642e5b45af3cc"),
+            (("solve", "--gadget", "M", "-T", "5", "--csv"),
+             "7a6e71b2936f0d8139ae7e035f91c157c549c2c3f5978e7b128f8bf182c032ce"),
+            (("solve", "--gadget", "H:3", "-T", "300", "--csv"),
+             "78ad5ab2fcb29812a254a2f304531e657fdd803641940777e68cc9ea20deb0e5"),
+            (("solve", "--gadget", "G:5", "-T", "40", "--csv"),
+             "4f3bd5783efc79df338d8f8102c7446fecf1a6c47b08763125e2df2ae654d73a"),
+            (("solve", "-g", "arena60.json", "-T", "60", "--csv"),
+             "3c58bb9d098d94587abc8c8d27d54b388ae9f1a3dc666e12449a7a9f0a894e1d"),
         ],
     )
     def test_stdout_digest(self, capsys, monkeypatch, tmp_path, argv, digest):
         # random_game(12, Random(1)) has ties at T=12 for both players
         (tmp_path / "arena12.json").write_text(
             store(random_game(12, random.Random(1))), encoding="utf-8"
+        )
+        (tmp_path / "arena60.json").write_text(
+            store(random_game(60, random.Random(3))), encoding="utf-8"
         )
         monkeypatch.chdir(tmp_path)  # the relative path is part of the params
         code, out, err = run(capsys, *argv)

@@ -45,9 +45,9 @@ class TestShortcutGadget:
         assert g.state("1").arcs == ("bot", "bot")
 
     def test_anchor_values(self):
-        table = backward_induction(make_M(), 3)
-        assert table.value(2, "x") == HALF
-        assert table.value(3, "x") == ONE
+        rows = backward_induction(make_M(), 3)
+        assert rows[2]["x"] == HALF
+        assert rows[3]["x"] == ONE
 
 
 class TestApproachChain:
@@ -72,15 +72,15 @@ class TestApproachChain:
 
     def test_choice_state_value(self):
         for i in (1, 4):
-            assert backward_induction(make_H(i), 2).value(2, "x") == HALF
+            assert backward_induction(make_H(i), 2)[2]["x"] == HALF
 
     def test_chain_reach_matches_run_probability(self):
         # the approach chain alone, with its exit absorbing
         for i in (1, 2, 3):
             chain = make_star_chain(i)
-            table = backward_induction(chain, 12)
+            rows = backward_induction(chain, 12)
             for t in range(13):
-                assert table.value(t, f"{i}s") == run_probability(i, t)
+                assert rows[t][f"{i}s"] == run_probability(i, t)
 
     def test_optimal_choice_flips_at_threshold(self):
         # below the threshold the coin shortcut wins, above it the chain
@@ -117,26 +117,26 @@ class TestCycleGadget:
             make_G(1)
 
     def test_base_case(self):
-        table = backward_induction(make_G(3), 1)
-        assert table.value(1, "1") == HALF
-        assert table.value(1, "2") == ZERO
+        rows = backward_induction(make_G(3), 1)
+        assert rows[1]["1"] == HALF
+        assert rows[1]["2"] == ZERO
 
     def test_value_formula(self):
         for p in (2, 3, 7):
-            table = backward_induction(make_G(p), 60)
+            rows = backward_induction(make_G(p), 60)
             for t in range(61):
                 for j in range(1, p + 1):
                     f = latest_residue_hit(t, j, p)
-                    assert table.value(t, str(j)) == Dyadic((1 << f) - 1, f)
+                    assert rows[t][str(j)] == Dyadic((1 << f) - 1, f)
 
     def test_star_chain_hits_one(self):
-        table = backward_induction(make_G(4), 10)
+        rows = backward_induction(make_G(4), 10)
         for j in (1, 2, 3):
             for t in range(11):
-                assert table.value(t, f"{j}s") == (ONE if t >= j else ZERO)
+                assert rows[t][f"{j}s"] == (ONE if t >= j else ZERO)
 
     def test_anchor(self):
-        assert backward_induction(make_G(2), 3).value(3, "1") == Dyadic(7, 3)
+        assert backward_induction(make_G(2), 3)[3]["1"] == Dyadic(7, 3)
 
 
 class TestParallelGadget:

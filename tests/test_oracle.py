@@ -118,10 +118,10 @@ class TestSolveInfinite:
             if len(g.controlled_ids(1)) + len(g.controlled_ids(2)) > 4:
                 continue
             infinite = solve_infinite(g).values
-            table = backward_induction(g, 24)
+            rows = backward_induction(g, 24)
             for sid in g.ids():
                 for t in (0, 3, 11, 24):
-                    assert table.value(t, sid).as_fraction() <= infinite[sid]
+                    assert rows[t][sid].as_fraction() <= infinite[sid]
 
     def test_finite_values_converge(self):
         g = make_M()
@@ -173,6 +173,12 @@ class TestMinCounterMemory:
     def test_guard(self):
         with pytest.raises(GuardExceeded):
             min_counter_memory(make_M(), 4, Dyadic(1, 5), max_mem=20, guard=1000)
+
+    def test_negative_epsilon_rejected(self):
+        # a target above the optimum, even above 1, would be no claim at all
+        for eps in (Dyadic(-1), Dyadic(-1, 30)):
+            with pytest.raises(ValueError, match="epsilon must be non-negative"):
+                min_counter_memory(make_M(), 4, eps, max_mem=3)
 
     def test_witness_meets_target(self):
         from fhgames.solver import evaluate_counter

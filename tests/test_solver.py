@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from conftest import play_value, reference_sweep
 from fhgames import solver
+from fhgames.cli import main
 from fhgames.counter import CounterStrategy, to_markov
 from fhgames.errors import GuardExceeded, StrategyError
 from fhgames.game import Game, State, StateKind
@@ -19,7 +20,6 @@ from fhgames.solver import (
     MarkovStrategy,
     backward_induction,
     evaluate_counter,
-    evaluate_fixed,
     evaluate_fixed_final,
     extract_markov,
     final_values,
@@ -30,50 +30,50 @@ from fhgames.solver import (
 
 class TestBackwardInduction:
     def test_shortcut_gadget_anchors(self):
-        table = backward_induction(make_M(), 5)
-        assert table.value(2, "x") == HALF
-        assert table.value(3, "x") == ONE
-        assert table.value(4, "x") == ONE
-        assert table.value(0, "bot") == ONE
-        assert table.value(0, "x") == ZERO
+        rows = backward_induction(make_M(), 5)
+        assert rows[2]["x"] == HALF
+        assert rows[3]["x"] == ONE
+        assert rows[4]["x"] == ONE
+        assert rows[0]["bot"] == ONE
+        assert rows[0]["x"] == ZERO
 
     def test_cycle_gadget_anchor(self):
-        table = backward_induction(make_G(5), 7)
-        assert table.value(7, "2") == Dyadic(127, 7)
-        assert table.value(1, "1") == HALF
+        rows = backward_induction(make_G(5), 7)
+        assert rows[7]["2"] == Dyadic(127, 7)
+        assert rows[1]["1"] == HALF
 
     def test_monotone_in_horizon(self):
         for g in (make_M(), make_G(3)):
-            table = backward_induction(g, 12)
+            rows = backward_induction(g, 12)
             for sid in g.ids():
                 for t in range(12):
-                    assert table.value(t, sid) <= table.value(t + 1, sid)
+                    assert rows[t][sid] <= rows[t + 1][sid]
 
     def test_exponent_bounded_by_horizon(self):
-        table = backward_induction(make_G(4), 30)
-        for t, row in enumerate(table.rows):
+        rows = backward_induction(make_G(4), 30)
+        for t, row in enumerate(rows):
             for value in row.values():
                 assert value.exponent <= t
 
     def test_final_values_match_full_table(self):
         g = make_G(3)
-        assert final_values(g, 9) == backward_induction(g, 9).final()
+        assert final_values(g, 9) == backward_induction(g, 9)[-1]
 
     def test_values_at_checkpoints(self):
         g = make_M()
-        table = backward_induction(g, 8)
+        rows = backward_induction(g, 8)
         snaps = values_at(g, [0, 3, 8])
         assert set(snaps) == {0, 3, 8}
         for t in snaps:
-            assert snaps[t] == table.rows[t]
+            assert snaps[t] == rows[t]
 
     def test_checkpoint_out_of_range(self):
         with pytest.raises(ValueError):
             values_at(make_M(), [-1])
 
-    def test_csv_export(self):
-        csv = backward_induction(make_M(), 2).to_csv()
-        lines = csv.strip().split("\n")
+    def test_csv_export(self, capsys):
+        assert main(["solve", "--gadget", "M", "-T", "2", "--csv"]) == 0
+        lines = capsys.readouterr().out.strip().split("\n")
         assert lines[0] == "t,start,x,h,top,2,1,bot"
         assert lines[1].startswith("0,")
         assert lines[2].split(",")[3] == "1/2^1"  # h after one move
@@ -140,11 +140,11 @@ class TestExtractMarkov:
     def test_optimality_of_extraction(self):
         for g in (make_M(), make_G(3)):
             horizon = 9
-            table = backward_induction(g, horizon)
-            played = evaluate_fixed(g, horizon, extract_markov(g, horizon))
+            rows = backward_induction(g, horizon)
+            played = backward_induction(g, horizon, extract_markov(g, horizon))
             for t in range(horizon + 1):
                 for sid in g.ids():
-                    assert played.value(t, sid) == table.value(t, sid)
+                    assert played[t][sid] == rows[t][sid]
 
 
 class TestEvaluateFixed:
@@ -153,20 +153,20 @@ class TestEvaluateFixed:
         always_h = MarkovStrategy(
             player=1, horizon=3, choices={(t, "x"): 1 for t in (1, 2, 3)}
         )
-        assert evaluate_fixed(g, 3, always_h).value(3, "x") == HALF
+        assert backward_induction(g, 3, always_h)[3]["x"] == HALF
 
     def test_always_slow_at_short_horizon(self):
         g = make_M()
         always_2 = MarkovStrategy(
             player=1, horizon=2, choices={(t, "x"): 0 for t in (1, 2)}
         )
-        assert evaluate_fixed(g, 2, always_2).value(2, "x") == ZERO
+        assert backward_induction(g, 2, always_2)[2]["x"] == ZERO
 
     def test_missing_entry_raises(self):
         g = make_M()
         partial = MarkovStrategy(player=1, horizon=3, choices={(3, "x"): 0})
         with pytest.raises(StrategyError):
-            evaluate_fixed(g, 3, partial)
+            backward_induction(g, 3, partial)
 
     def test_opponent_best_responds(self):
         g = Game(
@@ -182,12 +182,12 @@ class TestEvaluateFixed:
             player=1, horizon=2, choices={(t, "a"): 0 for t in (1, 2)}
         )
         # the min player dodges the terminal, so the max player gets 0
-        assert evaluate_fixed(g, 2, into_min).value(2, "a") == ZERO
+        assert backward_induction(g, 2, into_min)[2]["a"] == ZERO
 
     def test_final_variant_agrees(self):
         g = make_G(3)
         strat = extract_markov(g, 15)
-        assert evaluate_fixed_final(g, 15, strat) == evaluate_fixed(g, 15, strat).final()
+        assert evaluate_fixed_final(g, 15, strat) == backward_induction(g, 15, strat)[-1]
 
 
 class TestEvaluateCounter:
@@ -198,7 +198,7 @@ class TestEvaluateCounter:
         horizon = 5
         cs = from_markov(extract_markov(g, horizon))
         result = evaluate_counter(g, horizon, cs)
-        assert result.value == backward_induction(g, horizon).value(horizon, "start")
+        assert result.value == backward_induction(g, horizon)[horizon]["start"]
 
     def test_two_memory_strategy_on_shortcut(self):
         # alternating automaton: shortcut on even elapsed, slow on odd
@@ -209,7 +209,7 @@ class TestEvaluateCounter:
     def test_constant_is_suboptimal_on_shortcut(self):
         g = make_M()
         horizon = 5
-        best = backward_induction(g, horizon).value(horizon, "start")
+        best = backward_induction(g, horizon)[horizon]["start"]
         for arc in (0, 1):
             cs = CounterStrategy(0, 1, {(0, "x"): arc})
             assert evaluate_counter(g, horizon, cs).value < best
@@ -223,9 +223,7 @@ class TestEvaluateCounter:
             1, 3, {(m, sid): (m + ord(sid[-1])) % 2 for m in range(4) for sid in ("m1", "m2")}
         )
         via_product = evaluate_counter(g, horizon, cs).value
-        via_markov = evaluate_fixed(g, horizon, to_markov(cs, horizon)).value(
-            horizon, g.start
-        )
+        via_markov = backward_induction(g, horizon, to_markov(cs, horizon))[horizon][g.start]
         assert via_product == via_markov
 
     def test_opponent_best_responds_on_product(self):
@@ -296,7 +294,7 @@ class TestEvaluateCounter:
             tables = (unrolled.choices, {}) if player == 1 else ({}, unrolled.choices)
             assert result.value.as_fraction() == play_value(g, horizon, *tables)
         # the kernel's exponent assert vanishes under python -O; check it here
-        for rows in (result.rows, backward_induction(g, horizon).rows):
+        for rows in (result.rows, backward_induction(g, horizon)):
             assert len(rows) == horizon + 1
             for t, row in enumerate(rows):
                 assert all(v.exponent <= t for v in row.values())
@@ -319,7 +317,7 @@ class TestOracleEquivalence:
             if n1 + n2 > 12:
                 continue
             checked += 1
-            expected = backward_induction(g, horizon).value(horizon, g.start)
+            expected = backward_induction(g, horizon)[horizon][g.start]
             best = None
             for a1 in self.enumerate_strategies(g.controlled_ids(1), horizon):
                 worst = None
@@ -347,11 +345,11 @@ class TestScaledKernel:
     @staticmethod
     def results(g, horizon, checkpoints, strategy, cs, player):
         return {
-            "table": _cells(enumerate(backward_induction(g, horizon).rows)),
+            "table": _cells(enumerate(backward_induction(g, horizon))),
             "final": _cells([(horizon, final_values(g, horizon))]),
             "best_at": _cells(values_at(g, checkpoints).items()),
             "played_at": _cells(values_at(g, checkpoints, strategy).items()),
-            "fixed": _cells(enumerate(evaluate_fixed(g, horizon, strategy).rows)),
+            "fixed": _cells(enumerate(backward_induction(g, horizon, strategy))),
             "fixed_final": _cells([(horizon, evaluate_fixed_final(g, horizon, strategy))]),
             "counter": _cells(enumerate(evaluate_counter(g, horizon, cs, player).rows)),
         }
@@ -406,8 +404,8 @@ class TestScaledKernel:
         assert scaled[0][3072][g.start].mantissa.bit_length() > 3000
 
     def test_zero_and_one_are_shared(self):
-        table = backward_induction(make_M(), 6)
-        cells = [v for row in table.rows for v in row.values()]
+        rows = backward_induction(make_M(), 6)
+        cells = [v for row in rows for v in row.values()]
         assert any(v == ZERO for v in cells) and any(v == ONE for v in cells)
         assert all(v is ZERO for v in cells if v == ZERO)
         assert all(v is ONE for v in cells if v == ONE)
@@ -427,7 +425,7 @@ class TestCellCap:
         with pytest.raises(GuardExceeded):
             backward_induction(g, horizon)
         with pytest.raises(GuardExceeded):
-            evaluate_fixed(g, horizon, strategy)
+            backward_induction(g, horizon, strategy)
         for solve in (optimal_action_sets, extract_markov):  # action-set tables
             with pytest.raises(GuardExceeded):
                 solve(g, horizon)
@@ -436,11 +434,24 @@ class TestCellCap:
         g = make_M()
         n = len(g.states)
         monkeypatch.setattr(solver, "CELL_CAP", 4 * n)
-        assert len(backward_induction(g, 3).rows) == 4
+        assert len(backward_induction(g, 3)) == 4
         assert optimal_action_sets(g, 3).horizon == 3
         for solve in (backward_induction, optimal_action_sets):
             with pytest.raises(GuardExceeded):
                 solve(g, 4)
+
+    def test_values_at_counts_the_rows_kept(self, monkeypatch):
+        g = make_M()
+        n = len(g.states)
+        monkeypatch.setattr(solver, "CELL_CAP", 4 * n)
+        assert list(values_at(g, range(4))) == [0, 1, 2, 3]
+        assert list(values_at(g, [3, 1, 2, 0, 3])) == [0, 1, 2, 3]
+        refused = f"{5 * n} value cells exceed the cell cap {4 * n}"
+        for checkpoints in (range(5), [4, 0, 1, 2, 3]):
+            with pytest.raises(GuardExceeded, match=refused):
+                values_at(g, checkpoints)
+        # two rows kept, however deep the sweep that reaches them
+        assert list(values_at(g, (0, 10**4))) == [0, 10**4]
 
     def test_counter_default_is_the_shared_cap(self):
         cs = CounterStrategy(0, 1, {(0, "x"): 0})
