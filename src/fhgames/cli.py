@@ -9,8 +9,10 @@ Every run records the tool version and its parameters in the output;
 JSON output is byte-stable for identical argv and seed (timing is only
 included on request via --timing).  Every indented JSON document, and
 ``game.store``'s, is rendered by ``jsonout.dumps`` in one pass, straight
-from the library's values.  ``build_parser`` is cached, so a process
-builds the parser once however often it calls ``main``.
+from the library's values.  ``strategy`` streams its choices from the
+solver's arc bytes (``markov_arcs``) as ``jsonout.Records`` rows, with
+no dict per choice.  ``build_parser`` is cached, so a process builds
+the parser once however often it calls ``main``.
 """
 
 from __future__ import annotations
@@ -33,10 +35,11 @@ from .solver import (
     evaluate_fixed_final,
     extract_markov,
     final_values,
+    markov_arcs,
     optimal_action_sets,
 )
 from . import verify as checks
-from .jsonout import dumps, jsonable
+from .jsonout import Records, dumps, jsonable
 
 _GADGETS = {"M": make_M, "H": make_H, "G": make_G, "F": make_F}
 
@@ -110,26 +113,20 @@ def _cmd_solve(args) -> int:
 
 def _cmd_strategy(args) -> int:
     g = _resolve_game(args)
-    strat = extract_markov(g, args.horizon, player=args.player, tiebreak=args.tiebreak)
+    arcs = markov_arcs(g, args.horizon, player=args.player, tiebreak=args.tiebreak)
     params = {
         "game": args.game or args.gadget,
         "horizon": args.horizon,
         "player": args.player,
         "tiebreak": args.tiebreak,
     }
-    choices = [
-        {"remaining": t, "state": sid, "arc": arc}
-        for (t, sid), arc in sorted(strat.choices.items())
-    ]
-    _emit(args, "strategy", params, {"choices": choices})
+    # (remaining, state) order: n states sorted once, not T * n keys
+    by_state = sorted(arcs.items())
+    rows = [(t, sid, a[t - 1]) for t in range(1, args.horizon + 1) for sid, a in by_state]
+    _emit(args, "strategy", params, {"choices": Records(("remaining", "state", "arc"), rows)})
     if not args.json:
-        for entry in choices:
-            sid = entry["state"]
-            dest = g.state(sid).arcs[entry["arc"]]
-            print(
-                f"remaining={entry['remaining']} state={sid} "
-                f"arc={entry['arc']} -> {dest}"
-            )
+        for t, sid, arc in rows:
+            print(f"remaining={t} state={sid} arc={arc} -> {g.state(sid).arcs[arc]}")
     return 0
 
 

@@ -6,17 +6,39 @@ renders such a payload in one pass as exactly the text of
 ``json.dumps(jsonable(value), indent=2, ensure_ascii=False)``, without
 building the converted copy and without the stdlib's generator-based
 encoder, which is the only one that can indent.
+
+``Records(keys, rows)``, flat records given as value tuples, is the list
+of ``dict(zip(keys, row))`` to ``jsonable``.  ``dumps`` writes it with
+no dict per record when each column holds one exact scalar type below:
+one ``%`` template per list, each key encoded once, each column mapped
+through its renderer.  Other records go one dict per record.
 """
 
 from __future__ import annotations
 
 import json
+from dataclasses import dataclass
 from fractions import Fraction
 from json.encoder import encode_basestring
+from typing import Sequence
 
 from .numeric import Dyadic, IntervalEnclosure
 
-__all__ = ["jsonable", "dumps"]
+__all__ = ["Records", "jsonable", "dumps"]
+
+
+@dataclass(frozen=True)
+class Records:
+    """Records with the distinct string ``keys`` (at least one), one
+    tuple of values per record in ``rows``."""
+
+    keys: tuple[str, ...]
+    rows: Sequence[tuple]
+
+    def __post_init__(self):
+        keys = self.keys
+        if not keys or len(set(keys)) < len(keys) or any(type(k) is not str for k in keys):
+            raise ValueError(f"record keys must be distinct strings, got {keys!r}")
 
 
 def jsonable(value):
@@ -35,6 +57,8 @@ def jsonable(value):
         return {str(k): jsonable(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
         return [jsonable(v) for v in value]
+    if isinstance(value, Records):
+        return [jsonable(dict(zip(value.keys, row, strict=True))) for row in value.rows]
     return str(value)
 
 
@@ -69,6 +93,8 @@ def _write(value, out: list[str], nl: str) -> None:
         _write_dict(value, out, nl)
     elif kind is list or kind is tuple:
         _write_list(value, out, nl)
+    elif kind is Records:
+        _write_records(value, out, nl)
     # subclasses of the JSON scalar types as the stdlib encoder writes
     # them; anything else after conversion by jsonable
     elif isinstance(value, str):
@@ -119,3 +145,23 @@ def _write_list(value, out: list[str], nl: str) -> None:
             out.append(sep + render(item))
         sep = "," + inner
     out.append(nl + "]")
+
+
+def _write_records(value: Records, out: list[str], nl: str) -> None:
+    rows = value.rows
+    if not rows:
+        out.append("[]")
+        return
+    columns = []
+    for column in zip(*rows, strict=True):
+        kinds = set(map(type, column))
+        render = _SCALARS.get(kinds.pop()) if len(kinds) == 1 else None
+        if render is None:  # mixed or nested values: one dict per record
+            _write_list([dict(zip(value.keys, row, strict=True)) for row in rows], out, nl)
+            return
+        columns.append(map(render, column))
+    inner = nl + "  "
+    heads = (f"{inner}  {encode_basestring(key)}: ".replace("%", "%%") for key in value.keys)
+    template = "{" + ",".join(head + "%s" for head in heads) + inner + "}"
+    texts = (template % cells for cells in zip(*columns))
+    out.append("[" + inner + ("," + inner).join(texts) + nl + "]")

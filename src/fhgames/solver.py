@@ -25,7 +25,9 @@ values are built only for the rows a caller asks for, as Dyadic(M, t),
 whose exponent is at most t by construction; 0 and 1 are the shared
 ZERO and ONE.  The loop also writes the optimal action sets, as the one
 form every reader uses: per optimising state, one mask byte per t (see
-OptimalActionSets).
+OptimalActionSets).  markov_arcs breaks the ties of those bytes into
+one arc byte per t and state, which extract_markov keys by (t, state
+id) and the CLI's strategy command renders as they are.
 
 Every value row of a game comes from values_at, which refuses with
 GuardExceeded to keep more than CELL_CAP cells (rows kept times
@@ -68,6 +70,7 @@ __all__ = [
     "final_values",
     "values_at",
     "optimal_action_sets",
+    "markov_arcs",
     "extract_markov",
     "evaluate_fixed_final",
     "evaluate_counter",
@@ -287,21 +290,32 @@ def optimal_action_sets(g: Game, horizon: int) -> OptimalActionSets:
     return OptimalActionSets(horizon, {sid: bytes(row) for sid, row in sets.items()})
 
 
-def extract_markov(
+def markov_arcs(
     g: Game, horizon: int, player: int = 1, tiebreak: str = "lo"
-) -> MarkovStrategy:
-    """One optimal Markov strategy, ties broken by arc index.
-
-    Analyses that reason about ALL optimal strategies must consume
-    optimal_action_sets instead; tie-breaking here is explicit and never
-    applied silently elsewhere.
+) -> dict[str, bytes]:
+    """One optimal arc per remaining time for each state of ``player``,
+    ties broken by arc index: byte t - 1 of arcs[sid] is the arc at
+    remaining time t, read off the action-set masks in one translate.
     """
     if tiebreak not in ("lo", "hi"):
         raise ValueError("tiebreak must be 'lo' or 'hi'")
     pick = bytes.maketrans(b"\1\2\3", b"\0\1\0" if tiebreak == "lo" else b"\0\1\1")
     masks = optimal_action_sets(g, horizon).masks
     controlled = set(g.controlled_ids(player))
-    arcs = [(sid, row.translate(pick)) for sid, row in masks.items() if sid in controlled]
+    return {sid: row.translate(pick) for sid, row in masks.items() if sid in controlled}
+
+
+def extract_markov(
+    g: Game, horizon: int, player: int = 1, tiebreak: str = "lo"
+) -> MarkovStrategy:
+    """One optimal Markov strategy, ties broken by arc index: the
+    markov_arcs bytes as a (t, state id) -> arc table.
+
+    Analyses that reason about ALL optimal strategies must consume
+    optimal_action_sets instead; tie-breaking here is explicit and never
+    applied silently elsewhere.
+    """
+    arcs = markov_arcs(g, horizon, player, tiebreak).items()
     choices = {(t, sid): a[t - 1] for t in range(1, horizon + 1) for sid, a in arcs}
     return MarkovStrategy(player=player, horizon=horizon, choices=choices)
 
@@ -320,7 +334,7 @@ def evaluate_counter(
     horizon: int,
     cs: "CounterStrategy",
     player: int = 1,
-    cell_cap: int = CELL_CAP,
+    cell_cap: int | None = None,
 ) -> CounterEvaluation:
     """Value of a counter strategy against a best-responding opponent.
 
@@ -330,10 +344,11 @@ def evaluate_counter(
     chooses.  The shared induction kernel then lets the opponent
     minimise (or maximise) over the product.  The value comes from one
     streaming sweep that keeps two rows at a time; the result's rows are
-    swept again, and kept, only when first read.  The cell cap guards
-    that table and is checked here, before any sweep.
+    swept again, and kept, only when first read.  The cell cap (CELL_CAP
+    at the call unless given) guards that table, checked before any sweep.
     """
-    _guard_cells(horizon + 1, cs.size * len(g.states), cell_cap)
+    cap = CELL_CAP if cell_cap is None else cell_cap
+    _guard_cells(horizon + 1, cs.size * len(g.states), cap)
     own_kind = PLAYER_KIND[player]
     game_plan = _plan(g)
     plan = []

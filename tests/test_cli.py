@@ -9,7 +9,7 @@ import fhgames.cli as cli
 from conftest import reference_dumps
 from fhgames.cli import main
 from fhgames.gadgets import make_H, random_game
-from fhgames.game import store
+from fhgames.game import Game, State, StateKind, store
 from fhgames.jsonout import dumps
 from fhgames.solver import final_values
 
@@ -373,8 +373,9 @@ class TestDirectWriter:
 class TestGoldenOutput:
     """Pinned sha256 of whole stdout documents, so that a change of how
     optimal action sets are stored or read, of how a Markov strategy
-    is minimised (``minimize`` without ``--sets``), or of how value rows
-    are written (``solve --csv``), cannot alter a byte.
+    is minimised (``minimize`` without ``--sets``) or rendered
+    (``strategy``, text and JSON), or of how value rows are written
+    (``solve --csv``), cannot alter a byte.
     The digests include the tool version and change with it."""
 
     @pytest.mark.parametrize(
@@ -420,6 +421,21 @@ class TestGoldenOutput:
              "4f3bd5783efc79df338d8f8102c7446fecf1a6c47b08763125e2df2ae654d73a"),
             (("solve", "-g", "arena60.json", "-T", "60", "--csv"),
              "3c58bb9d098d94587abc8c8d27d54b388ae9f1a3dc666e12449a7a9f0a894e1d"),
+            (("strategy", "-g", "arena12.json", "-T", "12", "--player", "1",
+              "--tiebreak", "lo"),
+             "d4792df12e822168c6c487b014c08142477d046ac1f1f5b9c7d8e6658b2bc201"),
+            (("strategy", "-g", "arena12.json", "-T", "12", "--player", "2",
+              "--tiebreak", "hi"),
+             "d937b05c201418d4e681746c0fef1cec7839a301b89319e32f65d433933f4b01"),
+            (("strategy", "-g", "arena12.json", "-T", "0", "--json"),
+             "7f0903613d24ac86af2383031cf3c81d92ea8b13e735f8cfb7329c5edaa28a47"),
+            (("strategy", "-g", "odd.json", "-T", "3", "--json"),
+             "a6d627a3e9c73e5bd1276ef2ef9b7d8c7539e6b4b8d030a0bafd9709c7708357"),
+            (("strategy", "-g", "odd.json", "-T", "3"),
+             "c0cf5696e0550558baf6df983cfba81b353036290df42fd1c0ad27ed8d9a4dbb"),
+            (("strategy", "-g", "odd.json", "-T", "3", "--player", "2",
+              "--tiebreak", "hi", "--json"),
+             "14e4d7bc10684b71aa3683eea4459cb0d5213b0fa833e4445f57725f39c49ddf"),
         ],
     )
     def test_stdout_digest(self, capsys, monkeypatch, tmp_path, argv, digest):
@@ -430,6 +446,18 @@ class TestGoldenOutput:
         (tmp_path / "arena60.json").write_text(
             store(random_game(60, random.Random(3))), encoding="utf-8"
         )
+        # ids that JSON escapes, that a %-template would read as
+        # directives, and that are not ASCII
+        odd = Game(
+            states=(
+                State('a"%s', StateKind.MAX, ("b\\é", "c😀%")),
+                State("b\\é", StateKind.MIN, ('a"%s', "bot")),
+                State("c😀%", StateKind.COIN, ('a"%s', "bot")),
+                State("bot", StateKind.TERMINAL),
+            ),
+            start='a"%s',
+        )
+        (tmp_path / "odd.json").write_text(store(odd), encoding="utf-8")
         monkeypatch.chdir(tmp_path)  # the relative path is part of the params
         code, out, err = run(capsys, *argv)
         assert (code, err) == (0, "")

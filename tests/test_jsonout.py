@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from conftest import reference_dumps
 from fhgames.game import StateKind
-from fhgames.jsonout import dumps
+from fhgames.jsonout import Records, dumps, jsonable
 from fhgames.numeric import Dyadic, IntervalEnclosure
 
 class Count(int):
@@ -37,7 +37,7 @@ texts = st.text(
     max_size=8,
 )
 fractions = st.fractions(max_denominator=10**6)
-scalars = st.one_of(
+scalar_kinds = [
     texts,
     st.integers(),
     st.booleans(),
@@ -51,7 +51,8 @@ scalars = st.one_of(
     st.sampled_from(StateKind),
     st.integers().map(Count),
     st.floats().map(Weight),
-)
+]
+scalars = st.one_of(*scalar_kinds)
 keys = st.one_of(
     texts,
     st.integers(-3, 3),
@@ -100,3 +101,72 @@ def test_fixed_cases(value):
 def test_subclass_renders_its_value_not_its_str():
     assert str(StateKind.MAX) == "StateKind.MAX"
     assert dumps([StateKind.MAX]) == '[\n  "max"\n]'
+
+
+# keys that a %-template would read as directives if left unescaped
+PERCENT_KEYS = ["%", "%s", "%%", "%%s", "a%(b)s", "%d%"]
+
+
+@st.composite
+def records(draw, children):
+    """Records whose columns each draw from one scalar kind (the
+    template path) or from nested payloads (one dict per record)."""
+    keys = draw(st.lists(texts, max_size=3, unique=True))
+    percent = draw(st.sampled_from(PERCENT_KEYS))
+    if percent not in keys:
+        keys.insert(draw(st.integers(0, len(keys))), percent)
+    columns = [draw(st.sampled_from([*scalar_kinds, scalars, children])) for _ in keys]
+    rows = draw(st.lists(st.tuples(*columns), max_size=5))
+    return Records(tuple(keys), rows)
+
+
+payloads = st.recursive(
+    scalars,
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.dictionaries(keys, children, max_size=4),
+        records(children),
+    ),
+    max_leaves=30,
+)
+
+
+@given(payloads)
+@settings(max_examples=500, deadline=None)
+def test_records_match_the_stdlib_rendering(value):
+    assert dumps(value) == reference_dumps(value)
+
+
+@pytest.mark.parametrize(
+    "value",
+    [
+        Records(("a",), []),
+        {"empty": Records(("%s", "b"), ())},
+        Records(("%", "%s", "%%"), [(1, "x", None), (2, "%s", True)]),
+        Records(("t", "id"), [(1, 'a"%s'), (2, "b\\é"), (3, "c😀%")]),
+        Records(("mixed",), [(1,), ("1",), (True,), (StateKind.MAX,)]),
+        [Records(("v",), [([Records(("w",), [(Dyadic(1, 2),)])],)])],
+    ],
+)
+def test_records_fixed_cases(value):
+    assert dumps(value) == reference_dumps(value)
+
+
+def test_records_are_a_list_of_dicts_to_jsonable():
+    rows = [(1, "x", 0), (2, "y", 1)]
+    assert jsonable(Records(("t", "s", "a"), rows)) == [
+        {"t": 1, "s": "x", "a": 0},
+        {"t": 2, "s": "y", "a": 1},
+    ]
+
+
+@pytest.mark.parametrize("keys", [(), ("a", "a"), ("a", 1), (StateKind.MAX,)])
+def test_records_need_distinct_string_keys(keys):
+    with pytest.raises(ValueError, match="distinct strings"):
+        Records(keys, [])
+
+
+def test_records_rows_must_match_the_keys():
+    for rows in ([(1, 2)], [(1,), (1, 2)], [(1, [2])]):
+        with pytest.raises((TypeError, ValueError)):
+            dumps(Records(("a",), rows))

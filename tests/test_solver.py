@@ -15,6 +15,7 @@ from fhgames.errors import GuardExceeded, StrategyError
 from fhgames.game import Game, State, StateKind
 from fhgames.gadgets import make_F, make_G, make_H, make_M, random_game
 from fhgames.numeric import Dyadic, HALF, ONE, ZERO
+from fhgames.oracle import min_counter_memory
 from fhgames.solver import (
     CELL_CAP,
     MarkovStrategy,
@@ -23,6 +24,7 @@ from fhgames.solver import (
     evaluate_fixed_final,
     extract_markov,
     final_values,
+    markov_arcs,
     optimal_action_sets,
     values_at,
 )
@@ -145,6 +147,35 @@ class TestExtractMarkov:
             for t in range(horizon + 1):
                 for sid in g.ids():
                     assert played[t][sid] == rows[t][sid]
+
+
+class TestMarkovArcs:
+    @pytest.mark.parametrize("horizon", [0, 1, 5, 17])
+    @pytest.mark.parametrize("player", [1, 2])
+    @pytest.mark.parametrize("tiebreak", ["lo", "hi"])
+    def test_arcs_are_the_extracted_strategy(self, horizon, player, tiebreak):
+        rng = random.Random(horizon * 4 + player * 2 + (tiebreak == "hi"))
+        for n in range(3, 13):
+            g = random_game(n, rng)
+            arcs = markov_arcs(g, horizon, player, tiebreak)
+            assert set(arcs) == set(g.controlled_ids(player))
+            assert all(len(row) == horizon for row in arcs.values())
+            expected = {
+                (t, sid): row[t - 1] for t in range(1, horizon + 1) for sid, row in arcs.items()
+            }
+            choices = extract_markov(g, horizon, player, tiebreak).choices
+            assert choices == expected
+            assert list(choices) == list(expected)  # the same dict order
+            sets = optimal_action_sets(g, horizon)
+            pick = min if tiebreak == "lo" else max
+            for (t, sid), arc in choices.items():
+                assert arc == pick(sets.at(t, sid))
+
+    @pytest.mark.parametrize("tiebreak", ["", "low", "HI", None])
+    def test_bad_tiebreak_raises(self, tiebreak):
+        for extract in (markov_arcs, extract_markov):
+            with pytest.raises(ValueError, match="tiebreak"):
+                extract(make_M(), 5, tiebreak=tiebreak)
 
 
 class TestEvaluateFixed:
@@ -452,6 +483,14 @@ class TestCellCap:
                 values_at(g, checkpoints)
         # two rows kept, however deep the sweep that reaches them
         assert list(values_at(g, (0, 10**4))) == [0, 10**4]
+
+    def test_counter_default_reads_the_cap_at_call_time(self, monkeypatch):
+        monkeypatch.setattr(solver, "CELL_CAP", 10)
+        refused = "28 value cells exceed the cell cap 10"  # 4 rows of 7 states
+        with pytest.raises(GuardExceeded, match=refused):
+            evaluate_counter(make_M(), 3, CounterStrategy(0, 1, {(0, "x"): 0}))
+        with pytest.raises(GuardExceeded, match=refused):
+            min_counter_memory(make_M(), 3, Dyadic(1, 3), 2)
 
     def test_counter_default_is_the_shared_cap(self):
         cs = CounterStrategy(0, 1, {(0, "x"): 0})
