@@ -2,8 +2,8 @@
 
 Subcommands: solve, strategy, minimize, gadget, verify, oracle,
 simulate, scan.  Exit codes: 0 on success, 1 when a verification check
-fails or is inconclusive, 2 on usage or input errors, 3 when an
-enumeration guard is exceeded.
+fails or is inconclusive, 2 on usage or input errors, 3 when a size
+cap or a search budget (GuardExceeded) is exceeded.
 
 Every run records the tool version and its parameters in the output;
 JSON output is byte-stable for identical argv and seed (timing is only

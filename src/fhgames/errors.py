@@ -22,7 +22,7 @@ class StrategyError(FhgamesError):
 
 
 class GuardExceeded(FhgamesError):
-    """A configured enumeration or size cap was exceeded.
+    """A configured search budget or size cap was exceeded.
 
     Exponential searches and large products are opt-in: callers must
     raise the cap explicitly instead of the library truncating silently.

@@ -1,11 +1,12 @@
-"""Brute-force ground truth.
+"""Ground truth by search.
 
-Everything here is deliberately naive and exact: infinite-horizon
-values by enumerating all memoryless strategy pairs and solving the
-absorbing-chain linear system fraction-free; the minimal counter-
-automaton memory by exhausting every small automaton; and seeded
-Monte-Carlo simulation for statistical cross-validation.  Enumeration
-caps are explicit and exceeding them raises, never truncates.
+Everything here is exact: infinite-horizon values by enumerating all
+memoryless strategy pairs and solving the absorbing-chain linear system
+fraction-free; the minimal counter-automaton memory by a branch-and-
+bound search over the automata, pruned by an upper bound on every
+completion of a partial one; and seeded Monte-Carlo simulation for
+statistical cross-validation.  Search caps are explicit and exceeding
+them raises, never truncates.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from .counter import CounterStrategy
 from .errors import GuardExceeded, StrategyError
 from .game import Game, StateKind
 from .numeric import Dyadic
-from .solver import evaluate_counter, final_values
+from .solver import counter_bound, evaluate_counter, final_values
 
 __all__ = [
     "MemorylessStrategy",
@@ -196,7 +197,7 @@ def solve_infinite(g: Game, cap: int = 12) -> InfiniteSolution:
 
 @dataclass(frozen=True)
 class MinMemoryResult:
-    """Outcome of the exhaustive counter-automaton search.
+    """Outcome of the counter-automaton memory search.
 
     ``memory`` is the least N+p reaching the target value, or None when
     every automaton within max_mem falls short; ``witness`` is one
@@ -214,39 +215,52 @@ def min_counter_memory(
     horizon: int,
     epsilon: Dyadic,
     max_mem: int,
-    player: int = 1,
     guard: int = 2_000_000,
 ) -> MinMemoryResult:
-    """Least memory-state count of an epsilon-optimal counter strategy.
+    """Least memory-state count of an epsilon-optimal maximiser counter
+    strategy.
 
-    Enumerates every split N + p = m for m = 1..max_mem and every
-    action map over (memory, controlled state); each candidate is
-    evaluated exactly on the memory product from the start state.
+    Searches every split N + p = m for m = 1..max_mem, then every
+    action map over the (memory, controlled state) slots by depth-first
+    branch and bound: slots are set memory-major, then by sorted state
+    id, arc 0 before arc 1.  Before each branch the memory product is
+    swept with the unset slots free (counter_bound) and the branch is
+    pruned when even that falls below the target.  The first complete
+    automaton that meets the target, confirmed by evaluate_counter, is
+    therefore the first one a full enumeration in the same order would
+    meet.  ``guard`` caps the product sweeps performed; the sweep past it
+    raises GuardExceeded instead.
     """
     if epsilon < 0:
         raise ValueError(f"epsilon must be non-negative, got {epsilon}")
-    controlled = sorted(g.controlled_ids(player))
-    width = len(controlled)
-    planned = sum(m * (1 << (width * m)) for m in range(1, max_mem + 1))
-    if planned > guard:
-        raise GuardExceeded(
-            f"{planned} candidate automata exceed the enumeration guard {guard}"
-        )
+    controlled = sorted(g.controlled_ids(1))
     optimum = final_values(g, horizon)[g.start]
     target = optimum - epsilon
+    sweeps = 0
     for m in range(1, max_mem + 1):
+        slots = [(mem, sid) for mem in range(m) for sid in controlled]
         for period in range(1, m + 1):
-            initial = m - period
-            for bits in itertools.product((0, 1), repeat=width * m):
-                actions = {
-                    (mem, sid): bits[mem * width + k]
-                    for mem in range(m)
-                    for k, sid in enumerate(controlled)
-                }
-                cs = CounterStrategy(initial=initial, period=period, actions=actions)
-                value = evaluate_counter(g, horizon, cs, player=player).value
-                if value >= target:
-                    return MinMemoryResult(m, cs, optimum, target)
+            # arcs of the slots set so far; the root, every slot free, is
+            # not swept: its bound is the optimum itself
+            bits = [0] if slots else []
+            while True:
+                if sweeps >= guard:
+                    raise GuardExceeded(
+                        f"the memory search needs more than {guard} product sweeps"
+                    )
+                sweeps += 1
+                cs = CounterStrategy(m - period, period, dict(zip(slots, bits)))
+                if len(bits) == len(slots):
+                    if evaluate_counter(g, horizon, cs).value >= target:
+                        return MinMemoryResult(m, cs, optimum, target)
+                elif counter_bound(g, horizon, cs) >= target:
+                    bits.append(0)
+                    continue
+                while bits and bits[-1] == 1:
+                    bits.pop()
+                if not bits:
+                    break
+                bits[-1] = 1
     return MinMemoryResult(None, None, optimum, target)
 
 

@@ -43,7 +43,9 @@ evaluated on the product of memory and game state, where a backward
 induction best response for the opponent is optimal among all
 history-dependent responses.  The value of a counter strategy comes
 from one streaming sweep of that product; its full table of rows is
-built only when first read.
+built only when first read.  counter_bound sweeps the same product with
+the slots a partial strategy leaves unset free to the maximiser, which
+bounds every completion from above.
 
 All functions are pure; independent solves can run in parallel.
 """
@@ -74,6 +76,7 @@ __all__ = [
     "extract_markov",
     "evaluate_fixed_final",
     "evaluate_counter",
+    "counter_bound",
 ]
 
 
@@ -160,8 +163,9 @@ def _sweep(
     Returns a dict from each requested checkpoint horizon, in increasing
     order, to its row.  Rows are built as Dyadic dicts in plan order
     only for those horizons; the loop itself keeps one list of scaled
-    ints per t (see the module docstring).  A ``sets`` dict gets, per
-    optimising state id, a bytearray of its mask per t.
+    ints per t (see the module docstring).  A ``sets`` dict from
+    optimising state ids to bytearrays gets each of those states' mask
+    per t appended; other states' masks are not recorded.
     """
     if horizon < 0:
         raise ValueError("horizon must be non-negative")
@@ -185,9 +189,9 @@ def _sweep(
             players.append(entry)
     pos = {sid: i for i, (sid, _, _) in enumerate(coins + players + chosen + terminals)}
     coin_ops = [(pos[a], pos[b]) for _, _, (a, b) in coins]
+    sets = {} if sets is None else sets
     player_ops = [
-        (kind is StateKind.MAX, pos[a], pos[b],
-         None if sets is None else sets.setdefault(sid, bytearray()).append)
+        (kind is StateKind.MAX, pos[a], pos[b], sets[sid].append if sid in sets else None)
         for sid, kind, (a, b) in players
     ]
     fixed_ops = [(sid, pos[a], pos[b]) for sid, _, (a, b) in chosen]
@@ -277,6 +281,16 @@ def final_values(g: Game, horizon: int) -> dict[str, Dyadic]:
     return values_at(g, (horizon,))[horizon]
 
 
+def _action_masks(g: Game, horizon: int, ids: Iterable[str]) -> dict[str, bytes]:
+    """Mask bytes per t of the given optimising states, keyed in the
+    order given; like a full value table, refused beyond CELL_CAP cells.
+    """
+    _guard_cells(horizon + 1, len(g.states), CELL_CAP)
+    sets = {sid: bytearray() for sid in ids}
+    _sweep(_plan(g), horizon, sets=sets)
+    return {sid: bytes(row) for sid, row in sets.items()}
+
+
 def optimal_action_sets(g: Game, horizon: int) -> OptimalActionSets:
     """Argmax/argmin sets of the recurrence, for both players' states.
 
@@ -284,10 +298,8 @@ def optimal_action_sets(g: Game, horizon: int) -> OptimalActionSets:
     thousands stay cheap even though the sets for every t are retained;
     like a full value table, the sets refuse more than CELL_CAP cells.
     """
-    _guard_cells(horizon + 1, len(g.states), CELL_CAP)
-    sets: dict[str, bytearray] = {}
-    _sweep(_plan(g), horizon, sets=sets)
-    return OptimalActionSets(horizon, {sid: bytes(row) for sid, row in sets.items()})
+    optimising = (s.id for s in g.states if s.kind in (StateKind.MAX, StateKind.MIN))
+    return OptimalActionSets(horizon, _action_masks(g, horizon, optimising))
 
 
 def markov_arcs(
@@ -295,14 +307,14 @@ def markov_arcs(
 ) -> dict[str, bytes]:
     """One optimal arc per remaining time for each state of ``player``,
     ties broken by arc index: byte t - 1 of arcs[sid] is the arc at
-    remaining time t, read off the action-set masks in one translate.
+    remaining time t, read off that player's action-set masks in one
+    translate.
     """
     if tiebreak not in ("lo", "hi"):
         raise ValueError("tiebreak must be 'lo' or 'hi'")
     pick = bytes.maketrans(b"\1\2\3", b"\0\1\0" if tiebreak == "lo" else b"\0\1\1")
-    masks = optimal_action_sets(g, horizon).masks
-    controlled = set(g.controlled_ids(player))
-    return {sid: row.translate(pick) for sid, row in masks.items() if sid in controlled}
+    masks = _action_masks(g, horizon, g.controlled_ids(player))
+    return {sid: row.translate(pick) for sid, row in masks.items()}
 
 
 def extract_markov(
@@ -329,6 +341,42 @@ def evaluate_fixed_final(g: Game, horizon: int, strategy: Strategy) -> dict[str,
     return values_at(g, (horizon,), strategy)[horizon]
 
 
+def _counter_plan(
+    g: Game,
+    horizon: int,
+    cs: "CounterStrategy",
+    player: int,
+    cell_cap: int | None,
+    free: bool,
+) -> tuple:
+    """Plan of the (memory, game state) product of a counter strategy
+    (see evaluate_counter), after the cell-cap check.  A slot (memory,
+    state) with no action raises StrategyError, or, when ``free``, keeps
+    both arcs and stays the player's to optimise at every step.
+    """
+    cap = CELL_CAP if cell_cap is None else cell_cap
+    _guard_cells(horizon + 1, cs.size * len(g.states), cap)
+    own_kind = PLAYER_KIND[player]
+    game_plan = _plan(g)
+    plan = []
+    for m in range(cs.size):
+        nm = cs.next_memory(m)
+        for sid, kind, arcs in game_plan:
+            if arcs is not None:
+                arcs = ((nm, arcs[0]), (nm, arcs[1]))
+                if kind is own_kind:
+                    arc = cs.actions.get((m, sid))
+                    if arc is not None:
+                        arcs = (arcs[arc], arcs[arc])
+                    elif not free and horizon > 0:  # at horizon 0 no action is ever read
+                        raise StrategyError(
+                            f"counter strategy has no action for memory {m}, "
+                            f"state {sid!r}"
+                        )
+            plan.append(((m, sid), kind, arcs))
+    return tuple(plan)
+
+
 def evaluate_counter(
     g: Game,
     horizon: int,
@@ -347,26 +395,20 @@ def evaluate_counter(
     swept again, and kept, only when first read.  The cell cap (CELL_CAP
     at the call unless given) guards that table, checked before any sweep.
     """
-    cap = CELL_CAP if cell_cap is None else cell_cap
-    _guard_cells(horizon + 1, cs.size * len(g.states), cap)
-    own_kind = PLAYER_KIND[player]
-    game_plan = _plan(g)
-    plan = []
-    for m in range(cs.size):
-        nm = cs.next_memory(m)
-        for sid, kind, arcs in game_plan:
-            if arcs is not None:
-                arcs = ((nm, arcs[0]), (nm, arcs[1]))
-                if kind is own_kind:
-                    arc = cs.actions.get((m, sid))
-                    if arc is not None:
-                        arcs = (arcs[arc], arcs[arc])
-                    elif horizon > 0:  # at horizon 0 no action is ever read
-                        raise StrategyError(
-                            f"counter strategy has no action for memory {m}, "
-                            f"state {sid!r}"
-                        )
-            plan.append(((m, sid), kind, arcs))
-    plan = tuple(plan)
+    plan = _counter_plan(g, horizon, cs, player, cell_cap, free=False)
     value = _sweep(plan, horizon, (horizon,))[horizon][(0, g.start)]
     return CounterEvaluation(value=value, _plan=plan, _horizon=horizon)
+
+
+def counter_bound(g: Game, horizon: int, cs: "CounterStrategy") -> Dyadic:
+    """Upper bound on the value of every completion of a partial
+    maximiser counter strategy.
+
+    The slots ``cs`` leaves without an action are maximising states of
+    the product, free to choose afresh at every step.  The recurrence is
+    monotone, so no fixed choice for them does better; with every slot
+    set this is the strategy's value.  Guarded by CELL_CAP like
+    evaluate_counter.
+    """
+    plan = _counter_plan(g, horizon, cs, 1, None, free=True)
+    return _sweep(plan, horizon, (horizon,))[horizon][(0, g.start)]

@@ -398,8 +398,9 @@ def check_primorial_period(k: int, slack: int = 10) -> CheckReport:
 def check_shortcut_memory(c: int, guard: int = 2_000_000) -> CheckReport:
     """Memory needed to stay 2^-c-optimal in the shortcut gadget.
 
-    Exhaustive search over counter automata with at most c memory
-    states, at horizon c - 1.  The claimed bound is c - 2 memory
+    Exact branch-and-bound search (min_counter_memory) over counter
+    automata with at most c memory states, at horizon c - 1; ``guard``
+    caps its product sweeps.  The claimed bound is c - 2 memory
     states; the check reports the exact minimum found and fails if it
     is smaller.  Regime: c >= 5 (below that the horizon is too short
     for the structure to bind, and the verdict is informational,
@@ -419,9 +420,7 @@ def check_shortcut_memory(c: int, guard: int = 2_000_000) -> CheckReport:
     params = {"c": c}
     in_regime = c >= 5
     epsilon = Dyadic(1, c)
-    result = min_counter_memory(
-        make_M(), c - 1, epsilon, max_mem=c, player=1, guard=guard
-    )
+    result = min_counter_memory(make_M(), c - 1, epsilon, max_mem=c, guard=guard)
     bound = c - 2
     found = result.memory
     verdict = PASS if (found is not None and found >= bound) else FAIL

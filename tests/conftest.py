@@ -9,18 +9,24 @@ of ``fhgames.solver._sweep``.  ``reference_least_initial`` is the
 per-residue-class scan that ``fhgames.counter.least_initial_for_period``
 replaced with bitsets.  ``reference_dumps`` is the stdlib rendering that
 ``fhgames.jsonout.dumps`` replaced on the CLI and ``store`` paths.
+``reference_min_counter_memory`` is the exhaustive enumeration that
+``fhgames.oracle.min_counter_memory`` replaced with branch and bound.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 from fractions import Fraction
 from typing import Callable, Iterable
 
-from fhgames.errors import StrategyError
+from fhgames.counter import CounterStrategy
+from fhgames.errors import GuardExceeded, StrategyError
 from fhgames.game import Game, StateKind
 from fhgames.jsonout import jsonable
-from fhgames.numeric import ONE, ZERO, dy_avg
+from fhgames.numeric import ONE, ZERO, Dyadic, dy_avg
+from fhgames.oracle import MinMemoryResult
+from fhgames.solver import evaluate_counter, final_values
 
 
 def play_value(g: Game, horizon: int, actions1: dict, actions2: dict) -> Fraction:
@@ -149,3 +155,44 @@ def reference_least_initial(seq, period: int) -> int:
 def reference_dumps(value) -> str:
     """The CLI's indented JSON as the stdlib encoder renders it."""
     return json.dumps(jsonable(value), indent=2, ensure_ascii=False)
+
+
+def reference_min_counter_memory(
+    g: Game,
+    horizon: int,
+    epsilon: Dyadic,
+    max_mem: int,
+    player: int = 1,
+    guard: int = 2_000_000,
+) -> MinMemoryResult:
+    """Least memory-state count of an epsilon-optimal counter strategy.
+
+    Enumerates every split N + p = m for m = 1..max_mem and every
+    action map over (memory, controlled state); each candidate is
+    evaluated exactly on the memory product from the start state.
+    """
+    if epsilon < 0:
+        raise ValueError(f"epsilon must be non-negative, got {epsilon}")
+    controlled = sorted(g.controlled_ids(player))
+    width = len(controlled)
+    planned = sum(m * (1 << (width * m)) for m in range(1, max_mem + 1))
+    if planned > guard:
+        raise GuardExceeded(
+            f"{planned} candidate automata exceed the enumeration guard {guard}"
+        )
+    optimum = final_values(g, horizon)[g.start]
+    target = optimum - epsilon
+    for m in range(1, max_mem + 1):
+        for period in range(1, m + 1):
+            initial = m - period
+            for bits in itertools.product((0, 1), repeat=width * m):
+                actions = {
+                    (mem, sid): bits[mem * width + k]
+                    for mem in range(m)
+                    for k, sid in enumerate(controlled)
+                }
+                cs = CounterStrategy(initial=initial, period=period, actions=actions)
+                value = evaluate_counter(g, horizon, cs, player=player).value
+                if value >= target:
+                    return MinMemoryResult(m, cs, optimum, target)
+    return MinMemoryResult(None, None, optimum, target)

@@ -100,6 +100,13 @@ class TestVerifyCommand:
         assert code == 1
         assert "verdict: fail" in out
 
+    def test_shortcut_memory_beyond_enumeration(self, capsys):
+        # enumeration would plan 4,194,306 automata; the search needs 2573 sweeps
+        code, out, _ = run(capsys, "verify", "shortcut-memory", "--c", "17", "--json")
+        assert code == 1
+        evidence = json.loads(out)["report"]["evidence"]
+        assert (evidence["claimed_minimum"], evidence["found_minimum"]) == (15, 14)
+
     def test_shortcut_memory_below_its_regime_is_informational(self, capsys):
         code, out, _ = run(capsys, "verify", "shortcut-memory", "--c", "1")
         assert code == 0

@@ -3,7 +3,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import reference_min_counter_memory
 from fhgames.counter import CounterStrategy, from_markov
 from fhgames.errors import GuardExceeded, StrategyError
 from fhgames.game import Game, State, StateKind
@@ -134,6 +137,31 @@ class TestSolveInfinite:
         assert gaps[-1] < Fraction(1, 2**25)
 
 
+@st.composite
+def small_arenas(draw):
+    """Arenas of 3-6 states with at most 2 maximiser states."""
+    n = draw(st.integers(3, 6))
+    ids = [f"s{j}" for j in range(n - 1)]
+    n_max = draw(st.integers(0, 2))
+    others = st.sampled_from((StateKind.MIN, StateKind.COIN))
+    kinds = [StateKind.MAX] * n_max + draw(
+        st.lists(others, min_size=n - 1 - n_max, max_size=n - 1 - n_max)
+    )
+    kinds = draw(st.permutations(kinds))
+    dest = st.sampled_from(ids + ["bot"])
+    states = [State(sid, kind, (draw(dest), draw(dest))) for sid, kind in zip(ids, kinds)]
+    states.append(State("bot", StateKind.TERMINAL))
+    return Game(states=tuple(states), start=draw(st.sampled_from(ids)))
+
+
+def same_search(got, expected):
+    def key(result):
+        witness = None if result.witness is None else result.witness.to_json_obj()
+        return result.memory, witness, result.optimum, result.target
+
+    return key(got) == key(expected)
+
+
 class TestMinCounterMemory:
     def test_trivial_epsilon(self):
         result = min_counter_memory(make_M(), 5, Dyadic(1), max_mem=3)
@@ -171,8 +199,37 @@ class TestMinCounterMemory:
         assert result.memory == compressed.initial + compressed.period == 1
 
     def test_guard(self):
-        with pytest.raises(GuardExceeded):
-            min_counter_memory(make_M(), 4, Dyadic(1, 5), max_mem=20, guard=1000)
+        # the guard counts product sweeps performed: c = 12 needs 702
+        with pytest.raises(GuardExceeded, match="more than 100 product sweeps"):
+            min_counter_memory(make_M(), 11, Dyadic(1, 12), max_mem=12, guard=100)
+
+    def test_guard_is_inclusive(self):
+        args = (make_M(), 11, Dyadic(1, 12), 12)
+        assert min_counter_memory(*args, guard=702) == min_counter_memory(*args)
+        with pytest.raises(GuardExceeded, match="more than 701 product sweeps"):
+            min_counter_memory(*args, guard=701)
+
+    @pytest.mark.parametrize("c", range(5, 12))
+    def test_shortcut_gadget_matches_enumeration(self, c):
+        args = (make_M(), c - 1, Dyadic(1, c), c)
+        assert same_search(min_counter_memory(*args), reference_min_counter_memory(*args))
+
+    @pytest.mark.parametrize("horizon", range(10))
+    @pytest.mark.parametrize("gadget", [make_M, lambda: make_H(2)], ids=["M", "H2"])
+    def test_gadgets_match_enumeration(self, gadget, horizon):
+        # small random arenas all answer memory 1; these also need 2-4
+        # memory states, or more than max_mem
+        for eps_exponent in range(7):
+            epsilon = Dyadic(0) if eps_exponent == 0 else Dyadic(1, eps_exponent)
+            args = (gadget(), horizon, epsilon, 4)
+            assert same_search(min_counter_memory(*args), reference_min_counter_memory(*args))
+
+    @given(small_arenas(), st.integers(0, 9), st.integers(0, 5), st.integers(1, 4))
+    @settings(max_examples=400, deadline=None)
+    def test_matches_enumeration(self, g, horizon, eps_exponent, max_mem):
+        epsilon = Dyadic(0) if eps_exponent == 0 else Dyadic(1, eps_exponent)
+        args = (g, horizon, epsilon, max_mem)
+        assert same_search(min_counter_memory(*args), reference_min_counter_memory(*args))
 
     def test_negative_epsilon_rejected(self):
         # a target above the optimum, even above 1, would be no claim at all

@@ -20,6 +20,7 @@ from fhgames.solver import (
     CELL_CAP,
     MarkovStrategy,
     backward_induction,
+    counter_bound,
     evaluate_counter,
     evaluate_fixed_final,
     extract_markov,
@@ -171,6 +172,13 @@ class TestMarkovArcs:
             for (t, sid), arc in choices.items():
                 assert arc == pick(sets.at(t, sid))
 
+    def test_sweep_records_only_the_seeded_states(self):
+        g = make_M()
+        sets = {"x": bytearray()}
+        solver._sweep(solver._plan(g), 6, sets=sets)
+        assert list(sets) == ["x"]
+        assert bytes(sets["x"]) == optimal_action_sets(g, 6).masks["x"]
+
     @pytest.mark.parametrize("tiebreak", ["", "low", "HI", None])
     def test_bad_tiebreak_raises(self, tiebreak):
         for extract in (markov_arcs, extract_markov):
@@ -288,6 +296,30 @@ class TestEvaluateCounter:
         for horizon in (-1, -2):
             with pytest.raises(ValueError):
                 evaluate_counter(make_M(), horizon, cs)
+
+    @given(
+        st.integers(0, 2**32),
+        st.integers(2, 6),
+        st.integers(0, 2),
+        st.integers(1, 3),
+        st.integers(0, 8),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_bound_covers_every_completion(self, seed, n, initial, period, horizon):
+        rng = random.Random(seed)
+        g = random_game(n, rng)
+        slots = [(m, sid) for m in range(initial + period) for sid in g.controlled_ids(1)]
+        free = rng.sample(slots, min(len(slots), rng.randint(0, 6)))
+        partial = {slot: rng.randint(0, 1) for slot in slots if slot not in free}
+        bound = counter_bound(g, horizon, CounterStrategy(initial, period, partial))
+        for arcs in itertools.product((0, 1), repeat=len(free)):
+            cs = CounterStrategy(initial, period, {**partial, **dict(zip(free, arcs))})
+            value = evaluate_counter(g, horizon, cs).value
+            assert value <= bound
+            assert counter_bound(g, horizon, cs) == value
+        # with every slot free the bound is the optimum itself
+        empty = CounterStrategy(initial, period, {})
+        assert counter_bound(g, horizon, empty) == final_values(g, horizon)[g.start]
 
     def test_zero_horizon_needs_no_actions(self):
         g = make_M()
@@ -489,6 +521,8 @@ class TestCellCap:
         refused = "28 value cells exceed the cell cap 10"  # 4 rows of 7 states
         with pytest.raises(GuardExceeded, match=refused):
             evaluate_counter(make_M(), 3, CounterStrategy(0, 1, {(0, "x"): 0}))
+        with pytest.raises(GuardExceeded, match=refused):
+            counter_bound(make_M(), 3, CounterStrategy(0, 1, {}))
         with pytest.raises(GuardExceeded, match=refused):
             min_counter_memory(make_M(), 3, Dyadic(1, 3), 2)
 
