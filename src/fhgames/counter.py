@@ -92,6 +92,12 @@ class CounterStrategy:
             return t
         return self.initial + (t - self.initial) % self.period
 
+    def trajectory(self, length: int) -> list[int]:
+        """Memories after 0..length-1 traversals: memory_at over a range."""
+        head = list(range(min(self.size, length)))
+        laps = -(-(length - len(head)) // self.period)
+        return (head + list(range(self.initial, self.size)) * laps)[:length]
+
     def action_at(self, t: int, sid: str) -> int:
         return self.actions[(self.memory_at(t), sid)]
 
@@ -178,9 +184,13 @@ class ActionSetSequence:
 
 @dataclass(frozen=True)
 class PeriodResult:
+    """The smallest automaton found, and ``initials[p - 1]``, the least
+    initial count N(p), for every period p = 1..len(initials) tried."""
+
     initial: int
     period: int
     witness: CounterStrategy
+    initials: tuple[int, ...] = field(default=(), repr=False)
 
 
 def least_initial_for_period(seq: ActionSetSequence, period: int) -> int:
@@ -236,14 +246,18 @@ def minimal_period(seq: ActionSetSequence) -> PeriodResult:
     if seq.length == 0 or not seq.states:
         return PeriodResult(0, 1, CounterStrategy(0, 1, {}))
     best: tuple[int, int, int] | None = None  # (total, period, initial)
+    initials = []
     for p in range(1, seq.length + 1):
         if best is not None and p >= best[0]:
             break  # total >= period, so larger periods cannot win
         n = least_initial_for_period(seq, p)
+        initials.append(n)
         if best is None or n + p < best[0]:
             best = (n + p, p, n)
     _, p, n = best
-    return PeriodResult(initial=n, period=p, witness=_witness(seq, n, p))
+    return PeriodResult(
+        initial=n, period=p, witness=_witness(seq, n, p), initials=tuple(initials)
+    )
 
 
 def from_markov(strategy: MarkovStrategy) -> CounterStrategy:

@@ -4,9 +4,10 @@ Everything here is exact: infinite-horizon values by enumerating all
 memoryless strategy pairs and solving the absorbing-chain linear system
 fraction-free; the minimal counter-automaton memory by a branch-and-
 bound search over the automata, pruned by an upper bound on every
-completion of a partial one; and seeded Monte-Carlo simulation for
-statistical cross-validation.  Search caps are explicit and exceeding
-them raises, never truncates.
+completion of a partial one, each automaton swept along its memory
+trajectory rather than over the whole memory product; and seeded
+Monte-Carlo simulation for statistical cross-validation.  Search caps
+are explicit and exceeding them raises, never truncates.
 """
 
 from __future__ import annotations
@@ -223,13 +224,13 @@ def min_counter_memory(
     Searches every split N + p = m for m = 1..max_mem, then every
     action map over the (memory, controlled state) slots by depth-first
     branch and bound: slots are set memory-major, then by sorted state
-    id, arc 0 before arc 1.  Before each branch the memory product is
-    swept with the unset slots free (counter_bound) and the branch is
-    pruned when even that falls below the target.  The first complete
-    automaton that meets the target, confirmed by evaluate_counter, is
-    therefore the first one a full enumeration in the same order would
-    meet.  ``guard`` caps the product sweeps performed; the sweep past it
-    raises GuardExceeded instead.
+    id, arc 0 before arc 1.  Before each branch counter_bound sweeps the
+    game along the automaton's memory trajectory with the unset slots
+    free and the branch is pruned when even that falls below the
+    target.  The first complete automaton that meets the target,
+    confirmed by evaluate_counter, is therefore the first one a full
+    enumeration in the same order would meet.  ``guard`` caps the
+    sweeps performed; the sweep past it raises GuardExceeded instead.
     """
     if epsilon < 0:
         raise ValueError(f"epsilon must be non-negative, got {epsilon}")

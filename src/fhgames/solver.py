@@ -41,9 +41,13 @@ Strategies are indexed by REMAINING moves: a Markov strategy maps
 memory on every traversal regardless of the observed state; they are
 evaluated on the product of memory and game state, where a backward
 induction best response for the opponent is optimal among all
-history-dependent responses.  The value of a counter strategy comes
-from one streaming sweep of that product; its full table of rows is
-built only when first read.  counter_bound sweeps the same product with
+history-dependent responses.  Memory after k traversals depends on k
+alone, so the product cells the value at (memory 0, start) reads at
+remaining time t all hold one memory, the automaton's after T - t
+traversals.  The value therefore comes from one streaming sweep of the
+game itself whose controlled states take, at each t, the arcs of that
+memory (the sweep's layers); the product's full table of rows is
+built only when first read.  counter_bound sweeps the same layers with
 the slots a partial strategy leaves unset free to the maximiser, which
 bounds every completion from above.
 
@@ -54,7 +58,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import TYPE_CHECKING, Callable, Iterable, Protocol
+from itertools import repeat
+from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Protocol, Sequence
 
 from .errors import GuardExceeded, StrategyError
 from .game import Game, StateKind, PLAYER_KIND
@@ -131,20 +136,25 @@ class MarkovStrategy:
 
 @dataclass(frozen=True)
 class CounterEvaluation:
-    """Result of evaluating a counter strategy on the memory product.
+    """Result of evaluating a counter strategy.
 
-    ``value`` is computed up front; ``rows`` (every row of the product,
-    keyed (memory, state id)) is swept again on first read and cached.
+    ``value`` is computed up front from game-sized rows along the
+    automaton's memory trajectory; ``rows`` (every row of the memory
+    product, keyed (memory, state id)) builds and sweeps the product on
+    first read and is cached.
     """
 
     value: Dyadic
-    _plan: tuple = field(repr=False)
+    _game: Game = field(repr=False)
+    _strategy: "CounterStrategy" = field(repr=False)
+    _player: int = field(repr=False)
     _horizon: int = field(repr=False)
 
     @cached_property
     def rows(self) -> tuple[dict[tuple[int, str], Dyadic], ...]:
         horizon = self._horizon
-        return tuple(_sweep(self._plan, horizon, range(horizon + 1)).values())
+        plan = _product_plan(self._game, self._strategy, self._player)
+        return tuple(_sweep(plan, horizon, range(horizon + 1)).values())
 
 
 def _plan(g: Game) -> list[tuple[str, StateKind, tuple[str, str] | None]]:
@@ -157,6 +167,7 @@ def _sweep(
     checkpoints: Iterable[int] = (),
     fixed: tuple[StateKind, Callable[[int, str], int]] | None = None,
     sets: dict | None = None,
+    layers: tuple[Sequence[Mapping[str, int]], Sequence[int]] | None = None,
 ) -> dict[int, dict]:
     """The induction loop, over a plan of (id, kind, arcs) entries.
 
@@ -166,6 +177,12 @@ def _sweep(
     ints per t (see the module docstring).  A ``sets`` dict from
     optimising state ids to bytearrays gets each of those states' mask
     per t appended; other states' masks are not recorded.
+
+    ``layers`` = (overrides, memories) sets optimising states' arcs per
+    step: at remaining time t, each state that overrides[memories[t - 1]]
+    maps to an arc has both arcs on that arc's destination, as on a
+    counter strategy's memory product; the other states keep both arcs.
+    Without layers every step uses the plan's own arcs.
     """
     if horizon < 0:
         raise ValueError("horizon must be non-negative")
@@ -194,6 +211,18 @@ def _sweep(
         (kind is StateKind.MAX, pos[a], pos[b], sets[sid].append if sid in sets else None)
         for sid, kind, (a, b) in players
     ]
+    steps = repeat(player_ops)
+    if layers is not None:
+        overrides, memories = layers
+        resolved = {}
+        for m in set(memories):  # only the memories some step holds
+            ops = resolved[m] = []
+            for (sid, _, _), (is_max, a, b, record) in zip(players, player_ops):
+                arc = overrides[m].get(sid)
+                if arc is not None:
+                    a = b = (a, b)[arc]
+                ops.append((is_max, a, b, record))
+        steps = map(resolved.__getitem__, memories)
     fixed_ops = [(sid, pos[a], pos[b]) for sid, _, (a, b) in chosen]
     where = [(sid, pos[sid]) for sid, _, _ in plan]
 
@@ -208,10 +237,10 @@ def _sweep(
     snapshots: dict[int, dict] = {}
     if 0 in wanted:
         snapshots[0] = dyadic_row(row, 0)
-    for t in range(1, horizon + 1):
+    for t, ops in zip(range(1, horizon + 1), steps):
         prev = row
         row = [prev[a] + prev[b] for a, b in coin_ops]
-        for is_max, a, b, record in player_ops:
+        for is_max, a, b, record in ops:
             va = prev[a]
             vb = prev[b]
             if va == vb:
@@ -341,21 +370,48 @@ def evaluate_fixed_final(g: Game, horizon: int, strategy: Strategy) -> dict[str,
     return values_at(g, (horizon,), strategy)[horizon]
 
 
-def _counter_plan(
+def _counter_value(
     g: Game,
     horizon: int,
     cs: "CounterStrategy",
     player: int,
     cell_cap: int | None,
     free: bool,
-) -> tuple:
-    """Plan of the (memory, game state) product of a counter strategy
-    (see evaluate_counter), after the cell-cap check.  A slot (memory,
-    state) with no action raises StrategyError, or, when ``free``, keeps
-    both arcs and stays the player's to optimise at every step.
+) -> Dyadic:
+    """Value at (memory 0, start) of a counter strategy's product, after
+    the cell-cap check on its table, from one sweep of the game along
+    the memory trajectory: its layers (see _sweep) are, per memory, the
+    arcs the strategy sets at the player's states, and the memory held
+    at each remaining time 1..horizon.  A slot (memory, state) with no
+    action raises StrategyError, at every memory whether the horizon
+    reaches it or not, or, when ``free``, keeps both arcs and stays the
+    player's to optimise at every step.
     """
     cap = CELL_CAP if cell_cap is None else cell_cap
     _guard_cells(horizon + 1, cs.size * len(g.states), cap)
+    own = g.controlled_ids(player)
+    overrides = []
+    for m in range(cs.size):
+        arcs = {}
+        for sid in own:
+            arc = cs.actions.get((m, sid))
+            if arc is not None:
+                arcs[sid] = arc
+            elif not free and horizon > 0:  # at horizon 0 no action is ever read
+                raise StrategyError(
+                    f"counter strategy has no action for memory {m}, state {sid!r}"
+                )
+        overrides.append(arcs)
+    memories = cs.trajectory(horizon)[::-1]  # at remaining t: memory_at(horizon - t)
+    rows = _sweep(_plan(g), horizon, (horizon,), layers=(overrides, memories))
+    return rows[horizon][g.start]
+
+
+def _product_plan(g: Game, cs: "CounterStrategy", player: int) -> list:
+    """Plan of the (memory, game state) product of a counter strategy:
+    memory m moves to the next memory on every arc, and the player's
+    states with an action at m have both arcs on the chosen destination.
+    """
     own_kind = PLAYER_KIND[player]
     game_plan = _plan(g)
     plan = []
@@ -364,17 +420,11 @@ def _counter_plan(
         for sid, kind, arcs in game_plan:
             if arcs is not None:
                 arcs = ((nm, arcs[0]), (nm, arcs[1]))
-                if kind is own_kind:
-                    arc = cs.actions.get((m, sid))
-                    if arc is not None:
-                        arcs = (arcs[arc], arcs[arc])
-                    elif not free and horizon > 0:  # at horizon 0 no action is ever read
-                        raise StrategyError(
-                            f"counter strategy has no action for memory {m}, "
-                            f"state {sid!r}"
-                        )
+                arc = cs.actions.get((m, sid)) if kind is own_kind else None
+                if arc is not None:
+                    arcs = (arcs[arc], arcs[arc])
             plan.append(((m, sid), kind, arcs))
-    return tuple(plan)
+    return plan
 
 
 def evaluate_counter(
@@ -386,29 +436,30 @@ def evaluate_counter(
 ) -> CounterEvaluation:
     """Value of a counter strategy against a best-responding opponent.
 
-    Built on the product of (memory, game state): memory advances on
+    Defined on the product of (memory, game state): memory advances on
     every traversal independent of the state, and each fixed-player
     state has both arcs on the destination the strategy's action map
-    chooses.  The shared induction kernel then lets the opponent
-    minimise (or maximise) over the product.  The value comes from one
-    streaming sweep that keeps two rows at a time; the result's rows are
-    swept again, and kept, only when first read.  The cell cap (CELL_CAP
-    at the call unless given) guards that table, checked before any sweep.
+    chooses, so the opponent's best response there is optimal among all
+    history-dependent ones.  The value at (memory 0, start) reads, at
+    remaining time t, only the memory held after horizon - t traversals,
+    so it comes from one streaming sweep of game-sized rows whose
+    fixed-player states take that memory's arcs.  The result's rows
+    build and sweep the whole product, and are kept, only when first
+    read.  The cell cap (CELL_CAP at the call unless given) guards that
+    table, checked before any sweep.
     """
-    plan = _counter_plan(g, horizon, cs, player, cell_cap, free=False)
-    value = _sweep(plan, horizon, (horizon,))[horizon][(0, g.start)]
-    return CounterEvaluation(value=value, _plan=plan, _horizon=horizon)
+    value = _counter_value(g, horizon, cs, player, cell_cap, free=False)
+    return CounterEvaluation(value, g, cs, player, horizon)
 
 
 def counter_bound(g: Game, horizon: int, cs: "CounterStrategy") -> Dyadic:
     """Upper bound on the value of every completion of a partial
     maximiser counter strategy.
 
-    The slots ``cs`` leaves without an action are maximising states of
-    the product, free to choose afresh at every step.  The recurrence is
-    monotone, so no fixed choice for them does better; with every slot
-    set this is the strategy's value.  Guarded by CELL_CAP like
-    evaluate_counter.
+    The slots ``cs`` leaves without an action stay maximising, free to
+    choose afresh at every step, in the same game-sized sweep along the
+    memory trajectory as evaluate_counter.  The recurrence is monotone,
+    so no fixed choice for them does better; with every slot set this
+    is the strategy's value.  Guarded by CELL_CAP like evaluate_counter.
     """
-    plan = _counter_plan(g, horizon, cs, 1, None, free=True)
-    return _sweep(plan, horizon, (horizon,))[horizon][(0, g.start)]
+    return _counter_value(g, horizon, cs, 1, None, free=True)

@@ -370,7 +370,10 @@ def check_primorial_period(k: int, slack: int = 10) -> CheckReport:
     total = result.initial + result.period
     blocked = []
     for candidate in range(1, target_period):
-        need = least_initial_for_period(seq, candidate)
+        if candidate <= len(result.initials):  # N(p) of the periods the search tried
+            need = result.initials[candidate - 1]
+        else:
+            need = least_initial_for_period(seq, candidate)
         blocked.append(
             {"period": candidate, "least_initial": need, "total": need + candidate}
         )
@@ -400,7 +403,7 @@ def check_shortcut_memory(c: int, guard: int = 2_000_000) -> CheckReport:
 
     Exact branch-and-bound search (min_counter_memory) over counter
     automata with at most c memory states, at horizon c - 1; ``guard``
-    caps its product sweeps.  The claimed bound is c - 2 memory
+    caps its sweeps.  The claimed bound is c - 2 memory
     states; the check reports the exact minimum found and fails if it
     is smaller.  Regime: c >= 5 (below that the horizon is too short
     for the structure to bind, and the verdict is informational,

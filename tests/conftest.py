@@ -11,6 +11,10 @@ replaced with bitsets.  ``reference_dumps`` is the stdlib rendering that
 ``fhgames.jsonout.dumps`` replaced on the CLI and ``store`` paths.
 ``reference_min_counter_memory`` is the exhaustive enumeration that
 ``fhgames.oracle.min_counter_memory`` replaced with branch and bound.
+``reference_counter_value`` evaluates a counter strategy on its whole
+memory product, as ``fhgames.solver.evaluate_counter`` and
+``counter_bound`` did before they swept game-sized rows along the
+automaton's memory trajectory.
 """
 
 from __future__ import annotations
@@ -20,9 +24,10 @@ import json
 from fractions import Fraction
 from typing import Callable, Iterable
 
+from fhgames import solver
 from fhgames.counter import CounterStrategy
 from fhgames.errors import GuardExceeded, StrategyError
-from fhgames.game import Game, StateKind
+from fhgames.game import PLAYER_KIND, Game, StateKind
 from fhgames.jsonout import jsonable
 from fhgames.numeric import ONE, ZERO, Dyadic, dy_avg
 from fhgames.oracle import MinMemoryResult
@@ -78,11 +83,15 @@ def reference_sweep(
     checkpoints: Iterable[int] = (),
     fixed: tuple[StateKind, Callable[[int, str], int]] | None = None,
     sets: dict | None = None,
+    layers: tuple | None = None,
 ):
     """The induction loop, over a plan of (id, kind, arcs) entries.
 
     Returns a dict from each requested checkpoint horizon to its row;
-    rows are never mutated once built, so the dict shares them.
+    rows are never mutated once built, so the dict shares them.  With
+    ``layers`` = (overrides, memories), an optimising state that
+    overrides[memories[t - 1]] maps to an arc reads that arc's
+    destination on both arcs at remaining time t.
     """
     if horizon < 0:
         raise ValueError("horizon must be non-negative")
@@ -97,6 +106,7 @@ def reference_sweep(
     for t in range(1, horizon + 1):
         prev = row
         row = {}
+        chosen_arcs = {} if layers is None else layers[0][layers[1][t - 1]]
         for sid, kind, arcs in plan:
             if arcs is None:
                 row[sid] = ONE
@@ -111,6 +121,8 @@ def reference_sweep(
                     raise StrategyError(f"arc index {arc!r} at t={t}, state {sid!r}")
                 v = a if arc == 0 else b
             else:
+                if sid in chosen_arcs:
+                    a = b = prev[arcs[chosen_arcs[sid]]]
                 if a is b or a == b:
                     v = a
                     chosen = (0, 1)
@@ -127,6 +139,40 @@ def reference_sweep(
         if t in wanted:
             snapshots[t] = row
     return snapshots
+
+
+def reference_counter_value(
+    g: Game, horizon: int, cs: CounterStrategy, player: int = 1, free: bool = False
+) -> Dyadic:
+    """Value at (memory 0, start) of the (memory, game state) product.
+
+    Memory m moves to its successor on every arc; the player's state
+    with an action at m has both arcs on the chosen destination, and one
+    without raises StrategyError (at horizon 0 no action is read), or,
+    when ``free``, keeps both arcs and stays the player's to optimise.
+    """
+    cells = (horizon + 1) * cs.size * len(g.states)
+    if cells > solver.CELL_CAP:
+        raise GuardExceeded(f"{cells} value cells exceed the cell cap {solver.CELL_CAP}")
+    own_kind = PLAYER_KIND[player]
+    plan = []
+    for m in range(cs.size):
+        nm = cs.next_memory(m)
+        for s in g.states:
+            sid, kind, arcs = s.id, s.kind, s.arcs
+            if arcs is not None:
+                arcs = ((nm, arcs[0]), (nm, arcs[1]))
+                if kind is own_kind:
+                    arc = cs.actions.get((m, sid))
+                    if arc is not None:
+                        arcs = (arcs[arc], arcs[arc])
+                    elif not free and horizon > 0:
+                        raise StrategyError(
+                            f"counter strategy has no action for memory {m}, "
+                            f"state {sid!r}"
+                        )
+            plan.append(((m, sid), kind, arcs))
+    return reference_sweep(plan, horizon, (horizon,))[horizon][(0, g.start)]
 
 
 def reference_least_initial(seq, period: int) -> int:

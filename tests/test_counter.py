@@ -53,6 +53,8 @@ class TestCounterStrategy:
         cs = CounterStrategy(n, p, {})
         walk = rho_walk(n, p, t + 1)
         assert cs.memory_at(t) == walk[-1]
+        assert cs.trajectory(t + 1) == walk
+        assert cs.trajectory(t) == walk[:-1]
 
     @given(st.integers(0, 4), st.integers(1, 4))
     @settings(max_examples=40)
@@ -295,6 +297,10 @@ class TestMinimalPeriod:
         n, p = brute_minimal_period(seq)
         assert res.initial + res.period == n + p
         assert res.period == p
+        # the N(p) table handed back covers the found period and matches
+        assert len(res.initials) >= res.period
+        tried = range(1, len(res.initials) + 1)
+        assert res.initials == tuple(least_initial_for_period(seq, q) for q in tried)
 
     def test_least_initial_monotone_use(self):
         seq = sequence_of_masks([1, 2, 1, 2, 1, 2, 1, 2])

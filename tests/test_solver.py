@@ -4,10 +4,10 @@ import random
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import play_value, reference_sweep
+from conftest import play_value, reference_counter_value, reference_sweep
 from fhgames import solver
 from fhgames.cli import main
 from fhgames.counter import CounterStrategy, to_markov
@@ -291,11 +291,62 @@ class TestEvaluateCounter:
         with pytest.raises(StrategyError):
             evaluate_counter(make_M(), 4, cs)
 
+    def test_missing_action_raises_at_unreached_memory(self):
+        # horizon 1 reads memory 0 only; memory 1 is still checked
+        cs = CounterStrategy(0, 5, {(0, "x"): 0})
+        with pytest.raises(StrategyError, match="no action for memory 1, state 'x'"):
+            evaluate_counter(make_M(), 1, cs)
+
+    def test_guard_comes_before_missing_actions(self):
+        cs = CounterStrategy(0, 2, {(0, "x"): 0})  # memory 1 has no action
+        with pytest.raises(GuardExceeded):
+            evaluate_counter(make_M(), 1000, cs, cell_cap=100)
+
+    def test_product_is_built_only_for_rows(self):
+        g = make_M()
+        cs = CounterStrategy(3, 5, {(m, "x"): m % 2 for m in range(8)})
+        with mock.patch.object(solver, "_sweep", wraps=solver._sweep) as sweep:
+            result = evaluate_counter(g, 100, cs)
+            value_plans = [len(call.args[0]) for call in sweep.call_args_list]
+            result.rows
+            row_plans = [len(call.args[0]) for call in sweep.call_args_list[len(value_plans) :]]
+        assert value_plans == [len(g.states)]
+        assert row_plans == [8 * len(g.states)]
+
     def test_negative_horizon_rejected(self):
         cs = CounterStrategy(0, 1, {(0, "x"): 0})
         for horizon in (-1, -2):
             with pytest.raises(ValueError):
                 evaluate_counter(make_M(), horizon, cs)
+
+    @given(
+        st.integers(0, 2**32),
+        st.integers(2, 8),
+        st.integers(0, 3),
+        st.integers(1, 4),
+        st.integers(0, 12),
+    )
+    @example(seed=1, n=6, initial=3, period=4, horizon=0)
+    @example(seed=2, n=6, initial=3, period=4, horizon=3)  # automaton beyond the horizon
+    @settings(max_examples=200, deadline=None)
+    def test_trajectory_matches_memory_product(self, seed, n, initial, period, horizon):
+        rng = random.Random(seed)
+        g = random_game(n, rng)
+        # actions at both players' states: each evaluation must read only its own
+        actions = {
+            (m, sid): rng.randint(0, 1)
+            for m in range(initial + period)
+            for sid in g.controlled_ids(1) + g.controlled_ids(2)
+        }
+        cs = CounterStrategy(initial, period, actions)
+        for player in (1, 2):
+            want = reference_counter_value(g, horizon, cs, player)
+            assert evaluate_counter(g, horizon, cs, player).value == want
+        partial = CounterStrategy(
+            initial, period, {slot: arc for slot, arc in actions.items() if rng.random() < 0.6}
+        )
+        want = reference_counter_value(g, horizon, partial, free=True)
+        assert counter_bound(g, horizon, partial) == want
 
     @given(
         st.integers(0, 2**32),
@@ -407,6 +458,7 @@ class TestScaledKernel:
 
     @staticmethod
     def results(g, horizon, checkpoints, strategy, cs, player):
+        counter = evaluate_counter(g, horizon, cs, player)
         return {
             "table": _cells(enumerate(backward_induction(g, horizon))),
             "final": _cells([(horizon, final_values(g, horizon))]),
@@ -414,7 +466,8 @@ class TestScaledKernel:
             "played_at": _cells(values_at(g, checkpoints, strategy).items()),
             "fixed": _cells(enumerate(backward_induction(g, horizon, strategy))),
             "fixed_final": _cells([(horizon, evaluate_fixed_final(g, horizon, strategy))]),
-            "counter": _cells(enumerate(evaluate_counter(g, horizon, cs, player).rows)),
+            "counter": _cells(enumerate(counter.rows)),
+            "counter_value": counter.value,
         }
 
     @given(
