@@ -21,6 +21,7 @@ import re
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 
 __all__ = [
     "Dyadic",
@@ -246,12 +247,13 @@ def first_run_probability(i: int, t: int) -> Dyadic:
     return diff
 
 
+@cache
 def run_threshold(i: int) -> int:
     """Smallest k with run_probability(i, k - 1) >= 1/2.
 
     Linear scan; run_probability is non-decreasing in t, so the first
     hit is the threshold.  The comparison reduces to the integer test
-    F(i)_{t+2} <= 2^(t-1).
+    F(i)_{t+2} <= 2^(t-1).  Cached per i.
     """
     if i < 1:
         raise ValueError("run length i must be at least 1")

@@ -51,6 +51,21 @@ built only when first read.  counter_bound sweeps the same layers with
 the slots a partial strategy leaves unset free to the maximiser, which
 bounds every completion from above.
 
+Settled states.  When every step uses the same arcs (no fixed
+strategy, at most one layer: a plain sweep, a one-memory counter or a
+memoryless strategy), values never decrease as t grows, and
+the states at 0 and the states at 1 each form a set that the previous
+step's set determines: one only shrinks, the other only grows, so both
+are fixed from step k on, k the number of non-terminal states, which
+is below n = len(plan).  From step n on, a state at 0 or 1 (scaled: 0
+or 1 << t) stays there, and so does its mask byte: it has a settled
+successor, and every comparison with a settled value is decided by the
+sets.  _sweep therefore re-indexes once after step n < horizon: states
+at 1 share the terminals' slot, states at 0 one slot that reads
+itself, only the live states keep their ops, and a settled state's
+recorded mask byte of step n is repeated to the horizon.  If no state
+is live the later rows are known and the loop ends there.
+
 All functions are pure; independent solves can run in parallel.
 """
 
@@ -192,7 +207,8 @@ def _sweep(
         raise ValueError(f"checkpoints out of range: {sorted(bad)}")
     fixed_kind, choose = fixed if fixed is not None else (None, None)
     # Index form.  Row positions run coins, optimising states, fixed
-    # states, terminals, so each row is built by appending in that order.
+    # states, then one slot that every terminal shares, so each row is
+    # built by appending in that order.
     coins, players, chosen, terminals = [], [], [], []
     for entry in plan:
         sid, kind, arcs = entry
@@ -204,7 +220,9 @@ def _sweep(
             chosen.append(entry)
         else:
             players.append(entry)
-    pos = {sid: i for i, (sid, _, _) in enumerate(coins + players + chosen + terminals)}
+    pos = {sid: i for i, (sid, _, _) in enumerate(coins + players + chosen)}
+    top = len(pos)
+    pos.update((sid, top) for sid, _, _ in terminals)
     coin_ops = [(pos[a], pos[b]) for _, _, (a, b) in coins]
     sets = {} if sets is None else sets
     player_ops = [
@@ -212,6 +230,7 @@ def _sweep(
         for sid, kind, (a, b) in players
     ]
     steps = repeat(player_ops)
+    one_layer = True
     if layers is not None:
         overrides, memories = layers
         resolved = {}
@@ -223,6 +242,7 @@ def _sweep(
                     a = b = (a, b)[arc]
                 ops.append((is_max, a, b, record))
         steps = map(resolved.__getitem__, memories)
+        one_layer = len(resolved) <= 1
     fixed_ops = [(sid, pos[a], pos[b]) for sid, _, (a, b) in chosen]
     where = [(sid, pos[sid]) for sid, _, _ in plan]
 
@@ -233,34 +253,67 @@ def _sweep(
             for sid, i in where
         }
 
-    row = [0] * (len(pos) - len(terminals)) + [1] * len(terminals)
+    row = [0] * top + [1]
     snapshots: dict[int, dict] = {}
     if 0 in wanted:
         snapshots[0] = dyadic_row(row, 0)
-    for t, ops in zip(range(1, horizon + 1), steps):
-        prev = row
-        row = [prev[a] + prev[b] for a, b in coin_ops]
-        for is_max, a, b, record in ops:
-            va = prev[a]
-            vb = prev[b]
-            if va == vb:
-                mask = 3
-            elif (va > vb) == is_max:
-                mask = 1
-            else:
-                mask = 2
-                va = vb
-            if record is not None:
-                record(mask)
-            row.append(va << 1)
-        for sid, a, b in fixed_ops:
-            arc = choose(t, sid)
-            if arc not in (0, 1):
-                raise StrategyError(f"arc index {arc!r} at t={t}, state {sid!r}")
-            row.append((prev[a] if arc == 0 else prev[b]) << 1)
-        row += [1 << t] * len(terminals)
-        if t in wanted:
-            snapshots[t] = dyadic_row(row, t)
+    # With the same arcs at every step, states settle after step
+    # len(plan) (see the module docstring).
+    settle = fixed is None and one_layer and len(plan) < horizon
+    t = 0
+    for stop in (len(plan), horizon) if settle else (horizon,):
+        for t, ops in zip(range(t + 1, stop + 1), steps):
+            prev = row
+            row = [prev[a] + prev[b] for a, b in coin_ops]
+            for is_max, a, b, record in ops:
+                va = prev[a]
+                vb = prev[b]
+                if va == vb:
+                    mask = 3
+                elif (va > vb) == is_max:
+                    mask = 1
+                else:
+                    mask = 2
+                    va = vb
+                if record is not None:
+                    record(mask)
+                row.append(va << 1)
+            for sid, a, b in fixed_ops:
+                arc = choose(t, sid)
+                if arc not in (0, 1):
+                    raise StrategyError(f"arc index {arc!r} at t={t}, state {sid!r}")
+                row.append((prev[a] if arc == 0 else prev[b]) << 1)
+            row.append(1 << t)
+            if t in wanted:
+                snapshots[t] = dyadic_row(row, t)
+        if stop < horizon:
+            # Settle: the states at 1 join the terminals' slot, those at 0
+            # share one slot that reads itself, and neither is swept again;
+            # an optimising one's mask byte of this step is its last.
+            one = 1 << t
+            kind = [0 if 0 < v < one else 1 if v == one else 2 for v in row]
+            nc = len(coin_ops)
+            for (_, _, _, record), k in zip(ops, kind[nc:]):
+                if k and record is not None:
+                    masks = record.__self__  # the bytearray record appends to
+                    masks += masks[-1:] * (horizon - t)
+            if 0 not in kind:  # every later row is this one, scaled
+                last = dyadic_row(row, t)
+                snapshots.update((u, dict(last)) for u in sorted(wanted) if u > t)
+                break
+            live_coins = [i for i in range(nc) if not kind[i]]
+            zero = [kind.index(2)] if 2 in kind else []  # a coin reading itself
+            order = live_coins + zero + [i for i in range(nc, top) if not kind[i]] + [top]
+            top = len(order) - 1
+            new = [top if k == 1 else len(live_coins) for k in kind]  # old -> new position
+            for j, i in enumerate(order):
+                new[i] = j
+            coin_ops = [coin_ops[i] for i in live_coins] + [(z, z) for z in zero]
+            coin_ops = [(new[a], new[b]) for a, b in coin_ops]
+            ops = [(m, new[a], new[b], r) for (m, a, b, r), k in zip(ops, kind[nc:]) if not k]
+            steps = repeat(ops)
+            where = [(sid, new[i]) for sid, i in where]
+            row = [row[i] for i in order]
     return snapshots
 
 
@@ -277,9 +330,13 @@ def values_at(
     """Value rows at selected horizons from a single streaming pass.
 
     With a strategy, that player's choices are fixed and the opponent
-    best-responds; without one, both sides play optimally.  The rows
-    kept, not the horizon swept, count against CELL_CAP.
+    best-responds; without one, both sides play optimally.  A
+    MemorylessStrategy is read once per state, at t = 1, and swept as
+    one layer, so its sweep settles too.  The rows kept, not the
+    horizon swept, count against CELL_CAP.
     """
+    from .oracle import MemorylessStrategy  # oracle imports this module
+
     if isinstance(checkpoints, range) and checkpoints.step > 0:
         cps = checkpoints  # sorted and distinct: counted without building it
     else:
@@ -287,10 +344,17 @@ def values_at(
     if not cps:
         return {}
     _guard_cells(len(cps), len(g.states), CELL_CAP)
-    fixed = None
-    if strategy is not None:
+    fixed = layers = None
+    if isinstance(strategy, MemorylessStrategy):
+        arcs = {}
+        for sid in g.controlled_ids(strategy.player) if cps[-1] > 0 else ():
+            arc = arcs[sid] = strategy.action(1, sid)
+            if arc not in (0, 1):
+                raise StrategyError(f"arc index {arc!r} at t=1, state {sid!r}")
+        layers = ([arcs], [0] * cps[-1])
+    elif strategy is not None:
         fixed = (PLAYER_KIND[strategy.player], strategy.action)
-    return _sweep(_plan(g), cps[-1], cps, fixed=fixed)
+    return _sweep(_plan(g), cps[-1], cps, fixed=fixed, layers=layers)
 
 
 def backward_induction(

@@ -447,8 +447,12 @@ def check_memoryless_horizon(
 ) -> CheckReport:
     """A memoryless infinite-horizon optimum is epsilon-optimal at long
     horizons: played at horizon 2 * j * 2^n it stays within 2^-j of the
-    finite-horizon value at the start state.  Each exponent j (eps =
-    2^-j) must be at least 1, and there must be one; otherwise
+    finite-horizon value at the start state.  n counts every state of
+    the game, terminal included.  Both sweeps, the optimum's and the
+    strategy's, run to the largest horizon once and settle (see the
+    solver module), so their cost past the first n steps is that of the
+    states whose values stay strictly between 0 and 1.  Each exponent j
+    (eps = 2^-j) must be at least 1, and there must be one; otherwise
     ValueError."""
     started = time.perf_counter()
     exponents = sorted(set(eps_exponents))

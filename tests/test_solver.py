@@ -15,7 +15,7 @@ from fhgames.errors import GuardExceeded, StrategyError
 from fhgames.game import Game, State, StateKind
 from fhgames.gadgets import make_F, make_G, make_H, make_M, random_game
 from fhgames.numeric import Dyadic, HALF, ONE, ZERO
-from fhgames.oracle import min_counter_memory
+from fhgames.oracle import MemorylessStrategy, min_counter_memory
 from fhgames.solver import (
     CELL_CAP,
     MarkovStrategy,
@@ -453,6 +453,21 @@ def _cells(rows_by_t):
     return out
 
 
+def assert_sets_match_reference(g, horizon, players=(1, 2)):
+    """Action sets and extracted arcs against reference_sweep's sets."""
+    ref = {}
+    reference_sweep(solver._plan(g), horizon, sets=ref)
+    got = optimal_action_sets(g, horizon)
+    assert {k: got.at(*k) for k in ref} == ref
+    assert sum(len(row) for row in got.masks.values()) == len(ref)
+    for player in players:
+        own = g.controlled_ids(player)
+        for tiebreak, pick in (("lo", min), ("hi", max)):  # same picks, same key order
+            want = [(k, pick(arcs)) for k, arcs in ref.items() if k[1] in own]
+            choices = extract_markov(g, horizon, player, tiebreak).choices
+            assert list(choices.items()) == want
+
+
 class TestScaledKernel:
     """The integer-scaled kernel against the per-cell Dyadic loop it replaced."""
 
@@ -499,15 +514,7 @@ class TestScaledKernel:
         with mock.patch.object(solver, "_sweep", reference_sweep):
             expected = self.results(*args)
         assert scaled == expected
-        ref = {}
-        reference_sweep(solver._plan(g), horizon, sets=ref)
-        got = optimal_action_sets(g, horizon)
-        assert {k: got.at(*k) for k in ref} == ref
-        assert sum(len(row) for row in got.masks.values()) == len(ref)
-        for tiebreak, pick in (("lo", min), ("hi", max)):  # same picks, same key order
-            want = [(k, pick(arcs)) for k, arcs in ref.items() if k[1] in own]
-            choices = extract_markov(g, horizon, player, tiebreak).choices
-            assert list(choices.items()) == want
+        assert_sets_match_reference(g, horizon, (player,))
 
     def test_wide_values_match_reference(self):
         g = make_H(3)
@@ -531,6 +538,98 @@ class TestScaledKernel:
         strategy = MarkovStrategy(player=1, horizon=3, choices={(t, "x"): 2 for t in (1, 2, 3)})
         with pytest.raises(StrategyError):
             evaluate_fixed_final(g, 3, strategy)
+
+
+def chain_game(kind, length, loop):
+    """bot <- c1 <- ... <- c<length>, each ``kind`` state reading its
+    predecessor (on both arcs, or on arc 0 and itself when ``loop``; a
+    min state's other arc is bot), under a max head x with arcs (c<length>, x).
+    """
+    ids = ["bot"] + [f"c{j}" for j in range(1, length + 1)]
+    states = [State("bot", StateKind.TERMINAL)]
+    for prev, sid in zip(ids, ids[1:]):
+        other = sid if loop else "bot" if kind is StateKind.MIN else prev
+        states.append(State(sid, kind, (prev, other)))
+    states.append(State("x", StateKind.MAX, (ids[-1], "x")))
+    return Game(states=tuple(states), start="x")
+
+
+class TestSettledStates:
+    """The kernel settles states at 0 or 1 after step len(plan) of a sweep
+    whose arcs never change; reference_sweep never does."""
+
+    @staticmethod
+    def results(g, horizon, checkpoints, strategy, automata):
+        memoryless = MemorylessStrategy(
+            strategy.player, {sid: arc for (t, sid), arc in strategy.choices.items() if t == 1}
+        )
+        out = {"memoryless_at": _cells(values_at(g, checkpoints, memoryless).items())}
+        for k, (cs, player) in enumerate(automata):
+            for key, value in TestScaledKernel.results(
+                g, horizon, checkpoints, strategy, cs, player
+            ).items():
+                out[key, k] = value
+            if player == 1:
+                out["bound", k] = counter_bound(g, horizon, cs)
+        return out
+
+    def assert_matches_reference(self, g, horizon, checkpoints, strategy, automata):
+        settled = self.results(g, horizon, checkpoints, strategy, automata)
+        with mock.patch.object(solver, "_sweep", reference_sweep):
+            expected = self.results(g, horizon, checkpoints, strategy, automata)
+        assert settled == expected
+        assert_sets_match_reference(g, horizon)
+
+    @given(
+        st.integers(0, 2**32),
+        st.integers(2, 9),
+        st.sampled_from(("n-1", "n", "n+1", "2n", "any")),
+        st.sampled_from((1, 2)),
+    )
+    @example(seed=0, n=2, pick="2n", player=1)
+    @example(seed=1, n=2, pick="n+1", player=2)
+    @settings(max_examples=200, deadline=None)
+    def test_matches_reference_past_the_switch(self, seed, n, pick, player):
+        rng = random.Random(seed)
+        g = random_game(n, rng)
+        horizon = {"n-1": n - 1, "n": n, "n+1": n + 1, "2n": 2 * n}.get(pick)
+        if horizon is None:
+            horizon = rng.randint(0, 6 * n)
+        checkpoints = {horizon, rng.randint(0, horizon), rng.randint(0, horizon)}
+        own = g.controlled_ids(player)
+        strategy = MarkovStrategy(
+            player=player,
+            horizon=horizon,
+            choices={(t, sid): rng.randint(0, 1) for t in range(1, horizon + 1) for sid in own},
+        )
+        automata = [
+            (CounterStrategy(initial, period, {
+                (m, sid): rng.randint(0, 1) for m in range(initial + period) for sid in own
+            }), player)
+            for initial, period in ((0, 1), (0, 2), (1, 1))  # one and two memories
+        ]
+        self.assert_matches_reference(g, horizon, checkpoints, strategy, automata)
+
+    @pytest.mark.parametrize(
+        "kind, loop", [(StateKind.COIN, False), (StateKind.COIN, True), (StateKind.MIN, False)]
+    )
+    @pytest.mark.parametrize("length", range(6))
+    def test_chain_head_leaves_zero_at_n_minus_1(self, kind, loop, length):
+        g = chain_game(kind, length, loop)
+        n = len(g.states)
+        rows = backward_induction(g, 6 * n)
+        first = min(t for t, row in enumerate(rows) if row["x"] > ZERO)
+        assert first == n - 1
+        assert (rows[-1]["x"] == ONE) is not (loop and length > 0)  # settles at 1, or never
+        for horizon in (n - 1, n, n + 1, 2 * n, 6 * n):
+            strategy = MarkovStrategy(
+                1, horizon, {(t, "x"): t % 2 for t in range(1, horizon + 1)}
+            )
+            automata = [
+                (CounterStrategy(0, 1, {(0, "x"): 1}), 1),
+                (CounterStrategy(1, 1, {(0, "x"): 0, (1, "x"): 1}), 1),
+            ]
+            self.assert_matches_reference(g, horizon, range(horizon + 1), strategy, automata)
 
 
 class TestCellCap:

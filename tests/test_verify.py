@@ -1,11 +1,16 @@
 import json
+import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 
-from fhgames.errors import GuardExceeded
-from fhgames.gadgets import make_M
+from fhgames import verify
+from fhgames.errors import GuardExceeded, StrategyError
+from fhgames.gadgets import make_H, make_M, random_game
 from fhgames.game import load
+from fhgames.oracle import MemorylessStrategy, solve_infinite
+from fhgames.solver import values_at
 from fhgames.verify import (
     CheckReport,
     check_above_threshold,
@@ -147,6 +152,60 @@ class TestGadgetChecks:
     def test_memoryless_horizon_rejects_exponents_below_one(self, exponents):
         with pytest.raises(ValueError, match="exponent"):
             check_memoryless_horizon(make_M(), eps_exponents=exponents)
+
+
+def memoryless_games():
+    yield "M", make_M()
+    yield "H2", make_H(2)
+    yield "H3", make_H(3)
+    rng = random.Random(20261018)
+    for j in range(50):
+        yield f"arena{j}", random_game(rng.randint(3, 8), rng)
+
+
+class PerCell:
+    """A strategy values_at sweeps as a per-cell fixed callable, never
+    settling: the path a MemorylessStrategy took before it was swept as
+    one layer."""
+
+    def __init__(self, strategy):
+        self.player = strategy.player
+        self.action = strategy.action
+
+
+class TestMemorylessHorizonSweep:
+    """check_memoryless_horizon's settling sweeps against the per-cell
+    sweeps they replaced."""
+
+    @staticmethod
+    def per_cell_values_at(g, checkpoints, strategy=None):
+        return values_at(g, checkpoints, None if strategy is None else PerCell(strategy))
+
+    def test_report_equals_per_cell_sweeps(self):
+        for label, g in memoryless_games():
+            settled = check_memoryless_horizon(g, label=label)
+            with mock.patch.object(verify, "values_at", self.per_cell_values_at):
+                per_cell = check_memoryless_horizon(g, label=label)
+            assert settled.name == per_cell.name == "memoryless-horizon"
+            assert (settled.params, settled.verdict) == (per_cell.params, per_cell.verdict)
+            assert settled.evidence == per_cell.evidence
+
+    def test_played_rows_equal_per_cell_rows(self):
+        for _, g in memoryless_games():
+            strategy = solve_infinite(g).strategy
+            checkpoints = {0, 1, len(g.states), 3 * len(g.states), 4 << len(g.states)}
+            assert values_at(g, checkpoints, strategy=strategy) == values_at(
+                g, checkpoints, strategy=PerCell(strategy)
+            )
+
+    def test_missing_or_bad_choice_raises(self):
+        g = make_M()
+        for choices in ({}, {"x": 2}):
+            strategy = MemorylessStrategy(1, choices)
+            for played in (strategy, PerCell(strategy)):
+                with pytest.raises(StrategyError):
+                    values_at(g, (3,), played)
+                values_at(g, (0,), played)  # no action is read at horizon 0
 
 
 class TestPeriodScan:
