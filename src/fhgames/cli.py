@@ -9,10 +9,11 @@ Every run records the tool version and its parameters in the output;
 JSON output is byte-stable for identical argv and seed (timing is only
 included on request via --timing).  Every indented JSON document, and
 ``game.store``'s, is rendered by ``jsonout.dumps`` in one pass, straight
-from the library's values.  ``strategy`` streams its choices from the
-solver's arc bytes (``markov_arcs``) as ``jsonout.Records`` rows, with
-no dict per choice.  ``build_parser`` is cached, so a process builds
-the parser once however often it calls ``main``.
+from the library's values.  ``strategy`` hands its choices over as
+``jsonout.Records`` columns built from the solver's arc bytes
+(``markov_arcs``), with no dict or tuple per choice.  ``build_parser``
+is cached, so a process builds the parser once however often it calls
+``main``.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ import functools
 import json
 import sys
 from fractions import Fraction
+from itertools import chain
 
 from . import __version__
 from .counter import ActionSetSequence, from_markov, memory_report, minimal_period
@@ -121,11 +123,15 @@ def _cmd_strategy(args) -> int:
         "tiebreak": args.tiebreak,
     }
     # (remaining, state) order: n states sorted once, not T * n keys
-    by_state = sorted(arcs.items())
-    rows = [(t, sid, a[t - 1]) for t in range(1, args.horizon + 1) for sid, a in by_state]
-    _emit(args, "strategy", params, {"choices": Records(("remaining", "state", "arc"), rows)})
+    ids = sorted(arcs)
+    columns = (
+        [t for t in range(1, args.horizon + 1) for _ in ids],
+        ids * args.horizon,
+        bytes(chain.from_iterable(zip(*(arcs[sid] for sid in ids)))),
+    )
+    _emit(args, "strategy", params, {"choices": Records(("remaining", "state", "arc"), columns)})
     if not args.json:
-        for t, sid, arc in rows:
+        for t, sid, arc in zip(*columns):
             print(f"remaining={t} state={sid} arc={arc} -> {g.state(sid).arcs[arc]}")
     return 0
 

@@ -7,11 +7,14 @@ renders such a payload in one pass as exactly the text of
 building the converted copy and without the stdlib's generator-based
 encoder, which is the only one that can indent.
 
-``Records(keys, rows)``, flat records given as value tuples, is the list
-of ``dict(zip(keys, row))`` to ``jsonable``.  ``dumps`` writes it with
-no dict per record when each column holds one exact scalar type below:
-one ``%`` template per list, each key encoded once, each column mapped
-through its renderer.  Other records go one dict per record.
+``Records(keys, columns)``, flat records given as one sequence of values
+per key, is the list of ``dict(zip(keys, row))`` over ``zip(*columns)``
+to ``jsonable``.  ``dumps`` writes it with no dict and no Python frame
+per record when each column holds one exact scalar type below: each
+distinct value of a column is rendered once, behind its key's encoded
+text, and the list is the interleaving of those pieces.  Float columns
+are rendered value by value, since ``0.0 == -0.0`` but the two render
+differently.  Other records go one dict per record.
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain, repeat
 from json.encoder import encode_basestring
 from typing import Sequence
 
@@ -29,16 +33,23 @@ __all__ = ["Records", "jsonable", "dumps"]
 
 @dataclass(frozen=True)
 class Records:
-    """Records with the distinct string ``keys`` (at least one), one
-    tuple of values per record in ``rows``."""
+    """Records with the distinct string ``keys`` (at least one), given
+    as ``columns``: per key one sequence (a list, tuple or bytes) of the
+    records' values, all of one length.  Record i is the i-th value of
+    each column; ``dumps`` renders each distinct value of a scalar
+    column once, except in float columns (``0.0 == -0.0``)."""
 
     keys: tuple[str, ...]
-    rows: Sequence[tuple]
+    columns: Sequence[Sequence]
 
     def __post_init__(self):
         keys = self.keys
         if not keys or len(set(keys)) < len(keys) or any(type(k) is not str for k in keys):
             raise ValueError(f"record keys must be distinct strings, got {keys!r}")
+        if len(self.columns) != len(keys):
+            raise ValueError(f"{len(self.columns)} columns for {len(keys)} keys")
+        if len(set(map(len, self.columns))) > 1:
+            raise ValueError("record columns differ in length")
 
 
 def jsonable(value):
@@ -58,7 +69,7 @@ def jsonable(value):
     if isinstance(value, (list, tuple)):
         return [jsonable(v) for v in value]
     if isinstance(value, Records):
-        return [jsonable(dict(zip(value.keys, row, strict=True))) for row in value.rows]
+        return [jsonable(dict(zip(value.keys, row))) for row in zip(*value.columns)]
     return str(value)
 
 
@@ -148,20 +159,27 @@ def _write_list(value, out: list[str], nl: str) -> None:
 
 
 def _write_records(value: Records, out: list[str], nl: str) -> None:
-    rows = value.rows
-    if not rows:
+    columns = value.columns
+    if not columns[0]:
         out.append("[]")
         return
-    columns = []
-    for column in zip(*rows, strict=True):
+    inner = nl + "  "
+    sep = "{" + inner + "  "
+    pieces = []
+    for key, column in zip(value.keys, columns):
         kinds = set(map(type, column))
         render = _SCALARS.get(kinds.pop()) if len(kinds) == 1 else None
         if render is None:  # mixed or nested values: one dict per record
-            _write_list([dict(zip(value.keys, row, strict=True)) for row in rows], out, nl)
+            rows = [dict(zip(value.keys, row)) for row in zip(*columns)]
+            _write_list(rows, out, nl)
             return
-        columns.append(map(render, column))
-    inner = nl + "  "
-    heads = (f"{inner}  {encode_basestring(key)}: ".replace("%", "%%") for key in value.keys)
-    template = "{" + ",".join(head + "%s" for head in heads) + inner + "}"
-    texts = (template % cells for cells in zip(*columns))
-    out.append("[" + inner + ("," + inner).join(texts) + nl + "]")
+        head = f"{sep}{encode_basestring(key)}: "
+        if render is json.dumps:  # equal floats 0.0 and -0.0 render apart
+            pieces.append(map(head.__add__, map(render, column)))
+        else:
+            texts = {v: head + render(v) for v in set(column)}
+            pieces.append(map(texts.__getitem__, column))
+        sep = "," + inner + "  "
+    out.append("[" + inner)
+    out.extend(chain.from_iterable(zip(*pieces, repeat(inner + "}," + inner))))
+    out[-1] = inner + "}" + nl + "]"

@@ -183,13 +183,15 @@ def _sweep(
     fixed: tuple[StateKind, Callable[[int, str], int]] | None = None,
     sets: dict | None = None,
     layers: tuple[Sequence[Mapping[str, int]], Sequence[int]] | None = None,
+    ids: Sequence[str] | None = None,
 ) -> dict[int, dict]:
     """The induction loop, over a plan of (id, kind, arcs) entries.
 
     Returns a dict from each requested checkpoint horizon, in increasing
-    order, to its row.  Rows are built as Dyadic dicts in plan order
-    only for those horizons; the loop itself keeps one list of scaled
-    ints per t (see the module docstring).  A ``sets`` dict from
+    order, to its row.  Rows are built as Dyadic dicts only for those
+    horizons, over the state ``ids`` in their order (default: every
+    state in plan order); the loop itself keeps one list of scaled ints
+    per t (see the module docstring).  A ``sets`` dict from
     optimising state ids to bytearrays gets each of those states' mask
     per t appended; other states' masks are not recorded.
 
@@ -244,7 +246,9 @@ def _sweep(
         steps = map(resolved.__getitem__, memories)
         one_layer = len(resolved) <= 1
     fixed_ops = [(sid, pos[a], pos[b]) for sid, _, (a, b) in chosen]
-    where = [(sid, pos[sid]) for sid, _, _ in plan]
+    if ids is None:
+        ids = [sid for sid, _, _ in plan]
+    where = [(sid, pos[sid]) for sid in ids]
 
     def dyadic_row(row: list[int], t: int) -> dict:
         one = 1 << t
@@ -467,7 +471,7 @@ def _counter_value(
                 )
         overrides.append(arcs)
     memories = cs.trajectory(horizon)[::-1]  # at remaining t: memory_at(horizon - t)
-    rows = _sweep(_plan(g), horizon, (horizon,), layers=(overrides, memories))
+    rows = _sweep(_plan(g), horizon, (horizon,), layers=(overrides, memories), ids=(g.start,))
     return rows[horizon][g.start]
 
 

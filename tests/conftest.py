@@ -14,7 +14,9 @@ replaced with bitsets.  ``reference_dumps`` is the stdlib rendering that
 ``reference_counter_value`` evaluates a counter strategy on its whole
 memory product, as ``fhgames.solver.evaluate_counter`` and
 ``counter_bound`` did before they swept game-sized rows along the
-automaton's memory trajectory.
+automaton's memory trajectory.  ``reference_strategy_rows`` builds the
+``strategy`` command's choices one tuple per choice, as the CLI did
+before it handed them to ``fhgames.jsonout.Records`` as columns.
 """
 
 from __future__ import annotations
@@ -84,6 +86,7 @@ def reference_sweep(
     fixed: tuple[StateKind, Callable[[int, str], int]] | None = None,
     sets: dict | None = None,
     layers: tuple | None = None,
+    ids: Iterable[str] | None = None,
 ):
     """The induction loop, over a plan of (id, kind, arcs) entries.
 
@@ -91,7 +94,8 @@ def reference_sweep(
     rows are never mutated once built, so the dict shares them.  With
     ``layers`` = (overrides, memories), an optimising state that
     overrides[memories[t - 1]] maps to an arc reads that arc's
-    destination on both arcs at remaining time t.
+    destination on both arcs at remaining time t.  With ``ids``, the
+    returned rows hold only those states, in that order.
     """
     if horizon < 0:
         raise ValueError("horizon must be non-negative")
@@ -138,6 +142,8 @@ def reference_sweep(
             row[sid] = v
         if t in wanted:
             snapshots[t] = row
+    if ids is not None:
+        snapshots = {t: {sid: row[sid] for sid in ids} for t, row in snapshots.items()}
     return snapshots
 
 
@@ -196,6 +202,13 @@ def reference_least_initial(seq, period: int) -> int:
                     break
                 acc &= mask
     return need
+
+
+def reference_strategy_rows(arcs: dict[str, bytes], horizon: int) -> list[tuple[int, str, int]]:
+    """(remaining, state id, arc) per choice of ``markov_arcs``' bytes,
+    remaining-time major over the sorted state ids."""
+    by_state = sorted(arcs.items())
+    return [(t, sid, a[t - 1]) for t in range(1, horizon + 1) for sid, a in by_state]
 
 
 def reference_dumps(value) -> str:

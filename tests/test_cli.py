@@ -6,12 +6,13 @@ import sys
 import pytest
 
 import fhgames.cli as cli
-from conftest import reference_dumps
+from conftest import reference_dumps, reference_strategy_rows
+from fhgames import __version__
 from fhgames.cli import main
 from fhgames.gadgets import make_H, random_game
-from fhgames.game import Game, State, StateKind, store
+from fhgames.game import PLAYER_KIND, Game, State, StateKind, store
 from fhgames.jsonout import dumps
-from fhgames.solver import final_values
+from fhgames.solver import final_values, markov_arcs
 
 
 def run(capsys, *argv):
@@ -375,6 +376,57 @@ class TestDirectWriter:
         code, out, err = run(capsys, "solve", "--gadget", "M", "-T", "3", "--json")
         assert (code, err) == (0, "")
         assert json.loads(out)["params"] == {"game": "M", "horizon": 3}
+
+
+class TestStrategyRendering:
+    """``strategy`` stdout, JSON and text, against the rendering of its
+    choices built one row per choice (``conftest.reference_strategy_rows``)."""
+
+    @pytest.mark.parametrize("ownerless", [None, StateKind.MAX, StateKind.MIN])
+    @pytest.mark.parametrize("n", range(3, 13))
+    def test_stdout_matches_the_row_rendering(self, capsys, tmp_path, n, ownerless):
+        g = random_game(n, random.Random(n))
+        if ownerless is not None:  # that player owns no state: no choices
+            states = tuple(
+                State(s.id, StateKind.COIN, s.arcs) if s.kind is ownerless else s
+                for s in g.states
+            )
+            g = Game(states=states, start=g.start)
+        path = tmp_path / "arena.json"
+        path.write_text(store(g), encoding="utf-8")
+        for horizon in (0, 1, 5, n, 17):
+            for player in (1, 2):
+                for tiebreak in ("lo", "hi"):
+                    rows = reference_strategy_rows(
+                        markov_arcs(g, horizon, player, tiebreak), horizon
+                    )
+                    if PLAYER_KIND[player] is ownerless:
+                        assert rows == []
+                    params = {
+                        "game": str(path),
+                        "horizon": horizon,
+                        "player": player,
+                        "tiebreak": tiebreak,
+                    }
+                    choices = [{"remaining": t, "state": sid, "arc": arc} for t, sid, arc in rows]
+                    doc = {
+                        "schema": "fhgames/1",
+                        "version": __version__,
+                        "command": "strategy",
+                        "params": params,
+                        "result": {"choices": choices},
+                    }
+                    text = [f"# fhgames {__version__} strategy " + " ".join(
+                        f"{k}={v}" for k, v in params.items()
+                    )]
+                    text += [
+                        f"remaining={t} state={sid} arc={arc} -> {g.state(sid).arcs[arc]}"
+                        for t, sid, arc in rows
+                    ]
+                    argv = ("strategy", "-g", str(path), "-T", str(horizon),
+                            "--player", str(player), "--tiebreak", tiebreak)
+                    assert run(capsys, *argv, "--json") == (0, reference_dumps(doc) + "\n", "")
+                    assert run(capsys, *argv) == (0, "".join(f"{line}\n" for line in text), "")
 
 
 class TestGoldenOutput:

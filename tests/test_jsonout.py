@@ -109,15 +109,17 @@ PERCENT_KEYS = ["%", "%s", "%%", "%%s", "a%(b)s", "%d%"]
 
 @st.composite
 def records(draw, children):
-    """Records whose columns each draw from one scalar kind (the
-    template path) or from nested payloads (one dict per record)."""
+    """Records whose columns each draw from one scalar kind (rendered
+    per distinct value) or from nested payloads (one dict per record),
+    drawn one tuple per record and transposed into columns."""
     keys = draw(st.lists(texts, max_size=3, unique=True))
     percent = draw(st.sampled_from(PERCENT_KEYS))
     if percent not in keys:
         keys.insert(draw(st.integers(0, len(keys))), percent)
-    columns = [draw(st.sampled_from([*scalar_kinds, scalars, children])) for _ in keys]
-    rows = draw(st.lists(st.tuples(*columns), max_size=5))
-    return Records(tuple(keys), rows)
+    kinds = [draw(st.sampled_from([*scalar_kinds, scalars, children])) for _ in keys]
+    rows = draw(st.lists(st.tuples(*kinds), max_size=5))
+    columns = tuple(zip(*rows)) if rows else ((),) * len(keys)
+    return Records(tuple(keys), columns)
 
 
 payloads = st.recursive(
@@ -140,12 +142,15 @@ def test_records_match_the_stdlib_rendering(value):
 @pytest.mark.parametrize(
     "value",
     [
-        Records(("a",), []),
-        {"empty": Records(("%s", "b"), ())},
-        Records(("%", "%s", "%%"), [(1, "x", None), (2, "%s", True)]),
-        Records(("t", "id"), [(1, 'a"%s'), (2, "b\\é"), (3, "c😀%")]),
-        Records(("mixed",), [(1,), ("1",), (True,), (StateKind.MAX,)]),
-        [Records(("v",), [([Records(("w",), [(Dyadic(1, 2),)])],)])],
+        Records(("a",), ((),)),
+        {"empty": Records(("%s", "b"), ((), ()))},
+        Records(("%", "%s", "%%"), ([1, 2], ["x", "%s"], [None, True])),
+        Records(("t", "id"), ([1, 2, 3], ['a"%s', "b\\é", "c😀%"])),
+        Records(("mixed",), ([1, "1", True, StateKind.MAX],)),
+        [Records(("v",), ([[Records(("w",), ([Dyadic(1, 2)],))]],))],
+        # equal floats that render apart: no rendering per distinct value
+        Records(("x",), ([0.0, -0.0],)),
+        Records(("x",), ([-0.0, 0.0],)),
     ],
 )
 def test_records_fixed_cases(value):
@@ -153,8 +158,8 @@ def test_records_fixed_cases(value):
 
 
 def test_records_are_a_list_of_dicts_to_jsonable():
-    rows = [(1, "x", 0), (2, "y", 1)]
-    assert jsonable(Records(("t", "s", "a"), rows)) == [
+    columns = ([1, 2], ("x", "y"), b"\0\1")
+    assert jsonable(Records(("t", "s", "a"), columns)) == [
         {"t": 1, "s": "x", "a": 0},
         {"t": 2, "s": "y", "a": 1},
     ]
@@ -163,10 +168,16 @@ def test_records_are_a_list_of_dicts_to_jsonable():
 @pytest.mark.parametrize("keys", [(), ("a", "a"), ("a", 1), (StateKind.MAX,)])
 def test_records_need_distinct_string_keys(keys):
     with pytest.raises(ValueError, match="distinct strings"):
-        Records(keys, [])
+        Records(keys, ((),) * len(keys))
 
 
-def test_records_rows_must_match_the_keys():
-    for rows in ([(1, 2)], [(1,), (1, 2)], [(1, [2])]):
-        with pytest.raises((TypeError, ValueError)):
-            dumps(Records(("a",), rows))
+def test_records_columns_must_match_the_keys():
+    for keys, columns in (
+        (("a",), ([1], [2])),
+        (("a", "b"), ([1],)),
+        (("a",), ([1], [[2]])),
+        (("a", "b"), ([1, 1], [2])),
+        (("a", "b"), (b"\0\1", ())),
+    ):
+        with pytest.raises(ValueError, match="columns"):
+            Records(keys, columns)
