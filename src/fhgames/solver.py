@@ -53,18 +53,18 @@ bounds every completion from above.
 
 Settled states.  When every step uses the same arcs (no fixed
 strategy, at most one layer: a plain sweep, a one-memory counter or a
-memoryless strategy), values never decrease as t grows, and
-the states at 0 and the states at 1 each form a set that the previous
-step's set determines: one only shrinks, the other only grows, so both
-are fixed from step k on, k the number of non-terminal states, which
-is below n = len(plan).  From step n on, a state at 0 or 1 (scaled: 0
-or 1 << t) stays there, and so does its mask byte: it has a settled
-successor, and every comparison with a settled value is decided by the
-sets.  _sweep therefore re-indexes once after step n < horizon: states
-at 1 share the terminals' slot, states at 0 one slot that reads
-itself, only the live states keep their ops, and a settled state's
-recorded mask byte of step n is repeated to the horizon.  If no state
-is live the later rows are known and the loop ends there.
+memoryless strategy), values never decrease as t grows.  So the set
+of states at 0 only shrinks, the set at 1 only grows, and each is a
+function of the previous step's: equal counts at steps t - 1 and t
+(scaled: of 0 and of 1 << t) mean equal sets, fixed from t - 1 on.
+From then on a state at 0 or 1 stays there, and so does its mask byte
+of step t: it has a settled successor, and every comparison with a
+settled value is decided by the sets.  _sweep therefore re-indexes
+once, after the first step t < horizon whose counts repeat the step
+before's: states at 1 share the terminals' slot, states at 0 one slot
+that reads itself, only the live states keep their ops, and a settled
+state's recorded mask byte of step t is repeated to the horizon.  If
+no state is live the later rows are known and the loop ends there.
 
 All functions are pure; independent solves can run in parallel.
 """
@@ -261,12 +261,13 @@ def _sweep(
     snapshots: dict[int, dict] = {}
     if 0 in wanted:
         snapshots[0] = dyadic_row(row, 0)
-    # With the same arcs at every step, states settle after step
-    # len(plan) (see the module docstring).
-    settle = fixed is None and one_layer and len(plan) < horizon
+    # With the same arcs at every step, states settle at the first step
+    # whose counts of 0s and 1s repeat (see the module docstring).
+    settle = fixed is None and one_layer
+    counts = (top, 1)  # row 0's
     t = 0
-    for stop in (len(plan), horizon) if settle else (horizon,):
-        for t, ops in zip(range(t + 1, stop + 1), steps):
+    while t < horizon:
+        for t, ops in zip(range(t + 1, horizon + 1), steps):
             prev = row
             row = [prev[a] + prev[b] for a, b in coin_ops]
             for is_max, a, b, record in ops:
@@ -290,10 +291,15 @@ def _sweep(
             row.append(1 << t)
             if t in wanted:
                 snapshots[t] = dyadic_row(row, t)
-        if stop < horizon:
+            if settle:
+                before, counts = counts, (row.count(0), row.count(1 << t))
+                if counts == before:
+                    break
+        if t < horizon:
             # Settle: the states at 1 join the terminals' slot, those at 0
             # share one slot that reads itself, and neither is swept again;
             # an optimising one's mask byte of this step is its last.
+            settle = False
             one = 1 << t
             kind = [0 if 0 < v < one else 1 if v == one else 2 for v in row]
             nc = len(coin_ops)

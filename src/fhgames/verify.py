@@ -450,8 +450,9 @@ def check_memoryless_horizon(
     finite-horizon value at the start state.  n counts every state of
     the game, terminal included.  Both sweeps, the optimum's and the
     strategy's, run to the largest horizon once and settle (see the
-    solver module), so their cost past the first n steps is that of the
-    states whose values stay strictly between 0 and 1.  Each exponent j
+    solver module), so once the sets of states at 0 and at 1 stop
+    changing, at the latest by step n, their cost is that of the states
+    whose values stay strictly between 0 and 1.  Each exponent j
     (eps = 2^-j) must be at least 1, and there must be one; otherwise
     ValueError."""
     started = time.perf_counter()

@@ -554,9 +554,38 @@ def chain_game(kind, length, loop):
     return Game(states=tuple(states), start="x")
 
 
+def steps_swept(g, horizon):
+    """Steps that final_values(g, horizon) sweeps: each step draws its
+    ops once from the kernel's ``repeat``."""
+    drawn = []
+
+    def counted(ops):
+        while True:
+            drawn.append(1)
+            yield ops
+
+    with mock.patch.object(solver, "repeat", counted):
+        final_values(g, horizon)
+    return len(drawn)
+
+
+def game_of(start, *states):
+    """A game of (id, kind, arcs) entries plus the terminal bot."""
+    return Game(
+        states=tuple(State(*entry) for entry in states) + (State("bot", StateKind.TERMINAL),),
+        start=start,
+    )
+
+
+def short_horizons(g):
+    n = len(g.states)
+    return (1, 2, n - 1, n, 3 * n)
+
+
 class TestSettledStates:
-    """The kernel settles states at 0 or 1 after step len(plan) of a sweep
-    whose arcs never change; reference_sweep never does."""
+    """The kernel settles states at 0 or 1 at the first step whose counts
+    of 0s and 1s repeat the step before's, in a sweep whose arcs never
+    change; reference_sweep never settles."""
 
     @staticmethod
     def results(g, horizon, checkpoints, strategy, automata):
@@ -583,7 +612,7 @@ class TestSettledStates:
     @given(
         st.integers(0, 2**32),
         st.integers(2, 9),
-        st.sampled_from(("n-1", "n", "n+1", "2n", "any")),
+        st.sampled_from(("1..n", "n-1", "n", "n+1", "2n", "any")),
         st.sampled_from((1, 2)),
     )
     @example(seed=0, n=2, pick="2n", player=1)
@@ -593,7 +622,9 @@ class TestSettledStates:
         rng = random.Random(seed)
         g = random_game(n, rng)
         horizon = {"n-1": n - 1, "n": n, "n+1": n + 1, "2n": 2 * n}.get(pick)
-        if horizon is None:
+        if pick == "1..n":
+            horizon = rng.randint(1, n)
+        elif horizon is None:
             horizon = rng.randint(0, 6 * n)
         checkpoints = {horizon, rng.randint(0, horizon), rng.randint(0, horizon)}
         own = g.controlled_ids(player)
@@ -621,15 +652,59 @@ class TestSettledStates:
         first = min(t for t, row in enumerate(rows) if row["x"] > ZERO)
         assert first == n - 1
         assert (rows[-1]["x"] == ONE) is not (loop and length > 0)  # settles at 1, or never
-        for horizon in (n - 1, n, n + 1, 2 * n, 6 * n):
+        self.assert_matches_reference_at(g, "x", 1, (n - 1, n, n + 1, 2 * n, 6 * n))
+
+    def assert_matches_reference_at(self, g, sid, player, horizons):
+        """Every view at each horizon, with a strategy and one- and
+        two-memory counters that move ``sid``."""
+        for horizon in horizons:
             strategy = MarkovStrategy(
-                1, horizon, {(t, "x"): t % 2 for t in range(1, horizon + 1)}
+                player, horizon, {(t, sid): t % 2 for t in range(1, horizon + 1)}
             )
             automata = [
-                (CounterStrategy(0, 1, {(0, "x"): 1}), 1),
-                (CounterStrategy(1, 1, {(0, "x"): 0, (1, "x"): 1}), 1),
+                (CounterStrategy(0, 1, {(0, sid): 1}), player),
+                (CounterStrategy(1, 1, {(0, sid): 0, (1, sid): 1}), player),
+                (CounterStrategy(0, 2, {(0, sid): 0, (1, sid): 1}), player),
             ]
             self.assert_matches_reference(g, horizon, range(horizon + 1), strategy, automata)
+
+    def test_no_arc_into_the_terminal_ends_at_step_1(self):
+        g = game_of(
+            "a",
+            ("a", StateKind.MAX, ("b", "c")),
+            ("b", StateKind.COIN, ("a", "b")),
+            ("c", StateKind.MIN, ("a", "b")),
+        )
+        self.assert_matches_reference_at(g, "a", 1, short_horizons(g))
+        self.assert_matches_reference_at(g, "c", 2, short_horizons(g))
+        assert [steps_swept(g, horizon) for horizon in (0, 1, 2, 10**6)] == [0, 1, 1, 1]
+
+    @pytest.mark.parametrize("k", [2, 3, 5])
+    def test_ones_still_growing_keep_the_sweep(self, k):
+        # c<j> reaches 1 at step j and the max state x at step 1, so the
+        # 0s are fixed from step 1 while the 1s grow to step k; x's mask
+        # is 1 up to step k and 3 from step k + 1.
+        chain = [("c1", StateKind.COIN, ("bot", "bot"))] + [
+            (f"c{j}", StateKind.COIN, ("bot", f"c{j - 1}")) for j in range(2, k + 1)
+        ]
+        g = game_of("x", ("x", StateKind.MAX, ("bot", f"c{k}")), *chain)
+        assert optimal_action_sets(g, k + 2).masks["x"] == bytes([1] * k + [3, 3])
+        self.assert_matches_reference_at(g, "x", 1, short_horizons(g))
+        assert steps_swept(g, 3 * k) == k + 1  # all at 1 from step k
+
+    @pytest.mark.parametrize("k", [2, 3, 5])
+    def test_zeros_still_shrinking_keep_the_sweep(self, k):
+        # d<j> leaves 0 at step j and never reaches 1, z stays at 0, so
+        # the 1s are fixed from the start while the 0s shrink to step k;
+        # the min state y stays at 0 with mask 3 up to step k and 1 after.
+        chain = [("d1", StateKind.COIN, ("bot", "z"))] + [
+            (f"d{j}", StateKind.COIN, (f"d{j - 1}", f"d{j - 1}")) for j in range(2, k + 1)
+        ]
+        g = game_of(
+            "y", ("y", StateKind.MIN, ("z", f"d{k}")), ("z", StateKind.COIN, ("z", "z")), *chain
+        )
+        assert optimal_action_sets(g, k + 2).masks["y"] == bytes([3] * k + [1, 1])
+        self.assert_matches_reference_at(g, "y", 2, short_horizons(g))
 
 
 class TestCellCap:
