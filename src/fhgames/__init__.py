@@ -21,8 +21,9 @@ from .numeric import (  # noqa: F401
 )
 from .game import Game, State, StateKind, is_mdp, load, store, validate  # noqa: F401
 from .solver import (  # noqa: F401
+    ActionSetSequence,
     MarkovStrategy,
-    OptimalActionSets,
+    MemorylessStrategy,
     backward_induction,
     evaluate_counter,
     evaluate_fixed_final,
@@ -32,7 +33,6 @@ from .solver import (  # noqa: F401
     values_at,
 )
 from .counter import (  # noqa: F401
-    ActionSetSequence,
     CounterStrategy,
     from_markov,
     least_initial_for_period,
@@ -52,7 +52,6 @@ from .gadgets import (  # noqa: F401
     random_game,
 )
 from .oracle import (  # noqa: F401
-    MemorylessStrategy,
     min_counter_memory,
     reach_probabilities,
     simulate,

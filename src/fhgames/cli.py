@@ -26,7 +26,7 @@ from fractions import Fraction
 from itertools import chain
 
 from . import __version__
-from .counter import ActionSetSequence, from_markov, memory_report, minimal_period
+from .counter import from_markov, memory_report, minimal_period
 from .errors import FhgamesError, GuardExceeded
 from .game import Game, load, store
 from .gadgets import make_F, make_G, make_H, make_M
@@ -146,9 +146,7 @@ def _cmd_minimize(args) -> int:
     }
     if args.sets:
         sets = optimal_action_sets(g, args.horizon)
-        seq = ActionSetSequence.from_optimal(g, sets, player=args.player)
-        result = minimal_period(seq)
-        cs = result.witness
+        cs = minimal_period(sets[args.player - 1]).witness
     else:
         strat = extract_markov(
             g, args.horizon, player=args.player, tiebreak=args.tiebreak

@@ -19,9 +19,10 @@ Minimality is measured by the total memory-state count N + p (the
 reported space in bits is ceil(log2(N + p))), with ties broken towards
 the smaller period.
 
-An ActionSetSequence holds, per controlled state, the solver's bytes
-of arc masks (1 = arc 0, 2 = arc 1, 3 = both) reversed to elapsed time.
-Period search runs on bitsets derived from each row by a translation:
+The solver's ActionSetSequence holds one player's optimal action sets:
+per controlled state, bytes of arc masks (1 = arc 0, 2 = arc 1, 3 =
+both) in elapsed time, as optimal_action_sets returns them.  Period
+search runs on bitsets derived from each row by a translation:
 only0/only1, whose bit t is set when only arc 0 / only arc 1 is
 optimal at elapsed t.  For a period p, with
 later_b = OR over k >= 1 of (only_b >> k*p), the least initial count is
@@ -38,12 +39,10 @@ from collections import namedtuple
 from dataclasses import dataclass, field
 from typing import Mapping
 
-from .game import Game
-from .solver import MarkovStrategy, OptimalActionSets
+from .solver import ActionSetSequence, MarkovStrategy
 
 __all__ = [
     "CounterStrategy",
-    "ActionSetSequence",
     "PeriodResult",
     "MemoryReport",
     "from_markov",
@@ -148,38 +147,6 @@ def to_markov(cs: CounterStrategy, horizon: int, player: int = 1) -> MarkovStrat
         for sid in ids
     }
     return MarkovStrategy(player=player, horizon=horizon, choices=choices)
-
-
-@dataclass(frozen=True)
-class ActionSetSequence:
-    """Optimal action sets in elapsed time.
-
-    ``masks[sid][t]`` is the mask over arcs (bit 0 = arc 0, bit 1 =
-    arc 1) of the set at elapsed step t in 0..length-1: 1, 2 or 3.
-    """
-
-    length: int
-    states: tuple[str, ...]
-    masks: dict[str, bytes]
-    _DIGITS = (bytes.maketrans(b"\1\2\3", b"100"), bytes.maketrans(b"\1\2\3", b"010"))
-
-    def __post_init__(self):
-        only = []
-        for sid in self.states:
-            row = self.masks.get(sid)
-            if row is None or len(row) != self.length or row.translate(None, b"\1\2\3"):
-                raise ValueError(f"{sid!r} needs {self.length} masks of 1, 2 or 3")
-            row = row[::-1]  # elapsed t is the digit of weight 2^t; b"0" if empty
-            only.append(tuple(int(row.translate(d) or b"0", 2) for d in self._DIGITS))
-        # per state (only0, only1); derived data, so not a dataclass field
-        object.__setattr__(self, "_only", tuple(only))
-
-    @classmethod
-    def from_optimal(
-        cls, g: Game, sets: OptimalActionSets, player: int = 1
-    ) -> "ActionSetSequence":
-        ids = tuple(sorted(g.controlled_ids(player)))
-        return cls(sets.horizon, ids, {sid: sets.masks[sid][::-1] for sid in ids})
 
 
 @dataclass(frozen=True)

@@ -43,7 +43,7 @@ class Dyadic:
 
     Instances are immutable and canonical: either the exponent is 0 or
     the mantissa is odd.  Canonical form makes equality and hashing
-    structural, and keeps the exponent equal to the true denominator
+    structural (an integer hashes as the int it equals), and keeps the exponent equal to the true denominator
     power, which backward induction bounds by the horizon.
     """
 
@@ -153,7 +153,8 @@ class Dyadic:
         return self.mantissa == other.mantissa and self.exponent == other.exponent
 
     def __hash__(self):
-        return hash((self.mantissa, self.exponent))
+        # an integer equals its int, so it must hash as one
+        return hash((self.mantissa, self.exponent)) if self.exponent else hash(self.mantissa)
 
     def __lt__(self, other):
         c = self._cmp(other)

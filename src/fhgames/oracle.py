@@ -22,10 +22,9 @@ from .counter import CounterStrategy
 from .errors import GuardExceeded, StrategyError
 from .game import Game, StateKind
 from .numeric import Dyadic
-from .solver import counter_bound, evaluate_counter, final_values
+from .solver import MemorylessStrategy, counter_bound, evaluate_counter, final_values
 
 __all__ = [
-    "MemorylessStrategy",
     "InfiniteSolution",
     "MinMemoryResult",
     "SimulationReport",
@@ -36,23 +35,6 @@ __all__ = [
 ]
 
 RNG_ALGORITHM = "mt19937"  # random.Random; recorded in every report
-
-
-@dataclass(frozen=True)
-class MemorylessStrategy:
-    """Time-independent arc choice per controlled state."""
-
-    player: int
-    choices: dict[str, int]
-
-    def action(self, t: int, sid: str) -> int:
-        try:
-            return self.choices[sid]
-        except KeyError:
-            raise StrategyError(
-                f"memoryless strategy (player {self.player}) has no entry "
-                f"for state {sid!r}"
-            ) from None
 
 
 def _fraction_free_solve(matrix: list[list[int]], rhs: list[int]) -> list[Fraction]:

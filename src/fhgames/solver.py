@@ -24,10 +24,11 @@ with A, B the entries of row t-1 at the two arc destinations.  Dyadic
 values are built only for the rows a caller asks for, as Dyadic(M, t),
 whose exponent is at most t by construction; 0 and 1 are the shared
 ZERO and ONE.  The loop also writes the optimal action sets, as the one
-form every reader uses: per optimising state, one mask byte per t (see
-OptimalActionSets).  markov_arcs breaks the ties of those bytes into
-one arc byte per t and state, which extract_markov keys by (t, state
-id) and the CLI's strategy command renders as they are.
+form every reader uses: per optimising state, one mask byte per t.
+optimal_action_sets hands them out reversed to elapsed time, as one
+ActionSetSequence per player; markov_arcs breaks their ties into one
+arc byte per t and state, which extract_markov keys by (t, state id)
+and the CLI's strategy command renders as they are.
 
 Every value row of a game comes from values_at, which refuses with
 GuardExceeded to keep more than CELL_CAP cells (rows kept times
@@ -85,8 +86,9 @@ if TYPE_CHECKING:  # pragma: no cover
 
 __all__ = [
     "CELL_CAP",
-    "OptimalActionSets",
+    "ActionSetSequence",
     "MarkovStrategy",
+    "MemorylessStrategy",
     "CounterEvaluation",
     "backward_induction",
     "final_values",
@@ -111,24 +113,37 @@ class Strategy(Protocol):
 
 
 @dataclass(frozen=True)
-class OptimalActionSets:
-    """All value-optimal arcs per remaining time and controlled state.
+class ActionSetSequence:
+    """One player's optimal action sets in elapsed time.
 
-    masks[sid][t - 1] is the set at remaining time t, a mask over arcs:
-    1 (arc 0), 2 (arc 1) or 3 (both: their successor values tie).
-    Carrying the full sets (rather than one tie-broken choice) is what
-    allows period and memory analyses to quantify over every optimal
-    strategy.
+    ``masks[sid][t]`` is the mask over arcs (bit 0 = arc 0, bit 1 =
+    arc 1) of the set at elapsed step t in 0..length-1: 1, 2 or 3 (both
+    arcs: their successor values tie).  Carrying the full sets (rather
+    than one tie-broken choice) is what allows period and memory
+    analyses to quantify over every optimal strategy.
     """
 
-    horizon: int
+    length: int
+    states: tuple[str, ...]
     masks: dict[str, bytes]
-    _ARCS = ((), (0,), (1,), (0, 1))  # indexed by mask; not a field
+    _DIGITS = (bytes.maketrans(b"\1\2\3", b"100"), bytes.maketrans(b"\1\2\3", b"010"))
 
-    def at(self, t: int, sid: str) -> tuple[int, ...]:
-        if not 1 <= t <= self.horizon:
-            raise KeyError((t, sid))
-        return self._ARCS[self.masks[sid][t - 1]]
+    def __post_init__(self):
+        for sid in self.states:
+            row = self.masks.get(sid)
+            if row is None or len(row) != self.length or row.translate(None, b"\1\2\3"):
+                raise ValueError(f"{sid!r} needs {self.length} masks of 1, 2 or 3")
+
+    @cached_property
+    def _only(self) -> tuple[tuple[int, int], ...]:
+        """Per state (only0, only1), the period search's bitsets (see the
+        counter module), built on first read: a caller may read one
+        player's sequence only."""
+        only = []
+        for sid in self.states:
+            row = self.masks[sid][::-1]  # elapsed t is the digit of weight 2^t; b"0" if empty
+            only.append(tuple(int(row.translate(d) or b"0", 2) for d in self._DIGITS))
+        return tuple(only)
 
 
 @dataclass(frozen=True)
@@ -146,6 +161,23 @@ class MarkovStrategy:
             raise StrategyError(
                 f"markov strategy (player {self.player}) has no entry for "
                 f"t={t}, state {sid!r}"
+            ) from None
+
+
+@dataclass(frozen=True)
+class MemorylessStrategy:
+    """Time-independent arc choice per controlled state."""
+
+    player: int
+    choices: dict[str, int]
+
+    def action(self, t: int, sid: str) -> int:
+        try:
+            return self.choices[sid]
+        except KeyError:
+            raise StrategyError(
+                f"memoryless strategy (player {self.player}) has no entry "
+                f"for state {sid!r}"
             ) from None
 
 
@@ -345,8 +377,6 @@ def values_at(
     one layer, so its sweep settles too.  The rows kept, not the
     horizon swept, count against CELL_CAP.
     """
-    from .oracle import MemorylessStrategy  # oracle imports this module
-
     if isinstance(checkpoints, range) and checkpoints.step > 0:
         cps = checkpoints  # sorted and distinct: counted without building it
     else:
@@ -394,15 +424,25 @@ def _action_masks(g: Game, horizon: int, ids: Iterable[str]) -> dict[str, bytes]
     return {sid: bytes(row) for sid, row in sets.items()}
 
 
-def optimal_action_sets(g: Game, horizon: int) -> OptimalActionSets:
-    """Argmax/argmin sets of the recurrence, for both players' states.
+def optimal_action_sets(
+    g: Game, horizon: int
+) -> tuple[ActionSetSequence, ActionSetSequence]:
+    """Argmax/argmin sets of the recurrence in elapsed time, as
+    (max_sets, min_sets): each player's states in sorted id order, from
+    one sweep.
 
     Streams the value rows (keeping two at a time), so horizons in the
     thousands stay cheap even though the sets for every t are retained;
     like a full value table, the sets refuse more than CELL_CAP cells.
+    Elapsed step t is remaining time horizon - t, so each mask row is
+    the sweep's reversed.
     """
-    optimising = (s.id for s in g.states if s.kind in (StateKind.MAX, StateKind.MIN))
-    return OptimalActionSets(horizon, _action_masks(g, horizon, optimising))
+    players = [tuple(sorted(g.controlled_ids(player))) for player in (1, 2)]
+    masks = _action_masks(g, horizon, players[0] + players[1])
+    return tuple(
+        ActionSetSequence(horizon, ids, {sid: masks[sid][::-1] for sid in ids})
+        for ids in players
+    )
 
 
 def markov_arcs(

@@ -19,7 +19,7 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .counter import ActionSetSequence, least_initial_for_period, minimal_period
+from .counter import least_initial_for_period, minimal_period
 from .game import Game, store
 from .gadgets import make_F, make_G, make_M, primes, primorial, random_game
 from .numeric import (
@@ -364,8 +364,7 @@ def check_primorial_period(k: int, slack: int = 10) -> CheckReport:
     g = make_F(k)
     non_terminal = len(g.states) - 1
     expected_states = 2 * sum(primes(k))
-    sets = optimal_action_sets(g, horizon)
-    seq = ActionSetSequence.from_optimal(g, sets, player=1)
+    seq = optimal_action_sets(g, horizon)[0]  # the maximiser's sets
     result = minimal_period(seq)
     total = result.initial + result.period
     blocked = []
@@ -499,14 +498,8 @@ def check_memoryless_horizon(
 
 
 def _max_player_period(g: Game, horizon: int) -> int:
-    sets = optimal_action_sets(g, horizon)
-    worst = 1
-    for player in (1, 2):
-        if not g.controlled_ids(player):
-            continue
-        result = minimal_period(ActionSetSequence.from_optimal(g, sets, player))
-        worst = max(worst, result.period)
-    return worst
+    # a player without states has no sets and the period 1
+    return max(minimal_period(seq).period for seq in optimal_action_sets(g, horizon))
 
 
 def period_scan(

@@ -204,6 +204,12 @@ def reference_least_initial(seq, period: int) -> int:
     return need
 
 
+def arcs_at(seq, t: int, sid: str) -> tuple[int, ...]:
+    """The arcs in ``seq``'s set of state ``sid`` at remaining time t,
+    which is elapsed step ``seq.length - t``: (0,), (1,) or (0, 1)."""
+    return ((), (0,), (1,), (0, 1))[seq.masks[sid][seq.length - t]]
+
+
 def reference_strategy_rows(arcs: dict[str, bytes], horizon: int) -> list[tuple[int, str, int]]:
     """(remaining, state id, arc) per choice of ``markov_arcs``' bytes,
     remaining-time major over the sorted state ids."""

@@ -12,11 +12,11 @@ from fractions import Fraction
 
 from conftest import count_sequences_with_run, play_value
 from fhgames.cli import main as cli_main
-from fhgames.game import load
+from fhgames.game import StateKind, load
 from fhgames.gadgets import make_H, make_M, make_star_chain, primes, random_game
 from fhgames.numeric import Dyadic, HALF, ONE, run_probability, run_threshold
 from fhgames.oracle import min_counter_memory
-from fhgames.solver import MarkovStrategy, backward_induction, evaluate_fixed_final
+from fhgames.solver import backward_induction
 from fhgames.verify import (
     check_above_threshold,
     check_below_threshold,
@@ -37,29 +37,52 @@ def report(number: int, name: str, ok: bool, started: float, detail: str = ""):
           f"({time.monotonic() - started:.1f}s){extra}")
 
 
-def _strategy_tables(ids, horizon):
-    keys = [(t, sid) for t in range(1, horizon + 1) for sid in ids]
-    for picks in itertools.product((0, 1), repeat=len(keys)):
-        yield dict(zip(keys, picks))
-
-
 def _maximin(g, horizon):
     """Exhaustive max over player-1 Markov strategies of the min over
-    player-2 responses; the inner min enumerates Markov strategies when
-    small and otherwise uses the exact best response."""
+    player-2 responses, walked as a tree of remaining-time prefixes.
+
+    A node fixes player 1's choices at remaining times 1..k and holds
+    the rows v_k (exact Fractions, one per state) that player 2's
+    choices at 1..k reach, each stepped once from a row of its parent.
+    Player 2 takes every choice at every step when its strategies are
+    few enough to enumerate, and otherwise the pointwise least arc, the
+    exact best response.  Equal rows are kept once, so a leaf's least
+    start value is still the min over every player-2 strategy.
+    """
     ids1, ids2 = g.controlled_ids(1), g.controlled_ids(2)
-    best = None
-    for table1 in _strategy_tables(ids1, horizon):
-        if len(ids2) * horizon <= 10:
-            worst = min(
-                play_value(g, horizon, table1, table2)
-                for table2 in _strategy_tables(ids2, horizon)
-            )
-        else:
-            strat = MarkovStrategy(player=1, horizon=horizon, choices=table1)
-            worst = evaluate_fixed_final(g, horizon, strat)[g.start].as_fraction()
-        best = worst if best is None else max(best, worst)
-    return best
+    pos = {sid: i for i, sid in enumerate(g.ids())}
+    slot = {sid: i for ids in (ids1, ids2) for i, sid in enumerate(ids)}
+    ops = [(s.kind, *(pos[d] for d in s.arcs or ()), slot.get(s.id)) for s in g.states]
+    choices1 = list(itertools.product((0, 1), repeat=len(ids1)))
+    if len(ids2) * horizon <= 10:
+        choices2 = list(itertools.product((0, 1), repeat=len(ids2)))
+    else:
+        choices2 = [None]
+
+    def step(row, c1, c2):
+        out = []
+        for kind, *arcs, i in ops:
+            if kind is StateKind.TERMINAL:
+                out.append(Fraction(1))
+                continue
+            a, b = row[arcs[0]], row[arcs[1]]
+            if kind is StateKind.COIN:
+                out.append((a + b) / 2)
+            elif kind is StateKind.MAX:
+                out.append((a, b)[c1[i]])
+            else:
+                out.append(min(a, b) if c2 is None else (a, b)[c2[i]])
+        return tuple(out)
+
+    def best(k, rows):
+        if k == horizon:
+            return min(row[pos[g.start]] for row in rows)
+        return max(
+            best(k + 1, {step(row, c1, c2) for row in rows for c2 in choices2})
+            for c1 in choices1
+        )
+
+    return best(0, {tuple(Fraction(s.kind is StateKind.TERMINAL) for s in g.states)})
 
 
 def test_criterion_01_oracle_equivalence():

@@ -1,0 +1,108 @@
+"""The benchmark tracer against the library, at tiny sizes.
+
+``perfbench/spans.py`` wraps fhgames functions in place, at the module
+attributes their callers resolve, and its work-count hooks read what the
+wrapped calls return.  A result a hook cannot read raises between a
+span's open and its close, and the traced run then fails with "spans
+closed out of order".  This test sends one tiny call through each
+wrapped entry point the benchmark's workloads cross, and checks that
+every span closed and that the traced results equal the plain ones.
+"""
+
+import contextlib
+import importlib
+import io
+import random
+import types
+from pathlib import Path
+
+from fhgames.game import store
+from fhgames.gadgets import random_game
+
+SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+MODULES = ("numeric", "game", "solver", "counter", "gadgets", "oracle", "verify", "cli")
+
+
+def load_spans() -> types.ModuleType:
+    """The tracer module, executed from its source; nothing is written
+    next to it."""
+    module = types.ModuleType("spans")
+    module.__file__ = str(SPANS)
+    exec(compile(SPANS.read_text(encoding="utf-8"), str(SPANS), "exec"), module.__dict__)
+    return module
+
+
+def run_cli(fh, argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = fh.cli.main(list(argv))
+    return code, out.getvalue()
+
+
+def report_of(report):
+    return report.name, report.params, report.verdict, report.evidence
+
+
+def queries(fh, argvs):
+    """The calls, each looked up on its module when it runs."""
+    results = [run_cli(fh, argv) for argv in argvs]
+    g = fh.gadgets.make_H(3)
+    strategy = fh.solver.extract_markov(g, 12)
+    automaton = fh.counter.from_markov(strategy)
+    results += [
+        fh.solver.evaluate_fixed_final(g, 12, strategy)[g.start],
+        automaton,
+        fh.solver.evaluate_counter(g, 12, automaton).value,
+        report_of(fh.verify.check_memoryless_horizon(fh.gadgets.make_M(), label="M")),
+        report_of(fh.verify.check_shortcut_memory(5)),
+    ]
+    return results
+
+
+def test_every_span_closes_on_the_workloads_calls(tmp_path):
+    fh = types.SimpleNamespace(
+        **{name: importlib.import_module(f"fhgames.{name}") for name in MODULES}
+    )
+    arena = random_game(6, random.Random(4))
+    assert arena.controlled_ids(1) and arena.controlled_ids(2)
+    doc = tmp_path / "arena.json"
+    doc.write_text(store(arena), encoding="utf-8")
+    argvs = [
+        ("minimize", "--gadget", "F:2", "-T", "22", "--sets", "--json"),
+        ("minimize", "--gadget", "G:5", "-T", "30", "--sets"),
+        ("minimize", "-g", str(doc), "-T", "20", "--sets", "--player", "2", "--json"),
+        ("minimize", "--gadget", "H:3", "-T", "12", "--json"),
+        ("solve", "--gadget", "M", "-T", "5", "--json"),
+        ("strategy", "--gadget", "H:3", "-T", "8", "--json"),
+    ]
+    plain = queries(fh, argvs)
+    assert [code for code, _ in plain[: len(argvs)]] == [0] * len(argvs)
+
+    spans = load_spans()
+    tracer = spans.Tracer()
+    main = fh.cli.main
+    spans.instrument(tracer, fh)
+    try:
+        traced = queries(fh, argvs)
+    finally:
+        tracer.unpatch()
+    assert fh.cli.main is main
+
+    assert traced == plain
+    assert tracer._stack == []
+    assert all(end is not None for _, _, end, _, _ in tracer.spans)
+    names = {name for name, *_ in tracer.spans}
+    assert {
+        "cli.main",
+        "solver.optimal_action_sets",
+        "counter.minimal_period",
+        "solver.extract_markov",
+        "counter.from_markov",
+        "solver.final_values",
+        "solver.evaluate_fixed_final",
+        "solver.evaluate_counter",
+        "verify.check_memoryless_horizon",
+        "verify.check_shortcut_memory",
+        "oracle.min_counter_memory",
+    } <= names
+    assert tracer.counts["solver.cells"] > 0

@@ -247,11 +247,10 @@ class TestActionSetSequence:
         assert least_initial_for_period(seq, 1) == 0
         assert minimal_period(seq).witness.actions == {}
 
-    def test_from_optimal_reverses_to_elapsed_time(self):
-        g = make_M()
-        sets = optimal_action_sets(g, 5)
-        seq = ActionSetSequence.from_optimal(g, sets)
-        assert seq.states == ("x",)
+    def test_solver_sets_are_in_elapsed_time(self):
+        seq = optimal_action_sets(make_M(), 5)[0]
+        assert isinstance(seq, ActionSetSequence)
+        assert (seq.length, seq.states) == (5, ("x",))
         # elapsed t is remaining 5 - t; see TestOptimalActionSets
         assert list(seq.masks["x"]) == [1, 1, 1, 2, 3]
 
@@ -313,8 +312,7 @@ class TestMinimalPeriod:
             expected = primorial(k)
             g = make_F(k)
             horizon = 2 * expected + 10
-            sets = optimal_action_sets(g, horizon)
-            seq = ActionSetSequence.from_optimal(g, sets, player=1)
+            seq = optimal_action_sets(g, horizon)[0]
             res = minimal_period(seq)
             assert res.period == expected
             assert res.initial == 0
@@ -347,7 +345,7 @@ class TestBitsetPeriodSearch:
     @pytest.mark.parametrize("k, horizon", [(3, 70), (4, 430)])
     def test_every_period_of_parallel_cycles(self, k, horizon):
         g = make_F(k)
-        seq = ActionSetSequence.from_optimal(g, optimal_action_sets(g, horizon))
+        seq = optimal_action_sets(g, horizon)[0]
         for p in range(1, horizon + 3):
             assert least_initial_for_period(seq, p) == reference_least_initial(seq, p)
 

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from conftest import arcs_at
 from fhgames.game import StateKind, is_mdp, validate
 from fhgames.gadgets import (
     make_F,
@@ -86,19 +87,19 @@ class TestApproachChain:
         # below the threshold the coin shortcut wins, above it the chain
         for i in (1, 2, 3, 4, 5, 6):
             k = run_threshold(i)
-            sets = optimal_action_sets(make_H(i), k + 4)
+            sets = optimal_action_sets(make_H(i), k + 4)[0]
             for r in range(2, k + 5):
                 if r < k:
-                    assert sets.at(r, "x") == (1,), (i, r)
+                    assert arcs_at(sets, r, "x") == (1,), (i, r)
                 elif r > k:
-                    assert sets.at(r, "x") == (0,), (i, r)
+                    assert arcs_at(sets, r, "x") == (0,), (i, r)
                 else:
                     exact_half = run_probability(i, k - 1) == HALF
-                    assert sets.at(r, "x") == ((0, 1) if exact_half else (0,))
+                    assert arcs_at(sets, r, "x") == ((0, 1) if exact_half else (0,))
 
     def test_tie_at_one_move_left(self):
-        sets = optimal_action_sets(make_H(3), 3)
-        assert sets.at(1, "x") == (0, 1)
+        sets = optimal_action_sets(make_H(3), 3)[0]
+        assert arcs_at(sets, 1, "x") == (0, 1)
 
 
 class TestCycleGadget:
@@ -165,11 +166,11 @@ class TestParallelGadget:
         for k in (1, 2, 3):
             g = make_F(k)
             horizon = 2 * primorial(k) + 10
-            sets = optimal_action_sets(g, horizon)
+            sets = optimal_action_sets(g, horizon)[0]
             for c, p in enumerate(primes(k), start=1):
                 for r in range(2, horizon + 1):
                     expected = (0,) if r % p == 2 % p else (1,)
-                    assert sets.at(r, f"m{c}") == expected, (k, c, r)
+                    assert arcs_at(sets, r, f"m{c}") == expected, (k, c, r)
 
 
 class TestRandomGame:

@@ -68,6 +68,14 @@ class TestDyadic:
         assert (a < b) == (fa < fb)
         assert (a == b) == (fa == fb)
 
+    @pytest.mark.parametrize("n", [0, 1, -1, 2, -12, 2**70])
+    def test_integers_hash_as_their_int(self, n):
+        # equal objects must hash equal, or sets and dict keys split them
+        assert Dyadic(n) == n
+        assert hash(Dyadic(n)) == hash(n)
+        assert len({Dyadic(n), n}) == 1
+        assert {n: "int"}[Dyadic(n)] == "int"
+
     def test_int_coercion(self):
         assert HALF + 1 == Dyadic(3, 1)
         assert 1 - HALF == HALF

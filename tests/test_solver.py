@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import play_value, reference_counter_value, reference_sweep
+from conftest import arcs_at, play_value, reference_counter_value, reference_sweep
 from fhgames import solver
 from fhgames.cli import main
 from fhgames.counter import CounterStrategy, to_markov
@@ -84,17 +84,13 @@ class TestBackwardInduction:
 
 class TestOptimalActionSets:
     def test_shortcut_gadget_sets(self):
-        sets = optimal_action_sets(make_M(), 5)
+        sets, no_sets = optimal_action_sets(make_M(), 5)
+        assert (sets.states, no_sets.states) == (("x",), ())
         # arc 0 leads to the sure 3-move route, arc 1 to the coin shortcut
-        assert sets.at(2, "x") == (1,)
-        assert sets.at(3, "x") == (0,)
-        assert sets.at(4, "x") == (0,)
-        assert sets.at(1, "x") == (0, 1)  # both continuations worth 0
-
-    @pytest.mark.parametrize("t, sid", [(0, "x"), (6, "x"), (3, "h")])  # h: a coin
-    def test_sets_outside_the_table_raise(self, t, sid):
-        with pytest.raises(KeyError):
-            optimal_action_sets(make_M(), 5).at(t, sid)
+        assert arcs_at(sets, 2, "x") == (1,)
+        assert arcs_at(sets, 3, "x") == (0,)
+        assert arcs_at(sets, 4, "x") == (0,)
+        assert arcs_at(sets, 1, "x") == (0, 1)  # both continuations worth 0
 
     def test_sets_cover_min_states(self):
         g = Game(
@@ -105,18 +101,19 @@ class TestOptimalActionSets:
             ),
             start="m",
         )
-        sets = optimal_action_sets(g, 3)
-        assert sets.at(1, "m") == (1,)  # avoiding the terminal is optimal
-        assert sets.at(2, "m") == (1,)
+        no_sets, sets = optimal_action_sets(g, 3)
+        assert (no_sets.states, sets.states) == ((), ("m",))
+        assert arcs_at(sets, 1, "m") == (1,)  # avoiding the terminal is optimal
+        assert arcs_at(sets, 2, "m") == (1,)
 
     def test_extract_contained_in_sets(self):
         g = make_F(2)
         horizon = 20
-        sets = optimal_action_sets(g, horizon)
+        sets = optimal_action_sets(g, horizon)[0]
         for tiebreak in ("lo", "hi"):
             strat = extract_markov(g, horizon, tiebreak=tiebreak)
             for (t, sid), arc in strat.choices.items():
-                assert arc in sets.at(t, sid)
+                assert arc in arcs_at(sets, t, sid)
 
 
 class TestExtractMarkov:
@@ -167,17 +164,17 @@ class TestMarkovArcs:
             choices = extract_markov(g, horizon, player, tiebreak).choices
             assert choices == expected
             assert list(choices) == list(expected)  # the same dict order
-            sets = optimal_action_sets(g, horizon)
+            sets = optimal_action_sets(g, horizon)[player - 1]
             pick = min if tiebreak == "lo" else max
             for (t, sid), arc in choices.items():
-                assert arc == pick(sets.at(t, sid))
+                assert arc == pick(arcs_at(sets, t, sid))
 
     def test_sweep_records_only_the_seeded_states(self):
         g = make_M()
         sets = {"x": bytearray()}
         solver._sweep(solver._plan(g), 6, sets=sets)
         assert list(sets) == ["x"]
-        assert bytes(sets["x"]) == optimal_action_sets(g, 6).masks["x"]
+        assert bytes(sets["x"]) == optimal_action_sets(g, 6)[0].masks["x"][::-1]
 
     @pytest.mark.parametrize("tiebreak", ["", "low", "HI", None])
     def test_bad_tiebreak_raises(self, tiebreak):
@@ -457,9 +454,16 @@ def assert_sets_match_reference(g, horizon, players=(1, 2)):
     """Action sets and extracted arcs against reference_sweep's sets."""
     ref = {}
     reference_sweep(solver._plan(g), horizon, sets=ref)
-    got = optimal_action_sets(g, horizon)
-    assert {k: got.at(*k) for k in ref} == ref
-    assert sum(len(row) for row in got.masks.values()) == len(ref)
+    halves = optimal_action_sets(g, horizon)
+    for player, seq in zip((1, 2), halves):
+        assert seq.states == tuple(sorted(g.controlled_ids(player)))
+    got = {
+        (t, sid): arcs_at(seq, t, sid)
+        for seq in halves
+        for sid in seq.states
+        for t in range(1, horizon + 1)
+    }
+    assert got == ref
     for player in players:
         own = g.controlled_ids(player)
         for tiebreak, pick in (("lo", min), ("hi", max)):  # same picks, same key order
@@ -688,7 +692,8 @@ class TestSettledStates:
             (f"c{j}", StateKind.COIN, ("bot", f"c{j - 1}")) for j in range(2, k + 1)
         ]
         g = game_of("x", ("x", StateKind.MAX, ("bot", f"c{k}")), *chain)
-        assert optimal_action_sets(g, k + 2).masks["x"] == bytes([1] * k + [3, 3])
+        max_sets = optimal_action_sets(g, k + 2)[0]
+        assert max_sets.masks["x"][::-1] == bytes([1] * k + [3, 3])  # remaining time 1..k+2
         self.assert_matches_reference_at(g, "x", 1, short_horizons(g))
         assert steps_swept(g, 3 * k) == k + 1  # all at 1 from step k
 
@@ -703,7 +708,8 @@ class TestSettledStates:
         g = game_of(
             "y", ("y", StateKind.MIN, ("z", f"d{k}")), ("z", StateKind.COIN, ("z", "z")), *chain
         )
-        assert optimal_action_sets(g, k + 2).masks["y"] == bytes([3] * k + [1, 1])
+        min_sets = optimal_action_sets(g, k + 2)[1]
+        assert min_sets.masks["y"][::-1] == bytes([3] * k + [1, 1])  # remaining time 1..k+2
         self.assert_matches_reference_at(g, "y", 2, short_horizons(g))
 
 
@@ -725,7 +731,7 @@ class TestCellCap:
         n = len(g.states)
         monkeypatch.setattr(solver, "CELL_CAP", 4 * n)
         assert len(backward_induction(g, 3)) == 4
-        assert optimal_action_sets(g, 3).horizon == 3
+        assert [seq.length for seq in optimal_action_sets(g, 3)] == [3, 3]
         for solve in (backward_induction, optimal_action_sets):
             with pytest.raises(GuardExceeded):
                 solve(g, 4)
