@@ -1,20 +1,19 @@
 """Ground truth by search.
 
-Everything here is exact: infinite-horizon values by enumerating all
-memoryless strategy pairs and solving the absorbing-chain linear system
-fraction-free; the minimal counter-automaton memory by a branch-and-
-bound search over the automata, pruned by an upper bound on every
-completion of a partial one, each automaton swept along its memory
-trajectory rather than over the whole memory product; and seeded
-Monte-Carlo simulation for statistical cross-validation.  Search caps
-are explicit and exceeding them raises, never truncates.
+Everything here is exact: infinite-horizon values by strategy
+iteration (Hoffman-Karp), each strategy pair's value from an absorbing-
+chain linear system solved fraction-free; the minimal counter-automaton
+memory by a branch-and-bound search over the automata, pruned by an
+upper bound on every completion of a partial one, each automaton swept
+along its memory trajectory rather than over the whole memory product;
+and seeded Monte-Carlo simulation for statistical cross-validation.
+Search caps are explicit and exceeding them raises, never truncates.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -40,8 +39,10 @@ RNG_ALGORITHM = "mt19937"  # random.Random; recorded in every report
 def _fraction_free_solve(matrix: list[list[int]], rhs: list[int]) -> list[Fraction]:
     """Solve an integer linear system by Bareiss elimination.
 
-    Fraction-free forward elimination (all divisions are exact integer
-    divisions), then back-substitution over Fraction.
+    Fraction-free forward elimination, then back-substitution in
+    integers scaled by the determinant (Cramer's rule makes det * x
+    integral); all divisions are exact integer divisions, and each
+    unknown becomes one Fraction(X, det).
     """
     n = len(matrix)
     m = [row[:] + [rhs[i]] for i, row in enumerate(matrix)]
@@ -57,30 +58,74 @@ def _fraction_free_solve(matrix: list[list[int]], rhs: list[int]) -> list[Fracti
                 m[r][c] = (m[r][c] * m[col][col] - m[r][col] * m[col][c]) // prev
             m[r][col] = 0
         prev = m[col][col]
-    out: list[Fraction] = [Fraction(0)] * n
+    scaled = [0] * n
     for r in range(n - 1, -1, -1):
-        acc = Fraction(m[r][n])
+        acc = prev * m[r][n]
         for c in range(r + 1, n):
-            acc -= m[r][c] * out[c]
-        out[r] = acc / m[r][r]
-    return out
+            acc -= m[r][c] * scaled[c]
+        scaled[r] = acc // m[r][r]
+    return [Fraction(x, prev) for x in scaled]
 
 
-def _chosen_arcs(g: Game, strategies: dict[int, MemorylessStrategy]):
-    """Per-state outgoing destinations once controlled choices are fixed."""
-    out = {}
-    for s in g.states:
-        if s.kind is StateKind.TERMINAL:
-            out[s.id] = ()
-        elif s.kind is StateKind.COIN:
-            out[s.id] = s.arcs
-        else:
-            player = 1 if s.kind is StateKind.MAX else 2
-            strat = strategies.get(player)
-            if strat is None:
-                raise StrategyError(f"no strategy supplied for player {player}")
-            out[s.id] = (s.arcs[strat.action(0, s.id)],)
-    return out
+def _index_form(g: Game):
+    """State j of g.states has kind kinds[j] and arcs[j], a pair of state
+    indices (None for the terminal).  A pick list, indexed alike, holds
+    an arc per controlled state, or None for coins and free states."""
+    sids = [s.id for s in g.states]
+    at = {sid: j for j, sid in enumerate(sids)}
+    arcs = [None if s.arcs is None else (at[s.arcs[0]], at[s.arcs[1]]) for s in g.states]
+    return sids, [s.kind for s in g.states], arcs, at[g.terminal_id]
+
+
+def _positive(kinds, arcs, target: int, pick) -> dict[int, int]:
+    """States that reach the target with positive probability whatever
+    the free min states do: a picked state needs its arc inside the set,
+    a coin or free max state one arc, a free min state both.  Each maps
+    to an arc into the set as it stood when the state joined it."""
+    found = {target: 0}
+    grew = True
+    while grew:
+        grew = False
+        for j, pair in enumerate(arcs):
+            if pair is None or j in found:
+                continue
+            arc = pick[j]
+            if arc is None:
+                arc = 0 if pair[0] in found else 1
+                if kinds[j] is StateKind.MIN and pair[1 - arc] not in found:
+                    continue
+            if pair[arc] in found:
+                found[j] = arc
+                grew = True
+    return found
+
+
+def _solve(arcs, target: int, live, pick) -> list[Fraction]:
+    """Reach probabilities with every live controlled state on its
+    picked arc and the states outside ``live`` at 0.  From every live
+    state the chain must reach the target or leave ``live`` almost
+    surely, so the system is uniquely solvable."""
+    unknowns = [j for j in range(len(arcs)) if j in live and j != target]
+    col = {j: k for k, j in enumerate(unknowns)}
+    matrix = []
+    rhs = []
+    for j in unknowns:
+        row = [0] * len(unknowns)
+        dests = arcs[j] if pick[j] is None else (arcs[j][pick[j]],)
+        row[col[j]] = len(dests)  # 2 for coin states, 1 for fixed choices
+        hits = 0
+        for d in dests:
+            if d == target:
+                hits += 1
+            elif d in col:
+                row[col[d]] -= 1
+        matrix.append(row)
+        rhs.append(hits)
+    values = [Fraction(0)] * len(arcs)
+    values[target] = Fraction(1)
+    for j, v in zip(unknowns, _fraction_free_solve(matrix, rhs)):
+        values[j] = v
+    return values
 
 
 def reach_probabilities(
@@ -94,48 +139,40 @@ def reach_probabilities(
     by graph search; removing them first makes the remaining linear
     system uniquely solvable.
     """
-    strategies = {}
-    if strategy1 is not None:
-        strategies[strategy1.player] = strategy1
-    if strategy2 is not None:
-        strategies[strategy2.player] = strategy2
-    arcs = _chosen_arcs(g, strategies)
+    strategies = {s.player: s for s in (strategy1, strategy2) if s is not None}
+    sids, kinds, arcs, target = _index_form(g)
+    pick = [None] * len(sids)
+    for j, kind in enumerate(kinds):
+        if kind is StateKind.MAX or kind is StateKind.MIN:
+            player = 1 if kind is StateKind.MAX else 2
+            strat = strategies.get(player)
+            if strat is None:
+                raise StrategyError(f"no strategy supplied for player {player}")
+            pick[j] = strat.action(0, sids[j])
+    values = _solve(arcs, target, _positive(kinds, arcs, target, pick), pick)
+    return dict(zip(sids, values))
 
-    target = g.terminal_id
-    reverse: dict[str, list[str]] = {s.id: [] for s in g.states}
-    for sid, dests in arcs.items():
-        for d in dests:
-            reverse[d].append(sid)
-    can_reach = {target}
-    queue = deque([target])
-    while queue:
-        for prev in reverse[queue.popleft()]:
-            if prev not in can_reach:
-                can_reach.add(prev)
-                queue.append(prev)
 
-    unknowns = [s.id for s in g.states if s.id in can_reach and s.id != target]
-    index = {sid: j for j, sid in enumerate(unknowns)}
-    matrix = [[0] * len(unknowns) for _ in unknowns]
-    rhs = [0] * len(unknowns)
-    for sid in unknowns:
-        row = matrix[index[sid]]
-        dests = arcs[sid]
-        row[index[sid]] = len(dests)  # 2 for coin states, 1 for fixed choices
-        for d in dests:
-            if d == target:
-                rhs[index[sid]] += 1
-            elif d in index:
-                row[index[d]] -= 1
-            # destinations outside can_reach contribute 0
-    solution = _fraction_free_solve(matrix, rhs) if unknowns else []
-
-    values = {target: Fraction(1)}
-    for s in g.states:
-        if s.id == target:
-            continue
-        values[s.id] = solution[index[s.id]] if s.id in index else Fraction(0)
-    return values
+def _best_reply(kinds, arcs, target: int, pick) -> list[Fraction]:
+    """Min's optimal values against the max arcs in ``pick``, whose min
+    states are None: 0 off the positive set, where min can keep the play
+    away from the target, and policy iteration from arc 0 on it, where
+    every min policy reaches the target or a 0-state almost surely."""
+    live = _positive(kinds, arcs, target, pick)
+    mins = [j for j in live if kinds[j] is StateKind.MIN]
+    pick = pick[:]
+    for j in mins:
+        pick[j] = 0
+    for _ in range(1 << len(mins)):
+        values = _solve(arcs, target, live, pick)
+        switched = False
+        for j in mins:
+            if values[arcs[j][1 - pick[j]]] < values[arcs[j][pick[j]]]:
+                pick[j] ^= 1
+                switched = True
+        if not switched:
+            return values
+    raise ArithmeticError(f"min's policy iteration passed {1 << len(mins)} policies")
 
 
 @dataclass(frozen=True)
@@ -145,11 +182,20 @@ class InfiniteSolution:
 
 
 def solve_infinite(g: Game, cap: int = 12) -> InfiniteSolution:
-    """Infinite-horizon values by full enumeration of memoryless pairs.
+    """Infinite-horizon values and the lex-first uniformly optimal
+    memoryless maximiser strategy, by exact strategy iteration.
 
-    Returns the max-min value map together with one maximising strategy
-    that attains it at every state simultaneously (such a uniformly
-    optimal witness exists; its absence would be a solver bug).
+    ``values`` maps every state, in g.states order, to its max-min
+    value v*.  ``strategy`` is the first memoryless strategy, in the
+    order of itertools.product over controlled_ids(1) (first id slowest,
+    arc 0 before arc 1), against which min's best reply holds every
+    state at v*.  Max iterates from its positive-attractor strategy,
+    switching only on strict improvement, until its values are a Bellman
+    fixed point: at most v*, the least one, so v*.  A depth-first search
+    in enumeration order then keeps only arcs with v*(arc) = v*(state)
+    and accepts the first leaf whose best reply is v*.  Strict improvement
+    never repeats a strategy, so each iteration stops within its player's
+    count of strategies; past it, or with no leaf accepted, ArithmeticError.
     """
     ids1 = g.controlled_ids(1)
     ids2 = g.controlled_ids(2)
@@ -157,24 +203,34 @@ def solve_infinite(g: Game, cap: int = 12) -> InfiniteSolution:
         raise GuardExceeded(
             f"{len(ids1) + len(ids2)} controlled states exceed the cap {cap}"
         )
-    sids = [s.id for s in g.states]
-    candidates = []
-    for picks1 in itertools.product((0, 1), repeat=len(ids1)):
-        s1 = MemorylessStrategy(1, dict(zip(ids1, picks1)))
-        worst: dict[str, Fraction] | None = None
-        for picks2 in itertools.product((0, 1), repeat=len(ids2)):
-            s2 = MemorylessStrategy(2, dict(zip(ids2, picks2)))
-            vals = reach_probabilities(g, s1, s2)
-            if worst is None:
-                worst = vals
-            else:
-                worst = {sid: min(worst[sid], vals[sid]) for sid in sids}
-        candidates.append((s1, worst))
+    sids, kinds, arcs, target = _index_form(g)
+    maxes = [j for j, kind in enumerate(kinds) if kind is StateKind.MAX]
+    attractor = _positive(kinds, arcs, target, [None] * len(sids))
+    pick = [None] * len(sids)
+    for j in maxes:
+        pick[j] = attractor.get(j, 0)
+    for _ in range(1 << len(maxes)):
+        best = _best_reply(kinds, arcs, target, pick)
+        switched = False
+        for j in maxes:
+            if best[arcs[j][1 - pick[j]]] > best[arcs[j][pick[j]]]:
+                pick[j] ^= 1
+                switched = True
+        if not switched:
+            break
+    else:
+        raise ArithmeticError(f"strategy iteration passed {1 << len(maxes)} strategies")
 
-    best = {sid: max(worst[sid] for _, worst in candidates) for sid in sids}
-    for s1, worst in candidates:
-        if all(worst[sid] == best[sid] for sid in sids):
-            return InfiniteSolution(values=best, strategy=s1)
+    settled = tuple(pick[j] for j in maxes)  # its best reply is v*: no check
+    allowed = [[a for a in (0, 1) if best[arcs[j][a]] == best[j]] for j in maxes]
+    for picks in itertools.product(*allowed):
+        for j, a in zip(maxes, picks):
+            pick[j] = a
+        if picks == settled or _best_reply(kinds, arcs, target, pick) == best:
+            return InfiniteSolution(
+                values=dict(zip(sids, best)),
+                strategy=MemorylessStrategy(1, dict(zip(ids1, picks))),
+            )
     raise ArithmeticError("no uniformly optimal memoryless strategy found")
 
 

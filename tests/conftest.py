@@ -17,6 +17,9 @@ memory product, as ``fhgames.solver.evaluate_counter`` and
 automaton's memory trajectory.  ``reference_strategy_rows`` builds the
 ``strategy`` command's choices one tuple per choice, as the CLI did
 before it handed them to ``fhgames.jsonout.Records`` as columns.
+``reference_solve_infinite`` enumerates every memoryless strategy pair,
+one ``reach_probabilities`` solve each, as ``fhgames.oracle.solve_infinite``
+did before strategy iteration.
 """
 
 from __future__ import annotations
@@ -32,8 +35,8 @@ from fhgames.errors import GuardExceeded, StrategyError
 from fhgames.game import PLAYER_KIND, Game, StateKind
 from fhgames.jsonout import jsonable
 from fhgames.numeric import ONE, ZERO, Dyadic, dy_avg
-from fhgames.oracle import MinMemoryResult
-from fhgames.solver import evaluate_counter, final_values
+from fhgames.oracle import InfiniteSolution, MinMemoryResult, reach_probabilities
+from fhgames.solver import MemorylessStrategy, evaluate_counter, final_values
 
 
 def play_value(g: Game, horizon: int, actions1: dict, actions2: dict) -> Fraction:
@@ -261,3 +264,37 @@ def reference_min_counter_memory(
                 if value >= target:
                     return MinMemoryResult(m, cs, optimum, target)
     return MinMemoryResult(None, None, optimum, target)
+
+
+def reference_solve_infinite(g: Game, cap: int = 12) -> InfiniteSolution:
+    """Infinite-horizon values by full enumeration of memoryless pairs.
+
+    Returns the max-min value map together with one maximising strategy
+    that attains it at every state simultaneously (such a uniformly
+    optimal witness exists; its absence would be a solver bug).
+    """
+    ids1 = g.controlled_ids(1)
+    ids2 = g.controlled_ids(2)
+    if len(ids1) + len(ids2) > cap:
+        raise GuardExceeded(
+            f"{len(ids1) + len(ids2)} controlled states exceed the cap {cap}"
+        )
+    sids = [s.id for s in g.states]
+    candidates = []
+    for picks1 in itertools.product((0, 1), repeat=len(ids1)):
+        s1 = MemorylessStrategy(1, dict(zip(ids1, picks1)))
+        worst: dict[str, Fraction] | None = None
+        for picks2 in itertools.product((0, 1), repeat=len(ids2)):
+            s2 = MemorylessStrategy(2, dict(zip(ids2, picks2)))
+            vals = reach_probabilities(g, s1, s2)
+            if worst is None:
+                worst = vals
+            else:
+                worst = {sid: min(worst[sid], vals[sid]) for sid in sids}
+        candidates.append((s1, worst))
+
+    best = {sid: max(worst[sid] for _, worst in candidates) for sid in sids}
+    for s1, worst in candidates:
+        if all(worst[sid] == best[sid] for sid in sids):
+            return InfiniteSolution(values=best, strategy=s1)
+    raise ArithmeticError("no uniformly optimal memoryless strategy found")

@@ -74,6 +74,8 @@ def test_every_span_closes_on_the_workloads_calls(tmp_path):
         ("minimize", "--gadget", "H:3", "-T", "12", "--json"),
         ("solve", "--gadget", "M", "-T", "5", "--json"),
         ("strategy", "--gadget", "H:3", "-T", "8", "--json"),
+        ("oracle", "--gadget", "M", "--json"),
+        ("oracle", "--gadget", "H:3"),
     ]
     plain = queries(fh, argvs)
     assert [code for code, _ in plain[: len(argvs)]] == [0] * len(argvs)

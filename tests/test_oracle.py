@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import reference_min_counter_memory
+from conftest import reference_min_counter_memory, reference_solve_infinite
 from fhgames.counter import CounterStrategy, from_markov
 from fhgames.errors import GuardExceeded, StrategyError
 from fhgames.game import Game, State, StateKind
@@ -85,6 +85,26 @@ class TestReachProbabilities:
             residual_ok(g, [s1, s2], values)
 
 
+@st.composite
+def infinite_arenas(draw):
+    """Arenas of 2-11 states of any kinds, so up to 10 controlled ones,
+    with self-loops and arcs that may coincide."""
+    n = draw(st.integers(2, 11))
+    ids = [f"s{j}" for j in range(n - 1)]
+    kind = st.sampled_from((StateKind.MAX, StateKind.MIN, StateKind.COIN))
+    dest = st.sampled_from(ids + ["bot"])
+    states = [State(sid, draw(kind), (draw(dest), draw(dest))) for sid in ids]
+    states.insert(draw(st.integers(0, len(states))), State("bot", StateKind.TERMINAL))
+    return Game(states=tuple(states), start=draw(st.sampled_from(ids)))
+
+
+def assert_same_solution(got, expected):
+    assert list(got.values.items()) == list(expected.values.items())
+    assert all(type(v) is Fraction for v in got.values.values())
+    assert list(got.strategy.choices.items()) == list(expected.strategy.choices.items())
+    assert got.strategy.player == expected.strategy.player == 1
+
+
 class TestSolveInfinite:
     def test_shortcut_gadget(self):
         solution = solve_infinite(make_M())
@@ -125,6 +145,55 @@ class TestSolveInfinite:
             for sid in g.ids():
                 for t in (0, 3, 11, 24):
                     assert rows[t][sid].as_fraction() <= infinite[sid]
+
+    def test_backtracks_past_a_max_cycle(self):
+        # arc 0 keeps every state at value 1, but x -> y -> x never
+        # reaches the target, so the search must back out of (0, 0)
+        g = Game(
+            states=(
+                State("x", StateKind.MAX, ("y", "bot")),
+                State("y", StateKind.MAX, ("x", "bot")),
+                State("bot", StateKind.TERMINAL),
+            ),
+            start="x",
+        )
+        solution = solve_infinite(g)
+        assert solution.values == {"x": 1, "y": 1, "bot": 1}
+        assert solution.strategy.choices == {"x": 0, "y": 1}
+        assert_same_solution(solution, reference_solve_infinite(g))
+
+    def test_min_trap_beside_a_half_arc(self):
+        # staying on arc 0 is a fixed point at 1/2; the self-loop holds
+        # min's state at 0, the least fixed point
+        g = Game(
+            states=(
+                State("a", StateKind.MAX, ("m", "top")),
+                State("m", StateKind.MIN, ("h", "m")),
+                State("h", StateKind.COIN, ("top", "bot")),
+                State("top", StateKind.COIN, ("top", "top")),
+                State("bot", StateKind.TERMINAL),
+            ),
+            start="a",
+        )
+        solution = solve_infinite(g)
+        assert solution.values["m"] == solution.values["a"] == 0
+        assert solution.values["h"] == Fraction(1, 2)
+        assert_same_solution(solution, reference_solve_infinite(g))
+
+    def test_matches_enumeration_on_benchmark_arenas(self):
+        # perfbench deep-horizon's arenas at seed 0, its gadgets and more
+        rng = random.Random(0)
+        games = [random_game(n, rng) for n in (6, 7, 8) * 32]
+        games += [make_M(), make_H(3), make_H(4), make_F(1), make_F(2), make_F(3)]
+        rng = random.Random(17)
+        games += [random_game(rng.randint(2, 9), rng) for _ in range(100)]
+        for g in games:
+            assert_same_solution(solve_infinite(g), reference_solve_infinite(g))
+
+    @given(infinite_arenas())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_enumeration(self, g):
+        assert_same_solution(solve_infinite(g), reference_solve_infinite(g))
 
     def test_finite_values_converge(self):
         g = make_M()
