@@ -39,7 +39,6 @@ from .counter import (  # noqa: F401
     memory_report,
     minimal_period,
     to_markov,
-    unroll,
 )
 from .gadgets import (  # noqa: F401
     make_F,

@@ -19,6 +19,7 @@ is cached, so a process builds the parser once however often it calls
 from __future__ import annotations
 
 import argparse
+import csv
 import functools
 import json
 import sys
@@ -100,9 +101,9 @@ def _cmd_solve(args) -> int:
     params = {"game": args.game or args.gadget, "horizon": args.horizon}
     if args.csv:
         rows = backward_induction(g, args.horizon)  # a refusal prints nothing
-        print("t", *g.ids(), sep=",")
-        for t, row in enumerate(rows):
-            print(t, *row.values(), sep=",")
+        out = csv.writer(sys.stdout, lineterminator="\n")
+        out.writerow(("t", *g.ids()))
+        out.writerows((t, *row.values()) for t, row in enumerate(rows))
         return 0
     values = final_values(g, args.horizon)
     _emit(args, "solve", params, {"start": g.start, "values": values})
@@ -179,10 +180,6 @@ def _cmd_gadget(args) -> int:
     return 0
 
 
-def _check_game_label(args):
-    return args.game or args.gadget
-
-
 _CHECK_BUILDERS = {
     "fib-ratio": lambda a: checks.check_fib_ratio(_req(a, "i"), a.amax),
     "threshold-growth": lambda a: checks.check_threshold_growth(a.imax),
@@ -204,7 +201,7 @@ _CHECK_BUILDERS = {
     "primorial-period": lambda a: checks.check_primorial_period(_req(a, "k")),
     "shortcut-memory": lambda a: checks.check_shortcut_memory(_req(a, "c")),
     "memoryless-horizon": lambda a: checks.check_memoryless_horizon(
-        _resolve_game(a), label=_check_game_label(a), eps_exponents=a.eps_exp or range(1, 7)
+        _resolve_game(a), label=a.game or a.gadget, eps_exponents=a.eps_exp or range(1, 7)
     ),
 }
 
@@ -253,7 +250,7 @@ def _cmd_oracle(args) -> int:
         eps = Dyadic.parse(args.eps)
         result = min_counter_memory(g, args.horizon, eps, args.maxmem)
         params = {
-            "game": _check_game_label(args),
+            "game": args.game or args.gadget,
             "horizon": args.horizon,
             "eps": eps,
             "maxmem": args.maxmem,
@@ -271,8 +268,10 @@ def _cmd_oracle(args) -> int:
             else:
                 print(f"minimal memory states = {result.memory}")
         return 0
+    if args.horizon is not None or args.eps is not None:
+        raise ValueError("-T and --eps apply only with --maxmem")
     solution = solve_infinite(g)
-    params = {"game": _check_game_label(args)}
+    params = {"game": args.game or args.gadget}
     payload = {
         "values": {sid: value for sid, value in solution.values.items()},
         "strategy": solution.strategy.choices,
@@ -296,7 +295,7 @@ def _cmd_simulate(args) -> int:
     )
     exact = evaluate_fixed_final(g, args.horizon, strat)[g.start]
     params = {
-        "game": _check_game_label(args),
+        "game": args.game or args.gadget,
         "horizon": args.horizon,
         "trials": args.trials,
         "seed": args.seed,

@@ -39,6 +39,7 @@ from collections import namedtuple
 from dataclasses import dataclass, field
 from typing import Mapping
 
+from .errors import StrategyError
 from .solver import ActionSetSequence, MarkovStrategy
 
 __all__ = [
@@ -47,7 +48,6 @@ __all__ = [
     "MemoryReport",
     "from_markov",
     "to_markov",
-    "unroll",
     "memory_report",
     "minimal_period",
     "least_initial_for_period",
@@ -98,7 +98,15 @@ class CounterStrategy:
         return (head + list(range(self.initial, self.size)) * laps)[:length]
 
     def action_at(self, t: int, sid: str) -> int:
-        return self.actions[(self.memory_at(t), sid)]
+        """Arc at state ``sid`` after t traversals; StrategyError if the
+        memory held then has no action there."""
+        m = self.memory_at(t)
+        try:
+            return self.actions[(m, sid)]
+        except KeyError:
+            raise StrategyError(
+                f"counter strategy has no action for memory {m}, state {sid!r}"
+            ) from None
 
     def to_json_obj(self) -> dict:
         return {
@@ -128,18 +136,10 @@ def memory_report(cs: CounterStrategy) -> MemoryReport:
     return MemoryReport(states, (states - 1).bit_length(), cs.initial, cs.period)
 
 
-def unroll(cs: CounterStrategy, t_max: int, ids=None) -> list[dict[str, int]]:
-    """Per-state actions for elapsed steps 0..t_max-1 along the rho walk."""
-    if ids is None:
-        ids = sorted({sid for _, sid in cs.actions})
-    return [
-        {sid: cs.actions[(cs.memory_at(t), sid)] for sid in ids}
-        for t in range(t_max)
-    ]
-
-
 def to_markov(cs: CounterStrategy, horizon: int, player: int = 1) -> MarkovStrategy:
-    """Unrolled view of a counter strategy as a remaining-time strategy."""
+    """Unrolled view of a counter strategy as a remaining-time strategy,
+    over the states it has actions for; a memory the walk reaches
+    without an action at one of them raises StrategyError."""
     ids = sorted({sid for _, sid in cs.actions})
     choices = {
         (horizon - t, sid): cs.action_at(t, sid)

@@ -74,11 +74,9 @@ class Game:
     def ids(self) -> tuple[str, ...]:
         return tuple(s.id for s in self.states)
 
-    def ids_of_kind(self, kind: StateKind) -> tuple[str, ...]:
-        return tuple(s.id for s in self.states if s.kind is kind)
-
     def controlled_ids(self, player: int) -> tuple[str, ...]:
-        return self.ids_of_kind(PLAYER_KIND[player])
+        kind = PLAYER_KIND[player]
+        return tuple(s.id for s in self.states if s.kind is kind)
 
 
 @dataclass(frozen=True)

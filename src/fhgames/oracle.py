@@ -318,14 +318,14 @@ def simulate(
     strategy,
     trials: int,
     seed: int,
-    player: int = 1,
     opponent=None,
 ) -> SimulationReport:
     """Empirical frequency of reaching the terminal within the horizon.
 
-    ``strategy`` (and ``opponent`` where player 2 has states) may be
-    Markov, memoryless, or counter strategies.  Deterministic given the
-    seed; the generator algorithm is recorded in the report.
+    ``strategy`` plays player 1 and ``opponent`` player 2, each needed
+    where its player has states; either may be a Markov, memoryless or
+    counter strategy.  Deterministic given the seed; the generator
+    algorithm is recorded in the report.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
@@ -339,9 +339,9 @@ def simulate(
 
     actors = {}
     if g.controlled_ids(1):
-        actors[StateKind.MAX] = actor(strategy if player == 1 else opponent, 1)
+        actors[StateKind.MAX] = actor(strategy, 1)
     if g.controlled_ids(2):
-        actors[StateKind.MIN] = actor(strategy if player == 2 else opponent, 2)
+        actors[StateKind.MIN] = actor(opponent, 2)
 
     rng = random.Random(seed)
     target = g.terminal_id

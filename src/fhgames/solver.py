@@ -359,11 +359,12 @@ def _sweep(
     return snapshots
 
 
-def _guard_cells(rows: int, states: int, cell_cap: int) -> None:
-    """Refuse to keep rows * states cells before any of them is built."""
+def _guard_cells(rows: int, states: int) -> None:
+    """Refuse to keep rows * states cells, more than CELL_CAP at the
+    call, before any of them is built."""
     cells = rows * states
-    if cells > cell_cap:
-        raise GuardExceeded(f"{cells} value cells exceed the cell cap {cell_cap}")
+    if cells > CELL_CAP:
+        raise GuardExceeded(f"{cells} value cells exceed the cell cap {CELL_CAP}")
 
 
 def values_at(
@@ -383,7 +384,7 @@ def values_at(
         cps = sorted(set(checkpoints))
     if not cps:
         return {}
-    _guard_cells(len(cps), len(g.states), CELL_CAP)
+    _guard_cells(len(cps), len(g.states))
     fixed = layers = None
     if isinstance(strategy, MemorylessStrategy):
         arcs = {}
@@ -418,7 +419,7 @@ def _action_masks(g: Game, horizon: int, ids: Iterable[str]) -> dict[str, bytes]
     """Mask bytes per t of the given optimising states, keyed in the
     order given; like a full value table, refused beyond CELL_CAP cells.
     """
-    _guard_cells(horizon + 1, len(g.states), CELL_CAP)
+    _guard_cells(horizon + 1, len(g.states))
     sets = {sid: bytearray() for sid in ids}
     _sweep(_plan(g), horizon, sets=sets)
     return {sid: bytes(row) for sid, row in sets.items()}
@@ -489,7 +490,6 @@ def _counter_value(
     horizon: int,
     cs: "CounterStrategy",
     player: int,
-    cell_cap: int | None,
     free: bool,
 ) -> Dyadic:
     """Value at (memory 0, start) of a counter strategy's product, after
@@ -501,8 +501,7 @@ def _counter_value(
     reaches it or not, or, when ``free``, keeps both arcs and stays the
     player's to optimise at every step.
     """
-    cap = CELL_CAP if cell_cap is None else cell_cap
-    _guard_cells(horizon + 1, cs.size * len(g.states), cap)
+    _guard_cells(horizon + 1, cs.size * len(g.states))
     own = g.controlled_ids(player)
     overrides = []
     for m in range(cs.size):
@@ -546,7 +545,6 @@ def evaluate_counter(
     horizon: int,
     cs: "CounterStrategy",
     player: int = 1,
-    cell_cap: int | None = None,
 ) -> CounterEvaluation:
     """Value of a counter strategy against a best-responding opponent.
 
@@ -559,10 +557,10 @@ def evaluate_counter(
     so it comes from one streaming sweep of game-sized rows whose
     fixed-player states take that memory's arcs.  The result's rows
     build and sweep the whole product, and are kept, only when first
-    read.  The cell cap (CELL_CAP at the call unless given) guards that
-    table, checked before any sweep.
+    read.  CELL_CAP at the call guards that table, checked before any
+    sweep.
     """
-    value = _counter_value(g, horizon, cs, player, cell_cap, free=False)
+    value = _counter_value(g, horizon, cs, player, free=False)
     return CounterEvaluation(value, g, cs, player, horizon)
 
 
@@ -576,4 +574,4 @@ def counter_bound(g: Game, horizon: int, cs: "CounterStrategy") -> Dyadic:
     so no fixed choice for them does better; with every slot set this
     is the strategy's value.  Guarded by CELL_CAP like evaluate_counter.
     """
-    return _counter_value(g, horizon, cs, 1, None, free=True)
+    return _counter_value(g, horizon, cs, 1, free=True)

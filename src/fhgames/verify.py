@@ -3,7 +3,9 @@
 Each check recomputes one fact from scratch at desk scale — growth
 ratios of n-step Fibonacci numbers, run-probability bounds, exact gadget
 values, minimal periods, memory lower bounds — and emits a CheckReport
-whose evidence suffices to recompute the verdict.
+whose evidence suffices to recompute the verdict.  A check's body
+returns (params, verdict, evidence); the ``_check`` decorator times the
+call and builds the report.
 
 Verdicts: comparisons between rationals are exact and can only pass or
 fail.  Comparisons against a power of e go through interval enclosures
@@ -14,6 +16,7 @@ is reported as "informational" rather than "fail".
 
 from __future__ import annotations
 
+import functools
 import random
 import time
 from dataclasses import dataclass
@@ -31,7 +34,6 @@ from .numeric import (
     run_probability,
     run_threshold,
 )
-from .jsonout import jsonable
 from .oracle import RNG_ALGORITHM, min_counter_memory, solve_infinite
 from .solver import backward_induction, optimal_action_sets, values_at
 
@@ -85,19 +87,21 @@ class CheckReport:
             out["runtime_seconds"] = self.runtime
         return out
 
-    def to_dict(self, include_runtime: bool = False) -> dict:
-        """``document`` with JSON-safe values (see ``jsonable``)."""
-        return jsonable(self.document(include_runtime))
 
+def _check(name: str):
+    """Decorator: the check, which returns (params, verdict, evidence),
+    becomes one returning the CheckReport ``name``, timed over the call."""
 
-def _finish(name, params, verdict, evidence, started) -> CheckReport:
-    return CheckReport(
-        name=name,
-        params=params,
-        verdict=verdict,
-        evidence=evidence,
-        runtime=time.perf_counter() - started,
-    )
+    def decorate(check):
+        @functools.wraps(check)
+        def report(*args, **kwargs) -> CheckReport:
+            started = time.perf_counter()
+            params, verdict, evidence = check(*args, **kwargs)
+            return CheckReport(name, params, verdict, evidence, time.perf_counter() - started)
+
+        return report
+
+    return decorate
 
 
 def _combine(outcomes: list[str]) -> str:
@@ -133,6 +137,7 @@ def _demote(verdict: str, in_regime: bool) -> str:
 # -- numeric-kernel checks ----------------------------------------------
 
 
+@_check("fib-ratio")
 def check_fib_ratio(i: int, a_max: int = 256) -> CheckReport:
     """Growth-ratio bounds on i-step Fibonacci numbers.
 
@@ -144,7 +149,6 @@ def check_fib_ratio(i: int, a_max: int = 256) -> CheckReport:
         raise ValueError(f"i must be at least 1, got {i}")
     if a_max < i + 3:
         raise ValueError(f"a_max must be at least i+3 = {i + 3}, got {a_max}")
-    started = time.perf_counter()
     params = {"i": i, "a_max": a_max}
     scale = 1 << (i + 1)
     sharp_factor = 2 * scale - 1  # (2 - 2^{-i-1}) * 2^{i+1}
@@ -160,18 +164,16 @@ def check_fib_ratio(i: int, a_max: int = 256) -> CheckReport:
         "sharp_range": [i + 3, a_max],
         "failures": failures,
     }
-    return _finish(
-        "fib-ratio", params, FAIL if failures else PASS, evidence, started
-    )
+    return params, FAIL if failures else PASS, evidence
 
 
+@_check("threshold-growth")
 def check_threshold_growth(i_max: int = 14) -> CheckReport:
     """The half-probability threshold grows like 2^(i-2) + i, for
     i = 1..i_max; ``i_max`` below 1 leaves nothing to check and raises
     ValueError."""
     if i_max < 1:
         raise ValueError(f"i_max must be at least 1, got {i_max}")
-    started = time.perf_counter()
     params = {"i_max": i_max}
     rows = []
     failures = 0
@@ -181,15 +183,10 @@ def check_threshold_growth(i_max: int = 14) -> CheckReport:
         ok = Fraction(k) >= bound
         failures += not ok
         rows.append({"i": i, "k": k, "bound": bound, "ok": ok})
-    return _finish(
-        "threshold-growth",
-        params,
-        FAIL if failures else PASS,
-        {"rows": rows},
-        started,
-    )
+    return params, FAIL if failures else PASS, {"rows": rows}
 
 
+@_check("threshold-power-bounds")
 def check_threshold_power_bounds(
     i: int, width: Fraction = DEFAULT_WIDTH
 ) -> CheckReport:
@@ -198,7 +195,6 @@ def check_threshold_power_bounds(
     Exact rational lower bounds (>= 1/4 and >= 1/2) and interval upper
     bounds against e^{-1/8}.  Stated regime: i >= 12.
     """
-    started = time.perf_counter()
     params = {"i": i, "width": width}
     in_regime = i >= 12
     k = run_threshold(i)
@@ -222,31 +218,26 @@ def check_threshold_power_bounds(
         "outcomes": outcomes,
         "in_regime": in_regime,
     }
-    return _finish("threshold-power-bounds", params, verdict, evidence, started)
+    return params, verdict, evidence
 
 
+@_check("doubling")
 def check_doubling(i: int, t_max: int = 256) -> CheckReport:
     """Run probabilities at doubled horizons: p(2t - 2i) <= 2 p(t), i <= t <= t_max."""
     if t_max < i:
         raise ValueError(f"t_max must be at least i = {i}, got {t_max}")
-    started = time.perf_counter()
     params = {"i": i, "t_max": t_max}
     failures = []
     for t in range(i, t_max + 1):
         if run_probability(i, 2 * t - 2 * i) > 2 * run_probability(i, t):
             failures.append(t)
     evidence = {"range": [i, t_max], "failures": failures}
-    return _finish("doubling", params, FAIL if failures else PASS, evidence, started)
+    return params, FAIL if failures else PASS, evidence
 
 
 def _threshold_fraction_checks(
-    name: str,
-    i: int,
-    ds: list[Fraction],
-    width: Fraction,
-    above: bool,
-) -> CheckReport:
-    started = time.perf_counter()
+    i: int, ds: list[Fraction], width: Fraction, above: bool
+) -> tuple[dict, str, dict]:
     ds = [Fraction(d) for d in ds]
     params = {"i": i, "d_list": ds, "width": width}
     k = run_threshold(i)
@@ -283,27 +274,25 @@ def _threshold_fraction_checks(
             }
         )
     evidence = {"k": k, "rows": rows}
-    return _finish(name, params, _combine(outcomes), evidence, started)
+    return params, _combine(outcomes), evidence
 
 
+@_check("below-threshold")
 def check_below_threshold(
     i: int, ds=BELOW_DEFAULT_DS, width: Fraction = DEFAULT_WIDTH
 ) -> CheckReport:
     """Below a d-fraction of the threshold the run probability stays
     under 1 - e^{(1-d)/8}/2.  Stated regime: i >= 12, 1/10 < d < 1."""
-    return _threshold_fraction_checks(
-        "below-threshold", i, list(ds), width, above=False
-    )
+    return _threshold_fraction_checks(i, list(ds), width, above=False)
 
 
+@_check("above-threshold")
 def check_above_threshold(
     i: int, ds=ABOVE_DEFAULT_DS, width: Fraction = DEFAULT_WIDTH
 ) -> CheckReport:
     """Beyond (1+d) times the threshold the run probability exceeds
     1 - e^{-d/8}/2.  Stated regime: i >= 12, d > 0."""
-    return _threshold_fraction_checks(
-        "above-threshold", i, list(ds), width, above=True
-    )
+    return _threshold_fraction_checks(i, list(ds), width, above=True)
 
 
 # -- gadget checks -------------------------------------------------------
@@ -316,6 +305,7 @@ def latest_residue_hit(t: int, residue: int, modulus: int) -> int:
     return candidate if candidate >= 1 else 0
 
 
+@_check("cycle-values")
 def check_cycle_values(p: int, t_max: int = 200) -> CheckReport:
     """Exact values of the cycle gadget.
 
@@ -325,7 +315,6 @@ def check_cycle_values(p: int, t_max: int = 200) -> CheckReport:
     """
     if t_max < 0:
         raise ValueError(f"t_max must be non-negative, got {t_max}")
-    started = time.perf_counter()
     params = {"p": p, "t_max": t_max}
     rows = backward_induction(make_G(p), t_max)
     mismatches = []
@@ -342,25 +331,23 @@ def check_cycle_values(p: int, t_max: int = 200) -> CheckReport:
             if got != want:
                 mismatches.append({"t": t, "state": f"{j}s", "got": got, "want": want})
     evidence = {"checked_states": 2 * p - 1, "mismatches": mismatches[:10]}
-    return _finish(
-        "cycle-values", params, FAIL if mismatches else PASS, evidence, started
-    )
+    return params, FAIL if mismatches else PASS, evidence
 
 
-def check_primorial_period(k: int, slack: int = 10) -> CheckReport:
+@_check("primorial-period")
+def check_primorial_period(k: int) -> CheckReport:
     """Minimal period of jointly optimal play in the parallel gadget.
 
-    The optimal action sets of F(k) solved to horizon 2 * primorial + slack
-    must admit a counter automaton with period exactly the primorial of
+    The optimal action sets of F(k) solved to horizon 2 * primorial + 10
+    (the params' "slack") must admit a counter automaton with period exactly the primorial of
     k (at zero initial memories), every smaller period must need
     strictly more total memory, and the non-terminal state count must be
     twice the sum of the first k primes.  The action sets refuse more
     than solver.CELL_CAP cells, as everywhere else.
     """
-    started = time.perf_counter()
-    params = {"k": k, "slack": slack}
+    params = {"k": k, "slack": 10}
     target_period = primorial(k)
-    horizon = 2 * target_period + slack
+    horizon = 2 * target_period + params["slack"]
     g = make_F(k)
     non_terminal = len(g.states) - 1
     expected_states = 2 * sum(primes(k))
@@ -392,19 +379,18 @@ def check_primorial_period(k: int, slack: int = 10) -> CheckReport:
         "smaller_periods_all_need_more_memory": smaller_all_worse,
         "smaller_period_sample": blocked[:5],
     }
-    return _finish(
-        "primorial-period", params, PASS if ok else FAIL, evidence, started
-    )
+    return params, PASS if ok else FAIL, evidence
 
 
-def check_shortcut_memory(c: int, guard: int = 2_000_000) -> CheckReport:
+@_check("shortcut-memory")
+def check_shortcut_memory(c: int) -> CheckReport:
     """Memory needed to stay 2^-c-optimal in the shortcut gadget.
 
     Exact branch-and-bound search (min_counter_memory) over counter
-    automata with at most c memory states, at horizon c - 1; ``guard``
-    caps its sweeps.  The claimed bound is c - 2 memory
-    states; the check reports the exact minimum found and fails if it
-    is smaller.  Regime: c >= 5 (below that the horizon is too short
+    automata with at most c memory states, at horizon c - 1, within the
+    search's default budget of sweeps (past it, GuardExceeded).  The
+    claimed bound is c - 2 memory states; the check reports the exact
+    minimum found and fails if it is smaller.  Regime: c >= 5 (below that the horizon is too short
     for the structure to bind, and the verdict is informational,
     whether or not the search meets the claim).
 
@@ -418,11 +404,10 @@ def check_shortcut_memory(c: int, guard: int = 2_000_000) -> CheckReport:
     """
     if c < 1:
         raise ValueError(f"c must be at least 1, got {c}")
-    started = time.perf_counter()
     params = {"c": c}
     in_regime = c >= 5
     epsilon = Dyadic(1, c)
-    result = min_counter_memory(make_M(), c - 1, epsilon, max_mem=c, guard=guard)
+    result = min_counter_memory(make_M(), c - 1, epsilon, max_mem=c)
     bound = c - 2
     found = result.memory
     verdict = PASS if (found is not None and found >= bound) else FAIL
@@ -438,9 +423,10 @@ def check_shortcut_memory(c: int, guard: int = 2_000_000) -> CheckReport:
         "witness": result.witness.to_json_obj() if result.witness else None,
         "in_regime": in_regime,
     }
-    return _finish("shortcut-memory", params, verdict, evidence, started)
+    return params, verdict, evidence
 
 
+@_check("memoryless-horizon")
 def check_memoryless_horizon(
     g: Game, label: str = "game", eps_exponents=(1, 2, 3, 4, 5, 6)
 ) -> CheckReport:
@@ -454,7 +440,6 @@ def check_memoryless_horizon(
     whose values stay strictly between 0 and 1.  Each exponent j
     (eps = 2^-j) must be at least 1, and there must be one; otherwise
     ValueError."""
-    started = time.perf_counter()
     exponents = sorted(set(eps_exponents))
     if not exponents:
         raise ValueError("eps_exponents is empty: give at least one exponent j >= 1")
@@ -489,9 +474,7 @@ def check_memoryless_horizon(
         "strategy": solution.strategy.choices,
         "rows": rows,
     }
-    return _finish(
-        "memoryless-horizon", params, FAIL if failures else PASS, evidence, started
-    )
+    return params, FAIL if failures else PASS, evidence
 
 
 # -- exploratory scan ----------------------------------------------------
@@ -502,6 +485,7 @@ def _max_player_period(g: Game, horizon: int) -> int:
     return max(minimal_period(seq).period for seq in optimal_action_sets(g, horizon))
 
 
+@_check("period-scan")
 def period_scan(
     n: int, samples: int, horizon: int, seed: int
 ) -> CheckReport:
@@ -513,7 +497,6 @@ def period_scan(
     before being flagged; flagged games are embedded in the evidence.
     Either outcome is a pass of the scan itself.
     """
-    started = time.perf_counter()
     params = {"n": n, "samples": samples, "horizon": horizon, "seed": seed}
     rng = random.Random(seed)
     threshold = 1 << n
@@ -544,4 +527,4 @@ def period_scan(
         "max_period_sample": argmax_sample,
         "flagged": flagged,
     }
-    return _finish("period-scan", params, PASS, evidence, started)
+    return params, PASS, evidence

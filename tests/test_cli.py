@@ -1,7 +1,12 @@
+import csv
 import hashlib
+import io
 import json
+import os
 import random
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -12,7 +17,7 @@ from fhgames.cli import main
 from fhgames.gadgets import make_H, random_game
 from fhgames.game import PLAYER_KIND, Game, State, StateKind, store
 from fhgames.jsonout import dumps
-from fhgames.solver import final_values, markov_arcs
+from fhgames.solver import backward_induction, final_values, markov_arcs
 
 
 def run(capsys, *argv):
@@ -43,6 +48,26 @@ class TestGadgetAndSolve:
         code, out, _ = run(capsys, "solve", "--gadget", "M", "-T", "2", "--csv")
         assert code == 0
         assert out.splitlines()[0] == "t,start,x,h,top,2,1,bot"
+
+    def test_solve_csv_quotes_ids(self, tmp_path, capsys):
+        g = Game(
+            states=(
+                State("a,b", StateKind.MAX, ('q"x', "bot")),
+                State('q"x', StateKind.COIN, ("a,b", "bot")),
+                State("bot", StateKind.TERMINAL),
+            ),
+            start="a,b",
+        )
+        path = tmp_path / "quoted.json"
+        path.write_text(store(g), encoding="utf-8")
+        code, out, _ = run(capsys, "solve", "-g", str(path), "-T", "3", "--csv")
+        assert code == 0
+        table = list(csv.reader(io.StringIO(out)))
+        assert table[0] == ["t", "a,b", 'q"x', "bot"]
+        assert table[1:] == [
+            [str(t), *map(str, row.values())]
+            for t, row in enumerate(backward_induction(g, 3))
+        ]
 
     def test_solve_csv_beyond_the_cell_cap_exits_three(self, capsys):
         from fhgames.solver import CELL_CAP
@@ -191,6 +216,14 @@ class TestOracleSimulateScan:
         code, _, err = run(capsys, "oracle", "--gadget", "M", "--maxmem", "4")
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "flags", [("-T", "5"), ("--eps", "1/2^3"), ("-T", "5", "--eps", "1/2^3")]
+    )
+    def test_oracle_rejects_memory_flags_without_maxmem(self, capsys, flags):
+        code, out, err = run(capsys, "oracle", "--gadget", "M", *flags)
+        assert (code, out) == (2, "")
+        assert "--maxmem" in err
+
     def test_oracle_memory_rejects_a_negative_eps(self, capsys):
         code, out, err = run(
             capsys, "oracle", "--gadget", "M", "--maxmem", "3", "-T", "4", "--eps", "-1"
@@ -321,6 +354,46 @@ def _stdlib_store(g) -> str:
         ],
     }
     return json.dumps(doc, indent=2, ensure_ascii=False) + "\n"
+
+
+class TestWithoutAsserts:
+    """``python -O`` strips asserts, so no invariant that a command's
+    output depends on may be checked only by one: the commands print the
+    same bytes and exit codes with and without it."""
+
+    ARGVS = (
+        ("verify", "shortcut-memory", "--c", "7", "--json"),
+        ("oracle", "--gadget", "H:3", "--json"),
+        ("verify", "memoryless-horizon", "--gadget", "M", "--json"),
+        ("minimize", "--gadget", "F:2", "-T", "22", "--sets", "--json"),
+    )
+    SCRIPT = (
+        "import contextlib, io, json, sys\n"
+        "from fhgames.cli import main\n"
+        "runs = []\n"
+        "for argv in json.loads(sys.argv[1]):\n"
+        "    out = io.StringIO()\n"
+        "    with contextlib.redirect_stdout(out):\n"
+        "        code = main(argv)\n"
+        "    runs.append([code, out.getvalue()])\n"
+        "print(json.dumps([__debug__, runs]))\n"
+    )
+
+    def test_same_output_under_python_O(self):
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src, PYTHONDONTWRITEBYTECODE="1")
+        results = {}
+        for flags in ((), ("-O",)):
+            done = subprocess.run(
+                [sys.executable, *flags, "-c", self.SCRIPT, json.dumps(self.ARGVS)],
+                capture_output=True, text=True, env=env, timeout=60, check=True,
+            )
+            results[flags] = json.loads(done.stdout)
+        debug, plain = results[()]
+        optimised_debug, optimised = results[("-O",)]
+        assert (debug, optimised_debug) == (True, False)
+        assert [code for code, _ in plain] == [1, 0, 0, 0]
+        assert optimised == plain
 
 
 class TestDirectWriter:

@@ -13,7 +13,6 @@ from fhgames.counter import (
     memory_report,
     minimal_period,
     to_markov,
-    unroll,
 )
 from fhgames.errors import StrategyError
 from fhgames.gadgets import make_F, make_M, primorial, random_game
@@ -84,12 +83,21 @@ class TestMemoryReport:
 class TestUnroll:
     def test_constant(self):
         cs = CounterStrategy(0, 1, {(0, "x"): 1})
-        assert unroll(cs, 4) == [{"x": 1}] * 4
+        assert to_markov(cs, 4).choices == {(t, "x"): 1 for t in range(1, 5)}
 
     def test_follows_rho(self):
         cs = CounterStrategy(1, 2, {(0, "x"): 0, (1, "x"): 1, (2, "x"): 0})
-        acts = [row["x"] for row in unroll(cs, 6)]
+        assert cs.trajectory(6) == [0, 1, 2, 1, 2, 1]
+        strategy = to_markov(cs, 6)
+        acts = [strategy.action(6 - t, "x") for t in range(6)]
         assert acts == [0, 1, 0, 1, 0, 1]
+
+    def test_missing_action_raises(self):
+        # the walk reaches memory 1 at elapsed step 1, and it has no action
+        cs = CounterStrategy(1, 1, {(0, "x"): 0})
+        with pytest.raises(StrategyError, match="no action for memory 1, state 'x'"):
+            to_markov(cs, 3)
+        assert to_markov(cs, 1).choices == {(1, "x"): 0}
 
 
 def brute_minimal_replication(seq):
@@ -151,8 +159,8 @@ class TestFromMarkov:
 
     def test_unroll_reproduces_sequence(self):
         seq = [0, 0, 1, 0, 1, 0, 1, 1]
-        cs = from_markov(self.make_strategy(seq))
-        assert [row["x"] for row in unroll(cs, len(seq))] == seq
+        strategy = self.make_strategy(seq)
+        assert to_markov(from_markov(strategy), len(seq)) == strategy
 
     def test_shortcut_gadget_memory(self):
         for c in (6, 7):
@@ -169,8 +177,7 @@ class TestFromMarkov:
             return
         n, p = brute_minimal_replication(tuple(rows))
         assert (cs.initial + cs.period, cs.period) == (n + p, p)
-        expected = [dict(zip(states, row)) for row in rows]
-        assert unroll(cs, len(rows), ids=states) == expected
+        assert to_markov(cs, len(rows)).choices == self.make_strategy(rows, states).choices
 
     def test_exhaustive_short_sequences(self):
         for length in range(1, 10):
@@ -284,9 +291,9 @@ class TestMinimalPeriod:
             masks = [rng.choice((1, 2, 3, 3)) for _ in range(rng.randint(1, 14))]
             seq = sequence_of_masks(masks)
             res = minimal_period(seq)
-            acts = unroll(res.witness, seq.length, ids=["x"])
-            for t, row in enumerate(acts):
-                assert (1 << row["x"]) & masks[t]
+            played = to_markov(res.witness, seq.length)
+            for t, mask in enumerate(masks):
+                assert (1 << played.action(seq.length - t, "x")) & mask
 
     @given(st.lists(st.sampled_from([1, 2, 3]), min_size=1, max_size=12))
     @settings(max_examples=300, deadline=None)

@@ -351,6 +351,11 @@ class TestSimulate:
         report = simulate(make_M(), 4, cs, trials=300, seed=3)
         assert 0 <= report.frequency <= 1
 
+    def test_counter_strategy_missing_action(self):
+        cs = CounterStrategy(1, 1, {(0, "x"): 0})  # memory 1 has no action
+        with pytest.raises(StrategyError, match="no action for memory 1, state 'x'"):
+            simulate(make_M(), 3, cs, 5, 0)
+
     def test_min_player_needs_opponent(self):
         g = Game(
             states=(

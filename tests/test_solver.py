@@ -278,10 +278,11 @@ class TestEvaluateCounter:
         into_coin = CounterStrategy(0, 1, {(0, "x"): 1})
         assert evaluate_counter(g, 3, into_coin).value == HALF
 
-    def test_cell_guard(self):
+    def test_cell_guard(self, monkeypatch):
+        monkeypatch.setattr(solver, "CELL_CAP", 100)
         cs = CounterStrategy(0, 1, {(0, "x"): 0})
         with pytest.raises(GuardExceeded):
-            evaluate_counter(make_M(), 1000, cs, cell_cap=100)
+            evaluate_counter(make_M(), 1000, cs)
 
     def test_missing_action_raises(self):
         cs = CounterStrategy(0, 2, {(0, "x"): 0})
@@ -294,10 +295,11 @@ class TestEvaluateCounter:
         with pytest.raises(StrategyError, match="no action for memory 1, state 'x'"):
             evaluate_counter(make_M(), 1, cs)
 
-    def test_guard_comes_before_missing_actions(self):
+    def test_guard_comes_before_missing_actions(self, monkeypatch):
+        monkeypatch.setattr(solver, "CELL_CAP", 100)
         cs = CounterStrategy(0, 2, {(0, "x"): 0})  # memory 1 has no action
         with pytest.raises(GuardExceeded):
-            evaluate_counter(make_M(), 1000, cs, cell_cap=100)
+            evaluate_counter(make_M(), 1000, cs)
 
     def test_product_is_built_only_for_rows(self):
         g = make_M()

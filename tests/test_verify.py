@@ -9,6 +9,7 @@ from fhgames import verify
 from fhgames.errors import GuardExceeded, StrategyError
 from fhgames.gadgets import make_H, make_M, random_game
 from fhgames.game import load
+from fhgames.jsonout import jsonable
 from fhgames.oracle import MemorylessStrategy, solve_infinite
 from fhgames.solver import values_at
 from fhgames.verify import (
@@ -23,7 +24,6 @@ from fhgames.verify import (
     check_shortcut_memory,
     check_threshold_growth,
     check_threshold_power_bounds,
-    jsonable,
     latest_residue_hit,
     period_scan,
 )
@@ -212,7 +212,7 @@ class TestPeriodScan:
     def test_deterministic(self):
         a = period_scan(4, 25, 48, seed=5)
         b = period_scan(4, 25, 48, seed=5)
-        assert a.to_dict() == b.to_dict()
+        assert jsonable(a.document()) == jsonable(b.document())
         assert a.verdict == "pass"
 
     def test_flagged_games_are_loadable(self):
@@ -238,14 +238,14 @@ class TestReportPlumbing:
             period_scan(3, 5, 16, seed=0),
         ]
         for report in reports:
-            text = json.dumps(report.to_dict())
+            text = json.dumps(jsonable(report.document()))
             again = json.loads(text)
             assert again["verdict"] == report.verdict
 
     def test_runtime_excluded_by_default(self):
         report = check_fib_ratio(1, 16)
-        assert "runtime_seconds" not in report.to_dict()
-        assert "runtime_seconds" in report.to_dict(include_runtime=True)
+        assert "runtime_seconds" not in report.document()
+        assert "runtime_seconds" in report.document(include_runtime=True)
         assert report.runtime >= 0
 
     def test_jsonable_fractions_and_dyadics(self):
