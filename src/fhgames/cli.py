@@ -2,8 +2,9 @@
 
 Subcommands: solve, strategy, minimize, gadget, verify, oracle,
 simulate, scan.  Exit codes: 0 on success, 1 when a verification check
-fails or is inconclusive, 2 on usage or input errors, 3 when a size
-cap or a search budget (GuardExceeded) is exceeded.
+fails or is inconclusive, 2 on usage or input errors (among them a flag
+the chosen mode or check would ignore), 3 when a size cap or a search
+budget (GuardExceeded) is exceeded.
 
 Every run records the tool version and its parameters in the output;
 JSON output is byte-stable for identical argv and seed (timing is only
@@ -78,6 +79,15 @@ def _resolve_game(args) -> Game:
     raise ValueError("a game is required: pass -g FILE or --gadget SPEC")
 
 
+def _refuse_unread(args, mode: str, dests) -> None:
+    """Usage error naming every flag in ``dests`` set away from its
+    default, since ``mode`` would ignore it."""
+    unread = [d for d in dests if getattr(args, d) != args.parser.get_default(d)]
+    if unread:
+        flags = ", ".join("--" + d.replace("_", "-") for d in unread)
+        raise ValueError(f"{mode} does not read {flags}")
+
+
 def _emit(args, command: str, params: dict, result: dict) -> None:
     if getattr(args, "json", False):
         doc = {
@@ -97,6 +107,10 @@ def _emit(args, command: str, params: dict, result: dict) -> None:
 
 
 def _cmd_solve(args) -> int:
+    if args.csv:
+        _refuse_unread(args, "solve --csv", ("json", "decimal"))
+    elif args.json:
+        _refuse_unread(args, "solve --json", ("decimal",))
     g = _resolve_game(args)
     params = {"game": args.game or args.gadget, "horizon": args.horizon}
     if args.csv:
@@ -138,6 +152,8 @@ def _cmd_strategy(args) -> int:
 
 
 def _cmd_minimize(args) -> int:
+    if args.sets:
+        _refuse_unread(args, "minimize --sets", ("tiebreak",))
     g = _resolve_game(args)
     params = {
         "game": args.game or args.gadget,
@@ -180,30 +196,35 @@ def _cmd_gadget(args) -> int:
     return 0
 
 
+# check name -> (the verify flags it reads besides --json and --timing,
+# the call that runs it)
 _CHECK_BUILDERS = {
-    "fib-ratio": lambda a: checks.check_fib_ratio(_req(a, "i"), a.amax),
-    "threshold-growth": lambda a: checks.check_threshold_growth(a.imax),
-    "threshold-power-bounds": lambda a: checks.check_threshold_power_bounds(
+    "fib-ratio": (("i", "amax"), lambda a: checks.check_fib_ratio(_req(a, "i"), a.amax)),
+    "threshold-growth": (("imax",), lambda a: checks.check_threshold_growth(a.imax)),
+    "threshold-power-bounds": (("i", "width"), lambda a: checks.check_threshold_power_bounds(
         _req(a, "i"), Fraction(a.width)
-    ),
-    "doubling": lambda a: checks.check_doubling(_req(a, "i"), a.tmax),
-    "below-threshold": lambda a: checks.check_below_threshold(
+    )),
+    "doubling": (("i", "tmax"), lambda a: checks.check_doubling(_req(a, "i"), a.tmax)),
+    "below-threshold": (("i", "d", "width"), lambda a: checks.check_below_threshold(
         _req(a, "i"),
         [Fraction(d) for d in a.d] or checks.BELOW_DEFAULT_DS,
         Fraction(a.width),
-    ),
-    "above-threshold": lambda a: checks.check_above_threshold(
+    )),
+    "above-threshold": (("i", "d", "width"), lambda a: checks.check_above_threshold(
         _req(a, "i"),
         [Fraction(d) for d in a.d] or checks.ABOVE_DEFAULT_DS,
         Fraction(a.width),
-    ),
-    "cycle-values": lambda a: checks.check_cycle_values(_req(a, "p"), a.tmax),
-    "primorial-period": lambda a: checks.check_primorial_period(_req(a, "k")),
-    "shortcut-memory": lambda a: checks.check_shortcut_memory(_req(a, "c")),
-    "memoryless-horizon": lambda a: checks.check_memoryless_horizon(
-        _resolve_game(a), label=a.game or a.gadget, eps_exponents=a.eps_exp or range(1, 7)
-    ),
+    )),
+    "cycle-values": (("p", "tmax"), lambda a: checks.check_cycle_values(_req(a, "p"), a.tmax)),
+    "primorial-period": (("k",), lambda a: checks.check_primorial_period(_req(a, "k"))),
+    "shortcut-memory": (("c",), lambda a: checks.check_shortcut_memory(_req(a, "c"))),
+    "memoryless-horizon": (("game", "gadget", "eps_exp"), lambda a: (
+        checks.check_memoryless_horizon(
+            _resolve_game(a), label=a.game or a.gadget, eps_exponents=a.eps_exp or range(1, 7)
+        )
+    )),
 }
+_CHECK_FLAGS = {flag for reads, _ in _CHECK_BUILDERS.values() for flag in reads}
 
 
 def _req(args, name):
@@ -232,11 +253,13 @@ def _print_report(args, report) -> None:
 
 
 def _cmd_verify(args) -> int:
-    builder = _CHECK_BUILDERS.get(args.name)
-    if builder is None:
+    if args.name not in _CHECK_BUILDERS:
         raise ValueError(
             f"unknown check {args.name!r}; available: {', '.join(sorted(_CHECK_BUILDERS))}"
         )
+    reads, builder = _CHECK_BUILDERS[args.name]
+    unread = [f for f in vars(args) if f in _CHECK_FLAGS and f not in reads]  # parser order
+    _refuse_unread(args, f"verify {args.name}", unread)
     report = builder(args)
     _print_report(args, report)
     return 0 if report.succeeded else 1
@@ -357,7 +380,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--decimal", type=_at_least(0), default=0, metavar="N",
                    help="append approximate decimals with N digits")
     p.add_argument("--json", action="store_true")
-    p.set_defaults(handler=_cmd_solve)
+    p.set_defaults(handler=_cmd_solve, parser=p)
 
     p = sub.add_parser("strategy", help="one optimal remaining-time strategy")
     _add_game_source(p)
@@ -375,7 +398,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--player", type=int, choices=(1, 2), default=1)
     p.add_argument("--tiebreak", choices=("lo", "hi"), default="lo")
     p.add_argument("--json", action="store_true")
-    p.set_defaults(handler=_cmd_minimize)
+    p.set_defaults(handler=_cmd_minimize, parser=p)
 
     p = sub.add_parser("gadget", help="emit a generated game document")
     p.add_argument("--family", choices=sorted(_GADGETS), required=True)
@@ -399,7 +422,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", action="store_true")
     p.add_argument("--timing", action="store_true",
                    help="include runtime in the report")
-    p.set_defaults(handler=_cmd_verify)
+    p.set_defaults(handler=_cmd_verify, parser=p)
 
     p = sub.add_parser("oracle", help="brute-force ground truth")
     _add_game_source(p)

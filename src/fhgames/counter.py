@@ -118,14 +118,6 @@ class CounterStrategy:
             ],
         }
 
-    @classmethod
-    def from_json_obj(cls, obj: dict) -> "CounterStrategy":
-        actions = {
-            (entry["memory"], entry["state"]): entry["arc"]
-            for entry in obj["actions"]
-        }
-        return cls(initial=obj["N"], period=obj["p"], actions=actions)
-
 
 MemoryReport = namedtuple("MemoryReport", "states bits initial period")
 

@@ -31,7 +31,6 @@ __all__ = [
     "make_H",
     "make_G",
     "make_F",
-    "make_star_chain",
     "primes",
     "primorial",
     "random_game",
@@ -80,23 +79,6 @@ def make_H(i: int) -> Game:
     for j in range(2, i + 1):
         states.append(State(f"{j}s", _COIN, (top_star, f"{j - 1}s")))
     states.append(State("bot", _TERMINAL))
-    return Game(states=tuple(states), start=top_star)
-
-
-def make_star_chain(i: int) -> Game:
-    """The approach chain of H(i) alone, with its exit as the terminal.
-
-    Solving this chain gives the exact probability of completing a run
-    of i successes within the horizon, which must match the closed-form
-    run probability.
-    """
-    if i < 1:
-        raise ValueError("chain length i must be at least 1")
-    top_star = f"{i}s"
-    states = [State("1s", _COIN, (top_star, "x"))]
-    for j in range(2, i + 1):
-        states.append(State(f"{j}s", _COIN, (top_star, f"{j - 1}s")))
-    states.append(State("x", _TERMINAL))
     return Game(states=tuple(states), start=top_star)
 
 

@@ -27,7 +27,6 @@ __all__ = [
     "Game",
     "Violation",
     "validate",
-    "is_mdp",
     "load",
     "store",
 ]
@@ -128,11 +127,6 @@ def validate(g: Game) -> list[Violation]:
     if g.start not in seen:
         out.append(Violation("missing-start", None, f"start id {g.start!r} not declared"))
     return out
-
-
-def is_mdp(g: Game) -> bool:
-    """True when player 2 has no states (single-controller game)."""
-    return not any(s.kind is StateKind.MIN for s in g.states)
 
 
 # -- document format ----------------------------------------------------

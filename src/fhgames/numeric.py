@@ -29,10 +29,8 @@ __all__ = [
     "ZERO",
     "HALF",
     "ONE",
-    "dy_avg",
     "fib_nstep",
     "run_probability",
-    "first_run_probability",
     "run_threshold",
     "exp_enclosure",
 ]
@@ -186,13 +184,6 @@ HALF = Dyadic(1, 1)
 ONE = Dyadic(1)
 
 
-def dy_avg(a: Dyadic, b: Dyadic) -> Dyadic:
-    """Exact average ``(a + b) / 2`` — the value of a fair coin state."""
-    e = max(a.exponent, b.exponent)
-    m = (a.mantissa << (e - a.exponent)) + (b.mantissa << (e - b.exponent))
-    return Dyadic(m, e + 1)
-
-
 # -- n-step Fibonacci numbers -----------------------------------------
 #
 # F(i)_c = sum of the previous i terms, with F(i)_c = 0 for c <= 0 and
@@ -227,25 +218,6 @@ def run_probability(i: int, t: int) -> Dyadic:
     if t < 0:
         raise ValueError("toss count t must be non-negative")
     return Dyadic((1 << t) - fib_nstep(i, t + 2), t)
-
-
-def first_run_probability(i: int, t: int) -> Dyadic:
-    """Probability that the first run of i tails completes at toss t.
-
-    Computed as the difference of cumulative run probabilities; for
-    t >= i + 1 the closed form 2^(-i-1) * (1 - run_probability(i, t-1-i))
-    is evaluated as well and the two must agree exactly.
-    """
-    if t < i:
-        raise ValueError(f"first completion needs at least i={i} tosses, got t={t}")
-    diff = run_probability(i, t) - run_probability(i, t - 1)
-    if t >= i + 1:
-        closed = Dyadic(1, i + 1) * (ONE - run_probability(i, t - 1 - i))
-        if closed != diff:
-            raise ArithmeticError(
-                f"first-run cross-check failed at i={i}, t={t}: {diff} vs {closed}"
-            )
-    return diff
 
 
 @cache

@@ -19,7 +19,8 @@ automaton's memory trajectory.  ``reference_strategy_rows`` builds the
 before it handed them to ``fhgames.jsonout.Records`` as columns.
 ``reference_solve_infinite`` enumerates every memoryless strategy pair,
 one ``reach_probabilities`` solve each, as ``fhgames.oracle.solve_infinite``
-did before strategy iteration.
+did before strategy iteration.  ``make_star_chain`` builds H(i)'s
+approach chain alone, whose solved values are run probabilities.
 """
 
 from __future__ import annotations
@@ -32,9 +33,9 @@ from typing import Callable, Iterable
 from fhgames import solver
 from fhgames.counter import CounterStrategy
 from fhgames.errors import GuardExceeded, StrategyError
-from fhgames.game import PLAYER_KIND, Game, StateKind
+from fhgames.game import PLAYER_KIND, Game, State, StateKind
 from fhgames.jsonout import jsonable
-from fhgames.numeric import ONE, ZERO, Dyadic, dy_avg
+from fhgames.numeric import ONE, ZERO, Dyadic
 from fhgames.oracle import InfiniteSolution, MinMemoryResult, reach_probabilities
 from fhgames.solver import MemorylessStrategy, evaluate_counter, final_values
 
@@ -67,6 +68,22 @@ def play_value(g: Game, horizon: int, actions1: dict, actions2: dict) -> Fractio
         return v
 
     return value(g.start, horizon)
+
+
+def make_star_chain(i: int) -> Game:
+    """The approach chain of H(i) alone, with its exit "x" as the terminal.
+
+    Its value at the top state "{i}s" within t moves is the probability
+    that t fair tosses contain i consecutive tails.
+    """
+    if i < 1:
+        raise ValueError("chain length i must be at least 1")
+    top_star = f"{i}s"
+    states = [State("1s", StateKind.COIN, (top_star, "x"))]
+    for j in range(2, i + 1):
+        states.append(State(f"{j}s", StateKind.COIN, (top_star, f"{j - 1}s")))
+    states.append(State("x", StateKind.TERMINAL))
+    return Game(states=tuple(states), start=top_star)
 
 
 def count_sequences_with_run(i: int, t: int) -> int:
@@ -121,7 +138,8 @@ def reference_sweep(
             a = prev[arcs[0]]
             b = prev[arcs[1]]
             if kind is StateKind.COIN:
-                v = dy_avg(a, b)
+                total = a + b  # halved by raising the exponent
+                v = Dyadic(total.mantissa, total.exponent + 1)
             elif fixed is not None and kind is fixed[0]:
                 arc = fixed[1](t, sid)
                 if arc not in (0, 1):

@@ -10,10 +10,10 @@ import random
 import time
 from fractions import Fraction
 
-from conftest import count_sequences_with_run, play_value
+from conftest import count_sequences_with_run, make_star_chain, play_value
 from fhgames.cli import main as cli_main
 from fhgames.game import StateKind, load
-from fhgames.gadgets import make_H, make_M, make_star_chain, primes, random_game
+from fhgames.gadgets import make_H, make_M, primes, random_game
 from fhgames.numeric import Dyadic, HALF, ONE, run_probability, run_threshold
 from fhgames.oracle import min_counter_memory
 from fhgames.solver import backward_induction

@@ -195,6 +195,83 @@ class TestVerifyCommand:
         assert doc["report"]["verdict"] == "pass"
 
 
+class TestUnreadFlags:
+    """A flag set away from its default that the chosen command, mode or
+    check would ignore is a usage error: exit 2, the flag named, and no
+    output."""
+
+    # the verify flags each check reads, besides --json and --timing
+    READS = {
+        "fib-ratio": ("--i", "--amax"),
+        "threshold-growth": ("--imax",),
+        "threshold-power-bounds": ("--i", "--width"),
+        "doubling": ("--i", "--tmax"),
+        "below-threshold": ("--i", "--d", "--width"),
+        "above-threshold": ("--i", "--d", "--width"),
+        "cycle-values": ("--p", "--tmax"),
+        "primorial-period": ("--k",),
+        "shortcut-memory": ("--c",),
+        "memoryless-horizon": ("--game", "--gadget", "--eps-exp"),
+    }
+    # a value away from each flag's default
+    VALUES = {
+        "--i": "3", "--imax": "5", "--amax": "300", "--tmax": "50", "--p": "3",
+        "--k": "2", "--c": "5", "--d": "1/2", "--width": "1/1000", "--eps-exp": "2",
+        "--game": "game.json", "--gadget": "M",
+    }
+
+    @pytest.mark.parametrize("name", sorted(READS))
+    def test_verify_refuses_each_flag_its_check_ignores(self, capsys, name):
+        for flag in sorted(set(self.VALUES) - set(self.READS[name])):
+            code, out, err = run(capsys, "verify", name, flag, self.VALUES[flag], "--json")
+            assert (code, out) == (2, ""), flag
+            assert f"verify {name} does not read {flag}" in err
+
+    @pytest.mark.parametrize("name", sorted(READS))
+    def test_verify_accepts_every_flag_its_check_reads(
+        self, capsys, monkeypatch, tmp_path, name
+    ):
+        def reached(*args, **kwargs):
+            raise ValueError("check reached")
+
+        monkeypatch.setattr(cli.checks, "check_" + name.replace("-", "_"), reached)
+        (tmp_path / "game.json").write_text(store(make_H(2)), encoding="utf-8")
+        monkeypatch.chdir(tmp_path)
+        argv = [x for flag in self.READS[name] for x in (flag, self.VALUES[flag])]
+        code, out, err = run(capsys, "verify", name, *argv, "--json", "--timing")
+        assert (code, out) == (2, "")
+        assert "check reached" in err
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("verify", "fib-ratio", "--i", "3", "--c", "9", "--gadget", "M", "--eps-exp", "2"),
+             "verify fib-ratio does not read --c, --eps-exp, --gadget"),
+            (("minimize", "--gadget", "M", "-T", "5", "--sets", "--tiebreak", "hi"),
+             "minimize --sets does not read --tiebreak"),
+            (("solve", "--gadget", "M", "-T", "3", "--csv", "--json", "--decimal", "3"),
+             "solve --csv does not read --json, --decimal"),
+            (("solve", "--gadget", "M", "-T", "3", "--csv", "--decimal", "2"),
+             "solve --csv does not read --decimal"),
+            (("solve", "--gadget", "M", "-T", "3", "--json", "--decimal", "3"),
+             "solve --json does not read --decimal"),
+        ],
+    )
+    def test_ignored_flags_are_usage_errors(self, capsys, argv, message):
+        assert run(capsys, *argv) == (2, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize(
+        "argv, default",
+        [
+            (("minimize", "--gadget", "F:2", "-T", "22", "--sets"), ("--tiebreak", "lo")),
+            (("solve", "--gadget", "M", "-T", "5", "--csv"), ("--decimal", "0")),
+            (("verify", "threshold-growth", "--imax", "6"), ("--tmax", "200")),
+        ],
+    )
+    def test_a_flag_at_its_default_is_accepted(self, capsys, argv, default):
+        assert run(capsys, *argv, *default) == run(capsys, *argv)
+
+
 class TestOracleSimulateScan:
     def test_oracle_infinite(self, capsys):
         code, out, _ = run(capsys, "oracle", "--gadget", "M", "--json")

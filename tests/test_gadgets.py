@@ -2,14 +2,13 @@ import random
 
 import pytest
 
-from conftest import arcs_at
-from fhgames.game import StateKind, is_mdp, validate
+from conftest import arcs_at, make_star_chain
+from fhgames.game import StateKind, validate
 from fhgames.gadgets import (
     make_F,
     make_G,
     make_H,
     make_M,
-    make_star_chain,
     primes,
     primorial,
     random_game,
@@ -40,7 +39,7 @@ class TestShortcutGadget:
         g = make_M()
         assert len(g.states) == 7
         assert g.start == "start"
-        assert is_mdp(g)
+        assert not g.controlled_ids(2)
         assert g.state("x").kind is StateKind.MAX
         assert g.state("x").arcs == ("2", "h")
         assert g.state("1").arcs == ("bot", "bot")
@@ -146,7 +145,7 @@ class TestParallelGadget:
             g = make_F(k)
             non_terminal = sum(s.kind is not StateKind.TERMINAL for s in g.states)
             assert non_terminal == 2 * sum(primes(k))
-        assert is_mdp(make_F(2))
+        assert not make_F(2).controlled_ids(2)
 
     def test_copies_share_terminal(self):
         g = make_F(2)

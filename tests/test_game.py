@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fhgames.errors import GameFormatError, InvalidGameError
-from fhgames.game import Game, State, StateKind, is_mdp, load, store, validate
+from fhgames.game import Game, State, StateKind, load, store, validate
 from fhgames.gadgets import make_F, make_G, make_H, make_M, random_game
 
 
@@ -63,19 +63,6 @@ def test_duplicate_and_missing_start():
     )
     codes = {v.code for v in validate(g)}
     assert {"duplicate-id", "missing-start"} <= codes
-
-
-def test_is_mdp():
-    assert is_mdp(make_M())
-    assert is_mdp(make_F(2))
-    with_min = Game(
-        states=(
-            State("m", StateKind.MIN, ("bot", "bot")),
-            State("bot", StateKind.TERMINAL),
-        ),
-        start="m",
-    )
-    assert not is_mdp(with_min)
 
 
 class TestDocumentFormat:

@@ -10,10 +10,8 @@ from fhgames.numeric import (
     HALF,
     ONE,
     ZERO,
-    dy_avg,
     exp_enclosure,
     fib_nstep,
-    first_run_probability,
     run_probability,
     run_threshold,
 )
@@ -64,7 +62,6 @@ class TestDyadic:
         assert (a + b).as_fraction() == fa + fb
         assert (a - b).as_fraction() == fa - fb
         assert (a * b).as_fraction() == fa * fb
-        assert dy_avg(a, b).as_fraction() == (fa + fb) / 2
         assert (a < b) == (fa < fb)
         assert (a == b) == (fa == fb)
 
@@ -80,15 +77,6 @@ class TestDyadic:
         assert HALF + 1 == Dyadic(3, 1)
         assert 1 - HALF == HALF
         assert 2 * HALF == ONE
-
-
-class TestAverage:
-    def test_endpoints(self):
-        assert dy_avg(ZERO, ONE) == HALF
-
-    def test_forced_arithmetic(self):
-        assert dy_avg(HALF, ONE) == Dyadic(3, 2)
-        assert dy_avg(Dyadic(1, 2), Dyadic(3, 3)) == Dyadic(5, 4)
 
 
 class TestFib:
@@ -144,29 +132,6 @@ class TestRunProbability:
         for i in (1, 2, 3, 4):
             for a in range(1, 40):
                 assert run_probability(i, a) <= run_probability(i, a - 1) + Dyadic(1, i)
-
-
-class TestFirstRunProbability:
-    def test_all_tails_sequence(self):
-        for i in range(1, 8):
-            assert first_run_probability(i, i) == Dyadic(1, i)
-
-    def test_rejects_short_horizon(self):
-        with pytest.raises(ValueError):
-            first_run_probability(3, 2)
-
-    def test_example_values(self):
-        # brute force over 8 sequences gives 1/8; closed form 2^-3 (1 - p(0))
-        assert first_run_probability(2, 3) == Dyadic(1, 3)
-        assert first_run_probability(2, 5) == run_probability(2, 5) - run_probability(2, 4)
-
-    def test_telescoping_sum(self):
-        for i in (1, 2, 4):
-            for horizon in (i, i + 5, i + 17):
-                total = ZERO
-                for t in range(i, horizon + 1):
-                    total = total + first_run_probability(i, t)
-                assert total == run_probability(i, horizon)
 
 
 class TestThreshold:
