@@ -2,9 +2,14 @@
 
 Subcommands: solve, strategy, minimize, gadget, verify, oracle,
 simulate, scan.  Exit codes: 0 on success, 1 when a verification check
-fails or is inconclusive, 2 on usage or input errors (among them a flag
-the chosen mode or check would ignore), 3 when a size cap or a search
-budget (GuardExceeded) is exceeded.
+fails or is inconclusive, 2 on usage or input errors, 3 when a size cap
+or a search budget (GuardExceeded) is exceeded.
+
+argparse holds every flag rule.  Each verify check has a sub-parser
+with only the flags its check reads, stored under the check's parameter
+names and left unset when not given, so the check's own defaults apply.
+``solve --csv``, ``--json`` and ``--decimal`` exclude each other, as do
+``minimize --sets`` and ``--tiebreak``.
 
 Every run records the tool version and its parameters in the output;
 JSON output is byte-stable for identical argv and seed (timing is only
@@ -79,15 +84,6 @@ def _resolve_game(args) -> Game:
     raise ValueError("a game is required: pass -g FILE or --gadget SPEC")
 
 
-def _refuse_unread(args, mode: str, dests) -> None:
-    """Usage error naming every flag in ``dests`` set away from its
-    default, since ``mode`` would ignore it."""
-    unread = [d for d in dests if getattr(args, d) != args.parser.get_default(d)]
-    if unread:
-        flags = ", ".join("--" + d.replace("_", "-") for d in unread)
-        raise ValueError(f"{mode} does not read {flags}")
-
-
 def _emit(args, command: str, params: dict, result: dict) -> None:
     if getattr(args, "json", False):
         doc = {
@@ -107,10 +103,6 @@ def _emit(args, command: str, params: dict, result: dict) -> None:
 
 
 def _cmd_solve(args) -> int:
-    if args.csv:
-        _refuse_unread(args, "solve --csv", ("json", "decimal"))
-    elif args.json:
-        _refuse_unread(args, "solve --json", ("decimal",))
     g = _resolve_game(args)
     params = {"game": args.game or args.gadget, "horizon": args.horizon}
     if args.csv:
@@ -152,8 +144,6 @@ def _cmd_strategy(args) -> int:
 
 
 def _cmd_minimize(args) -> int:
-    if args.sets:
-        _refuse_unread(args, "minimize --sets", ("tiebreak",))
     g = _resolve_game(args)
     params = {
         "game": args.game or args.gadget,
@@ -166,7 +156,7 @@ def _cmd_minimize(args) -> int:
         cs = minimal_period(sets[args.player - 1]).witness
     else:
         strat = extract_markov(
-            g, args.horizon, player=args.player, tiebreak=args.tiebreak
+            g, args.horizon, player=args.player, tiebreak=args.tiebreak or "lo"
         )
         cs = from_markov(strat)
     report = memory_report(cs)
@@ -196,44 +186,6 @@ def _cmd_gadget(args) -> int:
     return 0
 
 
-# check name -> (the verify flags it reads besides --json and --timing,
-# the call that runs it)
-_CHECK_BUILDERS = {
-    "fib-ratio": (("i", "amax"), lambda a: checks.check_fib_ratio(_req(a, "i"), a.amax)),
-    "threshold-growth": (("imax",), lambda a: checks.check_threshold_growth(a.imax)),
-    "threshold-power-bounds": (("i", "width"), lambda a: checks.check_threshold_power_bounds(
-        _req(a, "i"), Fraction(a.width)
-    )),
-    "doubling": (("i", "tmax"), lambda a: checks.check_doubling(_req(a, "i"), a.tmax)),
-    "below-threshold": (("i", "d", "width"), lambda a: checks.check_below_threshold(
-        _req(a, "i"),
-        [Fraction(d) for d in a.d] or checks.BELOW_DEFAULT_DS,
-        Fraction(a.width),
-    )),
-    "above-threshold": (("i", "d", "width"), lambda a: checks.check_above_threshold(
-        _req(a, "i"),
-        [Fraction(d) for d in a.d] or checks.ABOVE_DEFAULT_DS,
-        Fraction(a.width),
-    )),
-    "cycle-values": (("p", "tmax"), lambda a: checks.check_cycle_values(_req(a, "p"), a.tmax)),
-    "primorial-period": (("k",), lambda a: checks.check_primorial_period(_req(a, "k"))),
-    "shortcut-memory": (("c",), lambda a: checks.check_shortcut_memory(_req(a, "c"))),
-    "memoryless-horizon": (("game", "gadget", "eps_exp"), lambda a: (
-        checks.check_memoryless_horizon(
-            _resolve_game(a), label=a.game or a.gadget, eps_exponents=a.eps_exp or range(1, 7)
-        )
-    )),
-}
-_CHECK_FLAGS = {flag for reads, _ in _CHECK_BUILDERS.values() for flag in reads}
-
-
-def _req(args, name):
-    value = getattr(args, name)
-    if value is None:
-        raise ValueError(f"check requires --{name}")
-    return value
-
-
 def _print_report(args, report) -> None:
     if args.json:
         doc = {
@@ -253,14 +205,12 @@ def _print_report(args, report) -> None:
 
 
 def _cmd_verify(args) -> int:
-    if args.name not in _CHECK_BUILDERS:
-        raise ValueError(
-            f"unknown check {args.name!r}; available: {', '.join(sorted(_CHECK_BUILDERS))}"
-        )
-    reads, builder = _CHECK_BUILDERS[args.name]
-    unread = [f for f in vars(args) if f in _CHECK_FLAGS and f not in reads]  # parser order
-    _refuse_unread(args, f"verify {args.name}", unread)
-    report = builder(args)
+    own = ("command", "check", "handler", "json", "timing", "game", "gadget")
+    params = {k: v for k, v in vars(args).items() if k not in own}
+    if args.check == "memoryless-horizon":
+        params.update(g=_resolve_game(args), label=args.game or args.gadget)
+    # looked up when it runs, so a patched check_* is the one called
+    report = getattr(checks, "check_" + args.check.replace("-", "_"))(**params)
     _print_report(args, report)
     return 0 if report.succeeded else 1
 
@@ -358,6 +308,29 @@ def _at_least(low: int):
     return count
 
 
+def _fraction(text: str) -> Fraction:
+    """argparse type for an exact fraction, e.g. 1/5 or 0.2."""
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(f"not a fraction: {text!r}") from None
+
+
+# verify flag -> its add_argument settings; dest names the checks' parameter
+_VERIFY_FLAGS = {
+    "--i": dict(type=int, required=True),
+    "--imax": dict(dest="i_max", type=int),
+    "--amax": dict(dest="a_max", type=int),
+    "--tmax": dict(dest="t_max", type=int),
+    "--p": dict(type=int, required=True),
+    "--k": dict(type=int, required=True),
+    "--c": dict(type=int, required=True),
+    "--d": dict(dest="ds", action="append", type=_fraction, metavar="FRACTION"),
+    "--width": dict(type=_fraction, metavar="FRACTION"),
+    "--eps-exp": dict(dest="eps_exponents", action="append", type=_at_least(1), metavar="J"),
+}
+
+
 def _add_game_source(p):
     p.add_argument("-g", "--game", help="game document file")
     p.add_argument("--gadget", help="generated game, e.g. M, H:4, G:5, F:2")
@@ -376,11 +349,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("solve", help="exact values by backward induction")
     _add_game_source(p)
     p.add_argument("-T", "--horizon", type=_at_least(0), required=True)
-    p.add_argument("--csv", action="store_true", help="full value table as CSV")
-    p.add_argument("--decimal", type=_at_least(0), default=0, metavar="N",
-                   help="append approximate decimals with N digits")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(handler=_cmd_solve, parser=p)
+    mode = p.add_mutually_exclusive_group()
+    mode.add_argument("--csv", action="store_true", help="full value table as CSV")
+    mode.add_argument("--decimal", type=_at_least(0), metavar="N",
+                      help="append approximate decimals with N digits")
+    mode.add_argument("--json", action="store_true")
+    p.set_defaults(handler=_cmd_solve)
 
     p = sub.add_parser("strategy", help="one optimal remaining-time strategy")
     _add_game_source(p)
@@ -393,12 +367,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("minimize", help="smallest counter automaton")
     _add_game_source(p)
     p.add_argument("-T", "--horizon", type=_at_least(0), required=True)
-    p.add_argument("--sets", action="store_true",
-                   help="compress the optimal action sets instead of one strategy")
     p.add_argument("--player", type=int, choices=(1, 2), default=1)
-    p.add_argument("--tiebreak", choices=("lo", "hi"), default="lo")
+    mode = p.add_mutually_exclusive_group()
+    mode.add_argument("--sets", action="store_true",
+                      help="compress the optimal action sets instead of one strategy")
+    mode.add_argument("--tiebreak", choices=("lo", "hi"), help="default: lo")
     p.add_argument("--json", action="store_true")
-    p.set_defaults(handler=_cmd_minimize, parser=p)
+    p.set_defaults(handler=_cmd_minimize)
 
     p = sub.add_parser("gadget", help="emit a generated game document")
     p.add_argument("--family", choices=sorted(_GADGETS), required=True)
@@ -407,22 +382,33 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_gadget)
 
     p = sub.add_parser("verify", help="run one verification check")
-    p.add_argument("name", help=", ".join(sorted(_CHECK_BUILDERS)))
-    p.add_argument("--i", type=int)
-    p.add_argument("--imax", type=int, default=14)
-    p.add_argument("--amax", type=int, default=256)
-    p.add_argument("--tmax", type=int, default=200)
-    p.add_argument("--p", type=int)
-    p.add_argument("--k", type=int)
-    p.add_argument("--c", type=int)
-    p.add_argument("--d", action="append", default=[], metavar="FRACTION")
-    p.add_argument("--width", default="1/1000000000000", metavar="FRACTION")
-    p.add_argument("--eps-exp", action="append", type=_at_least(1), default=[])
-    _add_game_source(p)
-    p.add_argument("--json", action="store_true")
-    p.add_argument("--timing", action="store_true",
-                   help="include runtime in the report")
-    p.set_defaults(handler=_cmd_verify, parser=p)
+    per_check = p.add_subparsers(dest="check", required=True)
+
+    def check(name, *flags, allow_abbrev=True):
+        # a flag left out is not set, so the check's own default applies
+        c = per_check.add_parser(
+            name, argument_default=argparse.SUPPRESS, allow_abbrev=allow_abbrev
+        )
+        for flag in flags:
+            c.add_argument(flag, **_VERIFY_FLAGS[flag])
+        c.add_argument("--json", action="store_true", default=False)
+        c.add_argument("--timing", action="store_true", default=False,
+                       help="include runtime in the report")
+        c.set_defaults(handler=_cmd_verify)
+        return c
+
+    check("fib-ratio", "--i", "--amax")
+    check("threshold-growth", "--imax", allow_abbrev=False)  # else --i reads as --imax
+    check("threshold-power-bounds", "--i", "--width")
+    check("doubling", "--i", "--tmax")
+    check("below-threshold", "--i", "--d", "--width")
+    check("above-threshold", "--i", "--d", "--width")
+    check("cycle-values", "--p", "--tmax")
+    check("primorial-period", "--k")
+    check("shortcut-memory", "--c")
+    c = check("memoryless-horizon", "--eps-exp")
+    _add_game_source(c)
+    c.set_defaults(game=None, gadget=None)
 
     p = sub.add_parser("oracle", help="brute-force ground truth")
     _add_game_source(p)

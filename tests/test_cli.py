@@ -4,17 +4,20 @@ import io
 import json
 import os
 import random
+import re
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import fhgames.cli as cli
+import fhgames.verify as verify
 from conftest import reference_dumps, reference_strategy_rows
 from fhgames import __version__
 from fhgames.cli import main
-from fhgames.gadgets import make_H, random_game
+from fhgames.gadgets import make_H, make_M, random_game
 from fhgames.game import PLAYER_KIND, Game, State, StateKind, store
 from fhgames.jsonout import dumps
 from fhgames.solver import backward_induction, final_values, markov_arcs
@@ -24,6 +27,15 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def usage_error(capsys, *argv):
+    """stderr of an argv that argparse refuses: exit 2, nothing on stdout."""
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    captured = capsys.readouterr()
+    assert (exc.value.code, captured.out) == (2, "")
+    return captured.err
 
 
 class TestGadgetAndSolve:
@@ -167,13 +179,48 @@ class TestVerifyCommand:
         assert "horizon" not in err
 
     def test_unknown_check_is_usage_error(self, capsys):
-        code, _, err = run(capsys, "verify", "definitely-not-a-check")
-        assert code == 2
-        assert "unknown check" in err
+        err = usage_error(capsys, "verify", "definitely-not-a-check")
+        assert "invalid choice: 'definitely-not-a-check'" in err
+        assert "'fib-ratio'" in err  # the available checks are listed
 
     def test_missing_parameter_is_usage_error(self, capsys):
-        code, _, err = run(capsys, "verify", "fib-ratio")
-        assert code == 2
+        assert "required: --i" in usage_error(capsys, "verify", "fib-ratio")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("threshold-power-bounds", "--i", "3", "--width", "1/0"),
+            ("below-threshold", "--i", "3", "--d", "1/0"),
+            ("above-threshold", "--i", "3", "--d", "1/2", "--d", "1/0"),
+            ("above-threshold", "--i", "3", "--width", "1/0"),
+        ],
+    )
+    def test_a_zero_denominator_is_a_usage_error(self, capsys, argv):
+        err = usage_error(capsys, "verify", *argv)
+        assert f"argument {argv[-2]}: not a fraction: '1/0'" in err
+
+    @pytest.mark.parametrize(
+        "name, flags, args",
+        [
+            ("fib-ratio", ("--i", "3"), (3,)),
+            ("threshold-growth", (), ()),
+            ("threshold-power-bounds", ("--i", "4"), (4,)),
+            ("doubling", ("--i", "3"), (3,)),
+            ("below-threshold", ("--i", "4"), (4,)),
+            ("above-threshold", ("--i", "4"), (4,)),
+            ("cycle-values", ("--p", "3"), (3,)),
+            ("primorial-period", ("--k", "2"), (2,)),
+            ("shortcut-memory", ("--c", "3"), (3,)),
+            ("memoryless-horizon", ("--gadget", "M"), (make_M(), "M")),
+        ],
+    )
+    def test_a_left_out_flag_takes_the_checks_default(self, capsys, name, flags, args):
+        code, out, _ = run(capsys, "verify", name, *flags, "--json")
+        report = getattr(verify, "check_" + name.replace("-", "_"))(*args)
+        assert code == (0 if report.succeeded else 1)
+        keys = ("params", "verdict", "evidence")
+        expected = json.loads(dumps(report.document()))
+        assert {k: json.loads(out)["report"][k] for k in keys} == {k: expected[k] for k in keys}
 
     def test_verify_json_report(self, capsys):
         code, out, _ = run(
@@ -196,9 +243,9 @@ class TestVerifyCommand:
 
 
 class TestUnreadFlags:
-    """A flag set away from its default that the chosen command, mode or
-    check would ignore is a usage error: exit 2, the flag named, and no
-    output."""
+    """A flag that the chosen command, mode or check does not read is a
+    usage error whatever its value: argparse exits 2, names the flag and
+    prints nothing on stdout."""
 
     # the verify flags each check reads, besides --json and --timing
     READS = {
@@ -213,7 +260,8 @@ class TestUnreadFlags:
         "shortcut-memory": ("--c",),
         "memoryless-horizon": ("--game", "--gadget", "--eps-exp"),
     }
-    # a value away from each flag's default
+    REQUIRED = ("--i", "--p", "--k", "--c")
+    # a value for each flag, away from its check's default
     VALUES = {
         "--i": "3", "--imax": "5", "--amax": "300", "--tmax": "50", "--p": "3",
         "--k": "2", "--c": "5", "--d": "1/2", "--width": "1/1000", "--eps-exp": "2",
@@ -222,10 +270,20 @@ class TestUnreadFlags:
 
     @pytest.mark.parametrize("name", sorted(READS))
     def test_verify_refuses_each_flag_its_check_ignores(self, capsys, name):
+        # the required flags are given, so that argparse reaches the ignored one
+        given = [x for f in self.READS[name] if f in self.REQUIRED for x in (f, self.VALUES[f])]
         for flag in sorted(set(self.VALUES) - set(self.READS[name])):
-            code, out, err = run(capsys, "verify", name, flag, self.VALUES[flag], "--json")
-            assert (code, out) == (2, ""), flag
-            assert f"verify {name} does not read {flag}" in err
+            err = usage_error(capsys, "verify", name, *given, flag, self.VALUES[flag], "--json")
+            assert f"unrecognized arguments: {flag} {self.VALUES[flag]}\n" in err, flag
+
+    @pytest.mark.parametrize("name", sorted(READS))
+    def test_check_help_lists_exactly_the_flags_it_reads(self, capsys, name):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", name, "--help"])
+        out, err = capsys.readouterr()
+        assert (exc.value.code, err) == (0, "")
+        flags = set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", out)) - {"--help"}
+        assert flags == {*self.READS[name], "--json", "--timing"}
 
     @pytest.mark.parametrize("name", sorted(READS))
     def test_verify_accepts_every_flag_its_check_reads(
@@ -243,7 +301,7 @@ class TestUnreadFlags:
         assert "check reached" in err
 
     @pytest.mark.parametrize(
-        "argv, message",
+        "argv, rule",
         [
             (("verify", "fib-ratio", "--i", "3", "--c", "9", "--gadget", "M", "--eps-exp", "2"),
              "verify fib-ratio does not read --c, --eps-exp, --gadget"),
@@ -257,8 +315,13 @@ class TestUnreadFlags:
              "solve --json does not read --decimal"),
         ],
     )
-    def test_ignored_flags_are_usage_errors(self, capsys, argv, message):
-        assert run(capsys, *argv) == (2, "", f"error: {message}\n")
+    def test_ignored_flags_are_usage_errors(self, capsys, argv, rule):
+        err = usage_error(capsys, *argv)
+        flags = rule.split(" does not read ")[1].split(", ")
+        if argv[0] == "verify":  # argparse names every unrecognised flag
+            assert all(flag in err for flag in flags)
+        else:  # and the first one that clashes with the mode
+            assert f"argument {flags[0]}: not allowed with argument " in err
 
     @pytest.mark.parametrize(
         "argv, default",
@@ -268,8 +331,8 @@ class TestUnreadFlags:
             (("verify", "threshold-growth", "--imax", "6"), ("--tmax", "200")),
         ],
     )
-    def test_a_flag_at_its_default_is_accepted(self, capsys, argv, default):
-        assert run(capsys, *argv, *default) == run(capsys, *argv)
+    def test_a_flag_at_its_default_is_refused(self, capsys, argv, default):
+        assert default[0] in usage_error(capsys, *argv, *default)
 
 
 class TestOracleSimulateScan:
@@ -357,6 +420,18 @@ class TestDeterminismAndErrors:
         )
         assert code == 3
         assert "guard" in err
+
+    @pytest.mark.parametrize(
+        "command",
+        [None, "solve", "strategy", "minimize", "gadget", "verify", "oracle", "simulate", "scan"],
+    )
+    def test_help_renders(self, capsys, command):
+        # argparse formats help text only here, so a stray % would fail late
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--help"] if command else ["--help"])
+        out, err = capsys.readouterr()
+        assert (exc.value.code, err) == (0, "")
+        assert out.startswith("usage: fhgames")
 
     def test_usage_error_from_argparse(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -517,7 +592,10 @@ class TestDirectWriter:
         assert json.loads(out)["report"]["params"]["d_list"] == ["1/5"]
         _, out, _ = run(capsys, *argv)
         assert json.loads(out)["report"]["params"]["d_list"] == ["1/5", "2/5", "4/5"]
-        assert cli.build_parser().parse_args(["verify", "below-threshold"]).d == []
+        parse = cli.build_parser().parse_args
+        below = ["verify", "below-threshold", "--i", "5"]
+        assert parse([*below, "--d", "1/5"]).ds == [Fraction(1, 5)]
+        assert not hasattr(parse(below), "ds")
 
         with pytest.raises(SystemExit) as exc:
             main(["solve", "--gadget", "M"])  # missing -T
