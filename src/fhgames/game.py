@@ -136,6 +136,7 @@ def validate(g: Game) -> list[Violation]:
 # Canonical output keeps declaration order, two-space indentation, UTF-8.
 
 _KINDS = {k.value: k for k in StateKind}
+_FIELDS = frozenset(("id", "kind", "arcs"))
 
 
 def _format_error(path: str, message: str) -> GameFormatError:
@@ -162,34 +163,30 @@ def load(text: str) -> Game:
 
     states = []
     for idx, entry in enumerate(raw_states):
-        path = f"$.states[{idx}]"
+        # the path is formatted only when raising: most documents are valid
         if not isinstance(entry, dict):
-            raise _format_error(path, "must be an object")
+            raise _format_error(f"$.states[{idx}]", "must be an object")
         sid = entry.get("id")
         if not isinstance(sid, str) or not sid:
-            raise _format_error(f"{path}.id", "required non-empty string")
+            raise _format_error(f"$.states[{idx}].id", "required non-empty string")
         kind_name = entry.get("kind")
         kind = _KINDS.get(kind_name) if isinstance(kind_name, str) else None
         if kind is None:
             raise _format_error(
-                f"{path}.kind", f"must be one of {sorted(_KINDS)}, got {kind_name!r}"
+                f"$.states[{idx}].kind", f"must be one of {sorted(_KINDS)}, got {kind_name!r}"
             )
-        extra = set(entry) - {"id", "kind", "arcs"}
-        if extra:
-            raise _format_error(path, f"unknown fields {sorted(extra)}")
-        raw_arcs = entry.get("arcs")
+        if not _FIELDS.issuperset(entry):
+            extra = sorted(set(entry) - _FIELDS)
+            raise _format_error(f"$.states[{idx}]", f"unknown fields {extra}")
+        arcs = entry.get("arcs")
         if kind is StateKind.TERMINAL:
-            if raw_arcs is not None:
-                raise _format_error(f"{path}.arcs", "terminal state must omit arcs")
-            arcs = None
+            if arcs is not None:
+                raise _format_error(f"$.states[{idx}].arcs", "terminal state must omit arcs")
         else:
-            if (
-                not isinstance(raw_arcs, list)
-                or len(raw_arcs) != 2
-                or not all(isinstance(a, str) for a in raw_arcs)
-            ):
-                raise _format_error(f"{path}.arcs", "must be an array of two state ids")
-            arcs = (raw_arcs[0], raw_arcs[1])
+            a, b = arcs if isinstance(arcs, list) and len(arcs) == 2 else (None, None)
+            if not (isinstance(a, str) and isinstance(b, str)):
+                raise _format_error(f"$.states[{idx}].arcs", "must be an array of two state ids")
+            arcs = (a, b)
         states.append(State(sid, kind, arcs))
 
     g = Game(states=tuple(states), start=start)

@@ -368,7 +368,7 @@ def _guard_cells(rows: int, states: int) -> None:
 
 
 def values_at(
-    g: Game, checkpoints: Iterable[int], strategy: Strategy | None = None
+    g: Game, checkpoints: Iterable[int], strategy: Strategy | None = None, sets: dict | None = None
 ) -> dict[int, dict[str, Dyadic]]:
     """Value rows at selected horizons from a single streaming pass.
 
@@ -376,7 +376,9 @@ def values_at(
     best-responds; without one, both sides play optimally.  A
     MemorylessStrategy is read once per state, at t = 1, and swept as
     one layer, so its sweep settles too.  The rows kept, not the
-    horizon swept, count against CELL_CAP.
+    horizon swept, count against CELL_CAP, and so do the mask bytes
+    that ``sets`` (see _sweep) will keep, largest checkpoint times
+    len(sets), each checked before the sweep.
     """
     if isinstance(checkpoints, range) and checkpoints.step > 0:
         cps = checkpoints  # sorted and distinct: counted without building it
@@ -385,6 +387,8 @@ def values_at(
     if not cps:
         return {}
     _guard_cells(len(cps), len(g.states))
+    if sets:
+        _guard_cells(cps[-1], len(sets))
     fixed = layers = None
     if isinstance(strategy, MemorylessStrategy):
         arcs = {}
@@ -395,7 +399,7 @@ def values_at(
         layers = ([arcs], [0] * cps[-1])
     elif strategy is not None:
         fixed = (PLAYER_KIND[strategy.player], strategy.action)
-    return _sweep(_plan(g), cps[-1], cps, fixed=fixed, layers=layers)
+    return _sweep(_plan(g), cps[-1], cps, fixed=fixed, sets=sets, layers=layers)
 
 
 def backward_induction(

@@ -23,6 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .counter import least_initial_for_period, minimal_period
+from .errors import GuardExceeded
 from .game import Game, store
 from .gadgets import make_F, make_G, make_M, primes, primorial, random_game
 from .numeric import (
@@ -199,8 +200,8 @@ def check_threshold_power_bounds(
     in_regime = i >= 12
     k = run_threshold(i)
     base = Fraction((1 << (i + 2)) - 1, 1 << (i + 2))
-    power_k = base**k
     power_km = base ** (k - i)
+    power_k = power_km * base**i  # one big power instead of two
     e_bound = exp_enclosure(Fraction(-1, 8), width)
     outcomes = {
         "power_k_ge_quarter": PASS if power_k >= Fraction(1, 4) else FAIL,
@@ -430,16 +431,16 @@ def check_shortcut_memory(c: int) -> CheckReport:
 def check_memoryless_horizon(
     g: Game, label: str = "game", eps_exponents=(1, 2, 3, 4, 5, 6)
 ) -> CheckReport:
-    """A memoryless infinite-horizon optimum is epsilon-optimal at long
-    horizons: played at horizon 2 * j * 2^n it stays within 2^-j of the
-    finite-horizon value at the start state.  n counts every state of
-    the game, terminal included.  Both sweeps, the optimum's and the
-    strategy's, run to the largest horizon once and settle (see the
-    solver module), so once the sets of states at 0 and at 1 stop
-    changing, at the latest by step n, their cost is that of the states
-    whose values stay strictly between 0 and 1.  Each exponent j
-    (eps = 2^-j) must be at least 1, and there must be one; otherwise
-    ValueError."""
+    """A memoryless infinite-horizon optimum sigma is epsilon-optimal at
+    long horizons: played at horizon 2 * j * 2^n it stays within 2^-j of
+    the finite-horizon value at the start state (n counts every state).
+    The optimal sweep records max's masks.  If sigma's arc is optimal at
+    every step, the played rows are the optimal rows, by induction on t:
+    the rows agree at t - 1, so coins, min states and sigma's arc agree
+    at t.  Otherwise, or if the masks exceed CELL_CAP, a second sweep
+    plays sigma.  Both sweeps settle (see the solver module).  Each
+    exponent j (eps = 2^-j) must be at least 1, and there must be one;
+    otherwise ValueError."""
     exponents = sorted(set(eps_exponents))
     if not exponents:
         raise ValueError("eps_exponents is empty: give at least one exponent j >= 1")
@@ -450,8 +451,17 @@ def check_memoryless_horizon(
     solution = solve_infinite(g)
     horizons = {j: 2 * j * (1 << n) for j in exponents}
     checkpoints = set(horizons.values())
-    best_rows = values_at(g, checkpoints)
-    played_rows = values_at(g, checkpoints, strategy=solution.strategy)
+    arcs = solution.strategy.choices
+    masks = {sid: bytearray() for sid in arcs}
+    try:
+        best_rows = values_at(g, checkpoints, sets=masks)
+    except GuardExceeded:  # too many masks to keep: sweep the played rows too
+        masks = None
+        best_rows = values_at(g, checkpoints)
+    played_rows = best_rows
+    # mask 1 = arc 0 only, 2 = arc 1 only: a byte that leaves sigma's arc out
+    if masks is None or any((b"\2", b"\1")[arc] in masks[sid] for sid, arc in arcs.items()):
+        played_rows = values_at(g, checkpoints, strategy=solution.strategy)
     rows = []
     failures = 0
     for j in exponents:

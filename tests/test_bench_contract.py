@@ -53,7 +53,9 @@ def queries(fh, argvs):
         fh.solver.evaluate_fixed_final(g, 12, strategy)[g.start],
         automaton,
         fh.solver.evaluate_counter(g, 12, automaton).value,
+        # M needs the played sweep; the 5-state arena takes the one-sweep branch
         report_of(fh.verify.check_memoryless_horizon(fh.gadgets.make_M(), label="M")),
+        report_of(fh.verify.check_memoryless_horizon(random_game(5, random.Random(0)))),
         report_of(fh.verify.check_shortcut_memory(5)),
     ]
     return results
@@ -108,3 +110,4 @@ def test_every_span_closes_on_the_workloads_calls(tmp_path):
         "oracle.min_counter_memory",
     } <= names
     assert tracer.counts["solver.cells"] > 0
+    assert [name for name, *_ in tracer.spans].count("solver.values_at") == 3

@@ -1,3 +1,4 @@
+import json
 import random
 
 import pytest
@@ -93,6 +94,48 @@ class TestDocumentFormat:
                 '{"start": "bot", "states": '
                 '[{"id": "bot", "kind": "terminal", "arcs": ["bot", "bot"]}]}'
             )
+
+    KINDS = "['coin', 'max', 'min', 'terminal']"
+    ARCS = "$.states[1].arcs: must be an array of two state ids"
+
+    @pytest.mark.parametrize(
+        "entry, message",
+        [
+            (["a"], "$.states[1]: must be an object"),
+            ("a", "$.states[1]: must be an object"),
+            (None, "$.states[1]: must be an object"),
+            ({"id": "", "kind": "coin"}, "$.states[1].id: required non-empty string"),
+            ({"id": 3, "kind": "coin"}, "$.states[1].id: required non-empty string"),
+            ({"kind": "coin", "x": 1}, "$.states[1].id: required non-empty string"),
+            ({"id": "a", "kind": "wat"}, f"$.states[1].kind: must be one of {KINDS}, got 'wat'"),
+            ({"id": "a", "kind": ["max"]}, f"$.states[1].kind: must be one of {KINDS}, got ['max']"),
+            ({"id": "a", "x": 1}, f"$.states[1].kind: must be one of {KINDS}, got None"),
+            (
+                {"id": "a", "kind": "coin", "arcs": ["bot", "bot"], "x": 1, "b": 2},
+                "$.states[1]: unknown fields ['b', 'x']",
+            ),
+            ({"id": "a", "kind": "terminal", "arcs": 7, "x": 1}, "$.states[1]: unknown fields ['x']"),
+            (
+                {"id": "a", "kind": "terminal", "arcs": ["bot", "bot"]},
+                "$.states[1].arcs: terminal state must omit arcs",
+            ),
+            ({"id": "a", "kind": "terminal", "arcs": []}, "$.states[1].arcs: terminal state must omit arcs"),
+            ({"id": "a", "kind": "coin"}, ARCS),
+            ({"id": "a", "kind": "max", "arcs": "ab"}, ARCS),
+            ({"id": "a", "kind": "min", "arcs": {"a": "bot"}}, ARCS),
+            ({"id": "a", "kind": "coin", "arcs": []}, ARCS),
+            ({"id": "a", "kind": "coin", "arcs": ["bot"]}, ARCS),
+            ({"id": "a", "kind": "coin", "arcs": ["bot", "bot", "bot"]}, ARCS),
+            ({"id": "a", "kind": "coin", "arcs": ["bot", 1]}, ARCS),
+            ({"id": "a", "kind": "coin", "arcs": [None, "bot"]}, ARCS),
+            ({"id": "a", "kind": "coin", "arcs": [["bot"], ["bot"]]}, ARCS),
+        ],
+    )
+    def test_format_error_messages(self, entry, message):
+        doc = {"start": "bot", "states": [{"id": "bot", "kind": "terminal"}, entry]}
+        with pytest.raises(GameFormatError) as err:
+            load(json.dumps(doc))
+        assert str(err.value) == message
 
     def test_validation_surfaces_on_load(self):
         doc = (

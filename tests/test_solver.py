@@ -106,6 +106,21 @@ class TestOptimalActionSets:
         assert arcs_at(sets, 1, "m") == (1,)  # avoiding the terminal is optimal
         assert arcs_at(sets, 2, "m") == (1,)
 
+    def test_values_at_masks_are_the_sets_reversed(self):
+        rng = random.Random(2210)
+        games = [make_M(), make_H(3), make_F(2), make_G(3)]
+        games += [random_game(rng.randint(3, 9), rng) for _ in range(30)]
+        for g in games:
+            n = len(g.states)
+            for horizon in (0, 1, n, 3 * n, 40):
+                max_sets, min_sets = optimal_action_sets(g, horizon)
+                masks = {sid: bytearray() for sid in max_sets.states + min_sets.states}
+                rows = values_at(g, (0, horizon // 2, horizon), sets=masks)
+                assert rows == values_at(g, (0, horizon // 2, horizon))
+                for seq in (max_sets, min_sets):
+                    for sid in seq.states:
+                        assert bytes(masks[sid]) == seq.masks[sid][::-1]
+
     def test_extract_contained_in_sets(self):
         g = make_F(2)
         horizon = 20
@@ -750,6 +765,20 @@ class TestCellCap:
                 values_at(g, checkpoints)
         # two rows kept, however deep the sweep that reaches them
         assert list(values_at(g, (0, 10**4))) == [0, 10**4]
+
+    def test_values_at_counts_the_masks_kept(self, monkeypatch):
+        g = make_H(2)  # 8 states, max state "x"
+        monkeypatch.setattr(solver, "CELL_CAP", 10)
+        masks = {"x": bytearray(), "bot": bytearray()}  # 2 masks per step
+        assert list(values_at(g, (5,), sets=masks)) == [5]
+        assert [len(row) for row in masks.values()] == [5, 0]  # bot is no optimising state
+        masks = {"x": bytearray(), "bot": bytearray()}
+        with mock.patch.object(solver, "_sweep") as sweep:
+            with pytest.raises(GuardExceeded, match="12 value cells exceed the cell cap 10"):
+                values_at(g, (6,), sets=masks)
+        sweep.assert_not_called()
+        assert masks == {"x": bytearray(), "bot": bytearray()}
+        assert list(values_at(g, (6,), sets={})) == [6]  # no masks, none counted
 
     def test_counter_default_reads_the_cap_at_call_time(self, monkeypatch):
         monkeypatch.setattr(solver, "CELL_CAP", 10)

@@ -5,7 +5,7 @@ from unittest import mock
 
 import pytest
 
-from fhgames import verify
+from fhgames import solver, verify
 from fhgames.errors import GuardExceeded, StrategyError
 from fhgames.gadgets import make_H, make_M, random_game
 from fhgames.game import load
@@ -83,6 +83,13 @@ class TestNumericChecks:
         report = check_threshold_power_bounds(12)
         assert report.verdict == "pass"
         assert report.evidence["in_regime"] is True
+
+    def test_power_bounds_evidence_is_of_the_two_powers(self):
+        for i in range(1, 13):
+            evidence = check_threshold_power_bounds(i).evidence
+            base, k = evidence["base"], evidence["k"]
+            assert evidence["power_k_approx"] == float(base**k)
+            assert evidence["power_km_approx"] == float(base ** (k - i))
 
     def test_power_bounds_small_i_never_hard_fails(self):
         report = check_threshold_power_bounds(2)
@@ -178,8 +185,9 @@ class TestMemorylessHorizonSweep:
     sweeps they replaced."""
 
     @staticmethod
-    def per_cell_values_at(g, checkpoints, strategy=None):
-        return values_at(g, checkpoints, None if strategy is None else PerCell(strategy))
+    def per_cell_values_at(g, checkpoints, strategy=None, sets=None):
+        played = None if strategy is None else PerCell(strategy)
+        return values_at(g, checkpoints, played, sets=sets)
 
     def test_report_equals_per_cell_sweeps(self):
         for label, g in memoryless_games():
@@ -197,6 +205,37 @@ class TestMemorylessHorizonSweep:
             assert values_at(g, checkpoints, strategy=strategy) == values_at(
                 g, checkpoints, strategy=PerCell(strategy)
             )
+
+    def test_skip_equals_two_plain_sweeps(self):
+        """One sweep when sigma's arc is optimal at every step, two
+        otherwise; either way the rows of two plain values_at calls."""
+        rng = random.Random(2022)
+        games = list(memoryless_games())
+        games += [(f"extra{j}", random_game(rng.randint(6, 8), rng)) for j in range(30)]
+        sweeps = {}
+        for label, g in games:
+            with mock.patch.object(verify, "values_at", wraps=values_at) as spy:
+                report = check_memoryless_horizon(g, label=label)
+            sweeps[label] = spy.call_count
+            horizons = [row["horizon"] for row in report.evidence["rows"]]
+            best = values_at(g, horizons)
+            played = values_at(g, horizons, strategy=solve_infinite(g).strategy)
+            for row in report.evidence["rows"]:
+                assert row["optimal"] == best[row["horizon"]][g.start]
+                assert row["achieved"] == played[row["horizon"]][g.start]
+        assert sweeps["M"] == sweeps["H2"] == sweeps["H3"] == 2  # sigma's arc not always optimal
+        assert sorted(set(sweeps.values())) == [1, 2]
+
+    def test_masks_beyond_the_cap_fall_back(self, monkeypatch):
+        g = make_M()  # 6 rows of 7 cells kept; 12 * 2^7 = 1536 masks of x
+        expected = check_memoryless_horizon(g, label="M")
+        monkeypatch.setattr(solver, "CELL_CAP", 1535)
+        with mock.patch.object(verify, "values_at", wraps=values_at) as spy:
+            report = check_memoryless_horizon(g, label="M")
+        refused, *plain = spy.call_args_list
+        assert refused.kwargs["sets"] and [call.kwargs.get("sets") for call in plain] == [None, None]
+        assert (report.params, report.verdict) == (expected.params, expected.verdict)
+        assert report.evidence == expected.evidence
 
     def test_missing_or_bad_choice_raises(self):
         g = make_M()
