@@ -7,7 +7,8 @@ or a search budget (GuardExceeded) is exceeded.
 
 argparse holds every flag rule.  Each verify check has a sub-parser
 with only the flags its check reads, stored under the check's parameter
-names and left unset when not given, so the check's own defaults apply.
+names and left unset when not given, so the check's own defaults apply;
+its help shows them, and it refuses the arguments it does not know.
 ``solve --csv``, ``--json`` and ``--decimal`` exclude each other, as do
 ``minimize --sets`` and ``--tiebreak``.
 
@@ -27,6 +28,7 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
+import inspect
 import json
 import sys
 from fractions import Fraction
@@ -331,6 +333,16 @@ _VERIFY_FLAGS = {
 }
 
 
+class _CheckParser(argparse.ArgumentParser):
+    """Refuses its own unrecognised arguments, under its own usage line."""
+
+    def parse_known_args(self, args=None, namespace=None):
+        namespace, extras = super().parse_known_args(args, namespace)
+        if extras:
+            self.error("unrecognized arguments: " + " ".join(extras))
+        return namespace, extras
+
+
 def _add_game_source(p):
     p.add_argument("-g", "--game", help="game document file")
     p.add_argument("--gadget", help="generated game, e.g. M, H:4, G:5, F:2")
@@ -382,15 +394,25 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_gadget)
 
     p = sub.add_parser("verify", help="run one verification check")
-    per_check = p.add_subparsers(dest="check", required=True)
+    per_check = p.add_subparsers(dest="check", required=True, parser_class=_CheckParser)
 
     def check(name, *flags, allow_abbrev=True):
         # a flag left out is not set, so the check's own default applies
         c = per_check.add_parser(
             name, argument_default=argparse.SUPPRESS, allow_abbrev=allow_abbrev
         )
+        check_function = getattr(checks, "check_" + name.replace("-", "_"))
+        parameters = inspect.signature(check_function).parameters
         for flag in flags:
-            c.add_argument(flag, **_VERIFY_FLAGS[flag])
+            settings = _VERIFY_FLAGS[flag]
+            # help shows the check's own default, unless a wrapper (such
+            # as the benchmark's tracer) hides the check's signature
+            parameter = parameters.get(settings.get("dest", flag[2:]))
+            if parameter is not None and parameter.default is not parameter.empty:
+                default = parameter.default
+                shown = ", ".join(map(str, default)) if isinstance(default, tuple) else default
+                settings = {**settings, "help": f"default: {shown}"}
+            c.add_argument(flag, **settings)
         c.add_argument("--json", action="store_true", default=False)
         c.add_argument("--timing", action="store_true", default=False,
                        help="include runtime in the report")

@@ -2,17 +2,17 @@
 
 Everything here is exact: infinite-horizon values by strategy
 iteration (Hoffman-Karp), each strategy pair's value from an absorbing-
-chain linear system solved fraction-free; the minimal counter-automaton
-memory by a branch-and-bound search over the automata, pruned by an
-upper bound on every completion of a partial one, each automaton swept
-along its memory trajectory rather than over the whole memory product;
-and seeded Monte-Carlo simulation for statistical cross-validation.
+chain linear system solved fraction-free, the lex-first optimal
+strategy by a greedy walk over max's tied states; the minimal counter-
+automaton memory by a branch-and-bound search over the automata, pruned
+by an upper bound on every completion of a partial one, each automaton
+swept along its memory trajectory rather than over the whole memory
+product; and seeded Monte-Carlo simulation for cross-validation.
 Search caps are explicit and exceeding them raises, never truncates.
 """
 
 from __future__ import annotations
 
-import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -175,63 +175,66 @@ def _best_reply(kinds, arcs, target: int, pick) -> list[Fraction]:
     raise ArithmeticError(f"min's policy iteration passed {1 << len(mins)} policies")
 
 
+def _max_values(kinds, arcs, target: int, pick, free) -> list[Fraction]:
+    """Max's values with the max states outside ``free`` held on their
+    arcs in ``pick``, by strategy iteration from the positive attractor
+    on strict improvement only.  It ends at a Bellman fixed point that
+    is a strategy's values, so at most the value, the least fixed point.
+    The final arcs stay in ``pick``; past 2^len(free) strategies, ArithmeticError."""
+    for j in free:
+        pick[j] = None
+    attractor = _positive(kinds, arcs, target, pick)
+    for j in free:
+        pick[j] = attractor.get(j, 0)
+    for _ in range(1 << len(free)):
+        values = _best_reply(kinds, arcs, target, pick)
+        switched = False
+        for j in free:
+            if values[arcs[j][1 - pick[j]]] > values[arcs[j][pick[j]]]:
+                pick[j] ^= 1
+                switched = True
+        if not switched:
+            return values
+    raise ArithmeticError(f"strategy iteration passed {1 << len(free)} strategies")
+
+
 @dataclass(frozen=True)
 class InfiniteSolution:
     values: dict[str, Fraction]
     strategy: MemorylessStrategy
 
 
-def solve_infinite(g: Game, cap: int = 12) -> InfiniteSolution:
+def solve_infinite(g: Game) -> InfiniteSolution:
     """Infinite-horizon values and the lex-first uniformly optimal
     memoryless maximiser strategy, by exact strategy iteration.
 
     ``values`` maps every state, in g.states order, to its max-min
-    value v*.  ``strategy`` is the first memoryless strategy, in the
-    order of itertools.product over controlled_ids(1) (first id slowest,
-    arc 0 before arc 1), against which min's best reply holds every
-    state at v*.  Max iterates from its positive-attractor strategy,
-    switching only on strict improvement, until its values are a Bellman
-    fixed point: at most v*, the least one, so v*.  A depth-first search
-    in enumeration order then keeps only arcs with v*(arc) = v*(state)
-    and accepts the first leaf whose best reply is v*.  Strict improvement
-    never repeats a strategy, so each iteration stops within its player's
-    count of strategies; past it, or with no leaf accepted, ArithmeticError.
+    value v*.  ``strategy`` is the first memoryless strategy (first id
+    of controlled_ids(1) slowest, arc 0 before arc 1) against which
+    min's best reply holds every state at v*.  Iterating over all of
+    max's states gives v* and a uniformly optimal ``pick``.  A greedy
+    walk then fixes the states in order, ``pick`` staying an optimal
+    completion of the prefix: a state keeps arc 0 if ``pick`` has it,
+    arc 1 if v*(arc 0) is not v*(state), and else takes arc 0 exactly
+    when the game with the prefix and arc 0 held keeps v*.  That game
+    is an SSG, so it has a memoryless optimum (Condon 1992): if it keeps
+    v*, that optimum completes the new prefix, and if not, none does.
     """
-    ids1 = g.controlled_ids(1)
-    ids2 = g.controlled_ids(2)
-    if len(ids1) + len(ids2) > cap:
-        raise GuardExceeded(
-            f"{len(ids1) + len(ids2)} controlled states exceed the cap {cap}"
-        )
     sids, kinds, arcs, target = _index_form(g)
     maxes = [j for j, kind in enumerate(kinds) if kind is StateKind.MAX]
-    attractor = _positive(kinds, arcs, target, [None] * len(sids))
     pick = [None] * len(sids)
-    for j in maxes:
-        pick[j] = attractor.get(j, 0)
-    for _ in range(1 << len(maxes)):
-        best = _best_reply(kinds, arcs, target, pick)
-        switched = False
-        for j in maxes:
-            if best[arcs[j][1 - pick[j]]] > best[arcs[j][pick[j]]]:
-                pick[j] ^= 1
-                switched = True
-        if not switched:
-            break
-    else:
-        raise ArithmeticError(f"strategy iteration passed {1 << len(maxes)} strategies")
-
-    settled = tuple(pick[j] for j in maxes)  # its best reply is v*: no check
-    allowed = [[a for a in (0, 1) if best[arcs[j][a]] == best[j]] for j in maxes]
-    for picks in itertools.product(*allowed):
-        for j, a in zip(maxes, picks):
-            pick[j] = a
-        if picks == settled or _best_reply(kinds, arcs, target, pick) == best:
-            return InfiniteSolution(
-                values=dict(zip(sids, best)),
-                strategy=MemorylessStrategy(1, dict(zip(ids1, picks))),
-            )
-    raise ArithmeticError("no uniformly optimal memoryless strategy found")
+    best = _max_values(kinds, arcs, target, pick, maxes)
+    for k, j in enumerate(maxes):
+        if pick[j] == 0 or best[arcs[j][0]] != best[j]:
+            continue
+        trial = pick[:]
+        trial[j] = 0
+        if _max_values(kinds, arcs, target, trial, maxes[k + 1 :]) == best:
+            pick = trial
+    return InfiniteSolution(
+        values=dict(zip(sids, best)),
+        strategy=MemorylessStrategy(1, {sids[j]: pick[j] for j in maxes}),
+    )
 
 
 @dataclass(frozen=True)

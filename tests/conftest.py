@@ -20,19 +20,24 @@ before it handed them to ``fhgames.jsonout.Records`` as columns.
 ``reference_solve_infinite`` enumerates every memoryless strategy pair,
 one ``reach_probabilities`` solve each, as ``fhgames.oracle.solve_infinite``
 did before strategy iteration.  ``make_star_chain`` builds H(i)'s
-approach chain alone, whose solved values are run probabilities.
+approach chain alone, whose solved values are run probabilities, and
+``coin_union`` joins disjoint games under one coin start, such as the
+two of ``union_parts``: together they have too many controlled states
+for the enumeration, which ``reference_union_solution`` runs on each.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
+import random
 from fractions import Fraction
 from typing import Callable, Iterable
 
 from fhgames import solver
 from fhgames.counter import CounterStrategy
 from fhgames.errors import GuardExceeded, StrategyError
+from fhgames.gadgets import random_game
 from fhgames.game import PLAYER_KIND, Game, State, StateKind
 from fhgames.jsonout import jsonable
 from fhgames.numeric import ONE, ZERO, Dyadic
@@ -84,6 +89,52 @@ def make_star_chain(i: int) -> Game:
         states.append(State(f"{j}s", StateKind.COIN, (top_star, f"{j - 1}s")))
     states.append(State("x", StateKind.TERMINAL))
     return Game(states=tuple(states), start=top_star)
+
+
+def coin_union(left: Game, right: Game) -> Game:
+    """The two games side by side, their ids prefixed "l." and "r.",
+    sharing one terminal "bot", from a coin start whose arcs lead to
+    their starts.  Left's states come first, then right's, then the
+    start and the terminal."""
+    states = []
+    for prefix, g in (("l.", left), ("r.", right)):
+        name = {s.id: prefix + s.id for s in g.states}
+        name[g.terminal_id] = "bot"
+        states += [
+            State(name[s.id], s.kind, (name[s.arcs[0]], name[s.arcs[1]]))
+            for s in g.states
+            if s.kind is not StateKind.TERMINAL
+        ]
+    states.append(State("start", StateKind.COIN, ("l." + left.start, "r." + right.start)))
+    states.append(State("bot", StateKind.TERMINAL))
+    return Game(states=tuple(states), start="start")
+
+
+def union_parts() -> list[Game]:
+    """Two random 11-state arenas with 7-8 controlled states each, five
+    of them max's, whose lex-first strategies both take arc 1 somewhere."""
+
+    def controlled(g):
+        return len(g.controlled_ids(1)) + len(g.controlled_ids(2))
+
+    rng = random.Random(18)
+    arenas = (random_game(11, rng) for _ in range(40))
+    return [g for g in arenas if 7 <= controlled(g) <= 8][:2]
+
+
+def reference_union_solution(left: Game, right: Game) -> InfiniteSolution:
+    """``reference_solve_infinite`` of ``coin_union(left, right)`` from
+    its parts: each part keeps its values, the start averages the parts'
+    starts, and the lex-first strategy is left's followed by right's."""
+    values: dict[str, Fraction] = {}
+    choices: dict[str, int] = {}
+    for prefix, g in (("l.", left), ("r.", right)):
+        part = reference_solve_infinite(g)
+        values |= {prefix + sid: v for sid, v in part.values.items() if sid != g.terminal_id}
+        choices |= {prefix + sid: arc for sid, arc in part.strategy.choices.items()}
+    values["start"] = (values["l." + left.start] + values["r." + right.start]) / 2
+    values["bot"] = Fraction(1)
+    return InfiniteSolution(values=values, strategy=MemorylessStrategy(1, choices))
 
 
 def count_sequences_with_run(i: int, t: int) -> int:

@@ -14,7 +14,13 @@ import pytest
 
 import fhgames.cli as cli
 import fhgames.verify as verify
-from conftest import reference_dumps, reference_strategy_rows
+from conftest import (
+    coin_union,
+    reference_dumps,
+    reference_strategy_rows,
+    reference_union_solution,
+    union_parts,
+)
 from fhgames import __version__
 from fhgames.cli import main
 from fhgames.gadgets import make_H, make_M, random_game
@@ -261,6 +267,17 @@ class TestUnreadFlags:
         "memoryless-horizon": ("--game", "--gadget", "--eps-exp"),
     }
     REQUIRED = ("--i", "--p", "--k", "--c")
+    # each optional flag's default as its check's --help shows it
+    DEFAULTS = {
+        "--amax": {"fib-ratio": "256"},
+        "--imax": {"threshold-growth": "14"},
+        "--tmax": {"doubling": "256", "cycle-values": "200"},
+        "--width": dict.fromkeys(
+            ("threshold-power-bounds", "below-threshold", "above-threshold"), "1/1000000000000"
+        ),
+        "--d": {"below-threshold": "1/5, 2/5, 4/5", "above-threshold": "1/5"},
+        "--eps-exp": {"memoryless-horizon": "1, 2, 3, 4, 5, 6"},
+    }
     # a value for each flag, away from its check's default
     VALUES = {
         "--i": "3", "--imax": "5", "--amax": "300", "--tmax": "50", "--p": "3",
@@ -274,16 +291,35 @@ class TestUnreadFlags:
         given = [x for f in self.READS[name] if f in self.REQUIRED for x in (f, self.VALUES[f])]
         for flag in sorted(set(self.VALUES) - set(self.READS[name])):
             err = usage_error(capsys, "verify", name, *given, flag, self.VALUES[flag], "--json")
+            assert err.startswith(f"usage: fhgames verify {name} "), flag
             assert f"unrecognized arguments: {flag} {self.VALUES[flag]}\n" in err, flag
 
     @pytest.mark.parametrize("name", sorted(READS))
-    def test_check_help_lists_exactly_the_flags_it_reads(self, capsys, name):
+    def test_check_help_lists_exactly_the_flags_it_reads(self, capsys, monkeypatch, name):
+        monkeypatch.setenv("COLUMNS", "80")  # one line per flag and its help
         with pytest.raises(SystemExit) as exc:
             main(["verify", name, "--help"])
         out, err = capsys.readouterr()
         assert (exc.value.code, err) == (0, "")
         flags = set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", out)) - {"--help"}
         assert flags == {*self.READS[name], "--json", "--timing"}
+        shown = dict(re.findall(r"^  (--[a-z-]+) \S+ +default: (.*)$", out, re.M))
+        expected = {f: d[name] for f, d in self.DEFAULTS.items() if name in d}
+        assert shown == expected
+
+    def test_parser_builds_over_a_wrapped_check(self, capsys, monkeypatch):
+        # perfbench's tracer wraps each check_* in a (*args, **kwargs)
+        # function, which may come before the parser is first built
+        monkeypatch.setattr(cli.checks, "check_doubling", lambda *args, **kwargs: None)
+        cli.build_parser.cache_clear()
+        try:
+            with pytest.raises(SystemExit) as exc:
+                main(["verify", "doubling", "--help"])
+        finally:
+            cli.build_parser.cache_clear()
+        out = capsys.readouterr().out
+        assert exc.value.code == 0
+        assert "--tmax T_MAX" in out and "default:" not in out
 
     @pytest.mark.parametrize("name", sorted(READS))
     def test_verify_accepts_every_flag_its_check_reads(
@@ -342,6 +378,18 @@ class TestOracleSimulateScan:
         doc = json.loads(out)
         assert doc["result"]["values"]["start"] == "1/1"
         assert doc["result"]["strategy"] == {"x": 0}
+
+    def test_oracle_past_the_enumeration_cap(self, capsys, tmp_path):
+        left, right = union_parts()
+        path = tmp_path / "union.json"
+        path.write_text(store(coin_union(left, right)), encoding="utf-8")
+        code, out, err = run(capsys, "oracle", "-g", str(path), "--json")
+        assert (code, err) == (0, "")
+        expected = reference_union_solution(left, right)
+        assert json.loads(out)["result"] == {
+            "values": {sid: f"{v.numerator}/{v.denominator}" for sid, v in expected.values.items()},
+            "strategy": expected.strategy.choices,
+        }
 
     def test_oracle_memory_search(self, capsys):
         code, out, _ = run(

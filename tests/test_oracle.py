@@ -6,7 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import reference_min_counter_memory, reference_solve_infinite
+from conftest import (
+    coin_union,
+    reference_min_counter_memory,
+    reference_solve_infinite,
+    reference_union_solution,
+    union_parts,
+)
+from fhgames import oracle
 from fhgames.counter import CounterStrategy, from_markov
 from fhgames.errors import GuardExceeded, StrategyError
 from fhgames.game import Game, State, StateKind
@@ -130,9 +137,11 @@ class TestSolveInfinite:
         )
         assert solve_infinite(g).values["m"] == 0
 
-    def test_cap(self):
-        with pytest.raises(GuardExceeded):
-            solve_infinite(make_F(4), cap=3)
+    def test_union_past_the_enumeration_cap(self):
+        left, right = union_parts()
+        union = coin_union(left, right)
+        assert len(union.controlled_ids(1)) + len(union.controlled_ids(2)) > 12
+        assert_same_solution(solve_infinite(union), reference_union_solution(left, right))
 
     def test_dominates_finite_horizons(self):
         rng = random.Random(123)
@@ -146,9 +155,12 @@ class TestSolveInfinite:
                 for t in (0, 3, 11, 24):
                     assert rows[t][sid].as_fraction() <= infinite[sid]
 
-    def test_backtracks_past_a_max_cycle(self):
+    def test_backtracks_past_a_max_cycle(self, monkeypatch):
         # arc 0 keeps every state at value 1, but x -> y -> x never
-        # reaches the target, so the search must back out of (0, 0)
+        # reaches the target, so the walk's trial of (0, 0) must fail
+        replies = []
+        best_reply = oracle._best_reply
+        monkeypatch.setattr(oracle, "_best_reply", lambda *a: replies.append(a) or best_reply(*a))
         g = Game(
             states=(
                 State("x", StateKind.MAX, ("y", "bot")),
@@ -160,6 +172,9 @@ class TestSolveInfinite:
         solution = solve_infinite(g)
         assert solution.values == {"x": 1, "y": 1, "bot": 1}
         assert solution.strategy.choices == {"x": 0, "y": 1}
+        # each iteration starts on the positive attractor, here optimal:
+        # one best reply for v* and one per trial (from arc 0, two more)
+        assert len(replies) == 3
         assert_same_solution(solution, reference_solve_infinite(g))
 
     def test_min_trap_beside_a_half_arc(self):
