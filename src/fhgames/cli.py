@@ -42,12 +42,12 @@ from .gadgets import make_F, make_G, make_H, make_M
 from .numeric import Dyadic
 from .oracle import min_counter_memory, simulate, solve_infinite
 from .solver import (
-    backward_induction,
     evaluate_fixed_final,
     extract_markov,
     final_values,
     markov_arcs,
     optimal_action_sets,
+    values_at,
 )
 from . import verify as checks
 from .jsonout import Records, dumps, jsonable
@@ -78,12 +78,10 @@ def _make_gadget(family: str, param: str | None) -> Game:
 
 
 def _resolve_game(args) -> Game:
-    if getattr(args, "game", None):
+    if args.game is not None:  # argparse lets exactly one of the two through
         return _read_game(args.game)
-    if getattr(args, "gadget", None):
-        family, colon, param = args.gadget.partition(":")
-        return _make_gadget(family, param if colon else None)
-    raise ValueError("a game is required: pass -g FILE or --gadget SPEC")
+    family, colon, param = args.gadget.partition(":")
+    return _make_gadget(family, param if colon else None)
 
 
 def _emit(args, command: str, params: dict, result: dict) -> None:
@@ -108,10 +106,10 @@ def _cmd_solve(args) -> int:
     g = _resolve_game(args)
     params = {"game": args.game or args.gadget, "horizon": args.horizon}
     if args.csv:
-        rows = backward_induction(g, args.horizon)  # a refusal prints nothing
+        rows = values_at(g, range(args.horizon + 1))  # a refusal prints nothing
         out = csv.writer(sys.stdout, lineterminator="\n")
         out.writerow(("t", *g.ids()))
-        out.writerows((t, *row.values()) for t, row in enumerate(rows))
+        out.writerows((t, *row.values()) for t, row in rows.items())
         return 0
     values = final_values(g, args.horizon)
     _emit(args, "solve", params, {"start": g.start, "values": values})
@@ -344,8 +342,9 @@ class _CheckParser(argparse.ArgumentParser):
 
 
 def _add_game_source(p):
-    p.add_argument("-g", "--game", help="game document file")
-    p.add_argument("--gadget", help="generated game, e.g. M, H:4, G:5, F:2")
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("-g", "--game", help="game document file")
+    source.add_argument("--gadget", help="generated game, e.g. M, H:4, G:5, F:2")
 
 
 @functools.cache

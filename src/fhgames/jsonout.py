@@ -26,7 +26,7 @@ from itertools import chain, repeat
 from json.encoder import encode_basestring
 from typing import Sequence
 
-from .numeric import Dyadic, IntervalEnclosure
+from .numeric import Dyadic, IntervalEnclosure, int_text
 
 __all__ = ["Records", "jsonable", "dumps"]
 
@@ -61,7 +61,7 @@ def jsonable(value):
     if isinstance(value, Dyadic):
         return str(value)
     if isinstance(value, Fraction):
-        return f"{value.numerator}/{value.denominator}"
+        return f"{int_text(value.numerator)}/{int_text(value.denominator)}"
     if isinstance(value, IntervalEnclosure):
         return {"lower": jsonable(value.lower), "upper": jsonable(value.upper)}
     if isinstance(value, dict):
@@ -89,7 +89,7 @@ _SCALARS = {
     type(None): lambda value: "null",
     float: json.dumps,  # NaN and Infinity as the stdlib writes them
     Dyadic: lambda value: f'"{value}"',
-    Fraction: lambda value: f'"{value.numerator}/{value.denominator}"',
+    Fraction: lambda value: f'"{jsonable(value)}"',
 }
 
 

@@ -17,6 +17,7 @@ gadgets.
 
 from __future__ import annotations
 
+import decimal
 import re
 import threading
 from dataclasses import dataclass
@@ -29,6 +30,7 @@ __all__ = [
     "ZERO",
     "HALF",
     "ONE",
+    "int_text",
     "fib_nstep",
     "run_probability",
     "run_threshold",
@@ -36,13 +38,23 @@ __all__ = [
 ]
 
 
+def int_text(n: int) -> str:
+    """str(n), or past the int-to-str digit limit, which str refuses,
+    the exact and unlimited str(decimal.Decimal(n)); the limit stays."""
+    try:
+        return str(n)
+    except ValueError:
+        return str(decimal.Decimal(n))
+
+
 class Dyadic:
     """An exact dyadic rational ``mantissa / 2**exponent``.
 
     Instances are immutable and canonical: either the exponent is 0 or
     the mantissa is odd.  Canonical form makes equality and hashing
-    structural (an integer hashes as the int it equals), and keeps the exponent equal to the true denominator
-    power, which backward induction bounds by the horizon.
+    structural (an integer hashes as the int it equals), and keeps the
+    exponent equal to the true denominator power, which backward
+    induction bounds by the horizon.
     """
 
     __slots__ = ("mantissa", "exponent")
@@ -85,8 +97,8 @@ class Dyadic:
             q += 1
         sign = "-" if self.mantissa < 0 else ""
         if digits == 0:
-            return f"{sign}{q}"
-        text = str(q).rjust(digits + 1, "0")
+            return sign + int_text(q)
+        text = int_text(q).rjust(digits + 1, "0")
         return f"{sign}{text[:-digits]}.{text[-digits:]}"
 
     # -- arithmetic ----------------------------------------------------
@@ -171,12 +183,11 @@ class Dyadic:
         return NotImplemented if c is NotImplemented else c >= 0
 
     def __str__(self):
-        if self.exponent == 0:
-            return str(self.mantissa)
-        return f"{self.mantissa}/2^{self.exponent}"
+        text = int_text(self.mantissa)
+        return text if self.exponent == 0 else f"{text}/2^{self.exponent}"
 
     def __repr__(self):
-        return f"Dyadic({self.mantissa}, {self.exponent})"
+        return f"Dyadic({int_text(self.mantissa)}, {self.exponent})"
 
 
 ZERO = Dyadic(0)

@@ -24,6 +24,7 @@ from .numeric import Dyadic
 from .solver import MemorylessStrategy, counter_bound, evaluate_counter, final_values
 
 __all__ = [
+    "SWEEP_CAP",
     "InfiniteSolution",
     "MinMemoryResult",
     "SimulationReport",
@@ -34,6 +35,8 @@ __all__ = [
 ]
 
 RNG_ALGORITHM = "mt19937"  # random.Random; recorded in every report
+
+SWEEP_CAP = 2_000_000  # most sweeps one memory search may perform
 
 
 def _fraction_free_solve(matrix: list[list[int]], rhs: list[int]) -> list[Fraction]:
@@ -257,7 +260,6 @@ def min_counter_memory(
     horizon: int,
     epsilon: Dyadic,
     max_mem: int,
-    guard: int = 2_000_000,
 ) -> MinMemoryResult:
     """Least memory-state count of an epsilon-optimal maximiser counter
     strategy.
@@ -270,8 +272,8 @@ def min_counter_memory(
     free and the branch is pruned when even that falls below the
     target.  The first complete automaton that meets the target,
     confirmed by evaluate_counter, is therefore the first one a full
-    enumeration in the same order would meet.  ``guard`` caps the
-    sweeps performed; the sweep past it raises GuardExceeded instead.
+    enumeration in the same order would meet.  SWEEP_CAP, read at the
+    call, caps the sweeps; the sweep past it raises GuardExceeded.
     """
     if epsilon < 0:
         raise ValueError(f"epsilon must be non-negative, got {epsilon}")
@@ -286,9 +288,9 @@ def min_counter_memory(
             # not swept: its bound is the optimum itself
             bits = [0] if slots else []
             while True:
-                if sweeps >= guard:
+                if sweeps >= SWEEP_CAP:
                     raise GuardExceeded(
-                        f"the memory search needs more than {guard} product sweeps"
+                        f"the memory search needs more than {SWEEP_CAP} product sweeps"
                     )
                 sweeps += 1
                 cs = CounterStrategy(m - period, period, dict(zip(slots, bits)))

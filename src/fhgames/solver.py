@@ -32,10 +32,9 @@ and the CLI's strategy command renders as they are.
 
 Every value row of a game comes from values_at, which refuses with
 GuardExceeded to keep more than CELL_CAP cells (rows kept times
-states) before it sweeps.  The other value views are projections of
-it: final_values and evaluate_fixed_final keep the row at the horizon,
-backward_induction every row 0..T as a tuple of {state id: value}
-dicts.  Action-set tables are capped the same way.
+states) before it sweeps; a full table is values_at(g, range(T + 1)).
+final_values and evaluate_fixed_final keep the row at the horizon.
+Action-set tables are capped the same way.
 
 Strategies are indexed by REMAINING moves: a Markov strategy maps
 (t, state) with t in 1..T to an arc.  Counter strategies advance their
@@ -47,8 +46,9 @@ alone, so the product cells the value at (memory 0, start) reads at
 remaining time t all hold one memory, the automaton's after T - t
 traversals.  The value therefore comes from one streaming sweep of the
 game itself whose controlled states take, at each t, the arcs of that
-memory (the sweep's layers); the product's full table of rows is
-built only when first read.  counter_bound sweeps the same layers with
+memory (the sweep's layers).  That sweep keeps two game rows, so it is
+not capped; the product's full table of rows is built, and capped,
+only when first read.  counter_bound sweeps the same layers with
 the slots a partial strategy leaves unset free to the maximiser, which
 bounds every completion from above.
 
@@ -90,7 +90,6 @@ __all__ = [
     "MarkovStrategy",
     "MemorylessStrategy",
     "CounterEvaluation",
-    "backward_induction",
     "final_values",
     "values_at",
     "optimal_action_sets",
@@ -200,6 +199,7 @@ class CounterEvaluation:
     @cached_property
     def rows(self) -> tuple[dict[tuple[int, str], Dyadic], ...]:
         horizon = self._horizon
+        _guard_cells(horizon + 1, self._strategy.size * len(self._game.states))
         plan = _product_plan(self._game, self._strategy, self._player)
         return tuple(_sweep(plan, horizon, range(horizon + 1)).values())
 
@@ -402,18 +402,6 @@ def values_at(
     return _sweep(_plan(g), cps[-1], cps, fixed=fixed, sets=sets, layers=layers)
 
 
-def backward_induction(
-    g: Game, horizon: int, strategy: Strategy | None = None
-) -> tuple[dict[str, Dyadic], ...]:
-    """Exact values for every state at every t in 0..horizon: rows[t][sid].
-
-    With a strategy, that player's choices are fixed (see values_at).
-    """
-    if horizon < 0:
-        raise ValueError("horizon must be non-negative")
-    return tuple(values_at(g, range(horizon + 1), strategy).values())
-
-
 def final_values(g: Game, horizon: int) -> dict[str, Dyadic]:
     """Optimal values at the full horizon only (two-row streaming)."""
     return values_at(g, (horizon,))[horizon]
@@ -496,16 +484,15 @@ def _counter_value(
     player: int,
     free: bool,
 ) -> Dyadic:
-    """Value at (memory 0, start) of a counter strategy's product, after
-    the cell-cap check on its table, from one sweep of the game along
-    the memory trajectory: its layers (see _sweep) are, per memory, the
-    arcs the strategy sets at the player's states, and the memory held
-    at each remaining time 1..horizon.  A slot (memory, state) with no
-    action raises StrategyError, at every memory whether the horizon
-    reaches it or not, or, when ``free``, keeps both arcs and stays the
-    player's to optimise at every step.
+    """Value at (memory 0, start) of a counter strategy's product, from
+    one uncapped sweep of two game rows along the memory trajectory:
+    its layers (see _sweep) are, per memory, the arcs the strategy sets
+    at the player's states, and the memory held at each remaining time
+    1..horizon.  A slot (memory, state) with no action raises
+    StrategyError, at every memory whether the horizon reaches it or
+    not, or, when ``free``, keeps both arcs and stays the player's to
+    optimise at every step.
     """
-    _guard_cells(horizon + 1, cs.size * len(g.states))
     own = g.controlled_ids(player)
     overrides = []
     for m in range(cs.size):
@@ -561,8 +548,8 @@ def evaluate_counter(
     so it comes from one streaming sweep of game-sized rows whose
     fixed-player states take that memory's arcs.  The result's rows
     build and sweep the whole product, and are kept, only when first
-    read.  CELL_CAP at the call guards that table, checked before any
-    sweep.
+    read; CELL_CAP at that read guards the table, checked before the
+    product is built.
     """
     value = _counter_value(g, horizon, cs, player, free=False)
     return CounterEvaluation(value, g, cs, player, horizon)
@@ -576,6 +563,6 @@ def counter_bound(g: Game, horizon: int, cs: "CounterStrategy") -> Dyadic:
     choose afresh at every step, in the same game-sized sweep along the
     memory trajectory as evaluate_counter.  The recurrence is monotone,
     so no fixed choice for them does better; with every slot set this
-    is the strategy's value.  Guarded by CELL_CAP like evaluate_counter.
+    is the strategy's value.
     """
     return _counter_value(g, horizon, cs, 1, free=True)

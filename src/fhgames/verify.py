@@ -36,7 +36,7 @@ from .numeric import (
     run_threshold,
 )
 from .oracle import RNG_ALGORITHM, min_counter_memory, solve_infinite
-from .solver import backward_induction, optimal_action_sets, values_at
+from .solver import optimal_action_sets, values_at
 
 __all__ = [
     "CheckReport",
@@ -317,7 +317,7 @@ def check_cycle_values(p: int, t_max: int = 200) -> CheckReport:
     if t_max < 0:
         raise ValueError(f"t_max must be non-negative, got {t_max}")
     params = {"p": p, "t_max": t_max}
-    rows = backward_induction(make_G(p), t_max)
+    rows = values_at(make_G(p), range(t_max + 1))
     mismatches = []
     for t in range(t_max + 1):
         for j in range(1, p + 1):
@@ -340,11 +340,11 @@ def check_primorial_period(k: int) -> CheckReport:
     """Minimal period of jointly optimal play in the parallel gadget.
 
     The optimal action sets of F(k) solved to horizon 2 * primorial + 10
-    (the params' "slack") must admit a counter automaton with period exactly the primorial of
-    k (at zero initial memories), every smaller period must need
-    strictly more total memory, and the non-terminal state count must be
-    twice the sum of the first k primes.  The action sets refuse more
-    than solver.CELL_CAP cells, as everywhere else.
+    (the params' "slack") must admit a counter automaton with period
+    exactly the primorial of k (at zero initial memories), every smaller
+    period must need strictly more total memory, and the non-terminal
+    state count must be twice the sum of the first k primes.  The action
+    sets refuse more than solver.CELL_CAP cells, as everywhere else.
     """
     params = {"k": k, "slack": 10}
     target_period = primorial(k)
@@ -388,8 +388,8 @@ def check_shortcut_memory(c: int) -> CheckReport:
     """Memory needed to stay 2^-c-optimal in the shortcut gadget.
 
     Exact branch-and-bound search (min_counter_memory) over counter
-    automata with at most c memory states, at horizon c - 1, within the
-    search's default budget of sweeps (past it, GuardExceeded).  The
+    automata with at most c memory states, at horizon c - 1, within
+    oracle.SWEEP_CAP sweeps (past it, GuardExceeded).  The
     claimed bound is c - 2 memory states; the check reports the exact
     minimum found and fails if it is smaller.  Regime: c >= 5 (below that the horizon is too short
     for the structure to bind, and the verdict is informational,

@@ -11,6 +11,9 @@ replaced with bitsets.  ``reference_dumps`` is the stdlib rendering that
 ``fhgames.jsonout.dumps`` replaced on the CLI and ``store`` paths.
 ``reference_min_counter_memory`` is the exhaustive enumeration that
 ``fhgames.oracle.min_counter_memory`` replaced with branch and bound.
+``forbid_sweeps`` makes any later sweep, or product plan, of
+``fhgames.solver`` fail at once, so that a call due to refuse beforehand
+cannot run long instead.
 ``reference_counter_value`` evaluates a counter strategy on its whole
 memory product, as ``fhgames.solver.evaluate_counter`` and
 ``counter_bound`` did before they swept game-sized rows along the
@@ -217,6 +220,16 @@ def reference_sweep(
     if ids is not None:
         snapshots = {t: {sid: row[sid] for sid in ids} for t, row in snapshots.items()}
     return snapshots
+
+
+def forbid_sweeps(monkeypatch) -> None:
+    """From here on, solver._sweep and solver._product_plan raise."""
+
+    def swept(*args, **kwargs):
+        raise AssertionError("swept where a refusal was due")
+
+    monkeypatch.setattr(solver, "_sweep", swept)
+    monkeypatch.setattr(solver, "_product_plan", swept)
 
 
 def reference_counter_value(

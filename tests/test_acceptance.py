@@ -16,7 +16,7 @@ from fhgames.game import StateKind, load
 from fhgames.gadgets import make_H, make_M, primes, random_game
 from fhgames.numeric import Dyadic, HALF, ONE, run_probability, run_threshold
 from fhgames.oracle import min_counter_memory
-from fhgames.solver import backward_induction
+from fhgames.solver import values_at
 from fhgames.verify import (
     check_above_threshold,
     check_below_threshold,
@@ -97,7 +97,7 @@ def test_criterion_01_oracle_equivalence():
         budget = 14 // max(1, len(g.controlled_ids(1)))
         horizon = min(horizon, budget) if g.controlled_ids(1) else horizon
         games += 1
-        solved = backward_induction(g, horizon)[horizon][g.start].as_fraction()
+        solved = values_at(g, range(horizon + 1))[horizon][g.start].as_fraction()
         enumerated = _maximin(g, horizon)
         if solved != enumerated:
             mismatches.append((games, solved, enumerated))
@@ -120,7 +120,7 @@ def test_criterion_03_run_probabilities():
     solver_ok = True
     for i in range(1, 9):
         chain = make_star_chain(i)
-        rows = backward_induction(chain, 64)
+        rows = values_at(chain, range(65))
         for t in range(65):
             if rows[t][f"{i}s"] != run_probability(i, t):
                 solver_ok = False
@@ -194,7 +194,7 @@ def _shortcut_play_value(g, horizon, initial, period, arcs):
 def test_criterion_06_shortcut_gadget_memory():
     started = time.monotonic()
     g = make_M()
-    rows = backward_induction(g, 3)
+    rows = values_at(g, range(4))
     values_ok = rows[2]["x"] == HALF and rows[3]["x"] == ONE
     found = {}
     expected = {}

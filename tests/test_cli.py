@@ -16,6 +16,7 @@ import fhgames.cli as cli
 import fhgames.verify as verify
 from conftest import (
     coin_union,
+    forbid_sweeps,
     reference_dumps,
     reference_strategy_rows,
     reference_union_solution,
@@ -26,7 +27,7 @@ from fhgames.cli import main
 from fhgames.gadgets import make_H, make_M, random_game
 from fhgames.game import PLAYER_KIND, Game, State, StateKind, store
 from fhgames.jsonout import dumps
-from fhgames.solver import backward_induction, final_values, markov_arcs
+from fhgames.solver import final_values, markov_arcs, values_at
 
 
 def run(capsys, *argv):
@@ -84,12 +85,13 @@ class TestGadgetAndSolve:
         assert table[0] == ["t", "a,b", 'q"x', "bot"]
         assert table[1:] == [
             [str(t), *map(str, row.values())]
-            for t, row in enumerate(backward_induction(g, 3))
+            for t, row in values_at(g, range(4)).items()
         ]
 
-    def test_solve_csv_beyond_the_cell_cap_exits_three(self, capsys):
+    def test_solve_csv_beyond_the_cell_cap_exits_three(self, capsys, monkeypatch):
         from fhgames.solver import CELL_CAP
 
+        forbid_sweeps(monkeypatch)
         code, out, err = run(capsys, "solve", "--gadget", "M", "-T", str(CELL_CAP), "--csv")
         assert code == 3
         assert out == ""
@@ -110,9 +112,10 @@ class TestStrategyAndMinimize:
         assert "remaining=3 state=x arc=0 -> 2" in out
         assert "remaining=2 state=x arc=1 -> h" in out
 
-    def test_strategy_beyond_the_cell_cap_exits_three(self, capsys):
+    def test_strategy_beyond_the_cell_cap_exits_three(self, capsys, monkeypatch):
         from fhgames.solver import CELL_CAP
 
+        forbid_sweeps(monkeypatch)
         code, out, err = run(capsys, "strategy", "--gadget", "M", "-T", str(CELL_CAP))
         assert code == 3
         assert out == ""
@@ -266,7 +269,7 @@ class TestUnreadFlags:
         "shortcut-memory": ("--c",),
         "memoryless-horizon": ("--game", "--gadget", "--eps-exp"),
     }
-    REQUIRED = ("--i", "--p", "--k", "--c")
+    REQUIRED = ("--i", "--p", "--k", "--c", "--gadget")  # --gadget: or --game
     # each optional flag's default as its check's --help shows it
     DEFAULTS = {
         "--amax": {"fib-ratio": "256"},
@@ -331,10 +334,14 @@ class TestUnreadFlags:
         monkeypatch.setattr(cli.checks, "check_" + name.replace("-", "_"), reached)
         (tmp_path / "game.json").write_text(store(make_H(2)), encoding="utf-8")
         monkeypatch.chdir(tmp_path)
-        argv = [x for flag in self.READS[name] for x in (flag, self.VALUES[flag])]
-        code, out, err = run(capsys, "verify", name, *argv, "--json", "--timing")
-        assert (code, out) == (2, "")
-        assert "check reached" in err
+        flags = self.READS[name]
+        sources = [f for f in ("--game", "--gadget") if f in flags] or [None]
+        for source in sources:  # the game flags exclude each other
+            given = [f for f in flags if f not in sources or f == source]
+            argv = [x for flag in given for x in (flag, self.VALUES[flag])]
+            code, out, err = run(capsys, "verify", name, *argv, "--json", "--timing")
+            assert (code, out) == (2, "")
+            assert "check reached" in err
 
     @pytest.mark.parametrize(
         "argv, rule",
@@ -480,6 +487,26 @@ class TestDeterminismAndErrors:
         out, err = capsys.readouterr()
         assert (exc.value.code, err) == (0, "")
         assert out.startswith("usage: fhgames")
+
+    # argv without its game, by the usage line that its errors show
+    GAME_COMMANDS = {
+        "solve": ("solve", "-T", "3"),
+        "oracle": ("oracle",),
+        "verify memoryless-horizon": ("verify", "memoryless-horizon"),
+    }
+
+    @pytest.mark.parametrize("usage", sorted(GAME_COMMANDS))
+    def test_both_game_flags_are_a_usage_error(self, capsys, usage):
+        argv = self.GAME_COMMANDS[usage]
+        err = usage_error(capsys, *argv, "--gadget", "H:3", "-g", "m.json", "--json")
+        assert err.startswith(f"usage: fhgames {usage} ")
+        assert "error: argument -g/--game: not allowed with argument --gadget\n" in err
+
+    @pytest.mark.parametrize("usage", sorted(GAME_COMMANDS))
+    def test_a_game_flag_is_required(self, capsys, usage):
+        err = usage_error(capsys, *self.GAME_COMMANDS[usage], "--json")
+        assert err.startswith(f"usage: fhgames {usage} ")
+        assert "error: one of the arguments -g/--game --gadget is required\n" in err
 
     def test_usage_error_from_argparse(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -14,7 +14,7 @@ from fhgames.gadgets import (
     random_game,
 )
 from fhgames.numeric import Dyadic, HALF, ONE, ZERO, run_probability, run_threshold
-from fhgames.solver import backward_induction, optimal_action_sets
+from fhgames.solver import optimal_action_sets, values_at
 from fhgames.verify import latest_residue_hit
 
 
@@ -45,7 +45,7 @@ class TestShortcutGadget:
         assert g.state("1").arcs == ("bot", "bot")
 
     def test_anchor_values(self):
-        rows = backward_induction(make_M(), 3)
+        rows = values_at(make_M(), range(4))
         assert rows[2]["x"] == HALF
         assert rows[3]["x"] == ONE
 
@@ -72,13 +72,13 @@ class TestApproachChain:
 
     def test_choice_state_value(self):
         for i in (1, 4):
-            assert backward_induction(make_H(i), 2)[2]["x"] == HALF
+            assert values_at(make_H(i), range(3))[2]["x"] == HALF
 
     def test_chain_reach_matches_run_probability(self):
         # the approach chain alone, with its exit absorbing
         for i in (1, 2, 3):
             chain = make_star_chain(i)
-            rows = backward_induction(chain, 12)
+            rows = values_at(chain, range(13))
             for t in range(13):
                 assert rows[t][f"{i}s"] == run_probability(i, t)
 
@@ -117,26 +117,26 @@ class TestCycleGadget:
             make_G(1)
 
     def test_base_case(self):
-        rows = backward_induction(make_G(3), 1)
+        rows = values_at(make_G(3), range(2))
         assert rows[1]["1"] == HALF
         assert rows[1]["2"] == ZERO
 
     def test_value_formula(self):
         for p in (2, 3, 7):
-            rows = backward_induction(make_G(p), 60)
+            rows = values_at(make_G(p), range(61))
             for t in range(61):
                 for j in range(1, p + 1):
                     f = latest_residue_hit(t, j, p)
                     assert rows[t][str(j)] == Dyadic((1 << f) - 1, f)
 
     def test_star_chain_hits_one(self):
-        rows = backward_induction(make_G(4), 10)
+        rows = values_at(make_G(4), range(11))
         for j in (1, 2, 3):
             for t in range(11):
                 assert rows[t][f"{j}s"] == (ONE if t >= j else ZERO)
 
     def test_anchor(self):
-        assert backward_induction(make_G(2), 3)[3]["1"] == Dyadic(7, 3)
+        assert values_at(make_G(2), range(4))[3]["1"] == Dyadic(7, 3)
 
 
 class TestParallelGadget:

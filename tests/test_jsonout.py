@@ -1,5 +1,6 @@
 """The direct JSON writer against the stdlib rendering it replaced."""
 
+import sys
 from fractions import Fraction
 
 import pytest
@@ -181,3 +182,43 @@ def test_records_columns_must_match_the_keys():
     ):
         with pytest.raises(ValueError, match="columns"):
             Records(keys, columns)
+
+
+def _at_digit_limit(limit, render):
+    """render() with the int-to-str digit limit set to ``limit`` (0: none)."""
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(limit)
+    try:
+        return render()
+    finally:
+        sys.set_int_max_str_digits(saved)
+
+
+def test_numbers_past_the_int_digit_limit_render_as_str_without_it():
+    big = 3**20000  # 9,543 digits; 3**9000 has 4,295, 2**20000 6,021
+    with pytest.raises(ValueError):
+        _at_digit_limit(4300, lambda: str(big))  # the default limit
+    dyadics = [Dyadic(3**9000, 20000), Dyadic(big, 20000), Dyadic(-big)]
+    values = [*dyadics, Fraction(3**9000, 2**20000)]
+
+    def render():
+        out = (
+            [str(v) for v in dyadics],
+            [repr(v) for v in dyadics],
+            jsonable(values),
+            dumps(values),
+            dumps(Records(("v",), (values,))),
+        )
+        return out, sys.get_int_max_str_digits()
+
+    at_default, limit = _at_digit_limit(4300, render)
+    assert limit == 4300  # rendering left the limit as it was
+    lifted, _ = _at_digit_limit(0, render)
+    assert at_default == lifted
+
+    def expected():
+        texts = [f"{3**9000}/2^20000", f"{big}/2^20000", f"-{big}"]
+        reprs = [f"Dyadic({3**9000}, 20000)", f"Dyadic({big}, 20000)", f"Dyadic({-big}, 0)"]
+        return texts, reprs, [*texts, f"{3**9000}/{2**20000}"]
+
+    assert lifted[:3] == _at_digit_limit(0, expected)

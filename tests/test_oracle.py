@@ -27,10 +27,10 @@ from fhgames.oracle import (
     solve_infinite,
 )
 from fhgames.solver import (
-    backward_induction,
     evaluate_fixed_final,
     extract_markov,
     final_values,
+    values_at,
 )
 
 
@@ -150,7 +150,7 @@ class TestSolveInfinite:
             if len(g.controlled_ids(1)) + len(g.controlled_ids(2)) > 4:
                 continue
             infinite = solve_infinite(g).values
-            rows = backward_induction(g, 24)
+            rows = values_at(g, range(25))
             for sid in g.ids():
                 for t in (0, 3, 11, 24):
                     assert rows[t][sid].as_fraction() <= infinite[sid]
@@ -282,16 +282,20 @@ class TestMinCounterMemory:
         compressed = from_markov(extract_markov(g, 6))
         assert result.memory == compressed.initial + compressed.period == 1
 
-    def test_guard(self):
-        # the guard counts product sweeps performed: c = 12 needs 702
+    def test_guard(self, monkeypatch):
+        # the cap counts product sweeps performed: c = 12 needs 702
+        monkeypatch.setattr(oracle, "SWEEP_CAP", 100)
         with pytest.raises(GuardExceeded, match="more than 100 product sweeps"):
-            min_counter_memory(make_M(), 11, Dyadic(1, 12), max_mem=12, guard=100)
+            min_counter_memory(make_M(), 11, Dyadic(1, 12), max_mem=12)
 
-    def test_guard_is_inclusive(self):
+    def test_guard_is_inclusive(self, monkeypatch):
         args = (make_M(), 11, Dyadic(1, 12), 12)
-        assert min_counter_memory(*args, guard=702) == min_counter_memory(*args)
+        uncapped = min_counter_memory(*args)
+        monkeypatch.setattr(oracle, "SWEEP_CAP", 702)
+        assert min_counter_memory(*args) == uncapped
+        monkeypatch.setattr(oracle, "SWEEP_CAP", 701)
         with pytest.raises(GuardExceeded, match="more than 701 product sweeps"):
-            min_counter_memory(*args, guard=701)
+            min_counter_memory(*args)
 
     @pytest.mark.parametrize("c", range(5, 12))
     def test_shortcut_gadget_matches_enumeration(self, c):

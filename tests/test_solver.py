@@ -7,10 +7,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import arcs_at, play_value, reference_counter_value, reference_sweep
+from conftest import arcs_at, forbid_sweeps, play_value, reference_counter_value, reference_sweep
 from fhgames import solver
 from fhgames.cli import main
-from fhgames.counter import CounterStrategy, to_markov
+from fhgames.counter import CounterStrategy, minimal_period, to_markov
 from fhgames.errors import GuardExceeded, StrategyError
 from fhgames.game import Game, State, StateKind
 from fhgames.gadgets import make_F, make_G, make_H, make_M, random_game
@@ -19,7 +19,6 @@ from fhgames.oracle import MemorylessStrategy, min_counter_memory
 from fhgames.solver import (
     CELL_CAP,
     MarkovStrategy,
-    backward_induction,
     counter_bound,
     evaluate_counter,
     evaluate_fixed_final,
@@ -33,7 +32,7 @@ from fhgames.solver import (
 
 class TestBackwardInduction:
     def test_shortcut_gadget_anchors(self):
-        rows = backward_induction(make_M(), 5)
+        rows = values_at(make_M(), range(6))
         assert rows[2]["x"] == HALF
         assert rows[3]["x"] == ONE
         assert rows[4]["x"] == ONE
@@ -41,30 +40,30 @@ class TestBackwardInduction:
         assert rows[0]["x"] == ZERO
 
     def test_cycle_gadget_anchor(self):
-        rows = backward_induction(make_G(5), 7)
+        rows = values_at(make_G(5), range(8))
         assert rows[7]["2"] == Dyadic(127, 7)
         assert rows[1]["1"] == HALF
 
     def test_monotone_in_horizon(self):
         for g in (make_M(), make_G(3)):
-            rows = backward_induction(g, 12)
+            rows = values_at(g, range(13))
             for sid in g.ids():
                 for t in range(12):
                     assert rows[t][sid] <= rows[t + 1][sid]
 
     def test_exponent_bounded_by_horizon(self):
-        rows = backward_induction(make_G(4), 30)
-        for t, row in enumerate(rows):
+        rows = values_at(make_G(4), range(31))
+        for t, row in rows.items():
             for value in row.values():
                 assert value.exponent <= t
 
     def test_final_values_match_full_table(self):
         g = make_G(3)
-        assert final_values(g, 9) == backward_induction(g, 9)[-1]
+        assert final_values(g, 9) == values_at(g, range(10))[9]
 
     def test_values_at_checkpoints(self):
         g = make_M()
-        rows = backward_induction(g, 8)
+        rows = values_at(g, range(9))
         snaps = values_at(g, [0, 3, 8])
         assert set(snaps) == {0, 3, 8}
         for t in snaps:
@@ -155,8 +154,8 @@ class TestExtractMarkov:
     def test_optimality_of_extraction(self):
         for g in (make_M(), make_G(3)):
             horizon = 9
-            rows = backward_induction(g, horizon)
-            played = backward_induction(g, horizon, extract_markov(g, horizon))
+            rows = values_at(g, range(horizon + 1))
+            played = values_at(g, range(horizon + 1), extract_markov(g, horizon))
             for t in range(horizon + 1):
                 for sid in g.ids():
                     assert played[t][sid] == rows[t][sid]
@@ -204,20 +203,20 @@ class TestEvaluateFixed:
         always_h = MarkovStrategy(
             player=1, horizon=3, choices={(t, "x"): 1 for t in (1, 2, 3)}
         )
-        assert backward_induction(g, 3, always_h)[3]["x"] == HALF
+        assert values_at(g, range(4), always_h)[3]["x"] == HALF
 
     def test_always_slow_at_short_horizon(self):
         g = make_M()
         always_2 = MarkovStrategy(
             player=1, horizon=2, choices={(t, "x"): 0 for t in (1, 2)}
         )
-        assert backward_induction(g, 2, always_2)[2]["x"] == ZERO
+        assert values_at(g, range(3), always_2)[2]["x"] == ZERO
 
     def test_missing_entry_raises(self):
         g = make_M()
         partial = MarkovStrategy(player=1, horizon=3, choices={(3, "x"): 0})
         with pytest.raises(StrategyError):
-            backward_induction(g, 3, partial)
+            values_at(g, range(4), partial)
 
     def test_opponent_best_responds(self):
         g = Game(
@@ -233,12 +232,12 @@ class TestEvaluateFixed:
             player=1, horizon=2, choices={(t, "a"): 0 for t in (1, 2)}
         )
         # the min player dodges the terminal, so the max player gets 0
-        assert backward_induction(g, 2, into_min)[2]["a"] == ZERO
+        assert values_at(g, range(3), into_min)[2]["a"] == ZERO
 
     def test_final_variant_agrees(self):
         g = make_G(3)
         strat = extract_markov(g, 15)
-        assert evaluate_fixed_final(g, 15, strat) == backward_induction(g, 15, strat)[-1]
+        assert evaluate_fixed_final(g, 15, strat) == values_at(g, range(16), strat)[15]
 
 
 class TestEvaluateCounter:
@@ -249,7 +248,7 @@ class TestEvaluateCounter:
         horizon = 5
         cs = from_markov(extract_markov(g, horizon))
         result = evaluate_counter(g, horizon, cs)
-        assert result.value == backward_induction(g, horizon)[horizon]["start"]
+        assert result.value == values_at(g, range(horizon + 1))[horizon]["start"]
 
     def test_two_memory_strategy_on_shortcut(self):
         # alternating automaton: shortcut on even elapsed, slow on odd
@@ -260,7 +259,7 @@ class TestEvaluateCounter:
     def test_constant_is_suboptimal_on_shortcut(self):
         g = make_M()
         horizon = 5
-        best = backward_induction(g, horizon)[horizon]["start"]
+        best = values_at(g, range(horizon + 1))[horizon]["start"]
         for arc in (0, 1):
             cs = CounterStrategy(0, 1, {(0, "x"): arc})
             assert evaluate_counter(g, horizon, cs).value < best
@@ -274,7 +273,7 @@ class TestEvaluateCounter:
             1, 3, {(m, sid): (m + ord(sid[-1])) % 2 for m in range(4) for sid in ("m1", "m2")}
         )
         via_product = evaluate_counter(g, horizon, cs).value
-        via_markov = backward_induction(g, horizon, to_markov(cs, horizon))[horizon][g.start]
+        via_markov = values_at(g, range(horizon + 1), to_markov(cs, horizon))[horizon][g.start]
         assert via_product == via_markov
 
     def test_opponent_best_responds_on_product(self):
@@ -294,10 +293,16 @@ class TestEvaluateCounter:
         assert evaluate_counter(g, 3, into_coin).value == HALF
 
     def test_cell_guard(self, monkeypatch):
-        monkeypatch.setattr(solver, "CELL_CAP", 100)
+        # the value sweep keeps two game rows and is not capped; the
+        # product table of rows is, before the product is built
         cs = CounterStrategy(0, 1, {(0, "x"): 0})
-        with pytest.raises(GuardExceeded):
-            evaluate_counter(make_M(), 1000, cs)
+        uncapped = evaluate_counter(make_M(), 1000, cs).value
+        monkeypatch.setattr(solver, "CELL_CAP", 100)
+        result = evaluate_counter(make_M(), 1000, cs)
+        assert result.value == uncapped
+        forbid_sweeps(monkeypatch)
+        with pytest.raises(GuardExceeded, match="7007 value cells exceed the cell cap 100"):
+            result.rows
 
     def test_missing_action_raises(self):
         cs = CounterStrategy(0, 2, {(0, "x"): 0})
@@ -310,11 +315,33 @@ class TestEvaluateCounter:
         with pytest.raises(StrategyError, match="no action for memory 1, state 'x'"):
             evaluate_counter(make_M(), 1, cs)
 
-    def test_guard_comes_before_missing_actions(self, monkeypatch):
+    def test_missing_actions_raise_under_any_cap(self, monkeypatch):
         monkeypatch.setattr(solver, "CELL_CAP", 100)
+        forbid_sweeps(monkeypatch)  # raised before the sweep
         cs = CounterStrategy(0, 2, {(0, "x"): 0})  # memory 1 has no action
-        with pytest.raises(GuardExceeded):
+        with pytest.raises(StrategyError, match="no action for memory 1, state 'x'"):
             evaluate_counter(make_M(), 1000, cs)
+
+    def test_minimal_period_witness_of_F5(self):
+        # 2310 memories at T = 4630: about 6.1e8 product cells, two rows swept
+        g = make_F(5)
+        witness = minimal_period(optimal_action_sets(g, 4630)[0]).witness
+        assert witness.size == 2310
+        assert evaluate_counter(g, 4630, witness).value == final_values(g, 4630)["m1"]
+
+    def test_optimal_prefix_then_memoryless_optimum_on_H3(self):
+        # T0 + 1 memories: memory k < T0 plays the optimal arc at remaining
+        # time T0 - k, memory T0 the infinite-horizon optimum
+        from fhgames.oracle import solve_infinite
+
+        g, t0 = make_H(3), 8192
+        actions = {
+            (k, sid): row[t0 - k - 1] for sid, row in markov_arcs(g, t0).items() for k in range(t0)
+        }
+        actions.update(((t0, sid), arc) for sid, arc in solve_infinite(g).strategy.choices.items())
+        cs = CounterStrategy(t0, 1, actions)
+        assert cs.size == 8193
+        assert evaluate_counter(g, t0, cs).value == final_values(g, t0)[g.start]
 
     def test_product_is_built_only_for_rows(self):
         g = make_M()
@@ -422,7 +449,7 @@ class TestEvaluateCounter:
             tables = (unrolled.choices, {}) if player == 1 else ({}, unrolled.choices)
             assert result.value.as_fraction() == play_value(g, horizon, *tables)
         # the kernel's exponent assert vanishes under python -O; check it here
-        for rows in (result.rows, backward_induction(g, horizon)):
+        for rows in (result.rows, tuple(values_at(g, range(horizon + 1)).values())):
             assert len(rows) == horizon + 1
             for t, row in enumerate(rows):
                 assert all(v.exponent <= t for v in row.values())
@@ -445,7 +472,7 @@ class TestOracleEquivalence:
             if n1 + n2 > 12:
                 continue
             checked += 1
-            expected = backward_induction(g, horizon)[horizon][g.start]
+            expected = values_at(g, range(horizon + 1))[horizon][g.start]
             best = None
             for a1 in self.enumerate_strategies(g.controlled_ids(1), horizon):
                 worst = None
@@ -496,11 +523,11 @@ class TestScaledKernel:
     def results(g, horizon, checkpoints, strategy, cs, player):
         counter = evaluate_counter(g, horizon, cs, player)
         return {
-            "table": _cells(enumerate(backward_induction(g, horizon))),
+            "table": _cells(values_at(g, range(horizon + 1)).items()),
             "final": _cells([(horizon, final_values(g, horizon))]),
             "best_at": _cells(values_at(g, checkpoints).items()),
             "played_at": _cells(values_at(g, checkpoints, strategy).items()),
-            "fixed": _cells(enumerate(backward_induction(g, horizon, strategy))),
+            "fixed": _cells(values_at(g, range(horizon + 1), strategy).items()),
             "fixed_final": _cells([(horizon, evaluate_fixed_final(g, horizon, strategy))]),
             "counter": _cells(enumerate(counter.rows)),
             "counter_value": counter.value,
@@ -548,8 +575,8 @@ class TestScaledKernel:
         assert scaled[0][3072][g.start].mantissa.bit_length() > 3000
 
     def test_zero_and_one_are_shared(self):
-        rows = backward_induction(make_M(), 6)
-        cells = [v for row in rows for v in row.values()]
+        rows = values_at(make_M(), range(7))
+        cells = [v for row in rows.values() for v in row.values()]
         assert any(v == ZERO for v in cells) and any(v == ONE for v in cells)
         assert all(v is ZERO for v in cells if v == ZERO)
         assert all(v is ONE for v in cells if v == ONE)
@@ -669,10 +696,10 @@ class TestSettledStates:
     def test_chain_head_leaves_zero_at_n_minus_1(self, kind, loop, length):
         g = chain_game(kind, length, loop)
         n = len(g.states)
-        rows = backward_induction(g, 6 * n)
-        first = min(t for t, row in enumerate(rows) if row["x"] > ZERO)
+        rows = values_at(g, range(6 * n + 1))
+        first = min(t for t, row in rows.items() if row["x"] > ZERO)
         assert first == n - 1
-        assert (rows[-1]["x"] == ONE) is not (loop and length > 0)  # settles at 1, or never
+        assert (rows[6 * n]["x"] == ONE) is not (loop and length > 0)  # settles at 1, or never
         self.assert_matches_reference_at(g, "x", 1, (n - 1, n, n + 1, 2 * n, 6 * n))
 
     def assert_matches_reference_at(self, g, sid, player, horizons):
@@ -731,14 +758,15 @@ class TestSettledStates:
 
 
 class TestCellCap:
-    def test_full_tables_refuse_beyond_the_cap(self):
+    def test_full_tables_refuse_beyond_the_cap(self, monkeypatch):
         g = make_M()
         horizon = CELL_CAP // len(g.states)  # (horizon + 1) rows exceed the cap
         strategy = MarkovStrategy(player=1, horizon=horizon, choices={})
+        forbid_sweeps(monkeypatch)
         with pytest.raises(GuardExceeded):
-            backward_induction(g, horizon)
+            values_at(g, range(horizon + 1))
         with pytest.raises(GuardExceeded):
-            backward_induction(g, horizon, strategy)
+            values_at(g, range(horizon + 1), strategy)
         for solve in (optimal_action_sets, extract_markov):  # action-set tables
             with pytest.raises(GuardExceeded):
                 solve(g, horizon)
@@ -747,11 +775,12 @@ class TestCellCap:
         g = make_M()
         n = len(g.states)
         monkeypatch.setattr(solver, "CELL_CAP", 4 * n)
-        assert len(backward_induction(g, 3)) == 4
+        assert len(values_at(g, range(4))) == 4
         assert [seq.length for seq in optimal_action_sets(g, 3)] == [3, 3]
-        for solve in (backward_induction, optimal_action_sets):
-            with pytest.raises(GuardExceeded):
-                solve(g, 4)
+        with pytest.raises(GuardExceeded):
+            values_at(g, range(5))
+        with pytest.raises(GuardExceeded):
+            optimal_action_sets(g, 4)
 
     def test_values_at_counts_the_rows_kept(self, monkeypatch):
         g = make_M()
@@ -781,16 +810,35 @@ class TestCellCap:
         assert list(values_at(g, (6,), sets={})) == [6]  # no masks, none counted
 
     def test_counter_default_reads_the_cap_at_call_time(self, monkeypatch):
-        monkeypatch.setattr(solver, "CELL_CAP", 10)
-        refused = "28 value cells exceed the cell cap 10"  # 4 rows of 7 states
-        with pytest.raises(GuardExceeded, match=refused):
-            evaluate_counter(make_M(), 3, CounterStrategy(0, 1, {(0, "x"): 0}))
-        with pytest.raises(GuardExceeded, match=refused):
-            counter_bound(make_M(), 3, CounterStrategy(0, 1, {}))
-        with pytest.raises(GuardExceeded, match=refused):
-            min_counter_memory(make_M(), 3, Dyadic(1, 3), 2)
-
-    def test_counter_default_is_the_shared_cap(self):
+        # only the product table is capped, when rows is first read
+        g = make_M()
         cs = CounterStrategy(0, 1, {(0, "x"): 0})
-        with pytest.raises(GuardExceeded):
-            evaluate_counter(make_M(), CELL_CAP // len(make_M().states), cs)
+        uncapped = evaluate_counter(g, 3, cs)
+        bound = counter_bound(g, 3, CounterStrategy(0, 1, {}))
+        search = min_counter_memory(g, 3, Dyadic(1, 3), 2)
+        monkeypatch.setattr(solver, "CELL_CAP", 28)  # 4 rows of 7 states
+        at_cap = evaluate_counter(g, 3, cs)
+        assert at_cap.value == uncapped.value
+        assert at_cap.rows == uncapped.rows
+        monkeypatch.setattr(solver, "CELL_CAP", 10)
+        result = evaluate_counter(g, 3, cs)
+        assert result.value == uncapped.value
+        assert counter_bound(g, 3, CounterStrategy(0, 1, {})) == bound
+        assert min_counter_memory(g, 3, Dyadic(1, 3), 2) == search
+        forbid_sweeps(monkeypatch)
+        with pytest.raises(GuardExceeded, match="28 value cells exceed the cell cap 10"):
+            result.rows
+
+    def test_counter_default_is_the_shared_cap(self, monkeypatch):
+        g = make_M()
+        horizon = 10
+        size = CELL_CAP // ((horizon + 1) * len(g.states)) + 1  # its table exceeds the cap
+        cs = CounterStrategy(size - 1, 1, {(m, "x"): 0 for m in range(size)})
+        result = evaluate_counter(g, horizon, cs)
+        one_memory = CounterStrategy(0, 1, {(0, "x"): 0})  # plays as cs does
+        assert result.value == evaluate_counter(g, horizon, one_memory).value
+        forbid_sweeps(monkeypatch)
+        cells = (horizon + 1) * size * len(g.states)
+        refused = f"{cells} value cells exceed the cell cap {CELL_CAP}"
+        with pytest.raises(GuardExceeded, match=refused):
+            result.rows
