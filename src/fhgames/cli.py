@@ -115,7 +115,7 @@ def _cmd_solve(args) -> int:
     _emit(args, "solve", params, {"start": g.start, "values": values})
     if not args.json:
         for sid, value in values.items():
-            approx = f"  (~{value.decimal(args.decimal)})" if args.decimal else ""
+            approx = f"  (~{value.decimal(args.decimal)})" if args.decimal is not None else ""
             print(f"{sid} = {value}{approx}")
     return 0
 
@@ -191,12 +191,12 @@ def _print_report(args, report) -> None:
         doc = {
             "schema": "fhgames/1",
             "version": __version__,
-            "command": "verify",
+            "command": args.command,
             "report": report.document(include_runtime=args.timing),
         }
         print(dumps(doc))
     else:
-        print(f"# fhgames {__version__} verify {report.name}")
+        print(f"# fhgames {__version__} {args.command} {report.name}")
         print(f"verdict: {report.verdict}")
         print(f"params: {json.dumps(jsonable(report.params))}")
         print(f"evidence: {json.dumps(jsonable(report.evidence))}")
@@ -431,7 +431,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_game_source(c)
     c.set_defaults(game=None, gadget=None)
 
-    p = sub.add_parser("oracle", help="brute-force ground truth")
+    p = sub.add_parser("oracle", help="infinite-horizon values by strategy iteration, "
+                       "or with --maxmem the least counter memory by branch and bound")
     _add_game_source(p)
     p.add_argument("-T", "--horizon", type=_at_least(0))
     p.add_argument("--maxmem", type=_at_least(1))
@@ -449,7 +450,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_simulate)
 
     p = sub.add_parser("scan", help="random hunt for long optimal periods")
-    p.add_argument("-n", type=_at_least(1), required=True,
+    p.add_argument("-n", type=_at_least(2), required=True,
                    help="states per sampled game")
     p.add_argument("--samples", type=_at_least(1), required=True)
     p.add_argument("-T", "--horizon", type=_at_least(0), required=True)

@@ -82,9 +82,6 @@ class CounterStrategy:
     def size(self) -> int:
         return self.initial + self.period
 
-    def next_memory(self, m: int) -> int:
-        return m + 1 if m < self.size - 1 else self.initial
-
     def memory_at(self, t: int) -> int:
         """Memory after t traversals (the rho trajectory)."""
         if t < self.size:

@@ -24,6 +24,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 
+from .errors import GuardExceeded
+
 __all__ = [
     "Dyadic",
     "IntervalEnclosure",
@@ -31,6 +33,7 @@ __all__ = [
     "HALF",
     "ONE",
     "int_text",
+    "FIB_CAP",
     "fib_nstep",
     "run_probability",
     "run_threshold",
@@ -201,14 +204,17 @@ ONE = Dyadic(1)
 # F(i)_1 = F(i)_2 = 1.  F(i)_{t+2} counts the length-t coin sequences
 # with no run of i tails.  Tables are grown with the O(1)-per-term
 # identity F_c = 2 F_{c-1} - F_{c-1-i} (valid for c >= 3) so scans to
-# c ~ 10^4 with thousand-bit values stay cheap.
+# c ~ 10^4 with thousand-bit values stay cheap; term c has about c bits.
+
+FIB_CAP = 1 << 16
+"""Most entries one n-step Fibonacci table may hold."""
 
 _fib_lock = threading.Lock()
 _fib_tables: dict[int, list[int]] = {}
 
 
 def fib_nstep(i: int, c: int) -> int:
-    """The c-th i-step Fibonacci number, exactly."""
+    """The c-th i-step Fibonacci number, exactly, from a table of at most FIB_CAP entries."""
     if i < 1:
         raise ValueError("step count i must be at least 1")
     if c <= 0:
@@ -216,6 +222,8 @@ def fib_nstep(i: int, c: int) -> int:
     with _fib_lock:
         table = _fib_tables.setdefault(i, [0, 1, 1])  # indices 0, 1, 2
         while len(table) <= c:
+            if c >= FIB_CAP:  # checked only when the table would grow
+                raise GuardExceeded(f"{c + 1} Fibonacci table entries exceed the cap {FIB_CAP}")
             n = len(table)
             prior = table[n - 1 - i] if n - 1 - i >= 1 else 0
             table.append(2 * table[n - 1] - prior)
@@ -266,7 +274,11 @@ class IntervalEnclosure:
         return self.upper - self.lower
 
     def __str__(self):
-        return f"[{self.lower}, {self.upper}]"
+        # Fraction's own form, n or n/d, past the int-to-str digit limit too
+        lower, upper = (
+            f"{int_text(q.numerator)}/{int_text(q.denominator)}" for q in (self.lower, self.upper)
+        )
+        return f"[{lower.removesuffix('/1')}, {upper.removesuffix('/1')}]"
 
 
 def exp_enclosure(x: Fraction, width: Fraction) -> IntervalEnclosure:

@@ -39,18 +39,18 @@ Action-set tables are capped the same way.
 Strategies are indexed by REMAINING moves: a Markov strategy maps
 (t, state) with t in 1..T to an arc.  Counter strategies advance their
 memory on every traversal regardless of the observed state; they are
-evaluated on the product of memory and game state, where a backward
+defined on the product of memory and game state, where a backward
 induction best response for the opponent is optimal among all
 history-dependent responses.  Memory after k traversals depends on k
 alone, so the product cells the value at (memory 0, start) reads at
 remaining time t all hold one memory, the automaton's after T - t
-traversals.  The value therefore comes from one streaming sweep of the
-game itself whose controlled states take, at each t, the arcs of that
-memory (the sweep's layers).  That sweep keeps two game rows, so it is
-not capped; the product's full table of rows is built, and capped,
-only when first read.  counter_bound sweeps the same layers with
-the slots a partial strategy leaves unset free to the maximiser, which
-bounds every completion from above.
+traversals.  One sweep of the game whose controlled states take, at
+each t, that memory's arcs (the sweep's layers) therefore evaluates the
+strategy without building the product: its value from two game rows,
+uncapped, and its rows, those cells at every t, capped as a full table.
+counter_bound sweeps the same layers with the slots a partial strategy
+leaves unset free to the maximiser, which bounds every completion from
+above.
 
 Settled states.  When every step uses the same arcs (no fixed
 strategy, at most one layer: a plain sweep, a one-memory counter or a
@@ -184,10 +184,10 @@ class MemorylessStrategy:
 class CounterEvaluation:
     """Result of evaluating a counter strategy.
 
-    ``value`` is computed up front from game-sized rows along the
-    automaton's memory trajectory; ``rows`` (every row of the memory
-    product, keyed (memory, state id)) builds and sweeps the product on
-    first read and is cached.
+    ``value`` is computed up front.  ``rows``, built on first read and
+    cached, keeps the value's sweep at every t: rows[t] holds the product
+    cells the value reads at remaining time t, keyed (memory held after
+    horizon - t traversals, state id).
     """
 
     value: Dyadic
@@ -198,10 +198,14 @@ class CounterEvaluation:
 
     @cached_property
     def rows(self) -> tuple[dict[tuple[int, str], Dyadic], ...]:
-        horizon = self._horizon
-        _guard_cells(horizon + 1, self._strategy.size * len(self._game.states))
-        plan = _product_plan(self._game, self._strategy, self._player)
-        return tuple(_sweep(plan, horizon, range(horizon + 1)).values())
+        g, cs, horizon = self._game, self._strategy, self._horizon
+        _guard_cells(horizon + 1, len(g.states))
+        layers = _counter_layers(g, horizon, cs, self._player, free=False)
+        rows = _sweep(_plan(g), horizon, range(horizon + 1), layers=layers)
+        return tuple(
+            {(cs.memory_at(horizon - t), sid): v for sid, v in row.items()}
+            for t, row in rows.items()
+        )
 
 
 def _plan(g: Game) -> list[tuple[str, StateKind, tuple[str, str] | None]]:
@@ -477,18 +481,12 @@ def evaluate_fixed_final(g: Game, horizon: int, strategy: Strategy) -> dict[str,
     return values_at(g, (horizon,), strategy)[horizon]
 
 
-def _counter_value(
-    g: Game,
-    horizon: int,
-    cs: "CounterStrategy",
-    player: int,
-    free: bool,
-) -> Dyadic:
-    """Value at (memory 0, start) of a counter strategy's product, from
-    one uncapped sweep of two game rows along the memory trajectory:
-    its layers (see _sweep) are, per memory, the arcs the strategy sets
-    at the player's states, and the memory held at each remaining time
-    1..horizon.  A slot (memory, state) with no action raises
+def _counter_layers(
+    g: Game, horizon: int, cs: "CounterStrategy", player: int, free: bool
+) -> tuple[list[dict[str, int]], list[int]]:
+    """A counter strategy's layers (see _sweep): per memory, the arcs it
+    sets at the player's states, and the memory held at each remaining
+    time 1..horizon.  A slot (memory, state) with no action raises
     StrategyError, at every memory whether the horizon reaches it or
     not, or, when ``free``, keeps both arcs and stays the player's to
     optimise at every step.
@@ -506,29 +504,17 @@ def _counter_value(
                     f"counter strategy has no action for memory {m}, state {sid!r}"
                 )
         overrides.append(arcs)
-    memories = cs.trajectory(horizon)[::-1]  # at remaining t: memory_at(horizon - t)
-    rows = _sweep(_plan(g), horizon, (horizon,), layers=(overrides, memories), ids=(g.start,))
+    return overrides, cs.trajectory(horizon)[::-1]  # at remaining t: memory_at(horizon - t)
+
+
+def _counter_value(
+    g: Game, horizon: int, cs: "CounterStrategy", player: int, free: bool
+) -> Dyadic:
+    """Value at (memory 0, start) of a counter strategy's product, from
+    one uncapped sweep of two game rows along its layers."""
+    layers = _counter_layers(g, horizon, cs, player, free)
+    rows = _sweep(_plan(g), horizon, (horizon,), layers=layers, ids=(g.start,))
     return rows[horizon][g.start]
-
-
-def _product_plan(g: Game, cs: "CounterStrategy", player: int) -> list:
-    """Plan of the (memory, game state) product of a counter strategy:
-    memory m moves to the next memory on every arc, and the player's
-    states with an action at m have both arcs on the chosen destination.
-    """
-    own_kind = PLAYER_KIND[player]
-    game_plan = _plan(g)
-    plan = []
-    for m in range(cs.size):
-        nm = cs.next_memory(m)
-        for sid, kind, arcs in game_plan:
-            if arcs is not None:
-                arcs = ((nm, arcs[0]), (nm, arcs[1]))
-                arc = cs.actions.get((m, sid)) if kind is own_kind else None
-                if arc is not None:
-                    arcs = (arcs[arc], arcs[arc])
-            plan.append(((m, sid), kind, arcs))
-    return plan
 
 
 def evaluate_counter(
@@ -543,13 +529,9 @@ def evaluate_counter(
     every traversal independent of the state, and each fixed-player
     state has both arcs on the destination the strategy's action map
     chooses, so the opponent's best response there is optimal among all
-    history-dependent ones.  The value at (memory 0, start) reads, at
-    remaining time t, only the memory held after horizon - t traversals,
-    so it comes from one streaming sweep of game-sized rows whose
-    fixed-player states take that memory's arcs.  The result's rows
-    build and sweep the whole product, and are kept, only when first
-    read; CELL_CAP at that read guards the table, checked before the
-    product is built.
+    history-dependent ones.  Swept along the memory trajectory (see the
+    module docstring); the result's rows are built, and capped, on
+    first read.
     """
     value = _counter_value(g, horizon, cs, player, free=False)
     return CounterEvaluation(value, g, cs, player, horizon)

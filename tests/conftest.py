@@ -11,13 +11,14 @@ replaced with bitsets.  ``reference_dumps`` is the stdlib rendering that
 ``fhgames.jsonout.dumps`` replaced on the CLI and ``store`` paths.
 ``reference_min_counter_memory`` is the exhaustive enumeration that
 ``fhgames.oracle.min_counter_memory`` replaced with branch and bound.
-``forbid_sweeps`` makes any later sweep, or product plan, of
-``fhgames.solver`` fail at once, so that a call due to refuse beforehand
-cannot run long instead.
-``reference_counter_value`` evaluates a counter strategy on its whole
-memory product, as ``fhgames.solver.evaluate_counter`` and
-``counter_bound`` did before they swept game-sized rows along the
-automaton's memory trajectory.  ``reference_strategy_rows`` builds the
+``forbid_sweeps`` makes any later sweep of ``fhgames.solver`` fail at
+once, so that a call due to refuse beforehand cannot run long instead.
+``reference_product_plan`` builds a counter strategy's whole memory
+product, on which ``reference_counter_value`` evaluates it, as
+``fhgames.solver.evaluate_counter`` and ``counter_bound`` did before
+they swept game-sized rows along the automaton's memory trajectory, and
+``next_memory`` is the automaton's memory update that the product
+follows.  ``reference_strategy_rows`` builds the
 ``strategy`` command's choices one tuple per choice, as the CLI did
 before it handed them to ``fhgames.jsonout.Records`` as columns.
 ``reference_solve_infinite`` enumerates every memoryless strategy pair,
@@ -223,32 +224,34 @@ def reference_sweep(
 
 
 def forbid_sweeps(monkeypatch) -> None:
-    """From here on, solver._sweep and solver._product_plan raise."""
+    """From here on, solver._sweep raises."""
 
     def swept(*args, **kwargs):
         raise AssertionError("swept where a refusal was due")
 
     monkeypatch.setattr(solver, "_sweep", swept)
-    monkeypatch.setattr(solver, "_product_plan", swept)
 
 
-def reference_counter_value(
+def next_memory(cs: CounterStrategy, m: int) -> int:
+    """The memory after memory m: the next one, or back to the first
+    periodic memory from the last."""
+    return m + 1 if m < cs.size - 1 else cs.initial
+
+
+def reference_product_plan(
     g: Game, horizon: int, cs: CounterStrategy, player: int = 1, free: bool = False
-) -> Dyadic:
-    """Value at (memory 0, start) of the (memory, game state) product.
+) -> list:
+    """Plan of the (memory, game state) product, ids (memory, state id).
 
     Memory m moves to its successor on every arc; the player's state
     with an action at m has both arcs on the chosen destination, and one
     without raises StrategyError (at horizon 0 no action is read), or,
     when ``free``, keeps both arcs and stays the player's to optimise.
     """
-    cells = (horizon + 1) * cs.size * len(g.states)
-    if cells > solver.CELL_CAP:
-        raise GuardExceeded(f"{cells} value cells exceed the cell cap {solver.CELL_CAP}")
     own_kind = PLAYER_KIND[player]
     plan = []
     for m in range(cs.size):
-        nm = cs.next_memory(m)
+        nm = next_memory(cs, m)
         for s in g.states:
             sid, kind, arcs = s.id, s.kind, s.arcs
             if arcs is not None:
@@ -263,6 +266,17 @@ def reference_counter_value(
                             f"state {sid!r}"
                         )
             plan.append(((m, sid), kind, arcs))
+    return plan
+
+
+def reference_counter_value(
+    g: Game, horizon: int, cs: CounterStrategy, player: int = 1, free: bool = False
+) -> Dyadic:
+    """Value at (memory 0, start) of ``reference_product_plan``'s product."""
+    cells = (horizon + 1) * cs.size * len(g.states)
+    if cells > solver.CELL_CAP:
+        raise GuardExceeded(f"{cells} value cells exceed the cell cap {solver.CELL_CAP}")
+    plan = reference_product_plan(g, horizon, cs, player, free)
     return reference_sweep(plan, horizon, (horizon,))[horizon][(0, g.start)]
 
 

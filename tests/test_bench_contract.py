@@ -7,6 +7,10 @@ span's open and its close, and the traced run then fails with "spans
 closed out of order".  This test sends one tiny call through each
 wrapped entry point the benchmark's workloads cross, and checks that
 every span closed and that the traced results equal the plain ones.
+It also checks that no traced call sweeps a plan larger than the
+largest game queried: the tracer's counter hook reads
+``CounterEvaluation.rows``, which must stay game-sized, not the
+automaton's (memory, state) product.
 """
 
 import contextlib
@@ -15,9 +19,10 @@ import io
 import random
 import types
 from pathlib import Path
+from unittest import mock
 
 from fhgames.game import store
-from fhgames.gadgets import random_game
+from fhgames.gadgets import make_F, make_G, make_H, make_M, random_game
 
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 MODULES = ("numeric", "game", "solver", "counter", "gadgets", "oracle", "verify", "cli")
@@ -87,10 +92,14 @@ def test_every_span_closes_on_the_workloads_calls(tmp_path):
     main = fh.cli.main
     spans.instrument(tracer, fh)
     try:
-        traced = queries(fh, argvs)
+        with mock.patch.object(fh.solver, "_sweep", wraps=fh.solver._sweep) as sweep:
+            traced = queries(fh, argvs)
     finally:
         tracer.unpatch()
     assert fh.cli.main is main
+    games = (make_F(2), make_G(5), arena, make_H(3), make_M(), random_game(5, random.Random(0)))
+    plans = [len(call.args[0]) for call in sweep.call_args_list]
+    assert plans and max(plans) <= max(len(g.states) for g in games)
 
     assert traced == plain
     assert tracer._stack == []

@@ -13,6 +13,7 @@ from pathlib import Path
 import pytest
 
 import fhgames.cli as cli
+import fhgames.numeric as numeric
 import fhgames.verify as verify
 from conftest import (
     coin_union,
@@ -62,6 +63,9 @@ class TestGadgetAndSolve:
         assert doc["result"]["values"]["x"] == "1/2^1"
         code, out, _ = run(capsys, "solve", "--gadget", "M", "-T", "2", "--decimal", "3")
         assert "x = 1/2^1  (~0.500)" in out
+        code, out, _ = run(capsys, "solve", "--gadget", "G:2", "-T", "3", "--decimal", "0")
+        assert "1 = 7/2^3  (~1)" in out.splitlines()
+        assert all("  (~" in line for line in out.splitlines()[1:])
 
     def test_solve_csv(self, capsys):
         code, out, _ = run(capsys, "solve", "--gadget", "M", "-T", "2", "--csv")
@@ -249,6 +253,14 @@ class TestVerifyCommand:
         assert code == 0
         doc = json.loads(out)
         assert doc["report"]["verdict"] == "pass"
+
+    def test_fibonacci_table_cap_exits_three(self, capsys, monkeypatch):
+        monkeypatch.setattr(numeric, "FIB_CAP", 64)  # the real cap takes hundreds of MiB
+        monkeypatch.setattr(numeric, "_fib_tables", {})
+        code, out, err = run(capsys, "verify", "fib-ratio", "--i", "3", "--amax", "100", "--json")
+        assert (code, out) == (3, "")
+        assert err == "guard exceeded: 65 Fibonacci table entries exceed the cap 64\n"
+        assert len(numeric._fib_tables[3]) == 64
 
 
 class TestUnreadFlags:
@@ -442,7 +454,10 @@ class TestOracleSimulateScan:
         )
         assert code == 0
         doc = json.loads(out)
+        assert doc["command"] == "scan"
         assert doc["report"]["name"] == "period-scan"
+        code, out, _ = run(capsys, "scan", "-n", "3", "--samples", "4", "-T", "8", "--seed", "4")
+        assert out.splitlines()[0] == f"# fhgames {__version__} scan period-scan"
 
 
 class TestDeterminismAndErrors:
@@ -526,6 +541,7 @@ class TestDeterminismAndErrors:
             ("scan", "-n", "-2", "--samples", "1", "-T", "3", "--seed", "0"),
             ("verify", "memoryless-horizon", "--gadget", "M", "--eps-exp", "0"),
             ("verify", "memoryless-horizon", "--gadget", "M", "--eps-exp", "-1"),
+            ("scan", "-n", "1", "--samples", "1", "-T", "3", "--seed", "0"),  # no playable state
         ],
     )
     def test_out_of_range_counts_rejected_by_parser(self, capsys, argv):

@@ -222,3 +222,26 @@ def test_numbers_past_the_int_digit_limit_render_as_str_without_it():
         return texts, reprs, [*texts, f"{3**9000}/{2**20000}"]
 
     assert lifted[:3] == _at_digit_limit(0, expected)
+
+
+def test_enclosures_past_the_int_digit_limit_render_as_str_without_it():
+    big = 3**20000
+    enclosures = [
+        IntervalEnclosure(Fraction(1, 2**20000), Fraction(1)),
+        IntervalEnclosure(Fraction(-big), Fraction(big, 7)),
+        IntervalEnclosure(Fraction(-3, 4), Fraction(5, 2)),
+    ]
+    with pytest.raises(ValueError):
+        _at_digit_limit(4300, lambda: str(enclosures[0].lower))  # Fraction's own str
+
+    def render():
+        return [str(e) for e in enclosures], sys.get_int_max_str_digits()
+
+    at_default, limit = _at_digit_limit(4300, render)
+    assert limit == 4300  # rendering left the limit as it was
+    lifted, _ = _at_digit_limit(0, render)
+    assert at_default == lifted
+    # Fraction's own form: n when the denominator is 1, otherwise n/d
+    expected = _at_digit_limit(0, lambda: [f"[{e.lower}, {e.upper}]" for e in enclosures])
+    assert lifted == expected
+    assert lifted[2] == "[-3/4, 5/2]"

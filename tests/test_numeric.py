@@ -5,6 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import count_sequences_with_run
+from fhgames import numeric
+from fhgames.errors import GuardExceeded
 from fhgames.numeric import (
     Dyadic,
     HALF,
@@ -79,6 +81,14 @@ class TestDyadic:
         assert 2 * HALF == ONE
 
 
+def reference_fib(i: int, c: int) -> int:
+    """F(i)_c as the sum of the previous i terms, term by term."""
+    terms = [0, 1, 1]
+    while len(terms) <= c:
+        terms.append(sum(terms[max(0, len(terms) - i) :]))
+    return terms[c] if c > 0 else 0
+
+
 class TestFib:
     def test_boundaries(self):
         assert fib_nstep(2, 0) == 0
@@ -95,6 +105,22 @@ class TestFib:
     @given(st.integers(1, 6), st.integers(3, 60))
     def test_matches_window_sum(self, i, c):
         assert fib_nstep(i, c) == sum(fib_nstep(i, c - j) for j in range(1, i + 1))
+
+    def test_tables_stop_at_the_cap(self, monkeypatch):
+        monkeypatch.setattr(numeric, "FIB_CAP", 64)  # read at each call
+        monkeypatch.setattr(numeric, "_fib_tables", {})
+        assert fib_nstep(3, 63) == reference_fib(3, 63)
+        assert len(numeric._fib_tables[3]) == 64
+        for c in (64, 65, 10**6):
+            refused = f"^{c + 1} Fibonacci table entries exceed the cap 64$"
+            with pytest.raises(GuardExceeded, match=refused):
+                fib_nstep(3, c)
+        with pytest.raises(GuardExceeded):
+            fib_nstep(5, 64)  # a fresh table, refused before it grows
+        assert {i: len(table) for i, table in numeric._fib_tables.items()} == {3: 64, 5: 3}
+        assert fib_nstep(3, 40) == reference_fib(3, 40)  # lookups below the cap still answer
+        with pytest.raises(GuardExceeded):
+            run_probability(3, 62)  # reads index 64
 
     def test_doubling_until_window_fills(self):
         # F_{c} = 2^{c-2} while the window still spans the whole prefix

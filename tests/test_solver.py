@@ -4,10 +4,17 @@ import random
 from unittest import mock
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from conftest import arcs_at, forbid_sweeps, play_value, reference_counter_value, reference_sweep
+from conftest import (
+    arcs_at,
+    forbid_sweeps,
+    play_value,
+    reference_counter_value,
+    reference_product_plan,
+    reference_sweep,
+)
 from fhgames import solver
 from fhgames.cli import main
 from fhgames.counter import CounterStrategy, minimal_period, to_markov
@@ -294,7 +301,7 @@ class TestEvaluateCounter:
 
     def test_cell_guard(self, monkeypatch):
         # the value sweep keeps two game rows and is not capped; the
-        # product table of rows is, before the product is built
+        # table of rows is, before it is swept
         cs = CounterStrategy(0, 1, {(0, "x"): 0})
         uncapped = evaluate_counter(make_M(), 1000, cs).value
         monkeypatch.setattr(solver, "CELL_CAP", 100)
@@ -351,8 +358,9 @@ class TestEvaluateCounter:
             value_plans = [len(call.args[0]) for call in sweep.call_args_list]
             result.rows
             row_plans = [len(call.args[0]) for call in sweep.call_args_list[len(value_plans) :]]
+        # no product: rows sweeps the game along the trajectory, as the value does
         assert value_plans == [len(g.states)]
-        assert row_plans == [8 * len(g.states)]
+        assert row_plans == [len(g.states)]
 
     def test_negative_horizon_rejected(self):
         cs = CounterStrategy(0, 1, {(0, "x"): 0})
@@ -412,6 +420,36 @@ class TestEvaluateCounter:
         # with every slot free the bound is the optimum itself
         empty = CounterStrategy(initial, period, {})
         assert counter_bound(g, horizon, empty) == final_values(g, horizon)[g.start]
+
+    @given(
+        st.integers(0, 2**32),
+        st.integers(2, 7),
+        st.integers(0, 4),
+        st.integers(1, 5),
+        st.integers(0, 12),
+    )
+    @example(seed=3, n=5, initial=2, period=3, horizon=12)  # two laps of the cycle
+    @settings(max_examples=150, deadline=None)
+    def test_rows_are_the_product_cells_the_value_reads(self, seed, n, initial, period, horizon):
+        assume(initial + period <= 5)
+        rng = random.Random(seed)
+        g = random_game(n, rng)
+        # actions at both players' states: each evaluation must read only its own
+        actions = {
+            (m, sid): rng.randint(0, 1)
+            for m in range(initial + period)
+            for sid in g.controlled_ids(1) + g.controlled_ids(2)
+        }
+        cs = CounterStrategy(initial, period, actions)
+        for player in (1, 2):
+            plan = reference_product_plan(g, horizon, cs, player)
+            product = reference_sweep(plan, horizon, range(horizon + 1))
+            rows = evaluate_counter(g, horizon, cs, player).rows
+            assert len(rows) == horizon + 1
+            for t, row in enumerate(rows):
+                held = cs.memory_at(horizon - t)
+                want = {key: v for key, v in product[t].items() if key[0] == held}
+                assert list(row.items()) == list(want.items())
 
     def test_zero_horizon_needs_no_actions(self):
         g = make_M()
@@ -810,7 +848,7 @@ class TestCellCap:
         assert list(values_at(g, (6,), sets={})) == [6]  # no masks, none counted
 
     def test_counter_default_reads_the_cap_at_call_time(self, monkeypatch):
-        # only the product table is capped, when rows is first read
+        # only the table of rows is capped, when rows is first read
         g = make_M()
         cs = CounterStrategy(0, 1, {(0, "x"): 0})
         uncapped = evaluate_counter(g, 3, cs)
@@ -832,13 +870,24 @@ class TestCellCap:
     def test_counter_default_is_the_shared_cap(self, monkeypatch):
         g = make_M()
         horizon = 10
-        size = CELL_CAP // ((horizon + 1) * len(g.states)) + 1  # its table exceeds the cap
+        size = CELL_CAP // ((horizon + 1) * len(g.states)) + 1  # its product exceeds the cap
         cs = CounterStrategy(size - 1, 1, {(m, "x"): 0 for m in range(size)})
         result = evaluate_counter(g, horizon, cs)
         one_memory = CounterStrategy(0, 1, {(0, "x"): 0})  # plays as cs does
-        assert result.value == evaluate_counter(g, horizon, one_memory).value
+        played = evaluate_counter(g, horizon, one_memory)
+        assert result.value == played.value
+        with mock.patch.object(solver, "_sweep", wraps=solver._sweep) as sweep:
+            rows = result.rows  # (horizon + 1) game rows, memory horizon - t at row t
+        assert [len(call.args[0]) for call in sweep.call_args_list] == [len(g.states)]
+        assert sum(map(len, rows)) == (horizon + 1) * len(g.states)
+        assert rows == tuple(
+            {(horizon - t, sid): v for (_, sid), v in row.items()}
+            for t, row in enumerate(played.rows)
+        )
+        # the rows of a horizon whose game table exceeds the cap are refused
+        horizon = CELL_CAP // len(g.states)
+        result = evaluate_counter(g, horizon, one_memory)
         forbid_sweeps(monkeypatch)
-        cells = (horizon + 1) * size * len(g.states)
-        refused = f"{cells} value cells exceed the cell cap {CELL_CAP}"
+        refused = f"{(horizon + 1) * len(g.states)} value cells exceed the cell cap {CELL_CAP}"
         with pytest.raises(GuardExceeded, match=refused):
             result.rows
