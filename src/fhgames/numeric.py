@@ -20,6 +20,7 @@ from __future__ import annotations
 import decimal
 import re
 import threading
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
@@ -202,19 +203,29 @@ ONE = Dyadic(1)
 #
 # F(i)_c = sum of the previous i terms, with F(i)_c = 0 for c <= 0 and
 # F(i)_1 = F(i)_2 = 1.  F(i)_{t+2} counts the length-t coin sequences
-# with no run of i tails.  Tables are grown with the O(1)-per-term
-# identity F_c = 2 F_{c-1} - F_{c-1-i} (valid for c >= 3) so scans to
-# c ~ 10^4 with thousand-bit values stay cheap; term c has about c bits.
+# with no run of i tails.  Terms come from the O(1)-per-term identity
+# F_c = 2 F_{c-1} - F_{c-1-i} (valid for c >= 3); term c has about c bits.
+# A table per step count keeps every term below _HEAD.  Past this head
+# only windows of i + 1 terms are kept: the one ending at every
+# _STRIDE-th term, and the cursor, the last one scanned.  A lookup scans
+# from the nearest of these, forwards or back by F_{c-1-i} = 2 F_{c-1} -
+# F_c, so a term up to the last kept window costs at most _STRIDE / 2 steps.
 
 FIB_CAP = 1 << 16
-"""Most entries one n-step Fibonacci table may hold."""
+"""Bound on the index of an n-step Fibonacci term: none at c >= FIB_CAP is computed."""
+
+_HEAD = 1 << 11
+_STRIDE = 256
 
 _fib_lock = threading.Lock()
-_fib_tables: dict[int, list[int]] = {}
+_fib_tables: dict[int, list[int]] = {}  # the head, terms 0 .. _HEAD - 1
+_fib_windows: dict[int, list] = {}  # the j-th ends at _HEAD - 1 + j * _STRIDE; the 0th is the head
+_fib_cursors: dict[int, tuple[int, deque]] = {}  # (the index of its last term, the window)
 
 
 def fib_nstep(i: int, c: int) -> int:
-    """The c-th i-step Fibonacci number, exactly, from a table of at most FIB_CAP entries."""
+    """The c-th i-step Fibonacci number, exactly: from the head's table, or
+    past it from a window scan; an index c >= FIB_CAP is refused."""
     if i < 1:
         raise ValueError("step count i must be at least 1")
     if c <= 0:
@@ -225,9 +236,34 @@ def fib_nstep(i: int, c: int) -> int:
             if c >= FIB_CAP:  # checked only when the table would grow
                 raise GuardExceeded(f"{c + 1} Fibonacci table entries exceed the cap {FIB_CAP}")
             n = len(table)
+            if n == _HEAD:
+                return _fib_scan(i, c, table)
             prior = table[n - 1 - i] if n - 1 - i >= 1 else 0
             table.append(2 * table[n - 1] - prior)
         return table[c]
+
+
+def _fib_scan(i: int, c: int, head: list[int]) -> int:
+    """F(i)_c for _HEAD <= c < FIB_CAP, with _fib_lock held."""
+    kept = _fib_windows.setdefault(i, [head])
+    end, w = _fib_cursors.get(i, (-1, None))
+    j = min((c - _HEAD + 1 + _STRIDE // 2) // _STRIDE, len(kept) - 1)  # the nearest kept window
+    at = _HEAD - 1 + j * _STRIDE
+    if not (end - i <= c <= end or 0 < c - end <= abs(c - at)):  # the cursor is not nearer
+        end, w = at, deque(kept[j][-i - 1 :], maxlen=i + 1)
+    for _ in range(end - i - c):  # back by F_{e-1-i} = 2 F_{e-1} - F_e; w is full here
+        w.appendleft(2 * w[-2] - w[-1])
+    end, f = min(end, c + i), w[-1]
+    while end < c:  # a stride at a time, keeping the window at each stride's end
+        stop = min(c, _HEAD - 1 + len(kept) * _STRIDE)
+        for _ in range(stop - end):
+            f = 2 * f - w[0]
+            w.append(f)
+        if stop == _HEAD - 1 + len(kept) * _STRIDE:
+            kept.append(tuple(w))
+        end = stop
+    _fib_cursors[i] = end, w
+    return w[c - end - 1]
 
 
 def run_probability(i: int, t: int) -> Dyadic:
@@ -243,16 +279,26 @@ def run_probability(i: int, t: int) -> Dyadic:
 def run_threshold(i: int) -> int:
     """Smallest k with run_probability(i, k - 1) >= 1/2.
 
-    Linear scan; run_probability is non-decreasing in t, so the first
-    hit is the threshold.  The comparison reduces to the integer test
-    F(i)_{t+2} <= 2^(t-1).  Cached per i.
-    """
+    run_probability is non-decreasing in t, so the test F(i)_{t+2} <=
+    2^(t-1) holds from the threshold on; past the head it is made at each
+    stride's end, then inline over the stride where it first holds.
+    Cached per i."""
     if i < 1:
         raise ValueError("run length i must be at least 1")
-    t = max(i, 1)
-    while fib_nstep(i, t + 2) > (1 << (t - 1)):
-        t += 1
-    return t + 1
+    for c in range(i + 2, _HEAD):  # c = t + 2
+        if fib_nstep(i, c) <= 1 << (c - 3):
+            return c - 1
+    c = _HEAD - 1 if i + 2 < FIB_CAP else i + 2  # past the cap, refuse at the scan's first index
+    while fib_nstep(i, c) > 1 << (c - 3):
+        c = min(c + _STRIDE, FIB_CAP - 1) if c < FIB_CAP - 1 else FIB_CAP
+    j = (c - _HEAD) // _STRIDE  # the last kept window before c; kept windows never change
+    w = deque(_fib_windows[i][j][-i - 1 :], maxlen=i + 1)
+    c, f = _HEAD - 1 + j * _STRIDE, w[-1]
+    while f > 1 << (c - 3):
+        f = 2 * f - w[0]
+        w.append(f)
+        c += 1
+    return c - 1
 
 
 # -- rational enclosures of e^x ----------------------------------------

@@ -752,8 +752,9 @@ class TestGoldenOutput:
     """Pinned sha256 of whole stdout documents, so that a change of how
     optimal action sets are stored or read, of how a Markov strategy
     is minimised (``minimize`` without ``--sets``) or rendered
-    (``strategy``, text and JSON), or of how value rows are written
-    (``solve --csv``), cannot alter a byte.
+    (``strategy``, text and JSON), of how value rows are written
+    (``solve --csv``), or of how the threshold checks read n-step
+    Fibonacci numbers past the head, cannot alter a byte.
     The digests include the tool version and change with it."""
 
     @pytest.mark.parametrize(
@@ -814,6 +815,14 @@ class TestGoldenOutput:
             (("strategy", "-g", "odd.json", "-T", "3", "--player", "2",
               "--tiebreak", "hi", "--json"),
              "14e4d7bc10684b71aa3683eea4459cb0d5213b0fa833e4445f57725f39c49ddf"),
+            (("verify", "threshold-power-bounds", "--i", "12", "--json"),
+             "eb0f1c92052aa926e8890e477b39d105a8e7277c659c2efbc0299b2666fa50c2"),
+            (("verify", "below-threshold", "--i", "12", "--json"),
+             "221140fe8646180bf51e46ed302e6ea26d44cd9aaa6b2687f0a57d1d8a4ce345"),
+            (("verify", "above-threshold", "--i", "12", "--json"),
+             "46fd66673c152c3384ebb6aba4e5bea24cc83a4eb3dd78df85c0e5145305e7af"),
+            (("verify", "threshold-growth", "--imax", "13", "--json"),
+             "421140df0eb4e5a4ab2c628c5df148f747a5868233ad80f6728c229b71b61fa1"),
         ],
     )
     def test_stdout_digest(self, capsys, monkeypatch, tmp_path, argv, digest):

@@ -1,3 +1,7 @@
+import random
+import sys
+import threading
+from collections import deque
 from fractions import Fraction
 
 import pytest
@@ -81,12 +85,17 @@ class TestDyadic:
         assert 2 * HALF == ONE
 
 
+def reference_terms(i: int, n: int) -> list[int]:
+    """F(i)_0 .. F(i)_n (at least three terms), each the sum of the previous i."""
+    terms = [0, 1, 1]
+    while len(terms) <= n:
+        terms.append(sum(terms[max(0, len(terms) - i) :]))
+    return terms
+
+
 def reference_fib(i: int, c: int) -> int:
     """F(i)_c as the sum of the previous i terms, term by term."""
-    terms = [0, 1, 1]
-    while len(terms) <= c:
-        terms.append(sum(terms[max(0, len(terms) - i) :]))
-    return terms[c] if c > 0 else 0
+    return reference_terms(i, c)[c] if c > 0 else 0
 
 
 class TestFib:
@@ -127,6 +136,136 @@ class TestFib:
         for i in range(1, 8):
             for c in range(2, i + 3):
                 assert fib_nstep(i, c) == (1 << (c - 2)) - (c == i + 2)
+
+
+# one lookup step: ascending or descending runs of consecutive indices, a
+# single index, the last index again, or run_threshold
+LOOKUPS = st.tuples(
+    st.sampled_from(["up", "down", "at", "again", "threshold"]),
+    st.integers(1, 230),
+    st.integers(1, 12),
+)
+
+
+class TestFibTail:
+    """Terms past the head come from window scans; each must equal the
+    reference, and no index at or past FIB_CAP may be computed."""
+
+    @staticmethod
+    def assert_within_cap():
+        cap, head, stride = numeric.FIB_CAP, numeric._HEAD, numeric._STRIDE
+        assert all(len(table) <= min(head, cap) for table in numeric._fib_tables.values())
+        assert all(end < cap for end, _ in numeric._fib_cursors.values())
+        assert all(head - 1 + (len(kept) - 1) * stride < cap for kept in numeric._fib_windows.values())
+
+    @given(st.integers(1, 8), st.integers(2, 12), st.lists(LOOKUPS, max_size=12))
+    @settings(max_examples=300, deadline=None)
+    def test_lookups_match_the_reference(self, i, stride, steps):
+        cap = 200
+        terms = reference_terms(i, cap + 3 * 2**i)
+        threshold = next(t + 1 for t in range(i, len(terms) - 2) if terms[t + 2] <= 1 << (t - 1))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(numeric, "_HEAD", 8)
+            mp.setattr(numeric, "_STRIDE", stride)
+            mp.setattr(numeric, "FIB_CAP", cap)
+            for name in ("_fib_tables", "_fib_windows", "_fib_cursors"):
+                mp.setattr(numeric, name, {})
+            run_threshold.cache_clear()
+            try:
+                last = 1
+                for kind, c, length in steps:
+                    if kind == "threshold":
+                        run_threshold.cache_clear()
+                        if threshold + 1 < cap:  # the scan reads index threshold + 1
+                            assert run_threshold(i) == threshold
+                        else:
+                            with pytest.raises(GuardExceeded, match=f"^{cap + 1} Fibonacci"):
+                                run_threshold(i)
+                        self.assert_within_cap()
+                        continue
+                    lookups = {
+                        "up": range(c, c + length),
+                        "down": range(c, max(c - length, 0), -1),
+                        "at": [c],
+                        "again": [last],
+                    }[kind]
+                    for c in lookups:
+                        if c < cap:
+                            assert fib_nstep(i, c) == terms[c], (kind, c)
+                        else:
+                            refused = f"^{c + 1} Fibonacci table entries exceed the cap {cap}$"
+                            with pytest.raises(GuardExceeded, match=refused):
+                                fib_nstep(i, c)
+                        last = c
+                        self.assert_within_cap()
+            finally:
+                run_threshold.cache_clear()
+
+    def test_a_lookup_scans_from_the_nearest_window(self, monkeypatch):
+        steps = []
+
+        class Counted(deque):
+            def append(self, f):
+                steps.append(f)
+                super().append(f)
+
+            def appendleft(self, f):
+                steps.append(f)
+                super().appendleft(f)
+
+        head, stride = numeric._HEAD, numeric._STRIDE
+        for name in ("_fib_tables", "_fib_windows", "_fib_cursors"):
+            monkeypatch.setattr(numeric, name, {})
+        monkeypatch.setattr(numeric, "deque", Counted)
+        terms = reference_terms(3, head + 20 * stride)
+        assert fib_nstep(3, head + 20 * stride) == terms[-1]
+        assert len(steps) == 20 * stride + 1  # each new term once
+        for c in range(head + 19 * stride, head, -37):  # behind the cursor
+            steps.clear()
+            assert fib_nstep(3, c) == terms[c]
+            assert len(steps) <= stride // 2, c
+            steps.clear()
+            assert fib_nstep(3, c) == terms[c]  # inside the cursor's window
+            assert steps == []
+
+    def test_threads_share_the_windows(self, monkeypatch):
+        monkeypatch.setattr(numeric, "_HEAD", 8)
+        monkeypatch.setattr(numeric, "_STRIDE", 5)
+        for name in ("_fib_tables", "_fib_windows", "_fib_cursors"):
+            monkeypatch.setattr(numeric, name, {})
+        terms = reference_terms(3, 400)
+        wrong = []
+
+        def lookups(seed):
+            rng = random.Random(seed)
+            for _ in range(300):
+                c = rng.randrange(1, 400)
+                if fib_nstep(3, c) != terms[c]:
+                    wrong.append(c)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=lookups, args=(seed,)) for seed in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert wrong == []
+
+    @pytest.mark.parametrize("order", [1, -1])
+    def test_terms_around_the_head_and_the_first_stride(self, monkeypatch, order):
+        head, stride = numeric._HEAD, numeric._STRIDE
+        indices = [head - 1, head, head + 1, head + stride - 1, head + stride, head + stride + 1]
+        for i in (3, 14):
+            terms = reference_terms(i, indices[-1])
+            for name in ("_fib_tables", "_fib_windows", "_fib_cursors"):
+                monkeypatch.setattr(numeric, name, {})
+            assert [fib_nstep(i, c) for c in indices[::order]] == [terms[c] for c in indices[::order]]
+            assert len(numeric._fib_tables[i]) == head
 
 
 class TestRunProbability:

@@ -884,10 +884,13 @@ class TestCellCap:
             {(horizon - t, sid): v for (_, sid), v in row.items()}
             for t, row in enumerate(played.rows)
         )
-        # the rows of a horizon whose game table exceeds the cap are refused
-        horizon = CELL_CAP // len(g.states)
-        result = evaluate_counter(g, horizon, one_memory)
+        # the rows of a horizon whose game table exceeds the cap are refused;
+        # x settles at 1 after a step, so the value's sweep stops at once
+        settled = game_of("x", ("x", StateKind.MAX, ("bot", "x")))
+        horizon = CELL_CAP // len(settled.states)
+        result = evaluate_counter(settled, horizon, one_memory)
+        assert result.value == ONE
         forbid_sweeps(monkeypatch)
-        refused = f"{(horizon + 1) * len(g.states)} value cells exceed the cell cap {CELL_CAP}"
+        refused = f"{(horizon + 1) * len(settled.states)} value cells exceed the cell cap {CELL_CAP}"
         with pytest.raises(GuardExceeded, match=refused):
             result.rows
