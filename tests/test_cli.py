@@ -753,8 +753,10 @@ class TestGoldenOutput:
     optimal action sets are stored or read, of how a Markov strategy
     is minimised (``minimize`` without ``--sets``) or rendered
     (``strategy``, text and JSON), of how value rows are written
-    (``solve --csv``), or of how the threshold checks read n-step
-    Fibonacci numbers past the head, cannot alter a byte.
+    (``solve --csv``), of how the threshold checks read n-step
+    Fibonacci numbers past the head, or of how each command writes its
+    document (the JSON envelope, or the header line and text lines),
+    cannot alter a byte.
     The digests include the tool version and change with it."""
 
     @pytest.mark.parametrize(
@@ -823,6 +825,37 @@ class TestGoldenOutput:
              "46fd66673c152c3384ebb6aba4e5bea24cc83a4eb3dd78df85c0e5145305e7af"),
             (("verify", "threshold-growth", "--imax", "13", "--json"),
              "421140df0eb4e5a4ab2c628c5df148f747a5868233ad80f6728c229b71b61fa1"),
+            (("verify", "cycle-values", "--p", "3", "--tmax", "64"),
+             "6e4fe244b8f03d029980caa452857efae22143abe076350937c68a3bacdac275"),
+            (("solve", "--gadget", "H:3", "-T", "40"),
+             "77c193d86be1d37fda22e75cc45fa6f6c8fae04e5f293a7c408cf47b333b3198"),
+            (("solve", "--gadget", "H:3", "-T", "40", "--decimal", "3"),
+             "280f2870f497febabfe0dc4c4ce458493ee2455d47adf87d1426ff4aa7a18b29"),
+            (("solve", "--gadget", "H:3", "-T", "40", "--decimal", "0"),
+             "c49c9920e2e4d133ca3c44fdf3aebfd57e0ccc38d45a0e253cb36880e9cb47a0"),
+            (("minimize", "--gadget", "M", "-T", "100"),
+             "694a403b64fa4f497227f1e253ea989464abda61801a4a070b9d9e67387d024f"),
+            (("minimize", "--gadget", "F:2", "-T", "22", "--sets"),
+             "434d8ef95d6bc9b047983f0c56ead08af40e01310dacb7850b103d45785db40a"),
+            (("oracle", "--gadget", "H:3"),
+             "057b36f8d18a8f1abcd2c9e96d761b613791938d8b53174a7059731a0419729b"),
+            (("oracle", "--gadget", "H:3", "--json"),
+             "cbd789bb006d4d5a6623847743868a714c0ed48902d39892e464cd5a41956e2f"),
+            (("oracle", "--gadget", "M", "--maxmem", "6", "-T", "5", "--eps", "1/2^6"),
+             "5cd24944e8104083ac1514e0b054ebfb61d998dfdb2a249528f71a49edeb4601"),
+            (("oracle", "--gadget", "M", "--maxmem", "6", "-T", "5", "--eps", "1/2^6", "--json"),
+             "a802bc5165a7b6f6ec3bd84f0449c1440ac54e3eeae103e8065ccb1b8e20fb34"),
+            (("oracle", "--gadget", "M", "--maxmem", "2", "-T", "5", "--eps", "1/2^6"),
+             "40c832f9d07bc5e1e3c14e50cc8c264a9c27d4dcddf511961b32522a13609b24"),
+            (("simulate", "--gadget", "M", "-T", "5", "--trials", "400", "--seed", "11"),
+             "72efe82e7adc93f1db1df9faf9799f690fb7790dad1809978d4189134f8544fc"),
+            (("simulate", "--gadget", "M", "-T", "5", "--trials", "400", "--seed", "11",
+              "--json"),
+             "4f9f505542dddf0a801943d80335a93efbffaa5b2db24da09590cf140fabc89e"),
+            (("scan", "-n", "3", "--samples", "10", "-T", "16", "--seed", "4"),
+             "11f37f6069c194c614d0a3d140a9ff999f4d886dcefb0a52b3d0a8ab368b99ae"),
+            (("scan", "-n", "3", "--samples", "10", "-T", "16", "--seed", "4", "--json"),
+             "5e9bc7f21d64664c9bbe239cd041f4f7dea82c3c24bfee8edcd0bcae689932fa"),
         ],
     )
     def test_stdout_digest(self, capsys, monkeypatch, tmp_path, argv, digest):
