@@ -12,15 +12,18 @@ its help shows them, and it refuses the arguments it does not know.
 ``solve --csv``, ``--json`` and ``--decimal`` exclude each other, as do
 ``minimize --sets`` and ``--tiebreak``.
 
-Every run records the tool version and its parameters in the output;
-JSON output is byte-stable for identical argv and seed (timing is only
-included on request via --timing).  Every indented JSON document, and
-``game.store``'s, is rendered by ``jsonout.dumps`` in one pass, straight
-from the library's values.  ``strategy`` hands its choices over as
-``jsonout.Records`` columns built from the solver's arc bytes
-(``markov_arcs``), with no dict or tuple per choice.  ``build_parser``
-is cached, so a process builds the parser once however often it calls
-``main``.
+Output has one path: each handler yields what it computed (its
+parameters and result, or a check's report) and then its text lines,
+and ``_emit`` alone writes the document, the versioned JSON envelope
+with --json, else a header line and the text lines, built only then.
+``solve --csv`` and ``gadget`` write raw output.  JSON output is
+byte-stable for identical argv and seed (timing only on request via
+--timing) and rendered, as is ``game.store``'s, by ``jsonout.dumps`` in
+one pass, straight from the library's values; ``strategy`` hands its
+choices over as ``jsonout.Records`` columns built from the solver's arc
+bytes (``markov_arcs``), with no dict or tuple per choice.
+``build_parser`` is cached, so a process builds the parser once however
+often it calls ``main``.
 """
 
 from __future__ import annotations
@@ -55,11 +58,6 @@ from .jsonout import Records, dumps, jsonable
 _GADGETS = {"M": make_M, "H": make_H, "G": make_G, "F": make_F}
 
 
-def _read_game(path: str) -> Game:
-    with open(path, "r", encoding="utf-8") as handle:
-        return load(handle.read())
-
-
 def _make_gadget(family: str, param: str | None) -> Game:
     """One gadget from its family and its parameter text (None if absent)."""
     if family not in _GADGETS:
@@ -77,54 +75,74 @@ def _make_gadget(family: str, param: str | None) -> Game:
     return _GADGETS[family](n)
 
 
-def _resolve_game(args) -> Game:
+def _resolve_game(args) -> tuple[Game, str]:
+    label = args.game or args.gadget
     if args.game is not None:  # argparse lets exactly one of the two through
-        return _read_game(args.game)
-    family, colon, param = args.gadget.partition(":")
-    return _make_gadget(family, param if colon else None)
+        with open(label, "r", encoding="utf-8") as handle:
+            return load(handle.read()), label
+    family, colon, param = label.partition(":")
+    return _make_gadget(family, param if colon else None), label
 
 
-def _emit(args, command: str, params: dict, result: dict) -> None:
-    if getattr(args, "json", False):
-        doc = {
-            "schema": "fhgames/1",
-            "version": __version__,
-            "command": command,
-            "params": params,
-            "result": result,
-        }
+def _emit(args, out) -> int:
+    """Write a command's document and return its exit code.  ``out``, the
+    handler's iterator, gives what the command computed, its (params,
+    result) or a check's CheckReport (exit 1 unless it succeeded), then
+    its text lines, which --json never builds.  A handler that gives
+    nothing wrote its raw output itself."""
+    first = next(out, None)
+    if first is None:
+        return 0
+    report = first if isinstance(first, checks.CheckReport) else None
+    if args.json:
+        doc = {"schema": "fhgames/1", "version": __version__, "command": args.command}
+        if report:
+            doc["report"] = report.document(include_runtime=args.timing)
+        else:
+            doc["params"], doc["result"] = first
         print(dumps(doc))
     else:
-        rendered = " ".join(f"{k}={v}" for k, v in jsonable(params).items())
-        print(f"# fhgames {__version__} {command} {rendered}")
+        if report:
+            header = report.name
+            lines = [
+                f"verdict: {report.verdict}",
+                f"params: {json.dumps(jsonable(report.params))}",
+                f"evidence: {json.dumps(jsonable(report.evidence))}",
+            ]
+            if args.timing:
+                lines.append(f"runtime_seconds: {report.runtime:.3f}")
+        else:
+            header = " ".join(f"{k}={v}" for k, v in jsonable(first[0]).items())
+            lines = out
+        print(f"# fhgames {__version__} {args.command} {header}")
+        for line in lines:
+            print(line)
+    return 0 if report is None or report.succeeded else 1
 
 
 # -- subcommand handlers -------------------------------------------------
 
 
-def _cmd_solve(args) -> int:
-    g = _resolve_game(args)
-    params = {"game": args.game or args.gadget, "horizon": args.horizon}
+def _cmd_solve(args):
+    g, label = _resolve_game(args)
     if args.csv:
         rows = values_at(g, range(args.horizon + 1))  # a refusal prints nothing
         out = csv.writer(sys.stdout, lineterminator="\n")
         out.writerow(("t", *g.ids()))
         out.writerows((t, *row.values()) for t, row in rows.items())
-        return 0
+        return
     values = final_values(g, args.horizon)
-    _emit(args, "solve", params, {"start": g.start, "values": values})
-    if not args.json:
-        for sid, value in values.items():
-            approx = f"  (~{value.decimal(args.decimal)})" if args.decimal is not None else ""
-            print(f"{sid} = {value}{approx}")
-    return 0
+    yield {"game": label, "horizon": args.horizon}, {"start": g.start, "values": values}
+    for sid, value in values.items():
+        approx = f"  (~{value.decimal(args.decimal)})" if args.decimal is not None else ""
+        yield f"{sid} = {value}{approx}"
 
 
-def _cmd_strategy(args) -> int:
-    g = _resolve_game(args)
+def _cmd_strategy(args):
+    g, label = _resolve_game(args)
     arcs = markov_arcs(g, args.horizon, player=args.player, tiebreak=args.tiebreak)
     params = {
-        "game": args.game or args.gadget,
+        "game": label,
         "horizon": args.horizon,
         "player": args.player,
         "tiebreak": args.tiebreak,
@@ -136,17 +154,15 @@ def _cmd_strategy(args) -> int:
         ids * args.horizon,
         bytes(chain.from_iterable(zip(*(arcs[sid] for sid in ids)))),
     )
-    _emit(args, "strategy", params, {"choices": Records(("remaining", "state", "arc"), columns)})
-    if not args.json:
-        for t, sid, arc in zip(*columns):
-            print(f"remaining={t} state={sid} arc={arc} -> {g.state(sid).arcs[arc]}")
-    return 0
+    yield params, {"choices": Records(("remaining", "state", "arc"), columns)}
+    for t, sid, arc in zip(*columns):
+        yield f"remaining={t} state={sid} arc={arc} -> {g.state(sid).arcs[arc]}"
 
 
-def _cmd_minimize(args) -> int:
-    g = _resolve_game(args)
+def _cmd_minimize(args):
+    g, label = _resolve_game(args)
     params = {
-        "game": args.game or args.gadget,
+        "game": label,
         "horizon": args.horizon,
         "player": args.player,
         "mode": "sets" if args.sets else "markov",
@@ -167,63 +183,38 @@ def _cmd_minimize(args) -> int:
         "bits": report.bits,
         "strategy": cs.to_json_obj(),
     }
-    _emit(args, "minimize", params, payload)
-    if not args.json:
-        print(
-            f"N={report.initial} p={report.period} "
-            f"states={report.states} bits={report.bits}"
-        )
-    return 0
+    yield params, payload
+    yield f"N={report.initial} p={report.period} states={report.states} bits={report.bits}"
 
 
-def _cmd_gadget(args) -> int:
+def _cmd_gadget(args):
     text = store(_make_gadget(args.family, args.param))
     if args.output:
         with open(args.output, "w", encoding="utf-8") as handle:
             handle.write(text)
     else:
         print(text, end="")
-    return 0
+    return iter(())  # raw output: nothing for _emit to write
 
 
-def _print_report(args, report) -> None:
-    if args.json:
-        doc = {
-            "schema": "fhgames/1",
-            "version": __version__,
-            "command": args.command,
-            "report": report.document(include_runtime=args.timing),
-        }
-        print(dumps(doc))
-    else:
-        print(f"# fhgames {__version__} {args.command} {report.name}")
-        print(f"verdict: {report.verdict}")
-        print(f"params: {json.dumps(jsonable(report.params))}")
-        print(f"evidence: {json.dumps(jsonable(report.evidence))}")
-        if args.timing:
-            print(f"runtime_seconds: {report.runtime:.3f}")
-
-
-def _cmd_verify(args) -> int:
+def _cmd_verify(args):
     own = ("command", "check", "handler", "json", "timing", "game", "gadget")
     params = {k: v for k, v in vars(args).items() if k not in own}
     if args.check == "memoryless-horizon":
-        params.update(g=_resolve_game(args), label=args.game or args.gadget)
+        params["g"], params["label"] = _resolve_game(args)
     # looked up when it runs, so a patched check_* is the one called
-    report = getattr(checks, "check_" + args.check.replace("-", "_"))(**params)
-    _print_report(args, report)
-    return 0 if report.succeeded else 1
+    yield getattr(checks, "check_" + args.check.replace("-", "_"))(**params)
 
 
-def _cmd_oracle(args) -> int:
-    g = _resolve_game(args)
+def _cmd_oracle(args):
+    g, label = _resolve_game(args)
     if args.maxmem is not None:
         if args.horizon is None or args.eps is None:
             raise ValueError("--maxmem needs -T and --eps")
         eps = Dyadic.parse(args.eps)
         result = min_counter_memory(g, args.horizon, eps, args.maxmem)
         params = {
-            "game": args.game or args.gadget,
+            "game": label,
             "horizon": args.horizon,
             "eps": eps,
             "maxmem": args.maxmem,
@@ -234,31 +225,23 @@ def _cmd_oracle(args) -> int:
             "target_value": result.target,
             "witness": result.witness.to_json_obj() if result.witness else None,
         }
-        _emit(args, "oracle", params, payload)
-        if not args.json:
-            if result.memory is None:
-                print(f"exceeds maxMem={args.maxmem}")
-            else:
-                print(f"minimal memory states = {result.memory}")
-        return 0
+        yield params, payload
+        if result.memory is None:
+            yield f"exceeds maxMem={args.maxmem}"
+        else:
+            yield f"minimal memory states = {result.memory}"
+        return
     if args.horizon is not None or args.eps is not None:
         raise ValueError("-T and --eps apply only with --maxmem")
     solution = solve_infinite(g)
-    params = {"game": args.game or args.gadget}
-    payload = {
-        "values": {sid: value for sid, value in solution.values.items()},
-        "strategy": solution.strategy.choices,
-    }
-    _emit(args, "oracle", params, payload)
-    if not args.json:
-        for sid, value in solution.values.items():
-            print(f"{sid} = {value}")
-        print(f"strategy: {solution.strategy.choices}")
-    return 0
+    yield {"game": label}, {"values": solution.values, "strategy": solution.strategy.choices}
+    for sid, value in solution.values.items():
+        yield f"{sid} = {value}"
+    yield f"strategy: {solution.strategy.choices}"
 
 
-def _cmd_simulate(args) -> int:
-    g = _resolve_game(args)
+def _cmd_simulate(args):
+    g, label = _resolve_game(args)
     strat = extract_markov(g, args.horizon, player=1, tiebreak=args.tiebreak)
     opponent = None
     if g.controlled_ids(2):
@@ -268,7 +251,7 @@ def _cmd_simulate(args) -> int:
     )
     exact = evaluate_fixed_final(g, args.horizon, strat)[g.start]
     params = {
-        "game": args.game or args.gadget,
+        "game": label,
         "horizon": args.horizon,
         "trials": args.trials,
         "seed": args.seed,
@@ -280,17 +263,13 @@ def _cmd_simulate(args) -> int:
         "frequency": report.frequency,
         "exact_value_under_strategy": exact,
     }
-    _emit(args, "simulate", params, payload)
-    if not args.json:
-        print(f"hits/trials = {report.hits}/{report.trials}")
-        print(f"exact value under the same strategy = {exact}")
-    return 0
+    yield params, payload
+    yield f"hits/trials = {report.hits}/{report.trials}"
+    yield f"exact value under the same strategy = {exact}"
 
 
-def _cmd_scan(args) -> int:
-    report = checks.period_scan(args.n, args.samples, args.horizon, args.seed)
-    _print_report(args, report)
-    return 0 if report.succeeded else 1
+def _cmd_scan(args):
+    yield checks.period_scan(args.n, args.samples, args.horizon, args.seed)
 
 
 # -- parser ---------------------------------------------------------------
@@ -472,7 +451,7 @@ def main(argv=None) -> int:
         saved = sys.get_int_max_str_digits()
         sys.set_int_max_str_digits(0)
     try:
-        return args.handler(args)
+        return _emit(args, args.handler(args))
     except GuardExceeded as exc:
         print(f"guard exceeded: {exc}", file=sys.stderr)
         return 3
