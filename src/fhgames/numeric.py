@@ -206,10 +206,11 @@ ONE = Dyadic(1)
 # with no run of i tails.  Terms come from the O(1)-per-term identity
 # F_c = 2 F_{c-1} - F_{c-1-i} (valid for c >= 3); term c has about c bits.
 # A table per step count keeps every term below _HEAD.  Past this head
-# only windows of i + 1 terms are kept: the one ending at every
-# _STRIDE-th term, and the cursor, the last one scanned.  A lookup scans
-# from the nearest of these, forwards or back by F_{c-1-i} = 2 F_{c-1} -
-# F_c, so a term up to the last kept window costs at most _STRIDE / 2 steps.
+# only windows of i + 1 terms are kept: the one ending at every s-th
+# term, s = max(_STRIDE, i + 1) so that no two overlap, and the cursor,
+# the last one scanned.  A lookup scans from the nearest of these,
+# forwards or back by F_{c-1-i} = 2 F_{c-1} - F_c, so a term up to the
+# last kept window costs at most s / 2 steps.
 
 FIB_CAP = 1 << 16
 """Bound on the index of an n-step Fibonacci term: none at c >= FIB_CAP is computed."""
@@ -219,7 +220,7 @@ _STRIDE = 256
 
 _fib_lock = threading.Lock()
 _fib_tables: dict[int, list[int]] = {}  # the head, terms 0 .. _HEAD - 1
-_fib_windows: dict[int, list] = {}  # the j-th ends at _HEAD - 1 + j * _STRIDE; the 0th is the head
+_fib_windows: dict[int, list] = {}  # the j-th ends at _HEAD - 1 + j * s; the 0th is the head
 _fib_cursors: dict[int, tuple[int, deque]] = {}  # (the index of its last term, the window)
 
 
@@ -246,20 +247,21 @@ def fib_nstep(i: int, c: int) -> int:
 def _fib_scan(i: int, c: int, head: list[int]) -> int:
     """F(i)_c for _HEAD <= c < FIB_CAP, with _fib_lock held."""
     kept = _fib_windows.setdefault(i, [head])
+    s = max(_STRIDE, i + 1)
     end, w = _fib_cursors.get(i, (-1, None))
-    j = min((c - _HEAD + 1 + _STRIDE // 2) // _STRIDE, len(kept) - 1)  # the nearest kept window
-    at = _HEAD - 1 + j * _STRIDE
+    j = min((c - _HEAD + 1 + s // 2) // s, len(kept) - 1)  # the nearest kept window
+    at = _HEAD - 1 + j * s
     if not (end - i <= c <= end or 0 < c - end <= abs(c - at)):  # the cursor is not nearer
         end, w = at, deque(kept[j][-i - 1 :], maxlen=i + 1)
     for _ in range(end - i - c):  # back by F_{e-1-i} = 2 F_{e-1} - F_e; w is full here
         w.appendleft(2 * w[-2] - w[-1])
     end, f = min(end, c + i), w[-1]
-    while end < c:  # a stride at a time, keeping the window at each stride's end
-        stop = min(c, _HEAD - 1 + len(kept) * _STRIDE)
+    while end < c:  # s terms at a time, keeping the window at each s-th term
+        stop = min(c, _HEAD - 1 + len(kept) * s)
         for _ in range(stop - end):
             f = 2 * f - w[0]
             w.append(f)
-        if stop == _HEAD - 1 + len(kept) * _STRIDE:
+        if stop == _HEAD - 1 + len(kept) * s:
             kept.append(tuple(w))
         end = stop
     _fib_cursors[i] = end, w
@@ -280,24 +282,24 @@ def run_threshold(i: int) -> int:
     """Smallest k with run_probability(i, k - 1) >= 1/2.
 
     run_probability is non-decreasing in t, so the test F(i)_{t+2} <=
-    2^(t-1) holds from the threshold on; past the head it is made at each
-    stride's end, then inline over the stride where it first holds.
-    Cached per i."""
+    2^(t-1) holds from the threshold on.  It is made every _STRIDE
+    indices from t = i, then by bisection over the last stride, each
+    term read through fib_nstep.  Cached per i."""
     if i < 1:
         raise ValueError("run length i must be at least 1")
-    for c in range(i + 2, _HEAD):  # c = t + 2
-        if fib_nstep(i, c) <= 1 << (c - 3):
-            return c - 1
-    c = _HEAD - 1 if i + 2 < FIB_CAP else i + 2  # past the cap, refuse at the scan's first index
-    while fib_nstep(i, c) > 1 << (c - 3):
-        c = min(c + _STRIDE, FIB_CAP - 1) if c < FIB_CAP - 1 else FIB_CAP
-    j = (c - _HEAD) // _STRIDE  # the last kept window before c; kept windows never change
-    w = deque(_fib_windows[i][j][-i - 1 :], maxlen=i + 1)
-    c, f = _HEAD - 1 + j * _STRIDE, w[-1]
-    while f > 1 << (c - 3):
-        f = 2 * f - w[0]
-        w.append(f)
-        c += 1
+
+    def holds(c: int) -> bool:  # c = t + 2
+        return fib_nstep(i, c) <= 1 << (c - 3)
+
+    low, c = i + 1, i + 2  # the threshold is past low
+    while not holds(c):  # FIB_CAP - 1 is tested last, then fib_nstep refuses FIB_CAP
+        low, c = c, min(c + _STRIDE, FIB_CAP - 1) if c < FIB_CAP - 1 else FIB_CAP
+    while c - low > 1:  # the test fails at low and holds at c
+        mid = (low + c) // 2
+        if holds(mid):
+            c = mid
+        else:
+            low = mid
     return c - 1
 
 

@@ -1,3 +1,4 @@
+import functools
 import random
 import sys
 import threading
@@ -98,6 +99,16 @@ def reference_fib(i: int, c: int) -> int:
     return reference_terms(i, c)[c] if c > 0 else 0
 
 
+@functools.cache
+def naive_threshold(i: int) -> int:
+    """run_threshold by enumeration: the least k such that k - 1 coin
+    tosses hold a run of i tails with probability at least 1/2."""
+    k = 1
+    while 2 * count_sequences_with_run(i, k - 1) < 1 << (k - 1):
+        k += 1
+    return k
+
+
 class TestFib:
     def test_boundaries(self):
         assert fib_nstep(2, 0) == 0
@@ -156,7 +167,19 @@ class TestFibTail:
         cap, head, stride = numeric.FIB_CAP, numeric._HEAD, numeric._STRIDE
         assert all(len(table) <= min(head, cap) for table in numeric._fib_tables.values())
         assert all(end < cap for end, _ in numeric._fib_cursors.values())
-        assert all(head - 1 + (len(kept) - 1) * stride < cap for kept in numeric._fib_windows.values())
+        assert all(
+            head - 1 + (len(kept) - 1) * max(stride, i + 1) < cap
+            for i, kept in numeric._fib_windows.items()
+        )
+
+    @staticmethod
+    def tiny(mp, head, stride, cap):
+        """Small head, stride and cap, and empty tables, on a MonkeyPatch."""
+        mp.setattr(numeric, "_HEAD", head)
+        mp.setattr(numeric, "_STRIDE", stride)
+        mp.setattr(numeric, "FIB_CAP", cap)
+        for name in ("_fib_tables", "_fib_windows", "_fib_cursors"):
+            mp.setattr(numeric, name, {})
 
     @given(st.integers(1, 8), st.integers(2, 12), st.lists(LOOKUPS, max_size=12))
     @settings(max_examples=300, deadline=None)
@@ -165,11 +188,7 @@ class TestFibTail:
         terms = reference_terms(i, cap + 3 * 2**i)
         threshold = next(t + 1 for t in range(i, len(terms) - 2) if terms[t + 2] <= 1 << (t - 1))
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(numeric, "_HEAD", 8)
-            mp.setattr(numeric, "_STRIDE", stride)
-            mp.setattr(numeric, "FIB_CAP", cap)
-            for name in ("_fib_tables", "_fib_windows", "_fib_cursors"):
-                mp.setattr(numeric, name, {})
+            self.tiny(mp, 8, stride, cap)
             run_threshold.cache_clear()
             try:
                 last = 1
@@ -200,6 +219,21 @@ class TestFibTail:
                         self.assert_within_cap()
             finally:
                 run_threshold.cache_clear()
+
+    @given(st.integers(2, 8), st.integers(0, 6), st.lists(st.integers(1, 199), max_size=12))
+    @settings(max_examples=200, deadline=None)
+    def test_kept_windows_never_overlap(self, stride, extra, lookups):
+        i, cap = stride + extra, 200  # i + 1 > stride: windows a stride apart would overlap
+        terms = reference_terms(i, cap)
+        index = {term: c for c, term in enumerate(terms) if c >= 2}  # increasing from F_2, i >= 2
+        lookups = [*lookups, cap - 1]
+        with pytest.MonkeyPatch.context() as mp:
+            self.tiny(mp, 8, stride, cap)
+            assert [fib_nstep(i, c) for c in lookups] == [terms[c] for c in lookups]
+            kept = numeric._fib_windows[i][1:]  # the 0th is the head
+        ends = [7, *(index[window[-1]] for window in kept)]
+        assert all(window == tuple(terms[end - i : end + 1]) for window, end in zip(kept, ends[1:]))
+        assert all(later - end >= i + 1 for end, later in zip(ends, ends[1:])), ends
 
     def test_a_lookup_scans_from_the_nearest_window(self, monkeypatch):
         steps = []
@@ -310,6 +344,31 @@ class TestThreshold:
             k = run_threshold(i)
             assert run_probability(i, k - 1) >= HALF
             assert run_probability(i, k - 2) < HALF
+
+    @pytest.mark.parametrize("i", [1, 2, 3])
+    def test_matches_enumeration(self, i):
+        run_threshold.cache_clear()
+        assert run_threshold(i) == naive_threshold(i)
+
+    @given(st.integers(1, 3), st.integers(3, 6), st.integers(2, 4), st.integers(3, 16))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_enumeration_past_the_head(self, i, head, stride, cap):
+        # thresholds 2, 5 and 11: the stride steps and the bisection cross
+        # the head, the kept windows and the cap
+        k = naive_threshold(i)
+        with pytest.MonkeyPatch.context() as mp:
+            TestFibTail.tiny(mp, head, stride, cap)
+            run_threshold.cache_clear()
+            try:
+                if k + 1 < cap:  # the test at index k + 1 is the first that holds
+                    assert run_threshold(i) == k
+                else:  # refused at the cap, or at the first index tested past it
+                    refused = f"^{max(cap, i + 2) + 1} Fibonacci table entries exceed the cap {cap}$"
+                    with pytest.raises(GuardExceeded, match=refused):
+                        run_threshold(i)
+                TestFibTail.assert_within_cap()
+            finally:
+                run_threshold.cache_clear()
 
 
 class TestExpEnclosure:
