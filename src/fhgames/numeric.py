@@ -291,10 +291,10 @@ def run_threshold(i: int) -> int:
     def holds(c: int) -> bool:  # c = t + 2
         return fib_nstep(i, c) <= 1 << (c - 3)
 
-    low, c = i + 1, i + 2  # the threshold is past low
+    low, c = i + 1, i + 2  # the first index where the test holds is past low
     while not holds(c):  # FIB_CAP - 1 is tested last, then fib_nstep refuses FIB_CAP
         low, c = c, min(c + _STRIDE, FIB_CAP - 1) if c < FIB_CAP - 1 else FIB_CAP
-    while c - low > 1:  # the test fails at low and holds at c
+    while c - low > 1:  # ... and at most c
         mid = (low + c) // 2
         if holds(mid):
             c = mid
