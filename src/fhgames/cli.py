@@ -16,6 +16,8 @@ Output has one path: each handler yields what it computed (its
 parameters and result, or a check's report) and then its text lines,
 and ``_emit`` alone writes the document, the versioned JSON envelope
 with --json, else a header line and the text lines, built only then.
+Handlers read their input under Python's int-to-str digit limit, which
+``_emit`` lifts only while it writes.
 ``solve --csv`` and ``gadget`` write raw output.  JSON output is
 byte-stable for identical argv and seed (timing only on request via
 --timing) and rendered, as is ``game.store``'s, by ``jsonout.dumps`` in
@@ -38,12 +40,12 @@ from fractions import Fraction
 from itertools import chain
 
 from . import __version__
-from .counter import from_markov, memory_report, minimal_period
+from .counter import from_markov, minimal_period
 from .errors import FhgamesError, GuardExceeded
 from .game import Game, load, store
 from .gadgets import make_F, make_G, make_H, make_M
 from .numeric import Dyadic
-from .oracle import min_counter_memory, simulate, solve_infinite
+from .oracle import RNG_ALGORITHM, min_counter_memory, simulate, solve_infinite
 from .solver import (
     evaluate_fixed_final,
     extract_markov,
@@ -89,35 +91,45 @@ def _emit(args, out) -> int:
     handler's iterator, gives what the command computed, its (params,
     result) or a check's CheckReport (exit 1 unless it succeeded), then
     its text lines, which --json never builds.  A handler that gives
-    nothing wrote its raw output itself."""
+    nothing wrote its raw output itself.  The handler reads its input
+    under Python's int-to-str digit limit; exact values at long horizons
+    outgrow it, so it is lifted from the first item on, while writing."""
     first = next(out, None)
     if first is None:
         return 0
-    report = first if isinstance(first, checks.CheckReport) else None
-    if args.json:
-        doc = {"schema": "fhgames/1", "version": __version__, "command": args.command}
-        if report:
-            doc["report"] = report.document(include_runtime=args.timing)
+    limited = hasattr(sys, "set_int_max_str_digits")
+    if limited:
+        saved = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+    try:
+        report = first if isinstance(first, checks.CheckReport) else None
+        if args.json:
+            doc = {"schema": "fhgames/1", "version": __version__, "command": args.command}
+            if report:
+                doc["report"] = report.document(include_runtime=args.timing)
+            else:
+                doc["params"], doc["result"] = first
+            print(dumps(doc))
         else:
-            doc["params"], doc["result"] = first
-        print(dumps(doc))
-    else:
-        if report:
-            header = report.name
-            lines = [
-                f"verdict: {report.verdict}",
-                f"params: {json.dumps(jsonable(report.params))}",
-                f"evidence: {json.dumps(jsonable(report.evidence))}",
-            ]
-            if args.timing:
-                lines.append(f"runtime_seconds: {report.runtime:.3f}")
-        else:
-            header = " ".join(f"{k}={v}" for k, v in jsonable(first[0]).items())
-            lines = out
-        print(f"# fhgames {__version__} {args.command} {header}")
-        for line in lines:
-            print(line)
-    return 0 if report is None or report.succeeded else 1
+            if report:
+                header = report.name
+                lines = [
+                    f"verdict: {report.verdict}",
+                    f"params: {json.dumps(jsonable(report.params))}",
+                    f"evidence: {json.dumps(jsonable(report.evidence))}",
+                ]
+                if args.timing:
+                    lines.append(f"runtime_seconds: {report.runtime:.3f}")
+            else:
+                header = " ".join(f"{k}={v}" for k, v in jsonable(first[0]).items())
+                lines = out
+            print(f"# fhgames {__version__} {args.command} {header}")
+            for line in lines:
+                print(line)
+        return 0 if report is None or report.succeeded else 1
+    finally:
+        if limited:
+            sys.set_int_max_str_digits(saved)
 
 
 # -- subcommand handlers -------------------------------------------------
@@ -175,16 +187,15 @@ def _cmd_minimize(args):
             g, args.horizon, player=args.player, tiebreak=args.tiebreak or "lo"
         )
         cs = from_markov(strat)
-    report = memory_report(cs)
     payload = {
-        "N": report.initial,
-        "p": report.period,
-        "states": report.states,
-        "bits": report.bits,
+        "N": cs.initial,
+        "p": cs.period,
+        "states": cs.size,
+        "bits": cs.bits,
         "strategy": cs.to_json_obj(),
     }
     yield params, payload
-    yield f"N={report.initial} p={report.period} states={report.states} bits={report.bits}"
+    yield f"N={cs.initial} p={cs.period} states={cs.size} bits={cs.bits}"
 
 
 def _cmd_gadget(args):
@@ -246,25 +257,23 @@ def _cmd_simulate(args):
     opponent = None
     if g.controlled_ids(2):
         opponent = extract_markov(g, args.horizon, player=2, tiebreak=args.tiebreak)
-    report = simulate(
-        g, args.horizon, strat, args.trials, args.seed, opponent=opponent
-    )
+    hits = simulate(g, args.horizon, strat, args.trials, args.seed, opponent=opponent)
     exact = evaluate_fixed_final(g, args.horizon, strat)[g.start]
     params = {
         "game": label,
         "horizon": args.horizon,
         "trials": args.trials,
         "seed": args.seed,
-        "rng": report.algorithm,
+        "rng": RNG_ALGORITHM,
     }
     payload = {
-        "hits": report.hits,
-        "trials": report.trials,
-        "frequency": report.frequency,
+        "hits": hits,
+        "trials": args.trials,
+        "frequency": Fraction(hits, args.trials),
         "exact_value_under_strategy": exact,
     }
     yield params, payload
-    yield f"hits/trials = {report.hits}/{report.trials}"
+    yield f"hits/trials = {hits}/{args.trials}"
     yield f"exact value under the same strategy = {exact}"
 
 
@@ -444,12 +453,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    # exact values at long horizons outgrow Python's int-to-str digit
-    # limit; lift it for this run and restore it afterwards
-    limited = hasattr(sys, "set_int_max_str_digits")
-    if limited:
-        saved = sys.get_int_max_str_digits()
-        sys.set_int_max_str_digits(0)
     try:
         return _emit(args, args.handler(args))
     except GuardExceeded as exc:
@@ -458,9 +461,6 @@ def main(argv=None) -> int:
     except (FhgamesError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    finally:
-        if limited:
-            sys.set_int_max_str_digits(saved)
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -15,16 +15,16 @@ arc of every set.  from_markov is its singleton case: a Markov
 strategy's arcs as one-arc sets, so the automaton found reproduces the
 strategy exactly.
 
-Minimality is measured by the total memory-state count N + p (the
-reported space in bits is ceil(log2(N + p))), with ties broken towards
-the smaller period.
+Minimality is measured by the total memory-state count N + p
+(CounterStrategy.size; its space in bits, CounterStrategy.bits, is
+ceil(log2(N + p))), with ties broken towards the smaller period.
 
 The solver's ActionSetSequence holds one player's optimal action sets:
-per controlled state, bytes of arc masks (1 = arc 0, 2 = arc 1, 3 =
-both) in elapsed time, as optimal_action_sets returns them.  Period
-search runs on bitsets derived from each row by a translation:
-only0/only1, whose bit t is set when only arc 0 / only arc 1 is
-optimal at elapsed t.  For a period p, with
+per controlled state (a key of its masks), bytes of arc masks (1 = arc
+0, 2 = arc 1, 3 = both) in elapsed time, as optimal_action_sets returns
+them.  Period search runs on bitsets derived from each row by a
+translation: only0/only1, whose bit t is set when only arc 0 / only arc
+1 is optimal at elapsed t.  For a period p, with
 later_b = OR over k >= 1 of (only_b >> k*p), the least initial count is
 
     N(p) = max over states of bit_length((only0 & later1) | (only1 & later0)),
@@ -35,7 +35,6 @@ residue class contradicts.
 
 from __future__ import annotations
 
-from collections import namedtuple
 from dataclasses import dataclass, field
 from typing import Mapping
 
@@ -45,10 +44,8 @@ from .solver import ActionSetSequence, MarkovStrategy
 __all__ = [
     "CounterStrategy",
     "PeriodResult",
-    "MemoryReport",
     "from_markov",
     "to_markov",
-    "memory_report",
     "minimal_period",
     "least_initial_for_period",
 ]
@@ -82,6 +79,11 @@ class CounterStrategy:
     def size(self) -> int:
         return self.initial + self.period
 
+    @property
+    def bits(self) -> int:
+        """The memory in bits, ceil(log2(size))."""
+        return (self.size - 1).bit_length()
+
     def memory_at(self, t: int) -> int:
         """Memory after t traversals (the rho trajectory)."""
         if t < self.size:
@@ -114,15 +116,6 @@ class CounterStrategy:
                 for (m, sid), arc in sorted(self.actions.items())
             ],
         }
-
-
-MemoryReport = namedtuple("MemoryReport", "states bits initial period")
-
-
-def memory_report(cs: CounterStrategy) -> MemoryReport:
-    """Memory-state count and its size in bits, alongside N and p."""
-    states = cs.size
-    return MemoryReport(states, (states - 1).bit_length(), cs.initial, cs.period)
 
 
 def to_markov(cs: CounterStrategy, horizon: int, player: int = 1) -> MarkovStrategy:
@@ -179,8 +172,7 @@ def _witness(seq: ActionSetSequence, n: int, p: int) -> CounterStrategy:
     """Initial memory m takes arc 1 iff step m allows only arc 1, periodic
     memory m iff a step of its class does: an arc in all of the class's sets."""
     actions = {}
-    for sid in seq.states:
-        row = seq.masks[sid]
+    for sid, row in seq.masks.items():
         for m in range(n):
             actions[(m, sid)] = int(row[m] == 2)
         for m in range(n, n + p):
@@ -199,7 +191,7 @@ def minimal_period(seq: ActionSetSequence) -> PeriodResult:
     result exists; small periods win only when the cyclic part truly
     repeats.
     """
-    if seq.length == 0 or not seq.states:
+    if seq.length == 0 or not seq.masks:
         return PeriodResult(0, 1, CounterStrategy(0, 1, {}))
     best: tuple[int, int, int] | None = None  # (total, period, initial)
     initials = []
@@ -233,4 +225,4 @@ def from_markov(strategy: MarkovStrategy) -> CounterStrategy:
             raise ValueError(f"arc index must be 0 or 1, got {arc!r}")
     flat = bytes(1 + arc for arc in arcs)  # t-major; state k at k::len(ids)
     masks = {sid: flat[k :: len(ids)] for k, sid in enumerate(ids)}
-    return minimal_period(ActionSetSequence(horizon, ids, masks)).witness
+    return minimal_period(ActionSetSequence(horizon, masks)).witness

@@ -147,7 +147,7 @@ def load(text: str) -> Game:
     """Parse and validate a game document, raising on any defect."""
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # also an integer past the int-to-str digit limit
         raise GameFormatError(f"not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise _format_error("$", "top level must be an object")

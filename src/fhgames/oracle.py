@@ -27,14 +27,13 @@ __all__ = [
     "SWEEP_CAP",
     "InfiniteSolution",
     "MinMemoryResult",
-    "SimulationReport",
     "reach_probabilities",
     "solve_infinite",
     "min_counter_memory",
     "simulate",
 ]
 
-RNG_ALGORITHM = "mt19937"  # random.Random; recorded in every report
+RNG_ALGORITHM = "mt19937"  # random.Random's generator, named in simulate's output
 
 SWEEP_CAP = 2_000_000  # most sweeps one memory search may perform
 
@@ -279,7 +278,10 @@ def min_counter_memory(
         raise ValueError(f"epsilon must be non-negative, got {epsilon}")
     controlled = sorted(g.controlled_ids(1))
     optimum = final_values(g, horizon)[g.start]
-    target = optimum - epsilon
+    try:
+        target = optimum - epsilon
+    except (OverflowError, MemoryError):  # a shift past the largest int, or any memory
+        raise ValueError(f"epsilon {epsilon} is too fine for exact arithmetic") from None
     sweeps = 0
     for m in range(1, max_mem + 1):
         slots = [(mem, sid) for mem in range(m) for sid in controlled]
@@ -308,15 +310,6 @@ def min_counter_memory(
     return MinMemoryResult(None, None, optimum, target)
 
 
-@dataclass(frozen=True)
-class SimulationReport:
-    trials: int
-    hits: int
-    frequency: Fraction
-    algorithm: str
-    seed: int
-
-
 def simulate(
     g: Game,
     horizon: int,
@@ -324,13 +317,13 @@ def simulate(
     trials: int,
     seed: int,
     opponent=None,
-) -> SimulationReport:
-    """Empirical frequency of reaching the terminal within the horizon.
+) -> int:
+    """How many of ``trials`` plays reach the terminal within the horizon.
 
     ``strategy`` plays player 1 and ``opponent`` player 2, each needed
     where its player has states; either may be a Markov, memoryless or
-    counter strategy.  Deterministic given the seed; the generator
-    algorithm is recorded in the report.
+    counter strategy.  Deterministic given the seed, with the
+    RNG_ALGORITHM generator.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
@@ -366,10 +359,4 @@ def simulate(
             if pos == target:
                 hits += 1
                 break
-    return SimulationReport(
-        trials=trials,
-        hits=hits,
-        frequency=Fraction(hits, trials),
-        algorithm=RNG_ALGORITHM,
-        seed=seed,
-    )
+    return hits

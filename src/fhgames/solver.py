@@ -115,6 +115,7 @@ class Strategy(Protocol):
 class ActionSetSequence:
     """One player's optimal action sets in elapsed time.
 
+    The player's states are the keys of ``masks``, in their order, and
     ``masks[sid][t]`` is the mask over arcs (bit 0 = arc 0, bit 1 =
     arc 1) of the set at elapsed step t in 0..length-1: 1, 2 or 3 (both
     arcs: their successor values tie).  Carrying the full sets (rather
@@ -123,14 +124,12 @@ class ActionSetSequence:
     """
 
     length: int
-    states: tuple[str, ...]
     masks: dict[str, bytes]
     _DIGITS = (bytes.maketrans(b"\1\2\3", b"100"), bytes.maketrans(b"\1\2\3", b"010"))
 
     def __post_init__(self):
-        for sid in self.states:
-            row = self.masks.get(sid)
-            if row is None or len(row) != self.length or row.translate(None, b"\1\2\3"):
+        for sid, row in self.masks.items():
+            if len(row) != self.length or row.translate(None, b"\1\2\3"):
                 raise ValueError(f"{sid!r} needs {self.length} masks of 1, 2 or 3")
 
     @cached_property
@@ -139,9 +138,9 @@ class ActionSetSequence:
         counter module), built on first read: a caller may read one
         player's sequence only."""
         only = []
-        for sid in self.states:
-            row = self.masks[sid][::-1]  # elapsed t is the digit of weight 2^t; b"0" if empty
-            only.append(tuple(int(row.translate(d) or b"0", 2) for d in self._DIGITS))
+        for row in self.masks.values():
+            digits = row[::-1]  # elapsed t is the digit of weight 2^t; b"0" if empty
+            only.append(tuple(int(digits.translate(d) or b"0", 2) for d in self._DIGITS))
         return tuple(only)
 
 
@@ -437,7 +436,7 @@ def optimal_action_sets(
     players = [tuple(sorted(g.controlled_ids(player))) for player in (1, 2)]
     masks = _action_masks(g, horizon, players[0] + players[1])
     return tuple(
-        ActionSetSequence(horizon, ids, {sid: masks[sid][::-1] for sid in ids})
+        ActionSetSequence(horizon, {sid: masks[sid][::-1] for sid in ids})
         for ids in players
     )
 

@@ -177,14 +177,11 @@ def check_threshold_growth(i_max: int = 14) -> CheckReport:
         raise ValueError(f"i_max must be at least 1, got {i_max}")
     params = {"i_max": i_max}
     rows = []
-    failures = 0
     for i in range(1, i_max + 1):
         k = run_threshold(i)
         bound = Fraction(1, 4) * 2**i + i  # 2^(i-2) + i, exact also for i < 2
-        ok = Fraction(k) >= bound
-        failures += not ok
-        rows.append({"i": i, "k": k, "bound": bound, "ok": ok})
-    return params, FAIL if failures else PASS, {"rows": rows}
+        rows.append({"i": i, "k": k, "bound": bound, "ok": Fraction(k) >= bound})
+    return params, PASS if all(row["ok"] for row in rows) else FAIL, {"rows": rows}
 
 
 @_check("threshold-power-bounds")
@@ -243,26 +240,25 @@ def _threshold_fraction_checks(
     params = {"i": i, "d_list": ds, "width": width}
     k = run_threshold(i)
     rows = []
-    outcomes = []
     for d in ds:
         if above:
             # p(ceil((1+d) k)) >= 1 - e^{-d/8} / 2
-            index = -((-(1 + d) * k) // 1)
+            index, x = -((-(1 + d) * k) // 1), -d / 8
             in_regime = i >= 12 and d > 0
-            enclosure = exp_enclosure(Fraction(-d, 8), width)
         else:
             # p(floor(d k)) <= 1 - e^{(1-d)/8} / 2
-            index = (d * k) // 1
+            index, x = (d * k) // 1, (1 - d) / 8
             in_regime = i >= 12 and Fraction(1, 10) < d < 1
-            enclosure = exp_enclosure(Fraction(1 - d, 8), width)
-        index = int(index)
+        if index < 0 or abs(x) > 1:  # no toss count, or e^x out of exp_enclosure's reach
+            domain = f"(-1 - 1/k, 8] for the threshold k = {k}" if above else "[0, 9]"
+            raise ValueError(f"d must be in {domain}, got {d}")
+        enclosure = exp_enclosure(x, width)
         prob = run_probability(i, index).as_fraction()
         lo = 1 - enclosure.upper / 2
         hi = 1 - enclosure.lower / 2
         bound = IntervalEnclosure(lo, hi)
         verdict = (_ge_enclosure if above else _le_enclosure)(prob, bound)
         verdict = _demote(verdict, in_regime)
-        outcomes.append(verdict)
         rows.append(
             {
                 "d": d,
@@ -275,7 +271,7 @@ def _threshold_fraction_checks(
             }
         )
     evidence = {"k": k, "rows": rows}
-    return params, _combine(outcomes), evidence
+    return params, _combine([row["verdict"] for row in rows]), evidence
 
 
 @_check("below-threshold")
@@ -463,20 +459,17 @@ def check_memoryless_horizon(
     if masks is None or any((b"\2", b"\1")[arc] in masks[sid] for sid, arc in arcs.items()):
         played_rows = values_at(g, checkpoints, strategy=solution.strategy)
     rows = []
-    failures = 0
     for j in exponents:
         horizon = horizons[j]
         optimal = best_rows[horizon][g.start]
         achieved = played_rows[horizon][g.start]
-        ok = achieved >= optimal - Dyadic(1, j)
-        failures += not ok
         rows.append(
             {
                 "eps": Dyadic(1, j),
                 "horizon": horizon,
                 "optimal": optimal,
                 "achieved": achieved,
-                "ok": ok,
+                "ok": achieved >= optimal - Dyadic(1, j),
             }
         )
     evidence = {
@@ -484,7 +477,7 @@ def check_memoryless_horizon(
         "strategy": solution.strategy.choices,
         "rows": rows,
     }
-    return params, FAIL if failures else PASS, evidence
+    return params, PASS if all(row["ok"] for row in rows) else FAIL, evidence
 
 
 # -- exploratory scan ----------------------------------------------------

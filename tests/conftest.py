@@ -287,7 +287,7 @@ def reference_least_initial(seq, period: int) -> int:
         raise ValueError("period must be at least 1")
     need = 0
     length = seq.length
-    for sid in seq.states:
+    for sid in seq.masks:
         for r in range(min(period, length)):
             acc = 3
             start = r + period * ((length - 1 - r) // period)

@@ -7,6 +7,7 @@ import random
 import re
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -28,7 +29,8 @@ from fhgames.cli import main
 from fhgames.gadgets import make_H, make_M, random_game
 from fhgames.game import PLAYER_KIND, Game, State, StateKind, store
 from fhgames.jsonout import dumps
-from fhgames.solver import final_values, markov_arcs, values_at
+from fhgames.oracle import RNG_ALGORITHM, simulate
+from fhgames.solver import extract_markov, final_values, markov_arcs, values_at
 
 
 def run(capsys, *argv):
@@ -162,6 +164,28 @@ class TestVerifyCommand:
         code, out, _ = run(capsys, "verify", "shortcut-memory", "--c", "1")
         assert code == 0
         assert out.splitlines()[1] == "verdict: informational"
+
+    @pytest.mark.parametrize(
+        "check, d",
+        [
+            ("below-threshold", "-1"),
+            ("below-threshold", "20"),
+            ("above-threshold", "-2"),
+            ("above-threshold", "9"),
+        ],
+    )
+    def test_a_d_out_of_the_checks_domain_is_an_input_error(self, capsys, check, d):
+        code, out, err = run(capsys, "verify", check, "--i", "3", "--d", d)
+        assert (code, out) == (2, "")
+        assert re.fullmatch(rf"error: d must be in [^\n]*, got {d}\n", err)
+
+    def test_timing_line_in_text_output(self, capsys):
+        code, out, err = run(capsys, "verify", "fib-ratio", "--i", "2", "--amax", "8", "--timing")
+        assert (code, err) == (0, "")
+        lines = out.splitlines()
+        assert lines[1] == "verdict: pass"
+        assert re.fullmatch(r"runtime_seconds: \d+\.\d{3}", lines[-1])
+        assert len(lines) == 5
 
     def test_shortcut_memory_needs_positive_c(self, capsys):
         code, out, err = run(capsys, "verify", "shortcut-memory", "--c", "0")
@@ -438,6 +462,42 @@ class TestOracleSimulateScan:
         assert (code, out) == (2, "")
         assert "epsilon must be non-negative" in err
 
+    # shifting by 2^62 asks for 2^59 bytes, which no allocator grants
+    @pytest.mark.parametrize("exponent", [2**62, 10**20 - 1])
+    def test_oracle_memory_refuses_an_eps_too_fine_to_compute(self, capsys, exponent):
+        eps = f"1/2^{exponent}"
+        code, out, err = run(
+            capsys, "oracle", "--gadget", "M", "--maxmem", "2", "-T", "3", "--eps", eps
+        )
+        assert (code, out) == (2, "")
+        assert err == f"error: epsilon {eps} is too fine for exact arithmetic\n"
+
+    def test_simulate_with_min_states(self, capsys, tmp_path):
+        g = Game(
+            states=(
+                State("a", StateKind.MAX, ("m", "c")),
+                State("m", StateKind.MIN, ("bot", "c")),
+                State("c", StateKind.COIN, ("a", "bot")),
+                State("bot", StateKind.TERMINAL),
+            ),
+            start="a",
+        )
+        path = tmp_path / "two.json"
+        path.write_text(store(g), encoding="utf-8")
+        hits = simulate(
+            g, 6, extract_markov(g, 6, player=1), 300, 5, opponent=extract_markov(g, 6, player=2)
+        )
+        argv = ("simulate", "-g", str(path), "-T", "6", "--trials", "300", "--seed", "5")
+        code, out, err = run(capsys, *argv, "--json")
+        assert (code, err) == (0, "")
+        doc = json.loads(out)
+        assert doc["params"]["rng"] == RNG_ALGORITHM
+        assert (doc["result"]["hits"], doc["result"]["trials"]) == (hits, 300)
+        assert doc["result"]["frequency"] == str(Fraction(hits, 300))
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (0, "")
+        assert out.splitlines()[1] == f"hits/trials = {hits}/300"
+
     def test_simulate_reports_exact_reference(self, capsys):
         code, out, _ = run(
             capsys,
@@ -584,6 +644,62 @@ class TestDeterminismAndErrors:
         finally:
             sys.set_int_max_str_digits(limit)
         assert json.loads(out)["result"]["values"] == expected
+
+
+    @pytest.mark.skipif(
+        not hasattr(sys, "set_int_max_str_digits"), reason="no int-to-str digit limit"
+    )
+    def test_a_game_with_a_huge_integer_is_refused_fast(self, capsys, tmp_path):
+        path = tmp_path / "huge.json"
+        path.write_text('{"start": "a", "states": [], "n": ' + "7" * 1_000_000 + "}")
+        started = time.perf_counter()
+        code, out, err = run(capsys, "solve", "-g", str(path), "-T", "3")
+        elapsed = time.perf_counter() - started
+        assert (code, out) == (2, "")
+        assert err.startswith("error: not valid JSON: Exceeds the limit")
+        assert elapsed < 1.0  # without the limit, parsing the integer takes seconds
+
+    @pytest.mark.skipif(
+        not hasattr(sys, "set_int_max_str_digits"), reason="no int-to-str digit limit"
+    )
+    def test_input_is_read_under_the_digit_limit(self, capsys, monkeypatch, tmp_path):
+        limit = sys.get_int_max_str_digits()
+        assert limit > 0
+        seen = []
+        real_load = cli.load
+
+        def load(text):
+            seen.append(sys.get_int_max_str_digits())
+            return real_load(text)
+
+        monkeypatch.setattr(cli, "load", load)
+        path = tmp_path / "m.json"
+        path.write_text(store(make_M()), encoding="utf-8")
+        for json_flag in ((), ("--json",)):
+            code, _, err = run(capsys, "solve", "-g", str(path), "-T", "3", *json_flag)
+            assert (code, err) == (0, "")
+        assert seen == [limit, limit]
+        assert sys.get_int_max_str_digits() == limit
+
+    @pytest.mark.skipif(
+        not hasattr(sys, "set_int_max_str_digits"), reason="no int-to-str digit limit"
+    )
+    def test_scan_prints_a_threshold_beyond_the_digit_limit(self, capsys):
+        argv = ("scan", "-n", "15000", "--samples", "1", "-T", "0", "--seed", "1")
+        threshold = 1 << 15000  # 4,516 digits
+        limit = sys.get_int_max_str_digits()
+        code, out, err = run(capsys, *argv, "--json")
+        assert (code, err) == (0, "")
+        assert sys.get_int_max_str_digits() == limit
+        sys.set_int_max_str_digits(0)
+        try:
+            assert json.loads(out)["report"]["evidence"]["threshold"] == threshold
+            text = str(threshold)
+        finally:
+            sys.set_int_max_str_digits(limit)
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (0, "")
+        assert f'"threshold": {text},' in out
 
 
 def _stdlib_store(g) -> str:

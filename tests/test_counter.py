@@ -10,7 +10,6 @@ from fhgames.counter import (
     CounterStrategy,
     from_markov,
     least_initial_for_period,
-    memory_report,
     minimal_period,
     to_markov,
 )
@@ -81,9 +80,11 @@ class TestCounterStrategy:
 
 class TestMemoryReport:
     def test_values(self):
-        assert memory_report(CounterStrategy(0, 1, {})) == (1, 0, 0, 1)
-        assert memory_report(CounterStrategy(3, 5, {})) == (8, 3, 3, 5)
-        assert memory_report(CounterStrategy(2, 3, {})) == (5, 3, 2, 3)
+        # (N, p) -> memory states N + p and bits ceil(log2(N + p)), as minimize reports them
+        expected = {(0, 1): (1, 0), (3, 5): (8, 3), (2, 3): (5, 3), (4, 5): (9, 4)}
+        for (n, p), (states, bits) in expected.items():
+            cs = CounterStrategy(n, p, {})
+            assert (cs.size, cs.bits) == (states, bits)
 
 
 class TestUnroll:
@@ -211,11 +212,7 @@ class TestFromMarkov:
 
 
 def sequence_of_masks(masks):
-    return ActionSetSequence(
-        length=len(masks),
-        states=("x",),
-        masks={"x": bytes(masks)},
-    )
+    return ActionSetSequence(length=len(masks), masks={"x": bytes(masks)})
 
 
 def brute_minimal_period(seq):
@@ -248,22 +245,21 @@ class TestActionSetSequence:
             {"x": bytes([1, 4, 3])},  # a mask beyond both arcs
             {"x": bytes([1, 2])},  # a row shorter than the length
             {"x": bytes([1, 2, 3, 1])},  # a row longer than the length
-            {"y": bytes([1, 2, 3])},  # state x missing
         ],
     )
     def test_invalid_rows_are_refused(self, masks):
         with pytest.raises(ValueError, match="'x' needs 3 masks"):
-            ActionSetSequence(length=3, states=("x",), masks=masks)
+            ActionSetSequence(length=3, masks=masks)
 
     def test_empty_rows_at_length_zero(self):
-        seq = ActionSetSequence(length=0, states=("x", "y"), masks={"x": b"", "y": b""})
+        seq = ActionSetSequence(length=0, masks={"x": b"", "y": b""})
         assert least_initial_for_period(seq, 1) == 0
         assert minimal_period(seq).witness.actions == {}
 
     def test_solver_sets_are_in_elapsed_time(self):
         seq = optimal_action_sets(make_M(), 5)[0]
         assert isinstance(seq, ActionSetSequence)
-        assert (seq.length, seq.states) == (5, ("x",))
+        assert (seq.length, list(seq.masks)) == (5, ["x"])
         # elapsed t is remaining 5 - t; see TestOptimalActionSets
         assert list(seq.masks["x"]) == [1, 1, 1, 2, 3]
 
@@ -351,7 +347,7 @@ class TestBitsetPeriodSearch:
             for sid in states
         }
         masks = {sid: bytes(cells[(t, sid)] for t in range(length)) for sid in states}
-        seq = ActionSetSequence(length=length, states=states, masks=masks)
+        seq = ActionSetSequence(length=length, masks=masks)
         for p in range(1, length + 3):
             assert least_initial_for_period(seq, p) == reference_least_initial(seq, p)
 

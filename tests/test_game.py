@@ -1,5 +1,6 @@
 import json
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -87,6 +88,14 @@ class TestDocumentFormat:
             load('{"start": "a", "states": [{"id": "a", "kind": "wat"}]}')
         with pytest.raises(GameFormatError):
             load('{"start": "a", "states": [{"id": "a", "kind": "coin", "arcs": ["a"]}]}')
+
+    @pytest.mark.skipif(
+        not hasattr(sys, "set_int_max_str_digits"), reason="no int-to-str digit limit"
+    )
+    def test_an_integer_past_the_digit_limit_is_not_valid_json(self):
+        digits = "7" * (sys.get_int_max_str_digits() + 1)
+        with pytest.raises(GameFormatError, match="^not valid JSON: Exceeds the limit"):
+            load('{"start": "a", "states": [], "n": ' + digits + "}")
 
     def test_terminal_must_omit_arcs(self):
         with pytest.raises(GameFormatError):

@@ -3,7 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
@@ -325,12 +325,58 @@ class TestMinCounterMemory:
             with pytest.raises(ValueError, match="epsilon must be non-negative"):
                 min_counter_memory(make_M(), 4, eps, max_mem=3)
 
+    def test_an_epsilon_too_fine_to_compute_is_refused(self):
+        eps = Dyadic(1, 10**20)  # no int holds the shift to this exponent
+        with pytest.raises(ValueError, match=rf"^epsilon 1/2\^{10**20} is too fine"):
+            min_counter_memory(make_M(), 3, eps, max_mem=2)
+
     def test_witness_meets_target(self):
         from fhgames.solver import evaluate_counter
 
         result = min_counter_memory(make_M(), 5, Dyadic(1, 6), max_mem=6)
         value = evaluate_counter(make_M(), 5, result.witness).value
         assert value >= result.target
+
+
+def gauss_jordan(matrix, rhs):
+    """Solution of an integer system by Gauss-Jordan elimination over
+    Fraction, or None when the system is singular."""
+    n = len(matrix)
+    rows = [[Fraction(x) for x in row] + [Fraction(b)] for row, b in zip(matrix, rhs)]
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if rows[r][col] != 0), None)
+        if pivot is None:
+            return None
+        rows[col], rows[pivot] = rows[pivot], rows[col]
+        rows[col] = [x / rows[col][col] for x in rows[col]]
+        for r in range(n):
+            if r != col:
+                factor = rows[r][col]
+                rows[r] = [x - factor * y for x, y in zip(rows[r], rows[col])]
+    return [row[n] for row in rows]
+
+
+@st.composite
+def integer_systems(draw):
+    n = draw(st.integers(1, 5))
+    entries = st.integers(-3, 3)
+    matrix = draw(st.lists(st.lists(entries, min_size=n, max_size=n), min_size=n, max_size=n))
+    return matrix, draw(st.lists(st.integers(-4, 4), min_size=n, max_size=n))
+
+
+class TestFractionFreeSolve:
+    @given(integer_systems())
+    @example(([[0, 2, 1], [1, 1, 0], [3, 0, 1]], [1, 2, 3]))  # zero leading pivot: a row swap
+    @example(([[0, 1], [0, 2]], [1, 1]))  # singular
+    @settings(max_examples=400, deadline=None)
+    def test_matches_gauss_jordan(self, system):
+        matrix, rhs = system
+        expected = gauss_jordan(matrix, rhs)
+        if expected is None:
+            with pytest.raises(ArithmeticError, match="singular"):
+                oracle._fraction_free_solve(matrix, rhs)
+        else:
+            assert oracle._fraction_free_solve(matrix, rhs) == expected
 
 
 class TestSimulate:
@@ -342,8 +388,7 @@ class TestSimulate:
             ),
             start="top",
         )
-        report = simulate(g, 20, None, trials=200, seed=1)
-        assert report.hits == 0
+        assert simulate(g, 20, None, trials=200, seed=1) == 0
 
     def test_deterministic_given_seed(self):
         g = make_M()
@@ -362,13 +407,12 @@ class TestSimulate:
         trials = 4000
         sigma = math.sqrt(float(exact * (1 - exact)) / trials)
         for seed in range(30):
-            report = simulate(g, horizon, strat, trials=trials, seed=seed)
-            assert abs(float(report.frequency - exact)) <= 4 * sigma
+            hits = simulate(g, horizon, strat, trials=trials, seed=seed)
+            assert abs(float(Fraction(hits, trials) - exact)) <= 4 * sigma
 
     def test_counter_strategy_playable(self):
         cs = CounterStrategy(0, 2, {(0, "x"): 1, (1, "x"): 0})
-        report = simulate(make_M(), 4, cs, trials=300, seed=3)
-        assert 0 <= report.frequency <= 1
+        assert 0 <= simulate(make_M(), 4, cs, trials=300, seed=3) <= 300
 
     def test_counter_strategy_missing_action(self):
         cs = CounterStrategy(1, 1, {(0, "x"): 0})  # memory 1 has no action
@@ -389,5 +433,4 @@ class TestSimulate:
         with pytest.raises(StrategyError):
             simulate(g, 3, strat, trials=10, seed=0)
         opponent = extract_markov(g, 3, player=2)
-        report = simulate(g, 3, strat, trials=50, seed=0, opponent=opponent)
-        assert 0 <= report.frequency <= 1
+        assert 0 <= simulate(g, 3, strat, trials=50, seed=0, opponent=opponent) <= 50

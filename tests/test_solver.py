@@ -91,7 +91,7 @@ class TestBackwardInduction:
 class TestOptimalActionSets:
     def test_shortcut_gadget_sets(self):
         sets, no_sets = optimal_action_sets(make_M(), 5)
-        assert (sets.states, no_sets.states) == (("x",), ())
+        assert (list(sets.masks), list(no_sets.masks)) == (["x"], [])
         # arc 0 leads to the sure 3-move route, arc 1 to the coin shortcut
         assert arcs_at(sets, 2, "x") == (1,)
         assert arcs_at(sets, 3, "x") == (0,)
@@ -108,7 +108,7 @@ class TestOptimalActionSets:
             start="m",
         )
         no_sets, sets = optimal_action_sets(g, 3)
-        assert (no_sets.states, sets.states) == ((), ("m",))
+        assert (list(no_sets.masks), list(sets.masks)) == ([], ["m"])
         assert arcs_at(sets, 1, "m") == (1,)  # avoiding the terminal is optimal
         assert arcs_at(sets, 2, "m") == (1,)
 
@@ -120,12 +120,12 @@ class TestOptimalActionSets:
             n = len(g.states)
             for horizon in (0, 1, n, 3 * n, 40):
                 max_sets, min_sets = optimal_action_sets(g, horizon)
-                masks = {sid: bytearray() for sid in max_sets.states + min_sets.states}
+                masks = {sid: bytearray() for sid in [*max_sets.masks, *min_sets.masks]}
                 rows = values_at(g, (0, horizon // 2, horizon), sets=masks)
                 assert rows == values_at(g, (0, horizon // 2, horizon))
                 for seq in (max_sets, min_sets):
-                    for sid in seq.states:
-                        assert bytes(masks[sid]) == seq.masks[sid][::-1]
+                    for sid, row in seq.masks.items():
+                        assert bytes(masks[sid]) == row[::-1]
 
     def test_extract_contained_in_sets(self):
         g = make_F(2)
@@ -538,11 +538,11 @@ def assert_sets_match_reference(g, horizon, players=(1, 2)):
     reference_sweep(solver._plan(g), horizon, sets=ref)
     halves = optimal_action_sets(g, horizon)
     for player, seq in zip((1, 2), halves):
-        assert seq.states == tuple(sorted(g.controlled_ids(player)))
+        assert list(seq.masks) == sorted(g.controlled_ids(player))
     got = {
         (t, sid): arcs_at(seq, t, sid)
         for seq in halves
-        for sid in seq.states
+        for sid in seq.masks
         for t in range(1, horizon + 1)
     }
     assert got == ref

@@ -5,11 +5,13 @@ from unittest import mock
 
 import pytest
 
+import fhgames.cli as cli
 from fhgames import solver, verify
 from fhgames.errors import GuardExceeded, StrategyError
 from fhgames.gadgets import make_H, make_M, random_game
 from fhgames.game import load
 from fhgames.jsonout import jsonable
+from fhgames.numeric import Dyadic, IntervalEnclosure, exp_enclosure, run_probability, run_threshold
 from fhgames.oracle import MemorylessStrategy, solve_infinite
 from fhgames.solver import values_at
 from fhgames.verify import (
@@ -300,3 +302,131 @@ class TestReportPlumbing:
         undecided = CheckReport("x", {}, "inconclusive", {})
         assert ok.succeeded and info.succeeded
         assert not bad.succeeded and not undecided.succeeded
+
+
+class TestVerdictHelpers:
+    def test_combine_takes_the_gravest_outcome(self):
+        assert verify._combine(["pass", "informational", "fail", "inconclusive"]) == "fail"
+        assert verify._combine(["pass", "inconclusive", "informational"]) == "inconclusive"
+        assert verify._combine(["informational", "pass"]) == "informational"
+        assert verify._combine(["pass", "pass"]) == "pass"
+        assert verify._combine([]) == "pass"
+
+    @pytest.mark.parametrize(
+        "lhs, le, ge",
+        [
+            (Fraction(1, 5), "pass", "fail"),
+            (Fraction(1, 4), "pass", "inconclusive"),
+            (Fraction(1, 3), "inconclusive", "inconclusive"),
+            (Fraction(1, 2), "inconclusive", "pass"),
+            (Fraction(3, 5), "fail", "pass"),
+        ],
+    )
+    def test_enclosure_verdicts(self, lhs, le, ge):
+        enclosure = IntervalEnclosure(Fraction(1, 4), Fraction(1, 2))
+        assert verify._le_enclosure(lhs, enclosure) == le
+        assert verify._ge_enclosure(lhs, enclosure) == ge
+
+
+class TestPerturbedChecksFail:
+    """One value perturbed in what a check reads: the check fails and
+    names the index in its evidence, and the CLI exits 1."""
+
+    def test_fib_ratio(self, monkeypatch):
+        real = verify.fib_nstep
+        # F(2)_10 tripled breaks both claims at index 10, and only there
+        monkeypatch.setattr(verify, "fib_nstep", lambda i, b: real(i, b) * (3 if b == 10 else 1))
+        report = check_fib_ratio(2, a_max=12)
+        assert report.verdict == "fail"
+        assert report.evidence["failures"] == [
+            {"claim": "doubling", "index": 10},
+            {"claim": "sharp", "index": 10},
+        ]
+        assert cli.main(["verify", "fib-ratio", "--i", "2", "--amax", "12"]) == 1
+
+    def test_doubling(self, monkeypatch):
+        real = verify.run_probability
+        # p(8) = 2 exceeds twice any probability; it is the left side at t = 6 only
+        monkeypatch.setattr(
+            verify, "run_probability", lambda i, t: Dyadic(2) if t == 8 else real(i, t)
+        )
+        report = check_doubling(2, 10)
+        assert report.verdict == "fail"
+        assert report.evidence["failures"] == [6]
+        assert cli.main(["verify", "doubling", "--i", "2", "--tmax", "10"]) == 1
+
+    def test_cycle_values(self, monkeypatch):
+        real = verify.values_at
+
+        def perturbed(g, checkpoints):
+            rows = {t: dict(row) for t, row in real(g, checkpoints).items()}
+            rows[5]["2"] += 1  # a numbered state
+            rows[4]["2s"] = Dyadic(0)  # a shortcut state, worth 1 from t = 2
+            return rows
+
+        monkeypatch.setattr(verify, "values_at", perturbed)
+        report = check_cycle_values(3, 8)
+        assert report.verdict == "fail"
+        mismatches = report.evidence["mismatches"]
+        assert [(m["t"], m["state"]) for m in mismatches] == [(4, "2s"), (5, "2")]
+        assert mismatches[0]["want"] == 1
+        assert cli.main(["verify", "cycle-values", "--p", "3", "--tmax", "8"]) == 1
+
+
+def _refused_by_the_kernel(i: int, d: Fraction, above: bool) -> bool:
+    """Whether the toss count or the exponent of d's row is out of
+    run_probability's or exp_enclosure's domain, as each refuses it."""
+    k = run_threshold(i)
+    index, x = (-((-(1 + d) * k) // 1), -d / 8) if above else ((d * k) // 1, (1 - d) / 8)
+    try:
+        exp_enclosure(x, Fraction(1, 2))
+        run_probability(i, index)
+    except ValueError:
+        return True
+    return False
+
+
+class TestThresholdDomain:
+    # i = 3: the threshold k is 11
+    BELOW = {
+        Fraction(0): False,
+        Fraction(9): False,
+        Fraction(1, 5): False,
+        Fraction(-1, 100): True,
+        Fraction(-1): True,
+        Fraction(-8): True,
+        Fraction(901, 100): True,
+        Fraction(20): True,
+    }
+    ABOVE = {
+        Fraction(8): False,
+        Fraction(-23, 22): False,  # (1 + d) k = -1/2: toss count 0
+        Fraction(1, 5): False,
+        Fraction(-12, 11): True,  # (1 + d) k = -1
+        Fraction(-2): True,
+        Fraction(-9): True,
+        Fraction(801, 100): True,
+        Fraction(9): True,
+    }
+
+    @pytest.mark.parametrize("above", [False, True], ids=["below", "above"])
+    def test_refuses_exactly_the_kernels_refusals(self, above, monkeypatch):
+        check = check_above_threshold if above else check_below_threshold
+        cases = self.ABOVE if above else self.BELOW
+        for d, refused in cases.items():
+            assert _refused_by_the_kernel(3, d, above) is refused
+            if refused:
+                with pytest.raises(ValueError, match=rf"^d must be in .*, got {d}$"):
+                    with monkeypatch.context() as patch:  # refused before any probability
+                        patch.setattr(verify, "run_probability", None)
+                        check(3, ds=[d])
+            else:
+                assert [row["d"] for row in check(3, ds=[d]).evidence["rows"]] == [d]
+
+    def test_messages(self):
+        with pytest.raises(ValueError, match=r"^d must be in \[0, 9\], got -1$"):
+            check_below_threshold(3, ds=[Fraction(-1)])
+        with pytest.raises(
+            ValueError, match=r"^d must be in \(-1 - 1/k, 8\] for the threshold k = 11, got 9$"
+        ):
+            check_above_threshold(3, ds=[Fraction(9)])
