@@ -35,6 +35,7 @@ import csv
 import functools
 import inspect
 import json
+import re
 import sys
 from fractions import Fraction
 from itertools import chain
@@ -320,7 +321,12 @@ _VERIFY_FLAGS = {
 
 
 class _CheckParser(argparse.ArgumentParser):
-    """Refuses its own unrecognised arguments, under its own usage line."""
+    """Refuses its own unrecognised arguments, under its own usage line,
+    and reads an argument such as -23/22 or -.5 as a value, not a flag."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"-\.?\d")
 
     def parse_known_args(self, args=None, namespace=None):
         namespace, extras = super().parse_known_args(args, namespace)

@@ -67,6 +67,20 @@ class Game:
                 return s.id
         raise InvalidGameError([Violation("terminal-count", None, "no terminal state")])
 
+    @cached_property
+    def reachable(self) -> Game:
+        """The sub-arena of the states the start reaches, plus the
+        terminal, in declaration order; ``self`` if that is every state."""
+        seen = {self.start, self.terminal_id}
+        todo = [self.start]
+        while todo:
+            new = set(self.by_id[todo.pop()].arcs or ()) - seen
+            seen |= new
+            todo += new
+        if len(seen) == len(self.states):
+            return self
+        return Game(tuple(s for s in self.states if s.id in seen), self.start)
+
     def state(self, sid: str) -> State:
         return self.by_id[sid]
 

@@ -277,7 +277,7 @@ def min_counter_memory(
     if epsilon < 0:
         raise ValueError(f"epsilon must be non-negative, got {epsilon}")
     controlled = sorted(g.controlled_ids(1))
-    optimum = final_values(g, horizon)[g.start]
+    optimum = final_values(g.reachable, horizon)[g.start]
     try:
         target = optimum - epsilon
     except (OverflowError, MemoryError):  # a shift past the largest int, or any memory

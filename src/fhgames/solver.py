@@ -46,11 +46,12 @@ alone, so the product cells the value at (memory 0, start) reads at
 remaining time t all hold one memory, the automaton's after T - t
 traversals.  One sweep of the game whose controlled states take, at
 each t, that memory's arcs (the sweep's layers) therefore evaluates the
-strategy without building the product: its value from two game rows,
-uncapped, and its rows, those cells at every t, capped as a full table.
-counter_bound sweeps the same layers with the slots a partial strategy
-leaves unset free to the maximiser, which bounds every completion from
-above.
+strategy without building the product: its value from two rows of the
+start's sub-arena (Game.reachable), uncapped, and its rows, those cells
+of the whole game at every t, capped as a full table.  counter_bound
+sweeps the same layers with the slots a partial strategy leaves unset
+free to the maximiser, which bounds every completion from above.  Every
+other function here sweeps the whole game.
 
 Settled states.  When every step uses the same arcs (no fixed
 strategy, at most one layer: a plain sweep, a one-memory counter or a
@@ -510,9 +511,10 @@ def _counter_value(
     g: Game, horizon: int, cs: "CounterStrategy", player: int, free: bool
 ) -> Dyadic:
     """Value at (memory 0, start) of a counter strategy's product, from
-    one uncapped sweep of two game rows along its layers."""
+    one uncapped sweep of two rows of the start's sub-arena along its
+    layers, which are built and checked on the whole game."""
     layers = _counter_layers(g, horizon, cs, player, free)
-    rows = _sweep(_plan(g), horizon, (horizon,), layers=layers, ids=(g.start,))
+    rows = _sweep(_plan(g.reachable), horizon, (horizon,), layers=layers, ids=(g.start,))
     return rows[horizon][g.start]
 
 

@@ -430,11 +430,12 @@ def check_memoryless_horizon(
     """A memoryless infinite-horizon optimum sigma is epsilon-optimal at
     long horizons: played at horizon 2 * j * 2^n it stays within 2^-j of
     the finite-horizon value at the start state (n counts every state).
-    The optimal sweep records max's masks.  If sigma's arc is optimal at
-    every step, the played rows are the optimal rows, by induction on t:
-    the rows agree at t - 1, so coins, min states and sigma's arc agree
-    at t.  Otherwise, or if the masks exceed CELL_CAP, a second sweep
-    plays sigma.  Both sweeps settle (see the solver module).  Each
+    That value reads only g.reachable, so both sweeps run on it; the
+    optimal one records its max states' masks.  If sigma's arc is optimal
+    at every step, the played rows are the optimal rows, by induction on
+    t: the rows agree at t - 1, so coins, min states and sigma's arc
+    agree at t.  Otherwise, or if the masks exceed CELL_CAP, a second
+    sweep plays sigma.  Both sweeps settle (see the solver module).  Each
     exponent j (eps = 2^-j) must be at least 1, and there must be one;
     otherwise ValueError."""
     exponents = sorted(set(eps_exponents))
@@ -448,16 +449,17 @@ def check_memoryless_horizon(
     horizons = {j: 2 * j * (1 << n) for j in exponents}
     checkpoints = set(horizons.values())
     arcs = solution.strategy.choices
-    masks = {sid: bytearray() for sid in arcs}
+    sub = g.reachable
+    masks = {sid: bytearray() for sid in sub.controlled_ids(1)}
     try:
-        best_rows = values_at(g, checkpoints, sets=masks)
+        best_rows = values_at(sub, checkpoints, sets=masks)
     except GuardExceeded:  # too many masks to keep: sweep the played rows too
         masks = None
-        best_rows = values_at(g, checkpoints)
+        best_rows = values_at(sub, checkpoints)
     played_rows = best_rows
     # mask 1 = arc 0 only, 2 = arc 1 only: a byte that leaves sigma's arc out
-    if masks is None or any((b"\2", b"\1")[arc] in masks[sid] for sid, arc in arcs.items()):
-        played_rows = values_at(g, checkpoints, strategy=solution.strategy)
+    if masks is None or any((b"\2", b"\1")[arcs[sid]] in row for sid, row in masks.items()):
+        played_rows = values_at(sub, checkpoints, strategy=solution.strategy)
     rows = []
     for j in exponents:
         horizon = horizons[j]

@@ -28,6 +28,12 @@ approach chain alone, whose solved values are run probabilities, and
 ``coin_union`` joins disjoint games under one coin start, such as the
 two of ``union_parts``: together they have too many controlled states
 for the enumeration, which ``reference_union_solution`` runs on each.
+``full_game_counter_value`` is ``fhgames.solver._counter_value`` as it
+was before it swept only the start's sub-arena (``Game.reachable``),
+and ``full_game_memoryless_horizon`` is the body of
+``fhgames.verify.check_memoryless_horizon`` as it was before its
+sweeps did.  ``sub_arena_samples`` yields small random arenas from
+every start, so that some starts reach only part of their arena.
 """
 
 from __future__ import annotations
@@ -45,8 +51,13 @@ from fhgames.gadgets import random_game
 from fhgames.game import PLAYER_KIND, Game, State, StateKind
 from fhgames.jsonout import jsonable
 from fhgames.numeric import ONE, ZERO, Dyadic
-from fhgames.oracle import InfiniteSolution, MinMemoryResult, reach_probabilities
-from fhgames.solver import MemorylessStrategy, evaluate_counter, final_values
+from fhgames.oracle import (
+    InfiniteSolution,
+    MinMemoryResult,
+    reach_probabilities,
+    solve_infinite,
+)
+from fhgames.solver import MemorylessStrategy, evaluate_counter, final_values, values_at
 
 
 def play_value(g: Game, horizon: int, actions1: dict, actions2: dict) -> Fraction:
@@ -394,3 +405,66 @@ def reference_solve_infinite(g: Game, cap: int = 12) -> InfiniteSolution:
         if all(worst[sid] == best[sid] for sid in sids):
             return InfiniteSolution(values=best, strategy=s1)
     raise ArithmeticError("no uniformly optimal memoryless strategy found")
+
+
+def full_game_counter_value(
+    g: Game, horizon: int, cs: CounterStrategy, player: int = 1, free: bool = False
+) -> Dyadic:
+    """Value at (memory 0, start) of a counter strategy, from one sweep
+    of every state of the game along its layers."""
+    layers = solver._counter_layers(g, horizon, cs, player, free)
+    rows = solver._sweep(solver._plan(g), horizon, (horizon,), layers=layers, ids=(g.start,))
+    return rows[horizon][g.start]
+
+
+def full_game_memoryless_horizon(
+    g: Game, label: str = "game", eps_exponents=(1, 2, 3, 4, 5, 6)
+) -> tuple[dict, str, dict, int]:
+    """(params, verdict, evidence, sweeps) of the memoryless-horizon
+    check with both sweeps over every state and the masks of every max
+    state."""
+    exponents = sorted(set(eps_exponents))
+    params = {"game": label, "eps_exponents": exponents}
+    n = len(g.states)
+    solution = solve_infinite(g)
+    horizons = {j: 2 * j * (1 << n) for j in exponents}
+    checkpoints = set(horizons.values())
+    arcs = solution.strategy.choices
+    masks = {sid: bytearray() for sid in arcs}
+    try:
+        best_rows = values_at(g, checkpoints, sets=masks)
+    except GuardExceeded:
+        masks = None
+        best_rows = values_at(g, checkpoints)
+    played_rows, sweeps = best_rows, 1
+    if masks is None or any((b"\2", b"\1")[arc] in masks[sid] for sid, arc in arcs.items()):
+        played_rows, sweeps = values_at(g, checkpoints, strategy=solution.strategy), 2
+    rows = []
+    for j in exponents:
+        optimal = best_rows[horizons[j]][g.start]
+        achieved = played_rows[horizons[j]][g.start]
+        rows.append(
+            {
+                "eps": Dyadic(1, j),
+                "horizon": horizons[j],
+                "optimal": optimal,
+                "achieved": achieved,
+                "ok": achieved >= optimal - Dyadic(1, j),
+            }
+        )
+    evidence = {"states": n, "strategy": solution.strategy.choices, "rows": rows}
+    return params, "pass" if all(row["ok"] for row in rows) else "fail", evidence, sweeps
+
+
+def sub_arena_samples(count: int = 60):
+    """``count`` random arenas of 2-10 states, each as drawn and with
+    its min states as coins (max's MDP), each from every state as the
+    start, the terminal included."""
+    rng = random.Random(29)
+    coin = {StateKind.MIN: StateKind.COIN}
+    for _ in range(count):
+        g = random_game(rng.randint(2, 10), rng)
+        mdp = tuple(State(s.id, coin.get(s.kind, s.kind), s.arcs) for s in g.states)
+        for states in (g.states, mdp):
+            for s in states:
+                yield Game(states, s.id)

@@ -169,8 +169,10 @@ class TestVerifyCommand:
         "check, d",
         [
             ("below-threshold", "-1"),
+            ("below-threshold", "-1/2"),
             ("below-threshold", "20"),
             ("above-threshold", "-2"),
+            ("above-threshold", "-25/22"),
             ("above-threshold", "9"),
         ],
     )
@@ -178,6 +180,14 @@ class TestVerifyCommand:
         code, out, err = run(capsys, "verify", check, "--i", "3", "--d", d)
         assert (code, out) == (2, "")
         assert re.fullmatch(rf"error: d must be in [^\n]*, got {d}\n", err)
+
+    @pytest.mark.parametrize("d", ["-23/22", "-1/2", "-.5", "-0.5"])
+    @pytest.mark.parametrize("json_flag", [(), ("--json",)], ids=["text", "json"])
+    def test_a_negative_fraction_is_a_value(self, capsys, d, json_flag):
+        argv = ("verify", "above-threshold", "--i", "3")
+        spaced = run(capsys, *argv, "--d", d, *json_flag)
+        assert spaced == run(capsys, *argv, f"--d={d}", *json_flag)
+        assert spaced[0] == 0 and spaced[2] == ""
 
     def test_timing_line_in_text_output(self, capsys):
         code, out, err = run(capsys, "verify", "fib-ratio", "--i", "2", "--amax", "8", "--timing")
@@ -872,7 +882,9 @@ class TestGoldenOutput:
     (``solve --csv``), of how the threshold checks read n-step
     Fibonacci numbers past the head, or of how each command writes its
     document (the JSON envelope, or the header line and text lines),
-    cannot alter a byte.
+    or of which states the start-only value paths sweep (``oracle`` and
+    ``verify memoryless-horizon`` on an arena whose start does not reach
+    every state), cannot alter a byte.
     The digests include the tool version and change with it."""
 
     @pytest.mark.parametrize(
@@ -972,6 +984,17 @@ class TestGoldenOutput:
              "11f37f6069c194c614d0a3d140a9ff999f4d886dcefb0a52b3d0a8ab368b99ae"),
             (("scan", "-n", "3", "--samples", "10", "-T", "16", "--seed", "4", "--json"),
              "5e9bc7f21d64664c9bbe239cd041f4f7dea82c3c24bfee8edcd0bcae689932fa"),
+            (("verify", "memoryless-horizon", "-g", "arena10.json", "--json"),
+             "e055a307bcb70a10efc5d0d7c66f8b82d7e4f7617ed44d64726ab820092275ee"),
+            (("verify", "memoryless-horizon", "-g", "arena10.json"),
+             "9579add61c03210c2711a4c31af3c4e88977adc71984a076dc64dc909aeaa60f"),
+            (("oracle", "-g", "arena10.json", "--maxmem", "3", "-T", "5", "--eps", "1/2^3"),
+             "c107bae1a87e77467eef7a0c5c99d318f0643f98b823c1e59347c91992817fe0"),
+            (("oracle", "-g", "arena10.json", "--maxmem", "3", "-T", "5", "--eps", "1/2^3",
+              "--json"),
+             "ca59da62b9d7b266ed59a551c8e3bf0b076232225527769eaf3ee3846e0d9c34"),
+            (("verify", "above-threshold", "--i", "3", "--d", "-23/22", "--json"),
+             "87e006c84ae61559af57e970ba03f0986e89f3a26cf985585bb8da6a2d2268b9"),
         ],
     )
     def test_stdout_digest(self, capsys, monkeypatch, tmp_path, argv, digest):
@@ -981,6 +1004,12 @@ class TestGoldenOutput:
         )
         (tmp_path / "arena60.json").write_text(
             store(random_game(60, random.Random(3))), encoding="utf-8"
+        )
+        # the start of random_game(10, Random(12)) reaches 9 of its 10
+        # states: not s6, a max state whose value stays strictly
+        # between 0 and 1
+        (tmp_path / "arena10.json").write_text(
+            store(random_game(10, random.Random(12))), encoding="utf-8"
         )
         # ids that JSON escapes, that a %-template would read as
         # directives, and that are not ASCII

@@ -6,6 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import sub_arena_samples
+
 from fhgames.errors import GameFormatError, InvalidGameError
 from fhgames.game import Game, State, StateKind, load, store, validate
 from fhgames.gadgets import make_F, make_G, make_H, make_M, random_game
@@ -65,6 +67,55 @@ def test_duplicate_and_missing_start():
     )
     codes = {v.code for v in validate(g)}
     assert {"duplicate-id", "missing-start"} <= codes
+
+
+def reached_ids(g: Game) -> set[str]:
+    """The ids the start reaches, by passes over every state's arcs
+    until a pass adds none."""
+    ids = {g.start}
+    grew = True
+    while grew:
+        grew = False
+        for s in g.states:
+            if s.id in ids and s.arcs is not None and not ids.issuperset(s.arcs):
+                ids.update(s.arcs)
+                grew = True
+    return ids
+
+
+class TestReachable:
+    def test_closure_keeps_the_terminal_and_declaration_order(self):
+        seen = {"whole": 0, "part": 0, "terminal unreached": 0, "start is terminal": 0}
+        for g in sub_arena_samples():
+            ids = reached_ids(g)
+            sub = g.reachable
+            want = tuple(s for s in g.states if s.id in ids or s.id == g.terminal_id)
+            assert sub.states == want and sub.start == g.start
+            assert validate(sub) == []
+            if len(want) == len(g.states):
+                assert sub is g
+                seen["whole"] += 1
+            else:
+                seen["part"] += 1
+            seen["terminal unreached"] += g.terminal_id not in ids
+            seen["start is terminal"] += g.start == g.terminal_id
+        assert min(seen.values()) >= 20, seen
+
+    def test_cached_and_closed(self):
+        g = Game(
+            states=(
+                State("a", StateKind.MAX, ("a", "b")),
+                State("b", StateKind.COIN, ("a", "a")),
+                State("c", StateKind.MIN, ("bot", "a")),
+                State("bot", StateKind.TERMINAL),
+            ),
+            start="a",
+        )
+        sub = g.reachable
+        assert sub is g.reachable and sub.reachable is sub
+        assert sub.ids() == ("a", "b", "bot")  # the terminal, though unreached
+        assert Game(g.states, "bot").reachable.ids() == ("bot",)
+        assert Game(g.states, "c").reachable is not g
 
 
 class TestDocumentFormat:

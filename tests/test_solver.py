@@ -10,10 +10,12 @@ from hypothesis import strategies as st
 from conftest import (
     arcs_at,
     forbid_sweeps,
+    full_game_counter_value,
     play_value,
     reference_counter_value,
     reference_product_plan,
     reference_sweep,
+    sub_arena_samples,
 )
 from fhgames import solver
 from fhgames.cli import main
@@ -894,3 +896,61 @@ class TestCellCap:
         refused = f"{(horizon + 1) * len(settled.states)} value cells exceed the cell cap {CELL_CAP}"
         with pytest.raises(GuardExceeded, match=refused):
             result.rows
+
+
+class TestReachableSubArena:
+    """The start-only paths sweep g.reachable; the start's values must
+    be those of the whole game."""
+
+    def test_start_values_equal_the_whole_game_sweep(self):
+        rng = random.Random(291)
+        for g in sub_arena_samples():
+            n = len(g.states)
+            checkpoints = (0, 1, 2, n, 3 * n, 1 << n)
+            whole = values_at(g, checkpoints)
+            sub = values_at(g.reachable, checkpoints)
+            assert {t: row[g.start] for t, row in sub.items()} == {
+                t: row[g.start] for t, row in whole.items()
+            }
+            played = MemorylessStrategy(1, {sid: rng.getrandbits(1) for sid in g.controlled_ids(1)})
+            whole = values_at(g, checkpoints, played)
+            sub = values_at(g.reachable, checkpoints, played)
+            assert {t: row[g.start] for t, row in sub.items()} == {
+                t: row[g.start] for t, row in whole.items()
+            }
+
+    def test_counter_values_equal_the_whole_game_sweep(self):
+        rng = random.Random(292)
+        for g in sub_arena_samples(30):
+            for player in (1, 2):
+                own = g.controlled_ids(player)
+                for horizon, initial, period in ((0, 0, 1), (3, 0, 1), (7, 1, 2), (9, 2, 3)):
+                    slots = [(m, sid) for m in range(initial + period) for sid in own]
+                    actions = {slot: rng.getrandbits(1) for slot in slots}
+                    cs = CounterStrategy(initial, period, actions)
+                    want = full_game_counter_value(g, horizon, cs, player)
+                    assert evaluate_counter(g, horizon, cs, player).value == want
+                    if player == 1:
+                        part = CounterStrategy(initial, period, {k: actions[k] for k in slots[::2]})
+                        want = full_game_counter_value(g, horizon, part, free=True)
+                        assert counter_bound(g, horizon, part) == want
+
+    def test_memory_search_optimum_is_the_whole_game_value(self):
+        for g in list(sub_arena_samples(30))[::7]:
+            for horizon in (0, 4, 9):
+                result = min_counter_memory(g, horizon, Dyadic(1, 2), 1)
+                assert result.optimum == final_values(g, horizon)[g.start]
+
+    def test_a_missing_action_off_the_sub_arena_still_raises(self):
+        g = game_of(
+            "a",
+            ("a", StateKind.MAX, ("bot", "a")),
+            ("u", StateKind.MAX, ("a", "bot")),  # the start cannot reach u
+        )
+        assert g.reachable.ids() == ("a", "bot")
+        cs = CounterStrategy(0, 1, {(0, "a"): 0})
+        for horizon in (1, 5):
+            with pytest.raises(StrategyError, match="memory 0, state 'u'"):
+                evaluate_counter(g, horizon, cs)
+        assert evaluate_counter(g, 0, cs).value == ZERO
+        assert counter_bound(g, 5, cs) == ONE  # u free to the maximiser

@@ -5,11 +5,12 @@ from unittest import mock
 
 import pytest
 
+from conftest import full_game_memoryless_horizon
 import fhgames.cli as cli
 from fhgames import solver, verify
 from fhgames.errors import GuardExceeded, StrategyError
 from fhgames.gadgets import make_H, make_M, random_game
-from fhgames.game import load
+from fhgames.game import Game, State, StateKind, load
 from fhgames.jsonout import jsonable
 from fhgames.numeric import Dyadic, IntervalEnclosure, exp_enclosure, run_probability, run_threshold
 from fhgames.oracle import MemorylessStrategy, solve_infinite
@@ -247,6 +248,52 @@ class TestMemorylessHorizonSweep:
                 with pytest.raises(StrategyError):
                     values_at(g, (3,), played)
                 values_at(g, (0,), played)  # no action is read at horizon 0
+
+
+def sub_arena_edge_games():
+    """Arenas whose start reaches only part of them: sigma leaves its
+    arc only at u, which the start s cannot reach; the start is the
+    terminal; the start a cannot reach the terminal."""
+    states = (
+        State("s", StateKind.COIN, ("m", "bot")),
+        State("m", StateKind.MAX, ("bot", "s")),
+        State("u", StateKind.MAX, ("c", "bot")),  # arc 0 is worth 1 only in the limit
+        State("c", StateKind.COIN, ("bot", "c")),
+        State("bot", StateKind.TERMINAL),
+    )
+    yield "sigma-off-the-start", Game(states, "s")
+    yield "start-is-terminal", Game(states, "bot")
+    cut_off = (
+        State("a", StateKind.MAX, ("a", "b")),
+        State("b", StateKind.COIN, ("a", "a")),
+        State("c", StateKind.MIN, ("bot", "a")),
+        State("bot", StateKind.TERMINAL),
+    )
+    yield "terminal-unreached", Game(cut_off, "a")
+
+
+class TestMemorylessHorizonSubArena:
+    """check_memoryless_horizon sweeps g.reachable; its reports must be
+    those of the check sweeping every state."""
+
+    def test_report_equals_the_whole_game_check(self):
+        games = list(memoryless_games()) + list(sub_arena_edge_games())
+        assert any(g.reachable is not g for _, g in games)
+        for label, g in games:
+            report = check_memoryless_horizon(g, label=label)
+            params, verdict, evidence, _ = full_game_memoryless_horizon(g, label=label)
+            assert (report.params, report.verdict) == (params, verdict)
+            assert report.evidence == evidence
+
+    def test_sigma_off_its_arc_only_off_the_start_takes_one_sweep(self):
+        label, g = next(sub_arena_edge_games())
+        assert solve_infinite(g).strategy.choices == {"m": 0, "u": 0}
+        *_, whole_sweeps = full_game_memoryless_horizon(g, label=label)
+        with mock.patch.object(verify, "values_at", wraps=values_at) as spy:
+            report = check_memoryless_horizon(g, label=label)
+        assert (whole_sweeps, spy.call_count) == (2, 1)
+        assert [call.args[0].ids() for call in spy.call_args_list] == [("s", "m", "bot")]
+        assert report.evidence["states"] == 5 and report.verdict == "pass"
 
 
 class TestPeriodScan:
