@@ -71,15 +71,16 @@ class Game:
     def reachable(self) -> Game:
         """The sub-arena of the states the start reaches, plus the
         terminal, in declaration order; ``self`` if that is every state."""
-        seen = {self.start, self.terminal_id}
+        arcs = {s.id: s.arcs for s in self.states}
         todo = [self.start]
-        while todo:
-            new = set(self.by_id[todo.pop()].arcs or ()) - seen
-            seen |= new
-            todo += new
-        if len(seen) == len(self.states):
-            return self
-        return Game(tuple(s for s in self.states if s.id in seen), self.start)
+        seen = set(todo)
+        for sid in todo:  # todo grows as the walk finds states
+            for dest in arcs[sid] or ():
+                if dest not in seen:
+                    seen.add(dest)
+                    todo.append(dest)
+        kept = tuple(s for s in self.states if s.id in seen or s.arcs is None)
+        return self if len(kept) == len(self.states) else Game(kept, self.start)
 
     def state(self, sid: str) -> State:
         return self.by_id[sid]
