@@ -22,8 +22,9 @@ Handlers read their input under Python's int-to-str digit limit, which
 byte-stable for identical argv and seed (timing only on request via
 --timing) and rendered, as is ``game.store``'s, by ``jsonout.dumps`` in
 one pass, straight from the library's values; ``strategy`` hands its
-choices over as ``jsonout.Records`` columns built from the solver's arc
-bytes (``markov_arcs``), with no dict or tuple per choice.
+choices over as a ``jsonout.Grid`` of remaining time by state id whose
+cells are the solver's arc bytes (``markov_arcs``), with no dict or
+tuple per choice.
 ``build_parser`` is cached, so a process builds the parser once however
 often it calls ``main``.
 """
@@ -38,7 +39,6 @@ import json
 import re
 import sys
 from fractions import Fraction
-from itertools import chain
 
 from . import __version__
 from .counter import from_markov, minimal_period
@@ -56,7 +56,7 @@ from .solver import (
     values_at,
 )
 from . import verify as checks
-from .jsonout import Records, dumps, jsonable
+from .jsonout import Grid, dumps, jsonable
 
 _GADGETS = {"M": make_M, "H": make_H, "G": make_G, "F": make_F}
 
@@ -160,16 +160,14 @@ def _cmd_strategy(args):
         "player": args.player,
         "tiebreak": args.tiebreak,
     }
-    # (remaining, state) order: n states sorted once, not T * n keys
     ids = sorted(arcs)
-    columns = (
-        [t for t in range(1, args.horizon + 1) for _ in ids],
-        ids * args.horizon,
-        bytes(chain.from_iterable(zip(*(arcs[sid] for sid in ids)))),
-    )
-    yield params, {"choices": Records(("remaining", "state", "arc"), columns)}
-    for t, sid, arc in zip(*columns):
-        yield f"remaining={t} state={sid} arc={arc} -> {g.state(sid).arcs[arc]}"
+    rows = range(1, args.horizon + 1)
+    cells = [arcs[sid] for sid in ids]
+    yield params, {"choices": Grid(("remaining", "state", "arc"), rows, ids, cells)}
+    for t in rows:
+        for sid in ids:
+            arc = arcs[sid][t - 1]
+            yield f"remaining={t} state={sid} arc={arc} -> {g.state(sid).arcs[arc]}"
 
 
 def _cmd_minimize(args):

@@ -7,14 +7,12 @@ renders such a payload in one pass as exactly the text of
 building the converted copy and without the stdlib's generator-based
 encoder, which is the only one that can indent.
 
-``Records(keys, columns)``, flat records given as one sequence of values
-per key, is the list of ``dict(zip(keys, row))`` over ``zip(*columns)``
-to ``jsonable``.  ``dumps`` writes it with no dict and no Python frame
-per record when each column holds one exact scalar type below: each
-distinct value of a column is rendered once, behind its key's encoded
-text, and the list is the interleaving of those pieces.  Float columns
-are rendered value by value, since ``0.0 == -0.0`` but the two render
-differently.  Other records go one dict per record.
+``Grid(keys, rows, cols, cells)``, a table of bytes with an int per row
+and a str per column, is to ``jsonable`` its records in row-major order,
+``{keys[0]: row, keys[1]: col, keys[2]: cell}``.  ``dumps`` writes it
+with no Python frame, dict or tuple per record: each column's text is
+rendered once per possible cell value, and each row is one join of
+those texts picked by the row's bytes.
 """
 
 from __future__ import annotations
@@ -22,34 +20,35 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, repeat
 from json.encoder import encode_basestring
 from typing import Sequence
 
 from .numeric import Dyadic, IntervalEnclosure, int_text
 
-__all__ = ["Records", "jsonable", "dumps"]
+__all__ = ["Grid", "jsonable", "dumps"]
 
 
 @dataclass(frozen=True)
-class Records:
-    """Records with the distinct string ``keys`` (at least one), given
-    as ``columns``: per key one sequence (a list, tuple or bytes) of the
-    records' values, all of one length.  Record i is the i-th value of
-    each column; ``dumps`` renders each distinct value of a scalar
-    column once, except in float columns (``0.0 == -0.0``)."""
+class Grid:
+    """Records ``{keys[0]: rows[i], keys[1]: cols[j], keys[2]: cells[j][i]}``
+    over i, then j: three distinct string ``keys``, int ``rows``, str
+    ``cols`` and per column the bytes of its cells, one per row."""
 
-    keys: tuple[str, ...]
-    columns: Sequence[Sequence]
+    keys: tuple[str, str, str]
+    rows: Sequence[int]
+    cols: Sequence[str]
+    cells: Sequence[bytes]
 
     def __post_init__(self):
         keys = self.keys
-        if not keys or len(set(keys)) < len(keys) or any(type(k) is not str for k in keys):
-            raise ValueError(f"record keys must be distinct strings, got {keys!r}")
-        if len(self.columns) != len(keys):
-            raise ValueError(f"{len(self.columns)} columns for {len(keys)} keys")
-        if len(set(map(len, self.columns))) > 1:
-            raise ValueError("record columns differ in length")
+        if len(keys) != 3 or any(type(k) is not str for k in keys) or len(set(keys)) < 3:
+            raise ValueError(f"grid keys must be three distinct strings, got {keys!r}")
+        if len(self.cells) != len(self.cols):
+            raise ValueError(f"{len(self.cells)} cell columns for {len(self.cols)} columns")
+        if any(type(c) is not bytes or len(c) != len(self.rows) for c in self.cells):
+            raise ValueError(f"each cell column must be bytes, one per row of {len(self.rows)}")
+        if set(map(type, self.rows)) - {int} or set(map(type, self.cols)) - {str}:
+            raise ValueError("grid rows must be ints and its columns strings")
 
 
 def jsonable(value):
@@ -68,8 +67,12 @@ def jsonable(value):
         return {str(k): jsonable(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
         return [jsonable(v) for v in value]
-    if isinstance(value, Records):
-        return [jsonable(dict(zip(value.keys, row))) for row in zip(*value.columns)]
+    if isinstance(value, Grid):
+        return [
+            dict(zip(value.keys, (row, col, cells[i])))
+            for i, row in enumerate(value.rows)
+            for col, cells in zip(value.cols, value.cells)
+        ]
     return str(value)
 
 
@@ -104,8 +107,8 @@ def _write(value, out: list[str], nl: str) -> None:
         _write_dict(value, out, nl)
     elif kind is list or kind is tuple:
         _write_list(value, out, nl)
-    elif kind is Records:
-        _write_records(value, out, nl)
+    elif kind is Grid:
+        _write_grid(value, out, nl)
     # subclasses of the JSON scalar types as the stdlib encoder writes
     # them; anything else after conversion by jsonable
     elif isinstance(value, str):
@@ -158,28 +161,21 @@ def _write_list(value, out: list[str], nl: str) -> None:
     out.append(nl + "]")
 
 
-def _write_records(value: Records, out: list[str], nl: str) -> None:
-    columns = value.columns
-    if not columns[0]:
+def _write_grid(value: Grid, out: list[str], nl: str) -> None:
+    rows = value.rows
+    if not rows or not value.cols:
         out.append("[]")
         return
     inner = nl + "  "
-    sep = "{" + inner + "  "
-    pieces = []
-    for key, column in zip(value.keys, columns):
-        kinds = set(map(type, column))
-        render = _SCALARS.get(kinds.pop()) if len(kinds) == 1 else None
-        if render is None:  # mixed or nested values: one dict per record
-            rows = [dict(zip(value.keys, row)) for row in zip(*columns)]
-            _write_list(rows, out, nl)
-            return
-        head = f"{sep}{encode_basestring(key)}: "
-        if render is json.dumps:  # equal floats 0.0 and -0.0 render apart
-            pieces.append(map(head.__add__, map(render, column)))
-        else:
-            texts = {v: head + render(v) for v in set(column)}
-            pieces.append(map(texts.__getitem__, column))
-        sep = "," + inner + "  "
-    out.append("[" + inner)
-    out.extend(chain.from_iterable(zip(*pieces, repeat(inner + "}," + inner))))
-    out[-1] = inner + "}" + nl + "]"
+    pad = inner + "  "
+    row_key, col_key, cell_key = map(encode_basestring, value.keys)
+    flat = b"".join(value.cells)  # row i is flat[i::len(rows)]
+    tails = [f",{pad}{cell_key}: {cell}{inner}}}" for cell in range(max(flat) + 1)]
+    texts = [tuple(encode_basestring(col) + tail for tail in tails) for col in value.cols]
+    first = len(out)
+    for i, row in enumerate(rows):
+        head = f",{inner}{{{pad}{row_key}: {row},{pad}{col_key}: "
+        out.append(head)
+        out.append(head.join(map(tuple.__getitem__, texts, flat[i :: len(rows)])))
+    out[first] = "[" + out[first][1:]
+    out.append(nl + "]")

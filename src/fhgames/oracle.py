@@ -264,19 +264,22 @@ def min_counter_memory(
     strategy.
 
     Searches every split N + p = m for m = 1..max_mem, then every
-    action map over the (memory, controlled state) slots by depth-first
-    branch and bound: slots are set memory-major, then by sorted state
-    id, arc 0 before arc 1.  Before each branch counter_bound sweeps the
-    game along the automaton's memory trajectory with the unset slots
-    free and the branch is pruned when even that falls below the
-    target.  The first complete automaton that meets the target,
-    confirmed by evaluate_counter, is therefore the first one a full
-    enumeration in the same order would meet.  SWEEP_CAP, read at the
-    call, caps the sweeps; the sweep past it raises GuardExceeded.
+    action map over the (memory, max state the start reaches) slots by
+    depth-first branch and bound: slots are set memory-major, then by
+    sorted state id, arc 0 before arc 1.  Slots the start cannot reach
+    never change its value, so they hold arc 0, where a full enumeration
+    would meet its first success.  Before each branch counter_bound
+    sweeps the game along the automaton's memory trajectory with the
+    unset slots free and the branch is pruned when even that falls
+    below the target.  The first complete automaton that meets the
+    target, confirmed by evaluate_counter, is therefore the first one a
+    full enumeration in the same order would meet.  SWEEP_CAP, read at
+    the call, caps the sweeps; the sweep past it raises GuardExceeded.
     """
     if epsilon < 0:
         raise ValueError(f"epsilon must be non-negative, got {epsilon}")
-    controlled = sorted(g.controlled_ids(1))
+    reached = sorted(g.reachable.controlled_ids(1))
+    unreached = sorted(set(g.controlled_ids(1)).difference(reached))
     optimum = final_values(g.reachable, horizon)[g.start]
     try:
         target = optimum - epsilon
@@ -284,7 +287,8 @@ def min_counter_memory(
         raise ValueError(f"epsilon {epsilon} is too fine for exact arithmetic") from None
     sweeps = 0
     for m in range(1, max_mem + 1):
-        slots = [(mem, sid) for mem in range(m) for sid in controlled]
+        slots = [(mem, sid) for mem in range(m) for sid in reached]
+        held = {(mem, sid): 0 for mem in range(m) for sid in unreached}
         for period in range(1, m + 1):
             # arcs of the slots set so far; the root, every slot free, is
             # not swept: its bound is the optimum itself
@@ -295,7 +299,7 @@ def min_counter_memory(
                         f"the memory search needs more than {SWEEP_CAP} product sweeps"
                     )
                 sweeps += 1
-                cs = CounterStrategy(m - period, period, dict(zip(slots, bits)))
+                cs = CounterStrategy(m - period, period, {**held, **dict(zip(slots, bits))})
                 if len(bits) == len(slots):
                     if evaluate_counter(g, horizon, cs).value >= target:
                         return MinMemoryResult(m, cs, optimum, target)

@@ -20,7 +20,7 @@ they swept game-sized rows along the automaton's memory trajectory, and
 ``next_memory`` is the automaton's memory update that the product
 follows.  ``reference_strategy_rows`` builds the
 ``strategy`` command's choices one tuple per choice, as the CLI did
-before it handed them to ``fhgames.jsonout.Records`` as columns.
+before it handed them to ``fhgames.jsonout`` as a grid of arc bytes.
 ``reference_solve_infinite`` enumerates every memoryless strategy pair,
 one ``reach_probabilities`` solve each, as ``fhgames.oracle.solve_infinite``
 did before strategy iteration.  ``make_star_chain`` builds H(i)'s

@@ -837,9 +837,28 @@ class TestStrategyRendering:
                 for s in g.states
             )
             g = Game(states=states, start=g.start)
+        self.check_stdout(capsys, tmp_path, g, (0, 1, 5, n, 17), ownerless)
+
+    @pytest.mark.parametrize("n", (2, 5, 14))
+    def test_ids_that_json_escapes(self, capsys, tmp_path, n):
+        """State ids with quotes, backslashes, control characters, %
+        directives and non-ASCII text, which JSON escapes or writes as
+        they are, and which sort apart from declaration order."""
+        g = random_game(n, random.Random(100 + n))
+        marks = ['"', "\\", "\x00", "\x1f\n", "\x7f", "é", "😀", "%s", "%%", "/", 'a"%d\\']
+        name = {s.id: marks[j % len(marks)] + str(j) for j, s in enumerate(g.states)}
+        states = tuple(
+            State(name[s.id], s.kind, s.arcs and tuple(name[d] for d in s.arcs))
+            for s in g.states
+        )
+        g = Game(states=states, start=name[g.start])
+        self.check_stdout(capsys, tmp_path, g, (0, 1, n, 9), None)
+
+    @staticmethod
+    def check_stdout(capsys, tmp_path, g, horizons, ownerless):
         path = tmp_path / "arena.json"
         path.write_text(store(g), encoding="utf-8")
-        for horizon in (0, 1, 5, n, 17):
+        for horizon in horizons:
             for player in (1, 2):
                 for tiebreak in ("lo", "hi"):
                     rows = reference_strategy_rows(
@@ -995,6 +1014,16 @@ class TestGoldenOutput:
              "ca59da62b9d7b266ed59a551c8e3bf0b076232225527769eaf3ee3846e0d9c34"),
             (("verify", "above-threshold", "--i", "3", "--d", "-23/22", "--json"),
              "87e006c84ae61559af57e970ba03f0986e89f3a26cf985585bb8da6a2d2268b9"),
+            (("strategy", "-g", "arena60.json", "-T", "60"),
+             "6be108ab38c3fa9b2ea6b3ff2bf79bb5ca4a45fbe44d71f54fd954b78bed59d8"),
+            (("strategy", "-g", "arena60.json", "-T", "60", "--json"),
+             "c1e04bf749796b6a1caaabcee6c2549efab97442f38fe2337b86f3942a87114e"),
+            (("strategy", "-g", "arena60.json", "-T", "60", "--player", "2", "--json"),
+             "197a7d07af3418c74330c9d2b771763b337d5930a41f8d4db88a330c66eb5a70"),
+            (("strategy", "-g", "arena60.json", "-T", "60", "--tiebreak", "hi", "--json"),
+             "da879191a2a5e65906e4c9f3b44fd159f219a5804831729bb385b3c5f32b0f27"),
+            (("strategy", "-g", "arena60.json", "-T", "0", "--json"),
+             "23a7cc596f44917ff8353eab35bef6ef5d0d3750ea648953afb1fef5b37af36b"),
         ],
     )
     def test_stdout_digest(self, capsys, monkeypatch, tmp_path, argv, digest):

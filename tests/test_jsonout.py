@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from conftest import reference_dumps
 from fhgames.game import StateKind
-from fhgames.jsonout import Records, dumps, jsonable
+from fhgames.jsonout import Grid, dumps, jsonable
 from fhgames.numeric import Dyadic, IntervalEnclosure
 
 class Count(int):
@@ -106,29 +106,39 @@ def test_subclass_renders_its_value_not_its_str():
 
 # keys that a %-template would read as directives if left unescaped
 PERCENT_KEYS = ["%", "%s", "%%", "%%s", "a%(b)s", "%d%"]
+# grid ids: text that JSON escapes, %-directives and non-ASCII text
+ids = st.text(
+    st.one_of(st.sampled_from('%"\\/\x00\x1f\n\x7fsé😀'), st.characters()), max_size=6
+)
+# ints past the default int-to-str digit limit (4300 digits)
+HUGE = [3**20000, -(10**5000)]
 
 
 @st.composite
-def records(draw, children):
-    """Records whose columns each draw from one scalar kind (rendered
-    per distinct value) or from nested payloads (one dict per record),
-    drawn one tuple per record and transposed into columns."""
-    keys = draw(st.lists(texts, max_size=3, unique=True))
+def grids(draw):
+    """Grids with %-directive keys, ids that JSON escapes or writes as
+    they are, rows from a range or a list (ints past the int-to-str
+    digit limit included) and cells of any byte value."""
+    keys = draw(st.lists(ids, min_size=3, max_size=3, unique=True))
     percent = draw(st.sampled_from(PERCENT_KEYS))
     if percent not in keys:
-        keys.insert(draw(st.integers(0, len(keys))), percent)
-    kinds = [draw(st.sampled_from([*scalar_kinds, scalars, children])) for _ in keys]
-    rows = draw(st.lists(st.tuples(*kinds), max_size=5))
-    columns = tuple(zip(*rows)) if rows else ((),) * len(keys)
-    return Records(tuple(keys), columns)
+        keys[draw(st.integers(0, 2))] = percent
+    rows = draw(
+        st.one_of(
+            st.builds(range, st.integers(-3, 3), st.integers(-3, 6), st.sampled_from([1, 2, -1])),
+            st.lists(st.one_of(st.integers(), st.sampled_from(HUGE)), max_size=5),
+        )
+    )
+    cols = draw(st.lists(ids, max_size=4))
+    cells = [draw(st.binary(min_size=len(rows), max_size=len(rows))) for _ in cols]
+    return Grid(tuple(keys), rows, cols, cells)
 
 
 payloads = st.recursive(
-    scalars,
+    st.one_of(scalars, grids()),
     lambda children: st.one_of(
         st.lists(children, max_size=4),
         st.dictionaries(keys, children, max_size=4),
-        records(children),
     ),
     max_leaves=30,
 )
@@ -137,51 +147,94 @@ payloads = st.recursive(
 @given(payloads)
 @settings(max_examples=500, deadline=None)
 def test_records_match_the_stdlib_rendering(value):
-    assert dumps(value) == reference_dumps(value)
+    # with the int-to-str digit limit lifted, as the CLI writes
+    assert _at_digit_limit(0, lambda: dumps(value) == reference_dumps(value))
 
 
 @pytest.mark.parametrize(
     "value",
     [
-        Records(("a",), ((),)),
-        {"empty": Records(("%s", "b"), ((), ()))},
-        Records(("%", "%s", "%%"), ([1, 2], ["x", "%s"], [None, True])),
-        Records(("t", "id"), ([1, 2, 3], ['a"%s', "b\\é", "c😀%"])),
-        Records(("mixed",), ([1, "1", True, StateKind.MAX],)),
-        [Records(("v",), ([[Records(("w",), ([Dyadic(1, 2)],))]],))],
-        # equal floats that render apart: no rendering per distinct value
-        Records(("x",), ([0.0, -0.0],)),
-        Records(("x",), ([-0.0, 0.0],)),
+        Grid(("a", "b", "c"), range(1, 1), ["x", "y"], [b"", b""]),
+        {"empty": Grid(("%s", "b", "c"), range(1, 4), [], [])},
+        Grid(("%", "%s", "%%"), [1, 2], ["x", "%s"], [b"\0\1", b"\1\0"]),
+        Grid(
+            ("t", "id", "arc"),
+            range(1, 4),
+            ['a"%s', "b\\é", "c😀%"],
+            [b"\0\1\0", b"\1" * 3, bytes(3)],
+        ),
+        # every byte value, rising in one column and falling in the other
+        Grid(
+            ("r", "c", "v"),
+            range(256),
+            ["up", "down"],
+            [bytes(range(256)), bytes(range(255, -1, -1))],
+        ),
+        {"a": [{"b": Grid(("r", "c", "v"), [7], ["x"], [b"\x05"])}, []]},
+        Grid(("r", "c", "v"), [-1, 0, 10**30, -1], ["x"], [b"\0\1\2\3"]),
+        Grid(
+            ("r", "c", "v"), range(10, 0, -3), ["\x00", "\n", "\x7f", "", "é", "😀"], [bytes(4)] * 6
+        ),
+        [Grid(("r", "c", "v"), [1], ["x"], [b"\xff"]), Grid(("r", "c", "v"), [], [], [])],
     ],
 )
 def test_records_fixed_cases(value):
     assert dumps(value) == reference_dumps(value)
 
 
+def test_grid_rows_past_the_int_digit_limit():
+    grid = {"g": Grid(("r", "c", "v"), [*HUGE, 1], ["x", "y"], [b"\0\1\0", b"\1\0\1"])}
+    for render in (dumps, reference_dumps):
+        with pytest.raises(ValueError):
+            _at_digit_limit(4300, lambda: render(grid))  # the default limit
+    text = _at_digit_limit(0, lambda: dumps(grid))
+    assert text == _at_digit_limit(0, lambda: reference_dumps(grid))
+    assert _at_digit_limit(0, lambda: f'"r": {-(10**5000)},') in text
+
+
 def test_records_are_a_list_of_dicts_to_jsonable():
-    columns = ([1, 2], ("x", "y"), b"\0\1")
-    assert jsonable(Records(("t", "s", "a"), columns)) == [
+    grid = Grid(("t", "s", "a"), range(1, 3), ["x", "y"], [b"\0\1", b"\1\0"])
+    assert jsonable(grid) == [
         {"t": 1, "s": "x", "a": 0},
-        {"t": 2, "s": "y", "a": 1},
+        {"t": 1, "s": "y", "a": 1},
+        {"t": 2, "s": "x", "a": 1},
+        {"t": 2, "s": "y", "a": 0},
     ]
 
 
-@pytest.mark.parametrize("keys", [(), ("a", "a"), ("a", 1), (StateKind.MAX,)])
+@pytest.mark.parametrize(
+    "keys",
+    [(), ("a", "a", "b"), ("a", 1, "b"), (StateKind.MAX, "a", "b"), ("a", "b"), tuple("abcd")],
+)
 def test_records_need_distinct_string_keys(keys):
-    with pytest.raises(ValueError, match="distinct strings"):
-        Records(keys, ((),) * len(keys))
+    with pytest.raises(ValueError, match="three distinct strings"):
+        Grid(keys, [1], ["x"], [b"\0"])
 
 
 def test_records_columns_must_match_the_keys():
-    for keys, columns in (
-        (("a",), ([1], [2])),
-        (("a", "b"), ([1],)),
-        (("a",), ([1], [[2]])),
-        (("a", "b"), ([1, 1], [2])),
-        (("a", "b"), (b"\0\1", ())),
+    for rows, cols, cells in (
+        ([1], ["x"], []),
+        ([1], ["x"], [b"\0", b"\0"]),
+        ([1], [], [b"\0"]),
+        ([1, 2], ["x"], [b"\0"]),
+        ([1], ["x", "y"], [b"\0", b""]),
+        (range(0), ["x"], [b"\0"]),
+        ([1], ["x"], [[0]]),
+        ([1], ["x"], [bytearray(1)]),
+        ([1], ["x"], ["\0"]),
     ):
-        with pytest.raises(ValueError, match="columns"):
-            Records(keys, columns)
+        with pytest.raises(ValueError, match="cell column"):
+            Grid(("r", "c", "v"), rows, cols, cells)
+
+
+@pytest.mark.parametrize(
+    "rows, cols",
+    [([True], ["x"]), ([1.0], ["x"]), ([Count(1)], ["x"]), ([None], ["x"]),
+     ([1], [1]), ([1], [StateKind.MAX]), ([1], [None]), ([1], [b"x"])],
+)
+def test_grid_rows_are_ints_and_columns_strings(rows, cols):
+    with pytest.raises(ValueError, match="rows must be ints"):
+        Grid(("r", "c", "v"), rows, cols, [bytes(len(rows))] * len(cols))
 
 
 def _at_digit_limit(limit, render):
@@ -207,7 +260,6 @@ def test_numbers_past_the_int_digit_limit_render_as_str_without_it():
             [repr(v) for v in dyadics],
             jsonable(values),
             dumps(values),
-            dumps(Records(("v",), (values,))),
         )
         return out, sys.get_int_max_str_digits()
 

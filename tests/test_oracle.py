@@ -238,6 +238,17 @@ def small_arenas(draw):
     return Game(states=tuple(states), start=draw(st.sampled_from(ids)))
 
 
+@st.composite
+def arenas_with_unreached_max_states(draw):
+    """small_arenas() plus 1-2 max states that no state points to, so
+    that the start cannot reach them, with arcs anywhere but the start."""
+    g = draw(small_arenas())
+    extra = [f"u{j}" for j in range(draw(st.integers(1, 2)))]
+    dest = st.sampled_from([s.id for s in g.states if s.id != g.start] + extra)
+    added = tuple(State(sid, StateKind.MAX, (draw(dest), draw(dest))) for sid in extra)
+    return Game(states=g.states + added, start=g.start)
+
+
 def same_search(got, expected):
     def key(result):
         witness = None if result.witness is None else result.witness.to_json_obj()
@@ -318,6 +329,30 @@ class TestMinCounterMemory:
         epsilon = Dyadic(0) if eps_exponent == 0 else Dyadic(1, eps_exponent)
         args = (g, horizon, epsilon, max_mem)
         assert same_search(min_counter_memory(*args), reference_min_counter_memory(*args))
+
+    @given(arenas_with_unreached_max_states(), st.integers(0, 7), st.integers(0, 5),
+           st.integers(1, 2))
+    @settings(max_examples=300, deadline=None)
+    def test_unreached_max_states_match_enumeration(self, g, horizon, eps_exponent, max_mem):
+        assert set(g.controlled_ids(1)) - set(g.reachable.controlled_ids(1))
+        epsilon = Dyadic(0) if eps_exponent == 0 else Dyadic(1, eps_exponent)
+        args = (g, horizon, epsilon, max_mem)
+        assert same_search(min_counter_memory(*args), reference_min_counter_memory(*args))
+
+    def test_unreached_max_states_are_not_searched(self, monkeypatch):
+        # the search branches only on the slots of the max states the
+        # start reaches: 4 unreached ones would multiply its branches
+        # by up to 2^(4m) and overrun the cap
+        m = make_M()
+        loops = tuple(State(f"u{j}", StateKind.MAX, (f"u{j}", f"u{j}")) for j in range(4))
+        g = Game(states=m.states + loops, start=m.start)
+        monkeypatch.setattr(oracle, "SWEEP_CAP", 100)
+        result = min_counter_memory(g, 5, Dyadic(1, 6), 6)
+        assert result.memory == 3
+        # every slot set, the unreached ones on arc 0, the others as on M
+        unreached = {(mem, loop.id): 0 for mem in range(3) for loop in loops}
+        on_m = min_counter_memory(m, 5, Dyadic(1, 6), 6).witness.actions
+        assert result.witness.actions == {**on_m, **unreached}
 
     def test_negative_epsilon_rejected(self):
         # a target above the optimum, even above 1, would be no claim at all
