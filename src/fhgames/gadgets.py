@@ -22,6 +22,7 @@ is "bot", the absorbing trap is "top".
 
 from __future__ import annotations
 
+import math
 import random
 
 from .game import Game, State, StateKind
@@ -145,10 +146,7 @@ def primes(k: int) -> list[int]:
 
 def primorial(k: int) -> int:
     """Product of the first k primes."""
-    out = 1
-    for p in primes(k):
-        out *= p
-    return out
+    return math.prod(primes(k))
 
 
 def random_game(n_states: int, rng: random.Random) -> Game:

@@ -17,6 +17,7 @@ import json
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
+from typing import NamedTuple
 
 from .errors import GameFormatError, InvalidGameError
 from .jsonout import dumps
@@ -42,8 +43,7 @@ class StateKind(str, Enum):
 PLAYER_KIND = {1: StateKind.MAX, 2: StateKind.MIN}
 
 
-@dataclass(frozen=True)
-class State:
+class State(NamedTuple):
     """One arena state; ``arcs`` is None exactly for the terminal."""
 
     id: str

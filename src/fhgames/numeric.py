@@ -23,7 +23,7 @@ import threading
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
+from functools import cache, total_ordering
 
 from .errors import GuardExceeded
 
@@ -51,6 +51,7 @@ def int_text(n: int) -> str:
         return str(decimal.Decimal(n))
 
 
+@total_ordering
 class Dyadic:
     """An exact dyadic rational ``mantissa / 2**exponent``.
 
@@ -152,14 +153,6 @@ class Dyadic:
 
     # -- comparisons ---------------------------------------------------
 
-    def _cmp(self, other) -> int:
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        lhs = self.mantissa << other.exponent
-        rhs = other.mantissa << self.exponent
-        return (lhs > rhs) - (lhs < rhs)
-
     def __eq__(self, other):
         other = self._coerce(other)
         if other is NotImplemented:
@@ -171,20 +164,10 @@ class Dyadic:
         return hash((self.mantissa, self.exponent)) if self.exponent else hash(self.mantissa)
 
     def __lt__(self, other):
-        c = self._cmp(other)
-        return NotImplemented if c is NotImplemented else c < 0
-
-    def __le__(self, other):
-        c = self._cmp(other)
-        return NotImplemented if c is NotImplemented else c <= 0
-
-    def __gt__(self, other):
-        c = self._cmp(other)
-        return NotImplemented if c is NotImplemented else c > 0
-
-    def __ge__(self, other):
-        c = self._cmp(other)
-        return NotImplemented if c is NotImplemented else c >= 0
+        other = self._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return self.mantissa << other.exponent < other.mantissa << self.exponent
 
     def __str__(self):
         text = int_text(self.mantissa)

@@ -201,19 +201,15 @@ class CounterEvaluation:
         g, cs, horizon = self._game, self._strategy, self._horizon
         _guard_cells(horizon + 1, len(g.states))
         layers = _counter_layers(g, horizon, cs, self._player, free=False)
-        rows = _sweep(_plan(g), horizon, range(horizon + 1), layers=layers)
+        rows = _sweep(g.states, horizon, range(horizon + 1), layers=layers)
         return tuple(
             {(cs.memory_at(horizon - t), sid): v for sid, v in row.items()}
             for t, row in rows.items()
         )
 
 
-def _plan(g: Game) -> list[tuple[str, StateKind, tuple[str, str] | None]]:
-    return [(s.id, s.kind, s.arcs) for s in g.states]
-
-
 def _sweep(
-    plan: list,
+    states: Sequence[tuple],
     horizon: int,
     checkpoints: Iterable[int] = (),
     fixed: tuple[StateKind, Callable[[int, str], int]] | None = None,
@@ -221,12 +217,12 @@ def _sweep(
     layers: tuple[Sequence[Mapping[str, int]], Sequence[int]] | None = None,
     ids: Sequence[str] | None = None,
 ) -> dict[int, dict]:
-    """The induction loop, over a plan of (id, kind, arcs) entries.
+    """The induction loop over a game's ``states``, or any (id, kind, arcs) entries.
 
     Returns a dict from each requested checkpoint horizon, in increasing
     order, to its row.  Rows are built as Dyadic dicts only for those
     horizons, over the state ``ids`` in their order (default: every
-    state in plan order); the loop itself keeps one list of scaled ints
+    entry's, in order); the loop itself keeps one list of scaled ints
     per t (see the module docstring).  A ``sets`` dict from
     optimising state ids to bytearrays gets each of those states' mask
     per t appended; other states' masks are not recorded.
@@ -235,7 +231,7 @@ def _sweep(
     step: at remaining time t, each state that overrides[memories[t - 1]]
     maps to an arc has both arcs on that arc's destination, as on a
     counter strategy's memory product; the other states keep both arcs.
-    Without layers every step uses the plan's own arcs.
+    Without layers every step uses the entries' own arcs.
     """
     if horizon < 0:
         raise ValueError("horizon must be non-negative")
@@ -248,7 +244,7 @@ def _sweep(
     # states, then one slot that every terminal shares, so each row is
     # built by appending in that order.
     coins, players, chosen, terminals = [], [], [], []
-    for entry in plan:
+    for entry in states:
         sid, kind, arcs = entry
         if arcs is None:
             terminals.append(entry)
@@ -283,7 +279,7 @@ def _sweep(
         one_layer = len(resolved) <= 1
     fixed_ops = [(sid, pos[a], pos[b]) for sid, _, (a, b) in chosen]
     if ids is None:
-        ids = [sid for sid, _, _ in plan]
+        ids = [sid for sid, _, _ in states]
     where = [(sid, pos[sid]) for sid in ids]
 
     def dyadic_row(row: list[int], t: int) -> dict:
@@ -403,7 +399,7 @@ def values_at(
         layers = ([arcs], [0] * cps[-1])
     elif strategy is not None:
         fixed = (PLAYER_KIND[strategy.player], strategy.action)
-    return _sweep(_plan(g), cps[-1], cps, fixed=fixed, sets=sets, layers=layers)
+    return _sweep(g.states, cps[-1], cps, fixed=fixed, sets=sets, layers=layers)
 
 
 def final_values(g: Game, horizon: int) -> dict[str, Dyadic]:
@@ -417,7 +413,7 @@ def _action_masks(g: Game, horizon: int, ids: Iterable[str]) -> dict[str, bytes]
     """
     _guard_cells(horizon + 1, len(g.states))
     sets = {sid: bytearray() for sid in ids}
-    _sweep(_plan(g), horizon, sets=sets)
+    _sweep(g.states, horizon, sets=sets)
     return {sid: bytes(row) for sid, row in sets.items()}
 
 
@@ -514,7 +510,7 @@ def _counter_value(
     one uncapped sweep of two rows of the start's sub-arena along its
     layers, which are built and checked on the whole game."""
     layers = _counter_layers(g, horizon, cs, player, free)
-    rows = _sweep(_plan(g.reachable), horizon, (horizon,), layers=layers, ids=(g.start,))
+    rows = _sweep(g.reachable.states, horizon, (horizon,), layers=layers, ids=(g.start,))
     return rows[horizon][g.start]
 
 

@@ -42,7 +42,7 @@ import itertools
 import json
 import random
 from fractions import Fraction
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Sequence
 
 from fhgames import solver
 from fhgames.counter import CounterStrategy
@@ -166,7 +166,7 @@ def count_sequences_with_run(i: int, t: int) -> int:
 
 
 def reference_sweep(
-    plan: list,
+    states: Sequence[tuple],
     horizon: int,
     checkpoints: Iterable[int] = (),
     fixed: tuple[StateKind, Callable[[int, str], int]] | None = None,
@@ -174,7 +174,8 @@ def reference_sweep(
     layers: tuple | None = None,
     ids: Iterable[str] | None = None,
 ):
-    """The induction loop, over a plan of (id, kind, arcs) entries.
+    """The induction loop, over a game's ``states`` or any sequence of
+    (id, kind, arcs) entries, such as ``reference_product_plan``'s.
 
     Returns a dict from each requested checkpoint horizon to its row;
     rows are never mutated once built, so the dict shares them.  With
@@ -189,7 +190,7 @@ def reference_sweep(
     bad = [t for t in wanted if t < 0 or t > horizon]
     if bad:
         raise ValueError(f"checkpoints out of range: {sorted(bad)}")
-    row = {sid: ONE if arcs is None else ZERO for sid, kind, arcs in plan}
+    row = {sid: ONE if arcs is None else ZERO for sid, kind, arcs in states}
     snapshots: dict[int, dict] = {}
     if 0 in wanted:
         snapshots[0] = row
@@ -197,7 +198,7 @@ def reference_sweep(
         prev = row
         row = {}
         chosen_arcs = {} if layers is None else layers[0][layers[1][t - 1]]
-        for sid, kind, arcs in plan:
+        for sid, kind, arcs in states:
             if arcs is None:
                 row[sid] = ONE
                 continue
@@ -413,7 +414,7 @@ def full_game_counter_value(
     """Value at (memory 0, start) of a counter strategy, from one sweep
     of every state of the game along its layers."""
     layers = solver._counter_layers(g, horizon, cs, player, free)
-    rows = solver._sweep(solver._plan(g), horizon, (horizon,), layers=layers, ids=(g.start,))
+    rows = solver._sweep(g.states, horizon, (horizon,), layers=layers, ids=(g.start,))
     return rows[horizon][g.start]
 
 

@@ -83,6 +83,27 @@ def reached_ids(g: Game) -> set[str]:
     return ids
 
 
+class TestState:
+    def test_repr(self):
+        assert repr(State("a", StateKind.MAX, ("a", "bot"))) == (
+            "State(id='a', kind=<StateKind.MAX: 'max'>, arcs=('a', 'bot'))"
+        )
+        assert repr(State("bot", StateKind.TERMINAL)) == (
+            "State(id='bot', kind=<StateKind.TERMINAL: 'terminal'>, arcs=None)"
+        )
+
+    def test_equality_and_hash_follow_the_fields(self):
+        a = State("a", StateKind.COIN, ("a", "bot"))
+        assert a == State("a", StateKind.COIN, ("a", "bot"))
+        assert a != State("a", StateKind.COIN, ("bot", "a"))
+        assert a != State("a", StateKind.MIN, ("a", "bot"))
+        assert a != State("b", StateKind.COIN, ("a", "bot"))
+        assert State("bot", StateKind.TERMINAL) == State("bot", StateKind.TERMINAL, None)
+        assert hash(a) == hash(State("a", StateKind.COIN, ("a", "bot")))
+        assert hash(a) == hash(("a", StateKind.COIN, ("a", "bot")))
+        assert len({a, State("a", StateKind.COIN, ("a", "bot"))}) == 1
+
+
 class TestReachable:
     def test_closure_keeps_the_terminal_and_declaration_order(self):
         seen = {"whole": 0, "part": 0, "terminal unreached": 0, "start is terminal": 0}
@@ -128,7 +149,10 @@ class TestDocumentFormat:
 
     def test_round_trip_gadgets(self):
         for g in (make_M(), make_H(4), make_G(5), make_F(2)):
-            assert load(store(g)) == g
+            back = load(store(g))
+            assert back == g
+            # a State equals a bare tuple of its fields; the repr tells them apart
+            assert list(map(repr, back.states)) == list(map(repr, g.states))
 
     def test_parse_error(self):
         with pytest.raises(GameFormatError):

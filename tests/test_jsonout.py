@@ -146,7 +146,7 @@ payloads = st.recursive(
 
 @given(payloads)
 @settings(max_examples=500, deadline=None)
-def test_records_match_the_stdlib_rendering(value):
+def test_grid_matches_the_stdlib_rendering(value):
     # with the int-to-str digit limit lifted, as the CLI writes
     assert _at_digit_limit(0, lambda: dumps(value) == reference_dumps(value))
 
@@ -192,7 +192,7 @@ def test_grid_rows_past_the_int_digit_limit():
     assert _at_digit_limit(0, lambda: f'"r": {-(10**5000)},') in text
 
 
-def test_records_are_a_list_of_dicts_to_jsonable():
+def test_grid_is_a_list_of_dicts_to_jsonable():
     grid = Grid(("t", "s", "a"), range(1, 3), ["x", "y"], [b"\0\1", b"\1\0"])
     assert jsonable(grid) == [
         {"t": 1, "s": "x", "a": 0},
@@ -211,7 +211,7 @@ def test_records_need_distinct_string_keys(keys):
         Grid(keys, [1], ["x"], [b"\0"])
 
 
-def test_records_columns_must_match_the_keys():
+def test_grid_columns_must_match_the_keys():
     for rows, cols, cells in (
         ([1], ["x"], []),
         ([1], ["x"], [b"\0", b"\0"]),

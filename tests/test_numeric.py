@@ -1,4 +1,5 @@
 import functools
+import operator
 import random
 import sys
 import threading
@@ -69,8 +70,11 @@ class TestDyadic:
         assert (a + b).as_fraction() == fa + fb
         assert (a - b).as_fraction() == fa - fb
         assert (a * b).as_fraction() == fa * fb
-        assert (a < b) == (fa < fb)
-        assert (a == b) == (fa == fb)
+        for op in (operator.lt, operator.le, operator.eq, operator.ne, operator.gt, operator.ge):
+            assert op(a, b) == op(fa, fb)
+            # Dyadic against int on either side, the int's side reflected
+            assert op(a, m2) == op(fa, m2)
+            assert op(m1, b) == op(m1, fb)
 
     @pytest.mark.parametrize("n", [0, 1, -1, 2, -12, 2**70])
     def test_integers_hash_as_their_int(self, n):
@@ -79,6 +83,13 @@ class TestDyadic:
         assert hash(Dyadic(n)) == hash(n)
         assert len({Dyadic(n), n}) == 1
         assert {n: "int"}[Dyadic(n)] == "int"
+
+    @pytest.mark.parametrize("other", [Fraction(1, 2), 0.5, "1/2^1"])
+    @pytest.mark.parametrize("op", [operator.lt, operator.le, operator.gt, operator.ge])
+    def test_ordering_refuses_other_types(self, op, other):
+        for lhs, rhs in ((HALF, other), (other, HALF)):
+            with pytest.raises(TypeError):
+                op(lhs, rhs)
 
     def test_int_coercion(self):
         assert HALF + 1 == Dyadic(3, 1)

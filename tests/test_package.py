@@ -1,7 +1,8 @@
 """Every library name has one import path, its module: each module's
 ``__all__`` must resolve, and the package root holds only
-``__version__``."""
+``__version__``.  No check in the package is an ``assert``."""
 
+import ast
 import importlib
 import os
 import subprocess
@@ -40,3 +41,15 @@ def test_package_root_imports_no_submodule():
         capture_output=True, text=True, env=env, check=True,
     ).stdout
     assert version == f"{fhgames.__version__}\n"
+
+
+def test_no_assert_statements():
+    # python -O strips asserts, so a check written as one would vanish
+    package = os.path.dirname(fhgames.__file__)
+    found = []
+    for name in sorted(os.listdir(package)):
+        if name.endswith(".py"):
+            with open(os.path.join(package, name), encoding="utf-8") as f:
+                tree = ast.parse(f.read(), name)
+            found += [f"{name}:{n.lineno}" for n in ast.walk(tree) if isinstance(n, ast.Assert)]
+    assert found == []

@@ -195,7 +195,7 @@ class TestMarkovArcs:
     def test_sweep_records_only_the_seeded_states(self):
         g = make_M()
         sets = {"x": bytearray()}
-        solver._sweep(solver._plan(g), 6, sets=sets)
+        solver._sweep(g.states, 6, sets=sets)
         assert list(sets) == ["x"]
         assert bytes(sets["x"]) == optimal_action_sets(g, 6)[0].masks["x"][::-1]
 
@@ -537,7 +537,7 @@ def _cells(rows_by_t):
 def assert_sets_match_reference(g, horizon, players=(1, 2)):
     """Action sets and extracted arcs against reference_sweep's sets."""
     ref = {}
-    reference_sweep(solver._plan(g), horizon, sets=ref)
+    reference_sweep(g.states, horizon, sets=ref)
     halves = optimal_action_sets(g, horizon)
     for player, seq in zip((1, 2), halves):
         assert list(seq.masks) == sorted(g.controlled_ids(player))
@@ -954,3 +954,35 @@ class TestReachableSubArena:
                 evaluate_counter(g, horizon, cs)
         assert evaluate_counter(g, 0, cs).value == ZERO
         assert counter_bound(g, 5, cs) == ONE  # u free to the maximiser
+
+
+class TestSweepInput:
+    """Every sweep reads a game's own states tuple, not a copy made per
+    sweep: the whole game's, or its start's sub-arena's."""
+
+    def test_sweeps_read_the_states_tuple(self):
+        g = Game(make_M().states + (State("u", StateKind.COIN, ("u", "x")),), "start")
+        sub = g.reachable
+        assert sub is not g
+        cs = CounterStrategy(2, 3, {(m, "x"): m % 2 for m in range(5)})
+        partial = CounterStrategy(2, 3, {(0, "x"): 1})
+        whole, start_only = [g.states], [sub.states]
+        calls = {
+            "values_at": (lambda: values_at(g, range(4)), whole),
+            "values_at played": (lambda: values_at(g, (5,), extract_markov(g, 5)), whole * 2),
+            "values_at memoryless": (
+                lambda: values_at(g, (5,), MemorylessStrategy(1, {"x": 1})),
+                whole,
+            ),
+            "optimal_action_sets": (lambda: optimal_action_sets(g, 6), whole),
+            "markov_arcs": (lambda: markov_arcs(g, 6, 2), whole),
+            "evaluate_counter": (lambda: evaluate_counter(g, 7, cs), start_only),
+            "rows": (lambda: evaluate_counter(g, 7, cs).rows, start_only + whole),
+            "counter_bound": (lambda: counter_bound(g, 7, partial), start_only),
+        }
+        for name, (call, want) in calls.items():
+            with mock.patch.object(solver, "_sweep", wraps=solver._sweep) as sweep:
+                call()
+            plans = [c.args[0] for c in sweep.call_args_list]
+            assert len(plans) == len(want), name
+            assert all(p is w for p, w in zip(plans, want)), name
