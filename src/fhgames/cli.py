@@ -244,10 +244,10 @@ def _cmd_oracle(args):
     if args.horizon is not None or args.eps is not None:
         raise ValueError("-T and --eps apply only with --maxmem")
     solution = solve_infinite(g)
-    yield {"game": label}, {"values": solution.values, "strategy": solution.strategy.choices}
+    yield {"game": label}, {"values": solution.values, "strategy": solution.strategy}
     for sid, value in solution.values.items():
         yield f"{sid} = {value}"
-    yield f"strategy: {solution.strategy.choices}"
+    yield f"strategy: {solution.strategy}"
 
 
 def _cmd_simulate(args):

@@ -17,9 +17,9 @@ import json
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from typing import NamedTuple
+from typing import Mapping, NamedTuple
 
-from .errors import GameFormatError, InvalidGameError
+from .errors import GameFormatError, InvalidGameError, StrategyError
 from .jsonout import dumps
 
 __all__ = [
@@ -91,6 +91,23 @@ class Game:
     def controlled_ids(self, player: int) -> tuple[str, ...]:
         kind = PLAYER_KIND[player]
         return tuple(s.id for s in self.states if s.kind is kind)
+
+    def fix(self, player: int, arcs: Mapping[str, int]) -> Game:
+        """The game that is left once ``player`` plays the memoryless
+        strategy ``arcs`` (state id -> arc): each of the player's states
+        becomes a coin with both arcs on its arc's destination.  Ids,
+        order and start are kept; an arc not 0 or 1, or missing, raises
+        StrategyError."""
+        kind = PLAYER_KIND[player]
+        states = []
+        for s in self.states:
+            if s.kind is kind:
+                arc = arcs.get(s.id)
+                if arc not in (0, 1):
+                    raise StrategyError(f"arc index {arc!r} at state {s.id!r}")
+                s = State(s.id, StateKind.COIN, (s.arcs[arc],) * 2)
+            states.append(s)
+        return Game(tuple(states), self.start)
 
 
 @dataclass(frozen=True)

@@ -21,7 +21,7 @@ from .counter import CounterStrategy
 from .errors import GuardExceeded, StrategyError
 from .game import Game, StateKind
 from .numeric import Dyadic
-from .solver import MemorylessStrategy, counter_bound, evaluate_counter, final_values
+from .solver import counter_bound, evaluate_counter, final_values
 
 __all__ = [
     "SWEEP_CAP",
@@ -132,25 +132,24 @@ def _solve(arcs, target: int, live, pick) -> list[Fraction]:
 
 def reach_probabilities(
     g: Game,
-    strategy1: MemorylessStrategy | None = None,
-    strategy2: MemorylessStrategy | None = None,
+    strategy1: dict[str, int] | None = None,
+    strategy2: dict[str, int] | None = None,
 ) -> dict[str, Fraction]:
-    """Exact probability of eventually reaching the terminal, per state.
+    """Exact probability of eventually reaching the terminal, per state,
+    with each player that has states playing its memoryless strategy
+    (state id -> arc), on the chain that Game.fix leaves.
 
     States that cannot reach the terminal under the fixed choices get 0
     by graph search; removing them first makes the remaining linear
     system uniquely solvable.
     """
-    strategies = {s.player: s for s in (strategy1, strategy2) if s is not None}
+    for player, arcs in ((1, strategy1), (2, strategy2)):
+        if g.controlled_ids(player):
+            if arcs is None:
+                raise StrategyError(f"no strategy supplied for player {player}")
+            g = g.fix(player, arcs)
     sids, kinds, arcs, target = _index_form(g)
     pick = [None] * len(sids)
-    for j, kind in enumerate(kinds):
-        if kind is StateKind.MAX or kind is StateKind.MIN:
-            player = 1 if kind is StateKind.MAX else 2
-            strat = strategies.get(player)
-            if strat is None:
-                raise StrategyError(f"no strategy supplied for player {player}")
-            pick[j] = strat.action(0, sids[j])
     values = _solve(arcs, target, _positive(kinds, arcs, target, pick), pick)
     return dict(zip(sids, values))
 
@@ -203,7 +202,7 @@ def _max_values(kinds, arcs, target: int, pick, free) -> list[Fraction]:
 @dataclass(frozen=True)
 class InfiniteSolution:
     values: dict[str, Fraction]
-    strategy: MemorylessStrategy
+    strategy: dict[str, int]
 
 
 def solve_infinite(g: Game) -> InfiniteSolution:
@@ -211,9 +210,10 @@ def solve_infinite(g: Game) -> InfiniteSolution:
     memoryless maximiser strategy, by exact strategy iteration.
 
     ``values`` maps every state, in g.states order, to its max-min
-    value v*.  ``strategy`` is the first memoryless strategy (first id
-    of controlled_ids(1) slowest, arc 0 before arc 1) against which
-    min's best reply holds every state at v*.  Iterating over all of
+    value v*.  ``strategy``, a {max state id: arc} dict in
+    controlled_ids(1) order, is the first memoryless strategy (first id
+    slowest, arc 0 before arc 1) against which min's best reply holds
+    every state at v*.  Iterating over all of
     max's states gives v* and a uniformly optimal ``pick``.  A greedy
     walk then fixes the states in order, ``pick`` staying an optimal
     completion of the prefix: a state keeps arc 0 if ``pick`` has it,
@@ -235,7 +235,7 @@ def solve_infinite(g: Game) -> InfiniteSolution:
             pick = trial
     return InfiniteSolution(
         values=dict(zip(sids, best)),
-        strategy=MemorylessStrategy(1, {sids[j]: pick[j] for j in maxes}),
+        strategy={sids[j]: pick[j] for j in maxes},
     )
 
 
@@ -325,9 +325,10 @@ def simulate(
     """How many of ``trials`` plays reach the terminal within the horizon.
 
     ``strategy`` plays player 1 and ``opponent`` player 2, each needed
-    where its player has states; either may be a Markov, memoryless or
-    counter strategy.  Deterministic given the seed, with the
-    RNG_ALGORITHM generator.
+    where its player has states; either may be a Markov or counter
+    strategy.  A memoryless one is played on Game.fix's game, which
+    leaves that player no states.  Deterministic given the seed, with
+    the RNG_ALGORITHM generator.
     """
     if trials < 1:
         raise ValueError("need at least one trial")

@@ -54,11 +54,12 @@ free to the maximiser, which bounds every completion from above.  Every
 other function here sweeps the whole game.
 
 Settled states.  When every step uses the same arcs (no fixed
-strategy, at most one layer: a plain sweep, a one-memory counter or a
-memoryless strategy), values never decrease as t grows.  So the set
-of states at 0 only shrinks, the set at 1 only grows, and each is a
-function of the previous step's: equal counts at steps t - 1 and t
-(scaled: of 0 and of 1 << t) mean equal sets, fixed from t - 1 on.
+strategy, at most one layer: a plain sweep, a memoryless strategy
+played as Game.fix's game, or a one-memory counter), values never
+decrease as t grows.  So the set of states at 0 only shrinks, the set
+at 1 only grows, and each is a function of the previous step's: equal
+counts at steps t - 1 and t (scaled: of 0 and of 1 << t) mean equal
+sets, fixed from t - 1 on.
 From then on a state at 0 or 1 stays there, and so does its mask byte
 of step t: it has a settled successor, and every comparison with a
 settled value is decided by the sets.  _sweep therefore re-indexes
@@ -89,7 +90,6 @@ __all__ = [
     "CELL_CAP",
     "ActionSetSequence",
     "MarkovStrategy",
-    "MemorylessStrategy",
     "CounterEvaluation",
     "final_values",
     "values_at",
@@ -164,23 +164,6 @@ class MarkovStrategy:
 
 
 @dataclass(frozen=True)
-class MemorylessStrategy:
-    """Time-independent arc choice per controlled state."""
-
-    player: int
-    choices: dict[str, int]
-
-    def action(self, t: int, sid: str) -> int:
-        try:
-            return self.choices[sid]
-        except KeyError:
-            raise StrategyError(
-                f"memoryless strategy (player {self.player}) has no entry "
-                f"for state {sid!r}"
-            ) from None
-
-
-@dataclass(frozen=True)
 class CounterEvaluation:
     """Result of evaluating a counter strategy.
 
@@ -219,13 +202,13 @@ def _sweep(
 ) -> dict[int, dict]:
     """The induction loop over a game's ``states``, or any (id, kind, arcs) entries.
 
-    Returns a dict from each requested checkpoint horizon, in increasing
-    order, to its row.  Rows are built as Dyadic dicts only for those
-    horizons, over the state ``ids`` in their order (default: every
-    entry's, in order); the loop itself keeps one list of scaled ints
-    per t (see the module docstring).  A ``sets`` dict from
-    optimising state ids to bytearrays gets each of those states' mask
-    per t appended; other states' masks are not recorded.
+    Returns a dict from each requested checkpoint horizon, in 0..horizon
+    and in increasing order, to its row.  Rows are built as Dyadic dicts
+    only for those horizons, over the state ``ids`` in their order
+    (default: every entry's, in order); the loop itself keeps one list
+    of scaled ints per t (see the module docstring).  A ``sets`` dict
+    from optimising state ids to bytearrays gets each of those states'
+    mask per t appended; other states' masks are not recorded.
 
     ``layers`` = (overrides, memories) sets optimising states' arcs per
     step: at remaining time t, each state that overrides[memories[t - 1]]
@@ -236,9 +219,6 @@ def _sweep(
     if horizon < 0:
         raise ValueError("horizon must be non-negative")
     wanted = set(checkpoints)
-    bad = [t for t in wanted if t < 0 or t > horizon]
-    if bad:
-        raise ValueError(f"checkpoints out of range: {sorted(bad)}")
     fixed_kind, choose = fixed if fixed is not None else (None, None)
     # Index form.  Row positions run coins, optimising states, fixed
     # states, then one slot that every terminal shares, so each row is
@@ -372,13 +352,13 @@ def values_at(
 ) -> dict[int, dict[str, Dyadic]]:
     """Value rows at selected horizons from a single streaming pass.
 
-    With a strategy, that player's choices are fixed and the opponent
-    best-responds; without one, both sides play optimally.  A
-    MemorylessStrategy is read once per state, at t = 1, and swept as
-    one layer, so its sweep settles too.  The rows kept, not the
-    horizon swept, count against CELL_CAP, and so do the mask bytes
-    that ``sets`` (see _sweep) will keep, largest checkpoint times
-    len(sets), each checked before the sweep.
+    With a strategy, that player's choices are read per cell and the
+    opponent best-responds; without one, both sides play optimally.  A
+    memoryless strategy is played by sweeping Game.fix's game, which
+    settles.  A negative checkpoint is refused before the sweep.  The
+    rows kept, not the horizon swept, count against CELL_CAP, and so do
+    the mask bytes that ``sets`` (see _sweep) will keep, largest
+    checkpoint times len(sets), each checked before the sweep.
     """
     if isinstance(checkpoints, range) and checkpoints.step > 0:
         cps = checkpoints  # sorted and distinct: counted without building it
@@ -386,20 +366,13 @@ def values_at(
         cps = sorted(set(checkpoints))
     if not cps:
         return {}
+    if cps[0] < 0:
+        raise ValueError(f"checkpoints out of range: {[t for t in cps if t < 0]}")
     _guard_cells(len(cps), len(g.states))
     if sets:
         _guard_cells(cps[-1], len(sets))
-    fixed = layers = None
-    if isinstance(strategy, MemorylessStrategy):
-        arcs = {}
-        for sid in g.controlled_ids(strategy.player) if cps[-1] > 0 else ():
-            arc = arcs[sid] = strategy.action(1, sid)
-            if arc not in (0, 1):
-                raise StrategyError(f"arc index {arc!r} at t=1, state {sid!r}")
-        layers = ([arcs], [0] * cps[-1])
-    elif strategy is not None:
-        fixed = (PLAYER_KIND[strategy.player], strategy.action)
-    return _sweep(g.states, cps[-1], cps, fixed=fixed, sets=sets, layers=layers)
+    fixed = None if strategy is None else (PLAYER_KIND[strategy.player], strategy.action)
+    return _sweep(g.states, cps[-1], cps, fixed=fixed, sets=sets)
 
 
 def final_values(g: Game, horizon: int) -> dict[str, Dyadic]:

@@ -435,9 +435,9 @@ def check_memoryless_horizon(
     at every step, the played rows are the optimal rows, by induction on
     t: the rows agree at t - 1, so coins, min states and sigma's arc
     agree at t.  Otherwise, or if the masks exceed CELL_CAP, a second
-    sweep plays sigma.  Both sweeps settle (see the solver module).  Each
-    exponent j (eps = 2^-j) must be at least 1, and there must be one;
-    otherwise ValueError."""
+    sweep plays sigma, on sub.fix(1, sigma).  Both sweeps settle (see
+    the solver module).  Each exponent j (eps = 2^-j) must be at least
+    1, and there must be one; otherwise ValueError."""
     exponents = sorted(set(eps_exponents))
     if not exponents:
         raise ValueError("eps_exponents is empty: give at least one exponent j >= 1")
@@ -448,7 +448,7 @@ def check_memoryless_horizon(
     solution = solve_infinite(g)
     horizons = {j: 2 * j * (1 << n) for j in exponents}
     checkpoints = set(horizons.values())
-    arcs = solution.strategy.choices
+    arcs = solution.strategy
     sub = g.reachable
     masks = {sid: bytearray() for sid in sub.controlled_ids(1)}
     try:
@@ -459,7 +459,7 @@ def check_memoryless_horizon(
     played_rows = best_rows
     # mask 1 = arc 0 only, 2 = arc 1 only: a byte that leaves sigma's arc out
     if masks is None or any((b"\2", b"\1")[arcs[sid]] in row for sid, row in masks.items()):
-        played_rows = values_at(sub, checkpoints, strategy=solution.strategy)
+        played_rows = values_at(sub.fix(1, arcs), checkpoints)
     rows = []
     for j in exponents:
         horizon = horizons[j]
@@ -476,7 +476,7 @@ def check_memoryless_horizon(
         )
     evidence = {
         "states": n,
-        "strategy": solution.strategy.choices,
+        "strategy": arcs,
         "rows": rows,
     }
     return params, PASS if all(row["ok"] for row in rows) else FAIL, evidence

@@ -32,8 +32,10 @@ for the enumeration, which ``reference_union_solution`` runs on each.
 was before it swept only the start's sub-arena (``Game.reachable``),
 and ``full_game_memoryless_horizon`` is the body of
 ``fhgames.verify.check_memoryless_horizon`` as it was before its
-sweeps did.  ``sub_arena_samples`` yields small random arenas from
-every start, so that some starts reach only part of their arena.
+sweeps did, playing sigma per cell on the whole game (``PerCell``)
+rather than on ``Game.fix``'s game.  ``sub_arena_samples`` yields
+small random arenas from every start, so that some starts reach only
+part of their arena.
 """
 
 from __future__ import annotations
@@ -57,7 +59,7 @@ from fhgames.oracle import (
     reach_probabilities,
     solve_infinite,
 )
-from fhgames.solver import MemorylessStrategy, evaluate_counter, final_values, values_at
+from fhgames.solver import evaluate_counter, final_values, values_at
 
 
 def play_value(g: Game, horizon: int, actions1: dict, actions2: dict) -> Fraction:
@@ -146,10 +148,10 @@ def reference_union_solution(left: Game, right: Game) -> InfiniteSolution:
     for prefix, g in (("l.", left), ("r.", right)):
         part = reference_solve_infinite(g)
         values |= {prefix + sid: v for sid, v in part.values.items() if sid != g.terminal_id}
-        choices |= {prefix + sid: arc for sid, arc in part.strategy.choices.items()}
+        choices |= {prefix + sid: arc for sid, arc in part.strategy.items()}
     values["start"] = (values["l." + left.start] + values["r." + right.start]) / 2
     values["bot"] = Fraction(1)
-    return InfiniteSolution(values=values, strategy=MemorylessStrategy(1, choices))
+    return InfiniteSolution(values=values, strategy=choices)
 
 
 def count_sequences_with_run(i: int, t: int) -> int:
@@ -390,10 +392,10 @@ def reference_solve_infinite(g: Game, cap: int = 12) -> InfiniteSolution:
     sids = [s.id for s in g.states]
     candidates = []
     for picks1 in itertools.product((0, 1), repeat=len(ids1)):
-        s1 = MemorylessStrategy(1, dict(zip(ids1, picks1)))
+        s1 = dict(zip(ids1, picks1))
         worst: dict[str, Fraction] | None = None
         for picks2 in itertools.product((0, 1), repeat=len(ids2)):
-            s2 = MemorylessStrategy(2, dict(zip(ids2, picks2)))
+            s2 = dict(zip(ids2, picks2))
             vals = reach_probabilities(g, s1, s2)
             if worst is None:
                 worst = vals
@@ -418,19 +420,31 @@ def full_game_counter_value(
     return rows[horizon][g.start]
 
 
+class PerCell:
+    """Player ``player``'s memoryless strategy ``arcs`` as a strategy
+    that values_at plays per cell, through its ``fixed`` path, on the
+    unfixed game; that path never settles.  A missing arc reads as
+    None, which the sweep refuses with StrategyError."""
+
+    def __init__(self, player: int, arcs: dict[str, int]):
+        self.player = player
+        self.action = lambda t, sid: arcs.get(sid)
+
+
 def full_game_memoryless_horizon(
-    g: Game, label: str = "game", eps_exponents=(1, 2, 3, 4, 5, 6)
+    g: Game, label: str = "game", eps_exponents=(1, 2, 3, 4, 5, 6), skip: bool = True
 ) -> tuple[dict, str, dict, int]:
     """(params, verdict, evidence, sweeps) of the memoryless-horizon
-    check with both sweeps over every state and the masks of every max
-    state."""
+    check with both sweeps over every state, the masks of every max
+    state, and sigma played per cell (PerCell).  With ``skip`` false,
+    sigma is played even where its arc is optimal at every step."""
     exponents = sorted(set(eps_exponents))
     params = {"game": label, "eps_exponents": exponents}
     n = len(g.states)
     solution = solve_infinite(g)
     horizons = {j: 2 * j * (1 << n) for j in exponents}
     checkpoints = set(horizons.values())
-    arcs = solution.strategy.choices
+    arcs = solution.strategy
     masks = {sid: bytearray() for sid in arcs}
     try:
         best_rows = values_at(g, checkpoints, sets=masks)
@@ -438,8 +452,9 @@ def full_game_memoryless_horizon(
         masks = None
         best_rows = values_at(g, checkpoints)
     played_rows, sweeps = best_rows, 1
-    if masks is None or any((b"\2", b"\1")[arc] in masks[sid] for sid, arc in arcs.items()):
-        played_rows, sweeps = values_at(g, checkpoints, strategy=solution.strategy), 2
+    needed = masks is None or any((b"\2", b"\1")[arc] in masks[sid] for sid, arc in arcs.items())
+    if needed or not skip:
+        played_rows, sweeps = values_at(g, checkpoints, strategy=PerCell(1, arcs)), 2
     rows = []
     for j in exponents:
         optimal = best_rows[horizons[j]][g.start]
@@ -453,7 +468,7 @@ def full_game_memoryless_horizon(
                 "ok": achieved >= optimal - Dyadic(1, j),
             }
         )
-    evidence = {"states": n, "strategy": solution.strategy.choices, "rows": rows}
+    evidence = {"states": n, "strategy": arcs, "rows": rows}
     return params, "pass" if all(row["ok"] for row in rows) else "fail", evidence, sweeps
 
 

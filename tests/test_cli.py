@@ -441,7 +441,7 @@ class TestOracleSimulateScan:
         expected = reference_union_solution(left, right)
         assert json.loads(out)["result"] == {
             "values": {sid: f"{v.numerator}/{v.denominator}" for sid, v in expected.values.items()},
-            "strategy": expected.strategy.choices,
+            "strategy": expected.strategy,
         }
 
     def test_oracle_memory_search(self, capsys):
@@ -543,6 +543,11 @@ class TestDeterminismAndErrors:
             _, first, _ = run(capsys, *argv)
             _, second, _ = run(capsys, *argv)
             assert first == second
+
+    def test_unknown_gadget_family(self, capsys):
+        code, out, err = run(capsys, "solve", "--gadget", "Z:3", "-T", "3")
+        assert (code, out) == (2, "")
+        assert err == "error: unknown gadget family 'Z'\n"
 
     def test_missing_game_file(self, capsys):
         code, _, err = run(capsys, "solve", "-g", "/nonexistent.json", "-T", "3")

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from conftest import sub_arena_samples
 
-from fhgames.errors import GameFormatError, InvalidGameError
+from fhgames.errors import GameFormatError, InvalidGameError, StrategyError
 from fhgames.game import Game, State, StateKind, load, store, validate
 from fhgames.gadgets import make_F, make_G, make_H, make_M, random_game
 
@@ -139,6 +139,44 @@ class TestReachable:
         assert Game(g.states, "c").reachable is not g
 
 
+class TestFix:
+    GAME = Game(
+        states=(
+            State("a", StateKind.MAX, ("b", "bot")),
+            State("b", StateKind.COIN, ("a", "m")),
+            State("m", StateKind.MIN, ("bot", "b")),
+            State("c", StateKind.MAX, ("c", "a")),
+            State("bot", StateKind.TERMINAL),
+        ),
+        start="b",
+    )
+
+    @pytest.mark.parametrize("arcs", [{"a": 0}, {"a": 0, "c": 2}, {"a": None, "c": 1}, {}])
+    def test_missing_or_bad_arcs_raise(self, arcs):
+        with pytest.raises(StrategyError, match=r"^arc index (None|2) at state '[ac]'$"):
+            self.GAME.fix(1, arcs)
+
+    def test_each_state_of_the_player_reads_its_arc_on_both(self):
+        fixed = self.GAME.fix(1, {"a": 1, "c": 0, "m": 1})  # m is not player 1's
+        assert fixed.states == (
+            State("a", StateKind.COIN, ("bot", "bot")),
+            self.GAME.states[1],
+            self.GAME.states[2],
+            State("c", StateKind.COIN, ("c", "c")),
+            self.GAME.states[4],
+        )
+        assert fixed.start == "b" and validate(fixed) == []
+        fixed = self.GAME.fix(2, {"m": 1})
+        assert fixed.states[2] == State("m", StateKind.COIN, ("b", "b"))
+        assert fixed.ids() == self.GAME.ids()
+        assert [s for s in fixed.states if s.id != "m"] == [s for s in self.GAME.states if s.id != "m"]
+
+    def test_a_player_without_states_gives_an_equal_game(self):
+        g = make_M()
+        assert g.fix(2, {}) == g
+        assert g.fix(1, {"x": 0}).fix(1, {}) == g.fix(1, {"x": 0})
+
+
 class TestDocumentFormat:
     def test_store_shape(self):
         text = store(make_M())
@@ -153,6 +191,18 @@ class TestDocumentFormat:
             assert back == g
             # a State equals a bare tuple of its fields; the repr tells them apart
             assert list(map(repr, back.states)) == list(map(repr, g.states))
+
+    def test_top_level_errors(self):
+        with pytest.raises(GameFormatError, match=r"^\$: top level must be an object$"):
+            load("[1]")
+        doc = '{"start": "bot", "states": [{"id": "bot", "kind": "terminal"}], "x": 1}'
+        with pytest.raises(GameFormatError, match=r"^\$: unknown fields \['x'\]$"):
+            load(doc)
+
+    def test_terminal_id_of_a_game_without_one(self):
+        g = Game(states=(State("a", StateKind.COIN, ("a", "a")),), start="a")
+        with pytest.raises(InvalidGameError, match="no terminal state"):
+            g.terminal_id
 
     def test_parse_error(self):
         with pytest.raises(GameFormatError):

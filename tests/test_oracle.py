@@ -20,7 +20,6 @@ from fhgames.game import Game, State, StateKind
 from fhgames.gadgets import make_F, make_G, make_H, make_M, random_game
 from fhgames.numeric import Dyadic
 from fhgames.oracle import (
-    MemorylessStrategy,
     min_counter_memory,
     reach_probabilities,
     simulate,
@@ -35,8 +34,9 @@ from fhgames.solver import (
 
 
 def residual_ok(g, strategies, values):
-    """Exact check of the defining reachability equations."""
-    choice = {s.player: s for s in strategies if s is not None}
+    """Exact check of the defining reachability equations, with
+    ``strategies`` the players' arc dicts, player 1's first."""
+    choice = dict(enumerate(strategies, 1))
     for s in g.states:
         if s.kind is StateKind.TERMINAL:
             assert values[s.id] == 1
@@ -45,13 +45,13 @@ def residual_ok(g, strategies, values):
             expected = Fraction(1, 2) * (values[s.arcs[0]] + values[s.arcs[1]])
         else:
             player = 1 if s.kind is StateKind.MAX else 2
-            expected = values[s.arcs[choice[player].action(0, s.id)]]
+            expected = values[s.arcs[choice[player][s.id]]]
         assert values[s.id] == expected
 
 
 class TestReachProbabilities:
     def test_shortcut_gadget(self):
-        strat = MemorylessStrategy(1, {"x": 0})
+        strat = {"x": 0}
         values = reach_probabilities(make_M(), strat)
         assert values["h"] == Fraction(1, 2)
         assert values["top"] == 0
@@ -60,7 +60,7 @@ class TestReachProbabilities:
         residual_ok(make_M(), [strat], values)
 
     def test_shortcut_with_coin_arc(self):
-        strat = MemorylessStrategy(1, {"x": 1})
+        strat = {"x": 1}
         values = reach_probabilities(make_M(), strat)
         assert values["x"] == Fraction(1, 2)
         residual_ok(make_M(), [strat], values)
@@ -71,7 +71,7 @@ class TestReachProbabilities:
 
     def test_cycle_gadget_loops_forever(self):
         # committing to the cycle always drains into the terminal
-        strat = MemorylessStrategy(1, {"max": 1})
+        strat = {"max": 1}
         values = reach_probabilities(make_G(3), strat)
         for sid in ("max", "1", "2", "3", "1s", "2s"):
             assert values[sid] == 1
@@ -80,12 +80,8 @@ class TestReachProbabilities:
         rng = random.Random(7)
         for _ in range(40):
             g = random_game(rng.randint(2, 6), rng)
-            s1 = MemorylessStrategy(
-                1, {sid: rng.randint(0, 1) for sid in g.controlled_ids(1)}
-            )
-            s2 = MemorylessStrategy(
-                2, {sid: rng.randint(0, 1) for sid in g.controlled_ids(2)}
-            )
+            s1 = {sid: rng.randint(0, 1) for sid in g.controlled_ids(1)}
+            s2 = {sid: rng.randint(0, 1) for sid in g.controlled_ids(2)}
             values = reach_probabilities(g, s1, s2)
             for v in values.values():
                 assert 0 <= v <= 1
@@ -108,8 +104,7 @@ def infinite_arenas(draw):
 def assert_same_solution(got, expected):
     assert list(got.values.items()) == list(expected.values.items())
     assert all(type(v) is Fraction for v in got.values.values())
-    assert list(got.strategy.choices.items()) == list(expected.strategy.choices.items())
-    assert got.strategy.player == expected.strategy.player == 1
+    assert list(got.strategy.items()) == list(expected.strategy.items())
 
 
 class TestSolveInfinite:
@@ -118,13 +113,13 @@ class TestSolveInfinite:
         assert solution.values["start"] == 1
         assert solution.values["h"] == Fraction(1, 2)
         assert solution.values["top"] == 0
-        assert solution.strategy.choices == {"x": 0}
+        assert solution.strategy == {"x": 0}
 
     def test_approach_chain(self):
         solution = solve_infinite(make_H(4))
         assert solution.values["x"] == 1
         assert solution.values["4s"] == 1
-        assert solution.strategy.choices == {"x": 0}
+        assert solution.strategy == {"x": 0}
 
     def test_min_player_can_block(self):
         g = Game(
@@ -171,7 +166,7 @@ class TestSolveInfinite:
         )
         solution = solve_infinite(g)
         assert solution.values == {"x": 1, "y": 1, "bot": 1}
-        assert solution.strategy.choices == {"x": 0, "y": 1}
+        assert solution.strategy == {"x": 0, "y": 1}
         # each iteration starts on the positive attractor, here optimal:
         # one best reply for v* and one per trial (from arc 0, two more)
         assert len(replies) == 3
@@ -424,6 +419,25 @@ class TestSimulate:
             start="top",
         )
         assert simulate(g, 20, None, trials=200, seed=1) == 0
+
+    def test_start_at_the_terminal_hits_every_trial(self):
+        g = Game(make_M().states, "bot")
+        for horizon in (0, 3):
+            assert simulate(g, horizon, extract_markov(g, horizon), trials=7, seed=0) == 7
+
+    def test_memoryless_strategy_plays_on_the_fixed_game(self):
+        g = Game(
+            states=(
+                State("a", StateKind.MAX, ("bot", "top")),
+                State("top", StateKind.COIN, ("top", "top")),
+                State("bot", StateKind.TERMINAL),
+            ),
+            start="a",
+        )
+        with pytest.raises(StrategyError, match="no strategy supplied for player 1"):
+            simulate(g, 1, None, trials=20, seed=0)
+        assert simulate(g.fix(1, {"a": 0}), 1, None, trials=20, seed=0) == 20
+        assert simulate(g.fix(1, {"a": 1}), 1, None, trials=20, seed=0) == 0
 
     def test_deterministic_given_seed(self):
         g = make_M()

@@ -8,6 +8,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    PerCell,
     arcs_at,
     forbid_sweeps,
     full_game_counter_value,
@@ -24,7 +25,7 @@ from fhgames.errors import GuardExceeded, StrategyError
 from fhgames.game import Game, State, StateKind
 from fhgames.gadgets import make_F, make_G, make_H, make_M, random_game
 from fhgames.numeric import Dyadic, HALF, ONE, ZERO
-from fhgames.oracle import MemorylessStrategy, min_counter_memory
+from fhgames.oracle import min_counter_memory
 from fhgames.solver import (
     CELL_CAP,
     MarkovStrategy,
@@ -81,6 +82,12 @@ class TestBackwardInduction:
     def test_checkpoint_out_of_range(self):
         with pytest.raises(ValueError):
             values_at(make_M(), [-1])
+
+    @pytest.mark.parametrize("checkpoints", [(-1,), (-1, 3), range(-1, 2)])
+    def test_negative_checkpoints_are_refused_before_the_sweep(self, checkpoints, monkeypatch):
+        forbid_sweeps(monkeypatch)
+        with pytest.raises(ValueError, match=r"^checkpoints out of range: \[-1\]$"):
+            values_at(make_M(), checkpoints)
 
     def test_csv_export(self, capsys):
         assert main(["solve", "--gadget", "M", "-T", "2", "--csv"]) == 0
@@ -347,7 +354,7 @@ class TestEvaluateCounter:
         actions = {
             (k, sid): row[t0 - k - 1] for sid, row in markov_arcs(g, t0).items() for k in range(t0)
         }
-        actions.update(((t0, sid), arc) for sid, arc in solve_infinite(g).strategy.choices.items())
+        actions.update(((t0, sid), arc) for sid, arc in solve_infinite(g).strategy.items())
         cs = CounterStrategy(t0, 1, actions)
         assert cs.size == 8193
         assert evaluate_counter(g, t0, cs).value == final_values(g, t0)[g.start]
@@ -677,10 +684,9 @@ class TestSettledStates:
 
     @staticmethod
     def results(g, horizon, checkpoints, strategy, automata):
-        memoryless = MemorylessStrategy(
-            strategy.player, {sid: arc for (t, sid), arc in strategy.choices.items() if t == 1}
-        )
-        out = {"memoryless_at": _cells(values_at(g, checkpoints, memoryless).items())}
+        own = g.controlled_ids(strategy.player)
+        memoryless = g.fix(strategy.player, {sid: strategy.choices.get((1, sid), 0) for sid in own})
+        out = {"memoryless_at": _cells(values_at(memoryless, checkpoints).items())}
         for k, (cs, player) in enumerate(automata):
             for key, value in TestScaledKernel.results(
                 g, horizon, checkpoints, strategy, cs, player
@@ -795,6 +801,30 @@ class TestSettledStates:
         min_sets = optimal_action_sets(g, k + 2)[1]
         assert min_sets.masks["y"][::-1] == bytes([3] * k + [1, 1])  # remaining time 1..k+2
         self.assert_matches_reference_at(g, "y", 2, short_horizons(g))
+
+
+class TestFixedGame:
+    """A memoryless strategy played as Game.fix's game, which the kernel
+    sweeps as coins on one destination and settles, against the same
+    strategy read per cell on the unfixed game and the Dyadic loop."""
+
+    @given(st.integers(0, 2**32), st.integers(2, 9), st.sampled_from((1, 2)), st.integers(0, 60))
+    @example(seed=0, n=2, player=1, horizon=0)
+    @settings(max_examples=200, deadline=None)
+    def test_rows_equal_the_per_cell_and_reference_rows(self, seed, n, player, horizon):
+        rng = random.Random(seed)
+        g = random_game(n, rng)
+        g = Game(g.states, rng.choice(g.ids()))  # some starts reach part of the arena
+        arcs = {sid: rng.getrandbits(1) for sid in g.controlled_ids(player)}
+        checkpoints = {horizon, rng.randint(0, horizon), rng.randint(0, horizon)}
+        fixed = g.fix(player, arcs)
+        rows = values_at(fixed, checkpoints)
+        assert rows == values_at(g, checkpoints, PerCell(player, arcs))
+        assert rows == reference_sweep(fixed.states, horizon, checkpoints)
+        sub = values_at(g.reachable.fix(player, arcs), checkpoints)
+        assert {t: row[g.start] for t, row in sub.items()} == {
+            t: row[g.start] for t, row in rows.items()
+        }
 
 
 class TestCellCap:
@@ -912,9 +942,9 @@ class TestReachableSubArena:
             assert {t: row[g.start] for t, row in sub.items()} == {
                 t: row[g.start] for t, row in whole.items()
             }
-            played = MemorylessStrategy(1, {sid: rng.getrandbits(1) for sid in g.controlled_ids(1)})
-            whole = values_at(g, checkpoints, played)
-            sub = values_at(g.reachable, checkpoints, played)
+            played = {sid: rng.getrandbits(1) for sid in g.controlled_ids(1)}
+            whole = values_at(g.fix(1, played), checkpoints)
+            sub = values_at(g.reachable.fix(1, played), checkpoints)
             assert {t: row[g.start] for t, row in sub.items()} == {
                 t: row[g.start] for t, row in whole.items()
             }
@@ -966,14 +996,12 @@ class TestSweepInput:
         assert sub is not g
         cs = CounterStrategy(2, 3, {(m, "x"): m % 2 for m in range(5)})
         partial = CounterStrategy(2, 3, {(0, "x"): 1})
+        fixed = g.fix(1, {"x": 1})
         whole, start_only = [g.states], [sub.states]
         calls = {
             "values_at": (lambda: values_at(g, range(4)), whole),
             "values_at played": (lambda: values_at(g, (5,), extract_markov(g, 5)), whole * 2),
-            "values_at memoryless": (
-                lambda: values_at(g, (5,), MemorylessStrategy(1, {"x": 1})),
-                whole,
-            ),
+            "values_at memoryless": (lambda: values_at(fixed, (5,)), [fixed.states]),
             "optimal_action_sets": (lambda: optimal_action_sets(g, 6), whole),
             "markov_arcs": (lambda: markov_arcs(g, 6, 2), whole),
             "evaluate_counter": (lambda: evaluate_counter(g, 7, cs), start_only),

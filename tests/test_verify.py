@@ -5,7 +5,7 @@ from unittest import mock
 
 import pytest
 
-from conftest import full_game_memoryless_horizon
+from conftest import PerCell, full_game_memoryless_horizon
 import fhgames.cli as cli
 from fhgames import solver, verify
 from fhgames.errors import GuardExceeded, StrategyError
@@ -13,7 +13,7 @@ from fhgames.gadgets import make_H, make_M, random_game
 from fhgames.game import Game, State, StateKind, load
 from fhgames.jsonout import jsonable
 from fhgames.numeric import Dyadic, IntervalEnclosure, exp_enclosure, run_probability, run_threshold
-from fhgames.oracle import MemorylessStrategy, solve_infinite
+from fhgames.oracle import solve_infinite
 from fhgames.solver import values_at
 from fhgames.verify import (
     CheckReport,
@@ -173,40 +173,25 @@ def memoryless_games():
         yield f"arena{j}", random_game(rng.randint(3, 8), rng)
 
 
-class PerCell:
-    """A strategy values_at sweeps as a per-cell fixed callable, never
-    settling: the path a MemorylessStrategy took before it was swept as
-    one layer."""
-
-    def __init__(self, strategy):
-        self.player = strategy.player
-        self.action = strategy.action
-
-
 class TestMemorylessHorizonSweep:
-    """check_memoryless_horizon's settling sweeps against the per-cell
-    sweeps they replaced."""
-
-    @staticmethod
-    def per_cell_values_at(g, checkpoints, strategy=None, sets=None):
-        played = None if strategy is None else PerCell(strategy)
-        return values_at(g, checkpoints, played, sets=sets)
+    """check_memoryless_horizon's settling sweeps of Game.fix's game
+    against sigma played per cell on the unfixed game."""
 
     def test_report_equals_per_cell_sweeps(self):
         for label, g in memoryless_games():
             settled = check_memoryless_horizon(g, label=label)
-            with mock.patch.object(verify, "values_at", self.per_cell_values_at):
-                per_cell = check_memoryless_horizon(g, label=label)
-            assert settled.name == per_cell.name == "memoryless-horizon"
-            assert (settled.params, settled.verdict) == (per_cell.params, per_cell.verdict)
-            assert settled.evidence == per_cell.evidence
+            params, verdict, evidence, sweeps = full_game_memoryless_horizon(g, label, skip=False)
+            assert sweeps == 2  # sigma played per cell on every game
+            assert settled.name == "memoryless-horizon"
+            assert (settled.params, settled.verdict) == (params, verdict)
+            assert settled.evidence == evidence
 
     def test_played_rows_equal_per_cell_rows(self):
         for _, g in memoryless_games():
-            strategy = solve_infinite(g).strategy
+            arcs = solve_infinite(g).strategy
             checkpoints = {0, 1, len(g.states), 3 * len(g.states), 4 << len(g.states)}
-            assert values_at(g, checkpoints, strategy=strategy) == values_at(
-                g, checkpoints, strategy=PerCell(strategy)
+            assert values_at(g.fix(1, arcs), checkpoints) == values_at(
+                g, checkpoints, strategy=PerCell(1, arcs)
             )
 
     def test_skip_equals_two_plain_sweeps(self):
@@ -222,7 +207,7 @@ class TestMemorylessHorizonSweep:
             sweeps[label] = spy.call_count
             horizons = [row["horizon"] for row in report.evidence["rows"]]
             best = values_at(g, horizons)
-            played = values_at(g, horizons, strategy=solve_infinite(g).strategy)
+            played = values_at(g, horizons, strategy=PerCell(1, solve_infinite(g).strategy))
             for row in report.evidence["rows"]:
                 assert row["optimal"] == best[row["horizon"]][g.start]
                 assert row["achieved"] == played[row["horizon"]][g.start]
@@ -243,11 +228,11 @@ class TestMemorylessHorizonSweep:
     def test_missing_or_bad_choice_raises(self):
         g = make_M()
         for choices in ({}, {"x": 2}):
-            strategy = MemorylessStrategy(1, choices)
-            for played in (strategy, PerCell(strategy)):
-                with pytest.raises(StrategyError):
-                    values_at(g, (3,), played)
-                values_at(g, (0,), played)  # no action is read at horizon 0
+            with pytest.raises(StrategyError):
+                g.fix(1, choices)  # whatever the horizon
+            with pytest.raises(StrategyError):
+                values_at(g, (3,), PerCell(1, choices))
+            values_at(g, (0,), PerCell(1, choices))  # no action is read at horizon 0
 
 
 def sub_arena_edge_games():
@@ -287,7 +272,7 @@ class TestMemorylessHorizonSubArena:
 
     def test_sigma_off_its_arc_only_off_the_start_takes_one_sweep(self):
         label, g = next(sub_arena_edge_games())
-        assert solve_infinite(g).strategy.choices == {"m": 0, "u": 0}
+        assert solve_infinite(g).strategy == {"m": 0, "u": 0}
         *_, whole_sweeps = full_game_memoryless_horizon(g, label=label)
         with mock.patch.object(verify, "values_at", wraps=values_at) as spy:
             report = check_memoryless_horizon(g, label=label)
