@@ -12,8 +12,9 @@ interconverted here (elapsed t corresponds to remaining T - t).
 One search finds the smallest automaton: minimal_period, over a given
 non-empty set of optimal arcs per state and elapsed step, picks SOME
 arc of every set.  from_markov is its singleton case: a Markov
-strategy's arcs as one-arc sets, so the automaton found reproduces the
-strategy exactly.
+strategy's arc bytes as one-arc sets, so the automaton found reproduces
+the strategy exactly.  to_markov unrolls an automaton back into arc
+bytes.
 
 Minimality is measured by the total memory-state count N + p
 (CounterStrategy.size; its space in bits, CounterStrategy.bits, is
@@ -39,7 +40,7 @@ from dataclasses import dataclass, field
 from typing import Mapping
 
 from .errors import StrategyError
-from .solver import ActionSetSequence, MarkovStrategy
+from .solver import ActionSetSequence, MarkovChoices, MarkovStrategy
 
 __all__ = [
     "CounterStrategy",
@@ -120,15 +121,21 @@ class CounterStrategy:
 
 def to_markov(cs: CounterStrategy, horizon: int, player: int = 1) -> MarkovStrategy:
     """Unrolled view of a counter strategy as a remaining-time strategy,
-    over the states it has actions for; a memory the walk reaches
-    without an action at one of them raises StrategyError."""
+    over the states it has actions for, in sorted order: per state, its
+    arcs along the memory trajectory, reversed into arc bytes.  The
+    first (elapsed step, state) whose memory has no action there raises
+    StrategyError; the walk meets memory m first after m traversals."""
     ids = sorted({sid for _, sid in cs.actions})
-    choices = {
-        (horizon - t, sid): cs.action_at(t, sid)
-        for t in range(horizon)
-        for sid in ids
-    }
-    return MarkovStrategy(player=player, horizon=horizon, choices=choices)
+    for m in range(min(cs.size, horizon)):
+        for sid in ids:
+            if (m, sid) not in cs.actions:
+                cs.action_at(m, sid)  # raises
+    trajectory = cs.trajectory(horizon)
+    rows = {}
+    for sid in ids:
+        arcs = bytes(cs.actions.get((m, sid), 0) for m in range(cs.size))  # 0: never reached
+        rows[sid] = bytes(map(arcs.__getitem__, trajectory))[::-1]
+    return MarkovStrategy(player, horizon, MarkovChoices(rows, horizon))
 
 
 @dataclass(frozen=True)
@@ -208,21 +215,36 @@ def minimal_period(seq: ActionSetSequence) -> PeriodResult:
     )
 
 
+_AS_MASK = bytes.maketrans(b"\0\1", b"\1\2")  # arc -> the mask of its singleton set
+
+
+def _arc_bytes(strategy: MarkovStrategy) -> dict[str, bytes]:
+    """The strategy's arc bytes over the states its choices name, in
+    sorted order, to its horizon.  A MarkovChoices of that horizon
+    lends its rows.  Other choices are read through ``action`` from
+    remaining time T down, one state after another: every arc is read,
+    so a missing one raises action's StrategyError first, and then an
+    arc not 0 or 1 raises ValueError."""
+    horizon, choices = strategy.horizon, strategy.choices
+    if isinstance(choices, MarkovChoices) and choices.horizon == horizon:
+        return dict(sorted(choices.rows.items()))
+    ids = sorted({sid for _, sid in choices})
+    arcs = [strategy.action(horizon - t, sid) for t in range(horizon) for sid in ids]
+    for arc in arcs:  # before the bytes, where 2 would read as arc 1's mask
+        if arc not in (0, 1):
+            raise ValueError(f"arc index must be 0 or 1, got {arc!r}")
+    flat = bytes(arcs)  # elapsed-major; state k at k::len(ids)
+    return {sid: flat[k :: len(ids)][::-1] for k, sid in enumerate(ids)}
+
+
 def from_markov(strategy: MarkovStrategy) -> CounterStrategy:
     """Minimal counter strategy replaying a Markov strategy exactly.
 
-    The strategy's remaining-time table is reversed to elapsed time and
-    read as singleton action sets (mask 1 + arc), for which a residue
-    class's sets intersect exactly when its arcs agree; minimal_period
-    then finds the smallest automaton, and its witness replays the
-    strategy over 0..T-1.
+    Each state's arc bytes are read as singleton action sets (mask
+    1 + arc) in elapsed time, one reversed translate per state; a
+    residue class's sets intersect exactly when its arcs agree, so
+    minimal_period finds the smallest automaton, and its witness replays
+    the strategy over 0..T-1.
     """
-    horizon = strategy.horizon
-    ids = tuple(sorted({sid for _, sid in strategy.choices}))
-    arcs = [strategy.action(horizon - t, sid) for t in range(horizon) for sid in ids]
-    for arc in arcs:  # before the masks, where arc 2 would read as both arcs
-        if arc not in (0, 1):
-            raise ValueError(f"arc index must be 0 or 1, got {arc!r}")
-    flat = bytes(1 + arc for arc in arcs)  # t-major; state k at k::len(ids)
-    masks = {sid: flat[k :: len(ids)] for k, sid in enumerate(ids)}
-    return minimal_period(ActionSetSequence(horizon, masks)).witness
+    masks = {sid: row.translate(_AS_MASK)[::-1] for sid, row in _arc_bytes(strategy).items()}
+    return minimal_period(ActionSetSequence(strategy.horizon, masks)).witness

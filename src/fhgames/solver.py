@@ -27,8 +27,11 @@ ZERO and ONE.  The loop also writes the optimal action sets, as the one
 form every reader uses: per optimising state, one mask byte per t.
 optimal_action_sets hands them out reversed to elapsed time, as one
 ActionSetSequence per player; markov_arcs breaks their ties into one
-arc byte per t and state, which extract_markov keys by (t, state id)
-and the CLI's strategy command renders as they are.
+arc byte per t and state.  Those bytes are the one form a Markov
+strategy is stored and played in: extract_markov wraps them, unpacked
+into no dict, in a MarkovChoices, the read-only (t, state id) -> arc
+view of its choices, and the CLI's strategy command renders them as
+they are.
 
 Every value row of a game comes from values_at, which refuses with
 GuardExceeded to keep more than CELL_CAP cells (rows kept times
@@ -37,7 +40,11 @@ final_values and evaluate_fixed_final keep the row at the horizon.
 Action-set tables are capped the same way.
 
 Strategies are indexed by REMAINING moves: a Markov strategy maps
-(t, state) with t in 1..T to an arc.  Counter strategies advance their
+(t, state) with t in 1..T to an arc.  The fixed path of the sweep reads
+one arc byte per cell: values_at hands it a MarkovChoices's rows, whose
+arcs were checked once when it was built, and turns any other strategy,
+such as one built from a dict, into the same bytes first, reading its
+action in the sweep's order.  Counter strategies advance their
 memory on every traversal regardless of the observed state; they are
 defined on the product of memory and game state, where a backward
 induction best response for the opponent is optimal among all
@@ -74,10 +81,11 @@ All functions are pure; independent solves can run in parallel.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import repeat
-from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Protocol, Sequence
+from typing import TYPE_CHECKING, Iterable, Protocol, Sequence
 
 from .errors import GuardExceeded, StrategyError
 from .game import Game, StateKind, PLAYER_KIND
@@ -89,6 +97,7 @@ if TYPE_CHECKING:  # pragma: no cover
 __all__ = [
     "CELL_CAP",
     "ActionSetSequence",
+    "MarkovChoices",
     "MarkovStrategy",
     "CounterEvaluation",
     "final_values",
@@ -145,13 +154,59 @@ class ActionSetSequence:
         return tuple(only)
 
 
+class MarkovChoices(Mapping):
+    """A Markov strategy's arcs, as markov_arcs returns them, read as
+    a (remaining moves, state id) -> arc mapping.
+
+    Byte t - 1 of ``rows[sid]`` is the state's arc, 0 or 1, at remaining
+    time t in 1..horizon; any other t is no key.  Keys come t-major,
+    then in the order of ``rows``.  Read-only; like any Mapping, it
+    equals a dict with the same items.
+    """
+
+    __slots__ = ("rows", "horizon")
+
+    def __init__(self, rows: dict[str, bytes], horizon: int):
+        for sid, row in rows.items():
+            if len(row) != horizon or row.translate(None, b"\0\1"):
+                raise ValueError(f"{sid!r} needs {horizon} arcs of 0 or 1")
+        self.rows = rows
+        self.horizon = horizon
+
+    def __getitem__(self, key):
+        try:
+            t, sid = key
+            if 0 < t <= self.horizon:
+                return self.rows[sid][t - 1]
+        except (KeyError, TypeError, ValueError):
+            pass
+        raise KeyError(key)
+
+    def __iter__(self):
+        for t in range(1, self.horizon + 1):
+            for sid in self.rows:
+                yield t, sid
+
+    def __len__(self) -> int:
+        return self.horizon * len(self.rows)
+
+    def __repr__(self) -> str:
+        return f"MarkovChoices({self.rows!r}, horizon={self.horizon})"
+
+
 @dataclass(frozen=True)
 class MarkovStrategy:
-    """One arc choice per (remaining moves, controlled state)."""
+    """One arc choice per (remaining moves, controlled state).
+
+    ``choices`` is a MarkovChoices over the arc bytes, as extract_markov
+    and counter.to_markov build it, or any mapping from (t, state id) to
+    an arc, such as a dict; the consumers turn one of the latter into
+    arc bytes once, before they play it.
+    """
 
     player: int
     horizon: int
-    choices: dict[tuple[int, str], int]
+    choices: Mapping[tuple[int, str], int]
 
     def action(self, t: int, sid: str) -> int:
         try:
@@ -195,7 +250,7 @@ def _sweep(
     states: Sequence[tuple],
     horizon: int,
     checkpoints: Iterable[int] = (),
-    fixed: tuple[StateKind, Callable[[int, str], int]] | None = None,
+    fixed: tuple[StateKind, Mapping[str, bytes]] | None = None,
     sets: dict | None = None,
     layers: tuple[Sequence[Mapping[str, int]], Sequence[int]] | None = None,
     ids: Sequence[str] | None = None,
@@ -206,7 +261,10 @@ def _sweep(
     and in increasing order, to its row.  Rows are built as Dyadic dicts
     only for those horizons, over the state ``ids`` in their order
     (default: every entry's, in order); the loop itself keeps one list
-    of scaled ints per t (see the module docstring).  A ``sets`` dict
+    of scaled ints per t (see the module docstring).  ``fixed`` =
+    (kind, arcs) plays each entry of that kind by its arc bytes, byte
+    t - 1 of arcs[sid] at remaining time t, which must cover the
+    horizon; the opponent's states still optimise.  A ``sets`` dict
     from optimising state ids to bytearrays gets each of those states'
     mask per t appended; other states' masks are not recorded.
 
@@ -219,7 +277,7 @@ def _sweep(
     if horizon < 0:
         raise ValueError("horizon must be non-negative")
     wanted = set(checkpoints)
-    fixed_kind, choose = fixed if fixed is not None else (None, None)
+    fixed_kind, fixed_arcs = fixed if fixed is not None else (None, None)
     # Index form.  Row positions run coins, optimising states, fixed
     # states, then one slot that every terminal shares, so each row is
     # built by appending in that order.
@@ -257,7 +315,7 @@ def _sweep(
                 ops.append((is_max, a, b, record))
         steps = map(resolved.__getitem__, memories)
         one_layer = len(resolved) <= 1
-    fixed_ops = [(sid, pos[a], pos[b]) for sid, _, (a, b) in chosen]
+    fixed_ops = [(pos[a], pos[b], fixed_arcs[sid]) for sid, _, (a, b) in chosen]
     if ids is None:
         ids = [sid for sid, _, _ in states]
     where = [(sid, pos[sid]) for sid in ids]
@@ -295,11 +353,8 @@ def _sweep(
                 if record is not None:
                     record(mask)
                 row.append(va << 1)
-            for sid, a, b in fixed_ops:
-                arc = choose(t, sid)
-                if arc not in (0, 1):
-                    raise StrategyError(f"arc index {arc!r} at t={t}, state {sid!r}")
-                row.append((prev[a] if arc == 0 else prev[b]) << 1)
+            for a, b, arcs in fixed_ops:
+                row.append((prev[b] if arcs[t - 1] else prev[a]) << 1)
             row.append(1 << t)
             if t in wanted:
                 snapshots[t] = dyadic_row(row, t)
@@ -352,13 +407,14 @@ def values_at(
 ) -> dict[int, dict[str, Dyadic]]:
     """Value rows at selected horizons from a single streaming pass.
 
-    With a strategy, that player's choices are read per cell and the
-    opponent best-responds; without one, both sides play optimally.  A
-    memoryless strategy is played by sweeping Game.fix's game, which
-    settles.  A negative checkpoint is refused before the sweep.  The
-    rows kept, not the horizon swept, count against CELL_CAP, and so do
-    the mask bytes that ``sets`` (see _sweep) will keep, largest
-    checkpoint times len(sets), each checked before the sweep.
+    With a strategy, that player's states play its arc bytes (see
+    _arc_rows) and the opponent best-responds; without one, both sides
+    play optimally.  A memoryless strategy is played by sweeping
+    Game.fix's game, which settles.  A negative checkpoint is refused
+    before the sweep.  The rows kept, not the horizon swept, count
+    against CELL_CAP, and so do the mask bytes that ``sets`` (see
+    _sweep) will keep, largest checkpoint times len(sets), each checked
+    before the sweep.
     """
     if isinstance(checkpoints, range) and checkpoints.step > 0:
         cps = checkpoints  # sorted and distinct: counted without building it
@@ -371,8 +427,36 @@ def values_at(
     _guard_cells(len(cps), len(g.states))
     if sets:
         _guard_cells(cps[-1], len(sets))
-    fixed = None if strategy is None else (PLAYER_KIND[strategy.player], strategy.action)
+    fixed = None
+    if strategy is not None:
+        arcs = _arc_rows(strategy, g.controlled_ids(strategy.player), cps[-1])
+        fixed = (PLAYER_KIND[strategy.player], arcs)
     return _sweep(g.states, cps[-1], cps, fixed=fixed, sets=sets)
+
+
+def _arc_rows(strategy: Strategy, ids: Sequence[str], horizon: int) -> Mapping[str, bytes]:
+    """The strategy's arcs at remaining time 1..horizon for the states
+    ``ids``, one bytes row each, as _sweep's ``fixed`` reads them.
+
+    A MarkovChoices that covers them all lends its own rows, checked
+    once each.  Any other strategy, or one that falls short, is read
+    through ``action`` in a t-major walk over ``ids``, in the sweep's
+    order, so the first cell without a valid arc raises as it would in
+    the sweep: action's own error, or StrategyError for an arc not 0
+    or 1.
+    """
+    choices = getattr(strategy, "choices", None)
+    if isinstance(choices, MarkovChoices) and horizon <= choices.horizon:
+        if all(sid in choices.rows for sid in ids):
+            return choices.rows
+    rows = {sid: bytearray() for sid in ids}
+    for t in range(1, horizon + 1):
+        for sid, row in rows.items():
+            arc = strategy.action(t, sid)
+            if arc not in (0, 1):
+                raise StrategyError(f"arc index {arc!r} at t={t}, state {sid!r}")
+            row.append(arc == 1)
+    return rows
 
 
 def final_values(g: Game, horizon: int) -> dict[str, Dyadic]:
@@ -430,15 +514,14 @@ def extract_markov(
     g: Game, horizon: int, player: int = 1, tiebreak: str = "lo"
 ) -> MarkovStrategy:
     """One optimal Markov strategy, ties broken by arc index: the
-    markov_arcs bytes as a (t, state id) -> arc table.
+    markov_arcs bytes, wrapped as its MarkovChoices.
 
     Analyses that reason about ALL optimal strategies must consume
     optimal_action_sets instead; tie-breaking here is explicit and never
     applied silently elsewhere.
     """
-    arcs = markov_arcs(g, horizon, player, tiebreak).items()
-    choices = {(t, sid): a[t - 1] for t in range(1, horizon + 1) for sid, a in arcs}
-    return MarkovStrategy(player=player, horizon=horizon, choices=choices)
+    arcs = markov_arcs(g, horizon, player, tiebreak)
+    return MarkovStrategy(player, horizon, MarkovChoices(arcs, horizon))
 
 
 def evaluate_fixed_final(g: Game, horizon: int, strategy: Strategy) -> dict[str, Dyadic]:

@@ -35,7 +35,12 @@ and ``full_game_memoryless_horizon`` is the body of
 sweeps did, playing sigma per cell on the whole game (``PerCell``)
 rather than on ``Game.fix``'s game.  ``sub_arena_samples`` yields
 small random arenas from every start, so that some starts reach only
-part of their arena.
+part of their arena.  ``reference_extract_markov``,
+``reference_from_markov`` and ``reference_to_markov`` are
+``fhgames.solver.extract_markov``, ``fhgames.counter.from_markov`` and
+``fhgames.counter.to_markov`` as they were before a Markov strategy's
+choices became a view of its arc bytes: each builds or reads a
+(t, state id) -> arc dict one cell at a time.
 """
 
 from __future__ import annotations
@@ -47,7 +52,7 @@ from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
 from fhgames import solver
-from fhgames.counter import CounterStrategy
+from fhgames.counter import CounterStrategy, minimal_period
 from fhgames.errors import GuardExceeded, StrategyError
 from fhgames.gadgets import random_game
 from fhgames.game import PLAYER_KIND, Game, State, StateKind
@@ -59,7 +64,14 @@ from fhgames.oracle import (
     reach_probabilities,
     solve_infinite,
 )
-from fhgames.solver import evaluate_counter, final_values, values_at
+from fhgames.solver import (
+    ActionSetSequence,
+    MarkovStrategy,
+    evaluate_counter,
+    final_values,
+    markov_arcs,
+    values_at,
+)
 
 
 def play_value(g: Game, horizon: int, actions1: dict, actions2: dict) -> Fraction:
@@ -171,7 +183,7 @@ def reference_sweep(
     states: Sequence[tuple],
     horizon: int,
     checkpoints: Iterable[int] = (),
-    fixed: tuple[StateKind, Callable[[int, str], int]] | None = None,
+    fixed: tuple[StateKind, Callable[[int, str], int] | dict[str, bytes]] | None = None,
     sets: dict | None = None,
     layers: tuple | None = None,
     ids: Iterable[str] | None = None,
@@ -184,10 +196,16 @@ def reference_sweep(
     ``layers`` = (overrides, memories), an optimising state that
     overrides[memories[t - 1]] maps to an arc reads that arc's
     destination on both arcs at remaining time t.  With ``ids``, the
-    returned rows hold only those states, in that order.
+    returned rows hold only those states, in that order.  ``fixed`` =
+    (kind, choose) reads the arc of each state of that kind per cell, as
+    choose(t, sid), or, as ``fixed`` of ``fhgames.solver._sweep``, as
+    byte t - 1 of choose[sid].
     """
     if horizon < 0:
         raise ValueError("horizon must be non-negative")
+    if fixed is not None and not callable(fixed[1]):
+        kind, rows = fixed
+        fixed = (kind, lambda t, sid: rows[sid][t - 1])
     wanted = set(checkpoints)
     bad = [t for t in wanted if t < 0 or t > horizon]
     if bad:
@@ -484,3 +502,39 @@ def sub_arena_samples(count: int = 60):
         for states in (g.states, mdp):
             for s in states:
                 yield Game(states, s.id)
+
+
+def reference_extract_markov(
+    g: Game, horizon: int, player: int = 1, tiebreak: str = "lo"
+) -> MarkovStrategy:
+    """One optimal Markov strategy, ties broken by arc index: the
+    markov_arcs bytes as a (t, state id) -> arc table."""
+    arcs = markov_arcs(g, horizon, player, tiebreak).items()
+    choices = {(t, sid): a[t - 1] for t in range(1, horizon + 1) for sid, a in arcs}
+    return MarkovStrategy(player=player, horizon=horizon, choices=choices)
+
+
+def reference_from_markov(strategy: MarkovStrategy) -> CounterStrategy:
+    """Minimal counter strategy replaying a Markov strategy exactly, its
+    arcs read per cell into singleton action sets (mask 1 + arc)."""
+    horizon = strategy.horizon
+    ids = tuple(sorted({sid for _, sid in strategy.choices}))
+    arcs = [strategy.action(horizon - t, sid) for t in range(horizon) for sid in ids]
+    for arc in arcs:  # before the masks, where arc 2 would read as both arcs
+        if arc not in (0, 1):
+            raise ValueError(f"arc index must be 0 or 1, got {arc!r}")
+    flat = bytes(1 + arc for arc in arcs)  # t-major; state k at k::len(ids)
+    masks = {sid: flat[k :: len(ids)] for k, sid in enumerate(ids)}
+    return minimal_period(ActionSetSequence(horizon, masks)).witness
+
+
+def reference_to_markov(cs: CounterStrategy, horizon: int, player: int = 1) -> MarkovStrategy:
+    """Unrolled view of a counter strategy as a remaining-time strategy,
+    over the states it has actions for, one dict entry per cell."""
+    ids = sorted({sid for _, sid in cs.actions})
+    choices = {
+        (horizon - t, sid): cs.action_at(t, sid)
+        for t in range(horizon)
+        for sid in ids
+    }
+    return MarkovStrategy(player=player, horizon=horizon, choices=choices)

@@ -11,12 +11,22 @@ It also checks that no traced call sweeps a plan larger than the
 largest game queried: the tracer's counter hook reads
 ``CounterEvaluation.rows``, which must stay game-sized, not the
 automaton's (memory, state) product.
+
+The workloads also read ``MarkovStrategy`` in four ways: arena-batch's
+check builds one from a dict and plays it through
+``evaluate_fixed_final``, the ``extract_markov`` render sorts
+``choices.items()``, the ``from_markov`` check compares
+``to_markov(cs, T).choices`` with the extracted ``choices``, and
+``_settled`` iterates ``choices.items()``.  The last test runs those
+reads from ``perfbench/workloads.py`` itself at tiny sizes, so that a
+change of the strategy's form fails here rather than at the gate.
 """
 
 import contextlib
 import importlib
 import io
 import random
+import sys
 import types
 from pathlib import Path
 from unittest import mock
@@ -25,16 +35,24 @@ from fhgames.game import store
 from fhgames.gadgets import make_F, make_G, make_H, make_M, random_game
 
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+WORKLOADS = SPANS.with_name("workloads.py")
 MODULES = ("numeric", "game", "solver", "counter", "gadgets", "oracle", "verify", "cli")
 
 
-def load_spans() -> types.ModuleType:
-    """The tracer module, executed from its source; nothing is written
-    next to it."""
-    module = types.ModuleType("spans")
-    module.__file__ = str(SPANS)
-    exec(compile(SPANS.read_text(encoding="utf-8"), str(SPANS), "exec"), module.__dict__)
+def load_spans(path: Path = SPANS) -> types.ModuleType:
+    """A benchmark module, the tracer by default, executed from its
+    source; nothing is written next to it."""
+    module = types.ModuleType(path.stem)
+    module.__file__ = str(path)
+    with mock.patch.dict(sys.modules, {module.__name__: module}):  # for its dataclasses
+        exec(compile(path.read_text(encoding="utf-8"), str(path), "exec"), module.__dict__)
     return module
+
+
+def library():
+    return types.SimpleNamespace(
+        **{name: importlib.import_module(f"fhgames.{name}") for name in MODULES}
+    )
 
 
 def run_cli(fh, argv):
@@ -67,9 +85,7 @@ def queries(fh, argvs):
 
 
 def test_every_span_closes_on_the_workloads_calls(tmp_path):
-    fh = types.SimpleNamespace(
-        **{name: importlib.import_module(f"fhgames.{name}") for name in MODULES}
-    )
+    fh = library()
     arena = random_game(6, random.Random(4))
     assert arena.controlled_ids(1) and arena.controlled_ids(2)
     doc = tmp_path / "arena.json"
@@ -120,3 +136,39 @@ def test_every_span_closes_on_the_workloads_calls(tmp_path):
     } <= names
     assert tracer.counts["solver.cells"] > 0
     assert [name for name, *_ in tracer.spans].count("solver.values_at") == 3
+
+
+def issue(query):
+    """The query's result, after its render and check pass."""
+    raw = query.call()
+    query.render(raw)
+    assert query.check is None or query.check(raw), query.qid
+    return raw
+
+
+def test_markov_strategy_reads_of_the_workloads(tmp_path, monkeypatch):
+    fh = library()
+    workloads = load_spans(WORKLOADS)
+    monkeypatch.chdir(tmp_path)  # the arena documents are named relative to it
+    chains, _ = workloads.arena_batch(fh, 0, {"arena_states": (5, 9, 14)}, str(tmp_path), None)
+    for chain in chains:  # solve, then strategy, whose check plays the dict-built strategy
+        for query in chain:
+            issue(query)
+
+    rng = random.Random(5)
+    games = [(make_H(3), 12), (make_M(), 9), (make_F(2), 0)]
+    games += [(random_game(8, rng), 16) for _ in range(6)]
+    for j, (g, horizon) in enumerate(games):
+        extract, value, replicate, evaluate = workloads._replication_queries(
+            fh, f"g{j}", g, horizon, seeded=False
+        )
+        strategy = issue(extract)
+        arcs = fh.solver.markov_arcs(g, horizon)
+        render = sorted([t, sid, row[t - 1]] for sid, row in arcs.items() for t in range(1, horizon + 1))
+        assert extract.render(strategy) == workloads._canonical(render)
+        issue(value)
+        unrolled = fh.counter.to_markov(issue(replicate), horizon).choices
+        assert unrolled == strategy.choices and strategy.choices == unrolled
+        issue(evaluate)
+        settled = all(len(set(row)) <= 1 for row in arcs.values())
+        assert workloads._settled(fh, g, horizon) is settled
