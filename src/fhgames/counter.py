@@ -37,7 +37,7 @@ residue class contradicts.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping
+from typing import Iterable, Mapping
 
 from .errors import StrategyError
 from .solver import ActionSetSequence, MarkovChoices, MarkovStrategy
@@ -97,6 +97,18 @@ class CounterStrategy:
         laps = -(-(length - len(head)) // self.period)
         return (head + list(range(self.initial, self.size)) * laps)[:length]
 
+    def arc_rows(self, ids: Iterable[str], horizon: int) -> dict[str, bytes]:
+        """Per state of ``ids``, the automaton unrolled into the solver's
+        arc bytes: byte t - 1 is the arc at remaining time t in
+        1..horizon, that of the memory held after horizon - t traversals,
+        or 2 where that memory has no action at the state."""
+        memories = self.trajectory(horizon)[::-1]
+        rows = {}
+        for sid in ids:
+            arcs = bytes(self.actions.get((m, sid), 2) for m in range(self.size))
+            rows[sid] = bytes(map(arcs.__getitem__, memories))
+        return rows
+
     def action_at(self, t: int, sid: str) -> int:
         """Arc at state ``sid`` after t traversals; StrategyError if the
         memory held then has no action there."""
@@ -120,22 +132,17 @@ class CounterStrategy:
 
 
 def to_markov(cs: CounterStrategy, horizon: int, player: int = 1) -> MarkovStrategy:
-    """Unrolled view of a counter strategy as a remaining-time strategy,
-    over the states it has actions for, in sorted order: per state, its
-    arcs along the memory trajectory, reversed into arc bytes.  The
-    first (elapsed step, state) whose memory has no action there raises
-    StrategyError; the walk meets memory m first after m traversals."""
+    """Unrolled view of a counter strategy as a remaining-time strategy:
+    its arc_rows over the states it has actions for, in sorted order.
+    The first (elapsed step, state) whose memory has no action there
+    raises StrategyError; the walk meets memory m first after m
+    traversals."""
     ids = sorted({sid for _, sid in cs.actions})
     for m in range(min(cs.size, horizon)):
         for sid in ids:
             if (m, sid) not in cs.actions:
                 cs.action_at(m, sid)  # raises
-    trajectory = cs.trajectory(horizon)
-    rows = {}
-    for sid in ids:
-        arcs = bytes(cs.actions.get((m, sid), 0) for m in range(cs.size))  # 0: never reached
-        rows[sid] = bytes(map(arcs.__getitem__, trajectory))[::-1]
-    return MarkovStrategy(player, horizon, MarkovChoices(rows, horizon))
+    return MarkovStrategy(player, horizon, MarkovChoices(cs.arc_rows(ids, horizon), horizon))
 
 
 @dataclass(frozen=True)

@@ -327,8 +327,9 @@ def simulate(
     ``strategy`` plays player 1 and ``opponent`` player 2, each needed
     where its player has states; either may be a Markov or counter
     strategy.  A memoryless one is played on Game.fix's game, which
-    leaves that player no states.  Deterministic given the seed, with
-    the RNG_ALGORITHM generator.
+    leaves that player no states.  An arc not 0 or 1 raises
+    StrategyError, as in the sweep, before it is followed.
+    Deterministic given the seed, with the RNG_ALGORITHM generator.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
@@ -360,6 +361,9 @@ def simulate(
                 arc = rng.getrandbits(1)
             else:
                 arc = actors[s.kind](elapsed, pos)
+                if arc not in (0, 1):
+                    t = horizon - elapsed
+                    raise StrategyError(f"arc index {arc!r} at t={t}, state {pos!r}")
             pos = s.arcs[arc]
             if pos == target:
                 hits += 1

@@ -17,7 +17,7 @@ are integer ones:
 
     coin      M[t][i] = A + B
     max/min   M[t][i] = max(A, B) << 1  /  min(A, B) << 1
-    fixed     M[t][i] = (A if arc == 0 else B) << 1
+    fixed     M[t][i] = (A if arc == 0 else B) << 1, or max/min at arc byte 2
     terminal  M[t][i] = 1 << t
 
 with A, B the entries of row t-1 at the two arc destinations.  Dyadic
@@ -40,33 +40,37 @@ final_values and evaluate_fixed_final keep the row at the horizon.
 Action-set tables are capped the same way.
 
 Strategies are indexed by REMAINING moves: a Markov strategy maps
-(t, state) with t in 1..T to an arc.  The fixed path of the sweep reads
-one arc byte per cell: values_at hands it a MarkovChoices's rows, whose
-arcs were checked once when it was built, and turns any other strategy,
-such as one built from a dict, into the same bytes first, reading its
-action in the sweep's order.  Counter strategies advance their
-memory on every traversal regardless of the observed state; they are
-defined on the product of memory and game state, where a backward
-induction best response for the opponent is optimal among all
-history-dependent responses.  Memory after k traversals depends on k
-alone, so the product cells the value at (memory 0, start) reads at
-remaining time t all hold one memory, the automaton's after T - t
-traversals.  One sweep of the game whose controlled states take, at
-each t, that memory's arcs (the sweep's layers) therefore evaluates the
-strategy without building the product: its value from two rows of the
-start's sub-arena (Game.reachable), uncapped, and its rows, those cells
-of the whole game at every t, capped as a full table.  counter_bound
-sweeps the same layers with the slots a partial strategy leaves unset
-free to the maximiser, which bounds every completion from above.  Every
-other function here sweeps the whole game.
+(t, state) with t in 1..T to an arc.  The sweep varies a player's arcs
+over time in one way, its fixed rows: byte t - 1 of a state's row is
+its arc at remaining time t, or 2 where it optimises.  values_at hands
+it a MarkovChoices's rows, whose arcs were checked once when it was
+built, and turns any other strategy, such as one built from a dict,
+into the same bytes first, reading its action in the sweep's order.
+Counter strategies advance their memory on every traversal regardless
+of the observed state; they are defined on the product of memory and
+game state, where a backward induction best response for the opponent
+is optimal among all history-dependent responses.  Memory after k
+traversals depends on k alone, so the product cells the value at
+(memory 0, start) reads at remaining time t all hold one memory, the
+automaton's after T - t traversals: a counter strategy is a Markov one,
+unrolled into rows by CounterStrategy.arc_rows, as counter.to_markov
+unrolls it too.  One sweep of the game along those rows therefore
+evaluates the strategy without building the product: its value from
+two rows of the start's sub-arena (Game.reachable), uncapped, and its
+rows, those cells of the whole game at every t, capped as a full table.
+counter_bound sweeps the rows of a partial strategy, whose unset slots
+read 2, free to the maximiser, which bounds every completion from
+above.  Every other function here sweeps the whole game.
 
-Settled states.  When every step uses the same arcs (no fixed
-strategy, at most one layer: a plain sweep, a memoryless strategy
-played as Game.fix's game, or a one-memory counter), values never
-decrease as t grows.  So the set of states at 0 only shrinks, the set
-at 1 only grows, and each is a function of the previous step's: equal
-counts at steps t - 1 and t (scaled: of 0 and of 1 << t) mean equal
-sets, fixed from t - 1 on.
+Settled states.  A fixed row with one byte throughout is placed once,
+before the loop: at an arc the state is the coin Game.fix makes of it,
+at 2 an ordinary optimising state.  When no row is left to read per
+cell (a plain sweep, a memoryless strategy, a one-memory counter, or
+any strategy that never changes its arcs up to the horizon), every
+step uses the same arcs and values never decrease as t grows.  So the
+set of states at 0 only shrinks, the set at 1 only grows, and each is
+a function of the previous step's: equal counts at steps t - 1 and t
+(scaled: of 0 and of 1 << t) mean equal sets, fixed from t - 1 on.
 From then on a state at 0 or 1 stays there, and so does its mask byte
 of step t: it has a settled successor, and every comparison with a
 settled value is decided by the sets.  _sweep therefore re-indexes
@@ -160,16 +164,19 @@ class MarkovChoices(Mapping):
 
     Byte t - 1 of ``rows[sid]`` is the state's arc, 0 or 1, at remaining
     time t in 1..horizon; any other t is no key.  Keys come t-major,
-    then in the order of ``rows``.  Read-only; like any Mapping, it
-    equals a dict with the same items.
+    then in the order of ``rows``.  Read-only: it keeps its own copy of
+    the dict, and each row must be bytes, which no caller can change
+    after the check.  Like any Mapping, it equals a dict with the same
+    items.
     """
 
     __slots__ = ("rows", "horizon")
 
     def __init__(self, rows: dict[str, bytes], horizon: int):
+        rows = dict(rows)
         for sid, row in rows.items():
-            if len(row) != horizon or row.translate(None, b"\0\1"):
-                raise ValueError(f"{sid!r} needs {horizon} arcs of 0 or 1")
+            if type(row) is not bytes or len(row) != horizon or row.translate(None, b"\0\1"):
+                raise ValueError(f"{sid!r} needs {horizon} arcs of 0 or 1 as bytes")
         self.rows = rows
         self.horizon = horizon
 
@@ -238,8 +245,8 @@ class CounterEvaluation:
     def rows(self) -> tuple[dict[tuple[int, str], Dyadic], ...]:
         g, cs, horizon = self._game, self._strategy, self._horizon
         _guard_cells(horizon + 1, len(g.states))
-        layers = _counter_layers(g, horizon, cs, self._player, free=False)
-        rows = _sweep(g.states, horizon, range(horizon + 1), layers=layers)
+        fixed = _counter_rows(g, horizon, cs, self._player, free=False)
+        rows = _sweep(g.states, horizon, range(horizon + 1), fixed=fixed)
         return tuple(
             {(cs.memory_at(horizon - t), sid): v for sid, v in row.items()}
             for t, row in rows.items()
@@ -252,7 +259,6 @@ def _sweep(
     checkpoints: Iterable[int] = (),
     fixed: tuple[StateKind, Mapping[str, bytes]] | None = None,
     sets: dict | None = None,
-    layers: tuple[Sequence[Mapping[str, int]], Sequence[int]] | None = None,
     ids: Sequence[str] | None = None,
 ) -> dict[int, dict]:
     """The induction loop over a game's ``states``, or any (id, kind, arcs) entries.
@@ -261,23 +267,21 @@ def _sweep(
     and in increasing order, to its row.  Rows are built as Dyadic dicts
     only for those horizons, over the state ``ids`` in their order
     (default: every entry's, in order); the loop itself keeps one list
-    of scaled ints per t (see the module docstring).  ``fixed`` =
-    (kind, arcs) plays each entry of that kind by its arc bytes, byte
-    t - 1 of arcs[sid] at remaining time t, which must cover the
-    horizon; the opponent's states still optimise.  A ``sets`` dict
+    of scaled ints per t (see the module docstring).  A ``sets`` dict
     from optimising state ids to bytearrays gets each of those states'
     mask per t appended; other states' masks are not recorded.
 
-    ``layers`` = (overrides, memories) sets optimising states' arcs per
-    step: at remaining time t, each state that overrides[memories[t - 1]]
-    maps to an arc has both arcs on that arc's destination, as on a
-    counter strategy's memory product; the other states keep both arcs.
-    Without layers every step uses the entries' own arcs.
+    ``fixed`` = (kind, rows) plays each entry of that kind by its row:
+    byte t - 1 of rows[sid], which must cover the horizon, is its arc at
+    remaining time t, 0 or 1, or 2 where it optimises as its kind does.
+    A row with one byte throughout is placed once, here: at an arc the
+    state is the coin Game.fix makes of it, at 2 an optimising state.
+    The other states of the kind read one byte per cell.
     """
     if horizon < 0:
         raise ValueError("horizon must be non-negative")
     wanted = set(checkpoints)
-    fixed_kind, fixed_arcs = fixed if fixed is not None else (None, None)
+    fixed_kind, fixed_rows = fixed if fixed is not None else (None, None)
     # Index form.  Row positions run coins, optimising states, fixed
     # states, then one slot that every terminal shares, so each row is
     # built by appending in that order.
@@ -288,9 +292,13 @@ def _sweep(
             terminals.append(entry)
         elif kind is StateKind.COIN:
             coins.append(entry)
-        elif kind is fixed_kind:
+        elif kind is not fixed_kind:
+            players.append(entry)
+        elif (played := fixed_rows[sid][:horizon]).strip(played[:1]):  # varies to the horizon
             chosen.append(entry)
-        else:
+        elif played[:1] in (b"\0", b"\1"):  # Game.fix's coin on that arc's destination
+            coins.append((sid, StateKind.COIN, (arcs[played[0]],) * 2))
+        else:  # 2 throughout, or no step at all
             players.append(entry)
     pos = {sid: i for i, (sid, _, _) in enumerate(coins + players + chosen)}
     top = len(pos)
@@ -302,20 +310,10 @@ def _sweep(
         for sid, kind, (a, b) in players
     ]
     steps = repeat(player_ops)
-    one_layer = True
-    if layers is not None:
-        overrides, memories = layers
-        resolved = {}
-        for m in set(memories):  # only the memories some step holds
-            ops = resolved[m] = []
-            for (sid, _, _), (is_max, a, b, record) in zip(players, player_ops):
-                arc = overrides[m].get(sid)
-                if arc is not None:
-                    a = b = (a, b)[arc]
-                ops.append((is_max, a, b, record))
-        steps = map(resolved.__getitem__, memories)
-        one_layer = len(resolved) <= 1
-    fixed_ops = [(pos[a], pos[b], fixed_arcs[sid]) for sid, _, (a, b) in chosen]
+    fixed_ops = [
+        ((pos[a], pos[b], None), fixed_rows[sid], max if kind is StateKind.MAX else min)
+        for sid, kind, (a, b) in chosen
+    ]
     if ids is None:
         ids = [sid for sid, _, _ in states]
     where = [(sid, pos[sid]) for sid in ids]
@@ -333,7 +331,7 @@ def _sweep(
         snapshots[0] = dyadic_row(row, 0)
     # With the same arcs at every step, states settle at the first step
     # whose counts of 0s and 1s repeat (see the module docstring).
-    settle = fixed is None and one_layer
+    settle = not fixed_ops
     counts = (top, 1)  # row 0's
     t = 0
     while t < horizon:
@@ -353,8 +351,9 @@ def _sweep(
                 if record is not None:
                     record(mask)
                 row.append(va << 1)
-            for a, b, arcs in fixed_ops:
-                row.append((prev[b] if arcs[t - 1] else prev[a]) << 1)
+            for dest, arcs, best in fixed_ops:
+                i = dest[arcs[t - 1]]  # None at byte 2
+                row.append((prev[i] if i is not None else best(prev[dest[0]], prev[dest[1]])) << 1)
             row.append(1 << t)
             if t in wanted:
                 snapshots[t] = dyadic_row(row, t)
@@ -533,30 +532,22 @@ def evaluate_fixed_final(g: Game, horizon: int, strategy: Strategy) -> dict[str,
     return values_at(g, (horizon,), strategy)[horizon]
 
 
-def _counter_layers(
+def _counter_rows(
     g: Game, horizon: int, cs: "CounterStrategy", player: int, free: bool
-) -> tuple[list[dict[str, int]], list[int]]:
-    """A counter strategy's layers (see _sweep): per memory, the arcs it
-    sets at the player's states, and the memory held at each remaining
-    time 1..horizon.  A slot (memory, state) with no action raises
-    StrategyError, at every memory whether the horizon reaches it or
-    not, or, when ``free``, keeps both arcs and stays the player's to
-    optimise at every step.
+) -> tuple[StateKind, dict[str, bytes]]:
+    """A counter strategy as _sweep's ``fixed``: its arc rows at the
+    player's states (CounterStrategy.arc_rows).  A slot (memory, state)
+    with no action raises StrategyError, at every memory whether the
+    horizon reaches it or not, or, when ``free``, reads 2, so the state
+    optimises at the steps that memory is held.
     """
     own = g.controlled_ids(player)
-    overrides = []
-    for m in range(cs.size):
-        arcs = {}
-        for sid in own:
-            arc = cs.actions.get((m, sid))
-            if arc is not None:
-                arcs[sid] = arc
-            elif not free and horizon > 0:  # at horizon 0 no action is ever read
-                raise StrategyError(
-                    f"counter strategy has no action for memory {m}, state {sid!r}"
-                )
-        overrides.append(arcs)
-    return overrides, cs.trajectory(horizon)[::-1]  # at remaining t: memory_at(horizon - t)
+    if not free and horizon > 0:  # at horizon 0 no action is ever read
+        for m in range(cs.size):
+            for sid in own:
+                if (m, sid) not in cs.actions:
+                    cs.action_at(m, sid)  # raises: memory m is held after m traversals
+    return PLAYER_KIND[player], cs.arc_rows(own, horizon)
 
 
 def _counter_value(
@@ -564,9 +555,9 @@ def _counter_value(
 ) -> Dyadic:
     """Value at (memory 0, start) of a counter strategy's product, from
     one uncapped sweep of two rows of the start's sub-arena along its
-    layers, which are built and checked on the whole game."""
-    layers = _counter_layers(g, horizon, cs, player, free)
-    rows = _sweep(g.reachable.states, horizon, (horizon,), layers=layers, ids=(g.start,))
+    arc rows, which are built and checked on the whole game."""
+    fixed = _counter_rows(g, horizon, cs, player, free)
+    rows = _sweep(g.reachable.states, horizon, (horizon,), fixed=fixed, ids=(g.start,))
     return rows[horizon][g.start]
 
 

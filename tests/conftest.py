@@ -185,7 +185,6 @@ def reference_sweep(
     checkpoints: Iterable[int] = (),
     fixed: tuple[StateKind, Callable[[int, str], int] | dict[str, bytes]] | None = None,
     sets: dict | None = None,
-    layers: tuple | None = None,
     ids: Iterable[str] | None = None,
 ):
     """The induction loop, over a game's ``states`` or any sequence of
@@ -193,13 +192,11 @@ def reference_sweep(
 
     Returns a dict from each requested checkpoint horizon to its row;
     rows are never mutated once built, so the dict shares them.  With
-    ``layers`` = (overrides, memories), an optimising state that
-    overrides[memories[t - 1]] maps to an arc reads that arc's
-    destination on both arcs at remaining time t.  With ``ids``, the
-    returned rows hold only those states, in that order.  ``fixed`` =
-    (kind, choose) reads the arc of each state of that kind per cell, as
-    choose(t, sid), or, as ``fixed`` of ``fhgames.solver._sweep``, as
-    byte t - 1 of choose[sid].
+    ``ids``, the returned rows hold only those states, in that order.
+    ``fixed`` = (kind, choose) reads the arc of each state of that kind
+    per cell, as choose(t, sid), or, as ``fixed`` of
+    ``fhgames.solver._sweep``, as byte t - 1 of choose[sid]; an arc of
+    2 has the state optimise at that cell, as its kind does.
     """
     if horizon < 0:
         raise ValueError("horizon must be non-negative")
@@ -217,7 +214,6 @@ def reference_sweep(
     for t in range(1, horizon + 1):
         prev = row
         row = {}
-        chosen_arcs = {} if layers is None else layers[0][layers[1][t - 1]]
         for sid, kind, arcs in states:
             if arcs is None:
                 row[sid] = ONE
@@ -227,14 +223,11 @@ def reference_sweep(
             if kind is StateKind.COIN:
                 total = a + b  # halved by raising the exponent
                 v = Dyadic(total.mantissa, total.exponent + 1)
-            elif fixed is not None and kind is fixed[0]:
-                arc = fixed[1](t, sid)
+            elif fixed is not None and kind is fixed[0] and (arc := fixed[1](t, sid)) != 2:
                 if arc not in (0, 1):
                     raise StrategyError(f"arc index {arc!r} at t={t}, state {sid!r}")
                 v = a if arc == 0 else b
             else:
-                if sid in chosen_arcs:
-                    a = b = prev[arcs[chosen_arcs[sid]]]
                 if a is b or a == b:
                     v = a
                     chosen = (0, 1)
@@ -432,9 +425,9 @@ def full_game_counter_value(
     g: Game, horizon: int, cs: CounterStrategy, player: int = 1, free: bool = False
 ) -> Dyadic:
     """Value at (memory 0, start) of a counter strategy, from one sweep
-    of every state of the game along its layers."""
-    layers = solver._counter_layers(g, horizon, cs, player, free)
-    rows = solver._sweep(g.states, horizon, (horizon,), layers=layers, ids=(g.start,))
+    of every state of the game along its arc rows."""
+    fixed = solver._counter_rows(g, horizon, cs, player, free)
+    rows = solver._sweep(g.states, horizon, (horizon,), fixed=fixed, ids=(g.start,))
     return rows[horizon][g.start]
 
 

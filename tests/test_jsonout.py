@@ -178,7 +178,7 @@ def test_grid_matches_the_stdlib_rendering(value):
         [Grid(("r", "c", "v"), [1], ["x"], [b"\xff"]), Grid(("r", "c", "v"), [], [], [])],
     ],
 )
-def test_records_fixed_cases(value):
+def test_grid_fixed_cases(value):
     assert dumps(value) == reference_dumps(value)
 
 
@@ -206,7 +206,7 @@ def test_grid_is_a_list_of_dicts_to_jsonable():
     "keys",
     [(), ("a", "a", "b"), ("a", 1, "b"), (StateKind.MAX, "a", "b"), ("a", "b"), tuple("abcd")],
 )
-def test_records_need_distinct_string_keys(keys):
+def test_grid_needs_distinct_string_keys(keys):
     with pytest.raises(ValueError, match="three distinct strings"):
         Grid(keys, [1], ["x"], [b"\0"])
 

@@ -140,7 +140,7 @@ PARITY_CASES = {
     # the first arc it cannot follow
     "missing and bad": (
         {**_without((1, "b")), (4, "a"): 2},
-        {**{name: _missing(1, "b") for name in _consumers(None)}, "simulate": ("IndexError", None)},
+        {**{name: _missing(1, "b") for name in _consumers(None)}, "simulate": _arc(2, 4, "a")},
     ),
     "mixed bad": (
         {**FULL, (4, "a"): None, (1, "b"): 2},
@@ -150,7 +150,7 @@ PARITY_CASES = {
                 _arc(2, 1, "b"),
             ),
             "from_markov": _got(None),
-            "simulate": ("TypeError", None),
+            "simulate": _arc(None, 4, "a"),
         },
     ),
     **{
@@ -162,10 +162,10 @@ PARITY_CASES = {
                     _arc(arc, 1, "b"),
                 ),
                 "from_markov": _got(arc),
-                "simulate": played,
+                "simulate": _arc(arc, 4, "a"),
             },
         )
-        for arc, played in ((2, ("IndexError", None)), (None, ("TypeError", None)), (-1, ("ok", "11")))
+        for arc in (2, None, -1)
     },
 }
 
@@ -236,10 +236,31 @@ class TestMarkovChoices:
         with pytest.raises(StrategyError, match="no entry for t=1, state 'y'"):
             evaluate_fixed_final(renamed, 5, strategy)
 
-    @pytest.mark.parametrize("rows, horizon", [({"x": b"\0\1"}, 3), ({"x": b"\0\2"}, 2), ({"x": b""}, 1)])
+    @pytest.mark.parametrize(
+        "rows, horizon",
+        [
+            ({"x": b"\0\1"}, 3),
+            ({"x": b"\0\2"}, 2),
+            ({"x": b""}, 1),
+            ({"x": bytearray(b"\0\1")}, 2),  # a caller could change it after the check
+            ({"x": memoryview(b"\0\1")}, 2),
+            ({"x": [0, 1]}, 2),
+        ],
+    )
     def test_rows_must_be_arcs_to_the_horizon(self, rows, horizon):
         with pytest.raises(ValueError, match="'x' needs"):
             MarkovChoices(rows, horizon)
+
+    def test_it_keeps_its_own_rows(self):
+        g = make_M()
+        rows = {"x": b"\1\1\1"}
+        strategy = MarkovStrategy(1, 3, MarkovChoices(rows, 3))
+        before = evaluate_fixed_final(g, 3, strategy)
+        rows["x"] = b"\5\5\5"
+        rows["y"] = b"\0\0\0"
+        assert strategy.action(3, "x") == 1
+        assert (1, "y") not in strategy.choices and len(strategy.choices) == 3
+        assert evaluate_fixed_final(g, 3, strategy) == before
 
     def test_equality_is_a_mappings(self):
         choices = MarkovChoices({"x": b"\1\0", "y": b"\0\0"}, 2)

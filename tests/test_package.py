@@ -1,10 +1,12 @@
 """Every library name has one import path, its module: each module's
 ``__all__`` must resolve, and the package root holds only
-``__version__``.  No check in the package is an ``assert``."""
+``__version__``.  No check in the package is an ``assert``.  Every
+library name README.md gives resolves."""
 
 import ast
 import importlib
 import os
+import re
 import subprocess
 import sys
 
@@ -53,3 +55,32 @@ def test_no_assert_statements():
                 tree = ast.parse(f.read(), name)
             found += [f"{name}:{n.lineno}" for n in ast.walk(tree) if isinstance(n, ast.Assert)]
     assert found == []
+
+
+def test_readme_names_resolve():
+    # `module.name` (optionally `fhgames.module.name`) for a library
+    # module, and `Class.attr` for a class defined in one
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    with open(os.path.join(root, "README.md"), encoding="utf-8") as f:
+        readme = f.read()
+    modules = {name: importlib.import_module(f"fhgames.{name}") for name in LIBRARY_MODULES}
+    classes = {
+        name: value
+        for module in modules.values()
+        for name, value in vars(module).items()
+        if isinstance(value, type) and value.__module__.startswith("fhgames.")
+    }
+    named, stale = set(), []
+    for owner, attr in re.findall(r"`(?:fhgames\.)?(\w+)\.(\w+)`", readme):
+        if owner in modules:
+            target = modules[owner]
+        elif owner[:1].isupper():
+            target = classes.get(owner)
+        else:
+            continue  # a file name or another package's name
+        named.add(f"{owner}.{attr}")
+        fields = getattr(target, "__dataclass_fields__", ())
+        if target is None or not (hasattr(target, attr) or attr in fields):
+            stale.append(f"{owner}.{attr}")
+    assert "solver.counter_bound" in named and "Game.fix" in named
+    assert stale == []

@@ -22,7 +22,7 @@ from fhgames import solver
 from fhgames.cli import main
 from fhgames.counter import CounterStrategy, minimal_period, to_markov
 from fhgames.errors import GuardExceeded, StrategyError
-from fhgames.game import Game, State, StateKind
+from fhgames.game import PLAYER_KIND, Game, State, StateKind
 from fhgames.gadgets import make_F, make_G, make_H, make_M, random_game
 from fhgames.numeric import Dyadic, HALF, ONE, ZERO
 from fhgames.oracle import min_counter_memory
@@ -649,9 +649,9 @@ def chain_game(kind, length, loop):
     return Game(states=tuple(states), start="x")
 
 
-def steps_swept(g, horizon):
-    """Steps that final_values(g, horizon) sweeps: each step draws its
-    ops once from the kernel's ``repeat``."""
+def sweep_steps(call):
+    """The result of ``call()`` and the steps its sweeps take: each step
+    draws its ops once from the kernel's ``repeat``."""
     drawn = []
 
     def counted(ops):
@@ -660,8 +660,13 @@ def steps_swept(g, horizon):
             yield ops
 
     with mock.patch.object(solver, "repeat", counted):
-        final_values(g, horizon)
-    return len(drawn)
+        result = call()
+    return result, len(drawn)
+
+
+def steps_swept(g, horizon):
+    """Steps that final_values(g, horizon) sweeps."""
+    return sweep_steps(lambda: final_values(g, horizon))[1]
 
 
 def game_of(start, *states):
@@ -1014,3 +1019,101 @@ class TestSweepInput:
             plans = [c.args[0] for c in sweep.call_args_list]
             assert len(plans) == len(want), name
             assert all(p is w for p, w in zip(plans, want)), name
+
+
+class TestFixedRows:
+    """Counter automata and Markov strategies both sweep as _sweep's
+    ``fixed`` rows, 2 where the state optimises: against the memory
+    product and the per-cell Dyadic loop, which settles nothing."""
+
+    @given(
+        st.integers(0, 2**32),
+        st.integers(2, 12),
+        st.integers(0, 40),
+        st.sampled_from((1, 2)),
+        st.sampled_from(("complete", "partial", "one memory", "one memory partial")),
+    )
+    @example(seed=0, n=2, horizon=0, player=1, shape="partial")
+    @settings(max_examples=250, deadline=None)
+    def test_counter_rows_match_the_memory_product(self, seed, n, horizon, player, shape):
+        rng = random.Random(seed)
+        g = random_game(n, rng)
+        initial, period = (0, 1) if "one" in shape else (rng.randint(0, 3), rng.randint(1, 4))
+        slots = [(m, sid) for m in range(initial + period) for sid in g.controlled_ids(player)]
+        free = "partial" in shape
+        keep = rng.random() if free else 1  # share of slots set
+        cs = CounterStrategy(
+            initial, period, {slot: rng.getrandbits(1) for slot in slots if rng.random() < keep}
+        )
+        want = reference_counter_value(g, horizon, cs, player, free)
+        fixed = solver._counter_rows(g, horizon, cs, player, free)
+        checkpoints = range(horizon + 1)
+        rows = solver._sweep(g.states, horizon, checkpoints, fixed=fixed)
+        assert rows == reference_sweep(g.states, horizon, checkpoints, fixed=fixed)
+        assert rows[horizon][g.start] == want
+        if not free:
+            assert evaluate_counter(g, horizon, cs, player).value == want
+        elif player == 1:
+            assert counter_bound(g, horizon, cs) == want
+
+    @given(
+        st.integers(0, 2**32),
+        st.integers(2, 12),
+        st.integers(0, 40),
+        st.sampled_from((1, 2)),
+        st.integers(0, 3),
+    )
+    @example(seed=0, n=2, horizon=0, player=1, longer=0)
+    @settings(max_examples=250, deadline=None)
+    def test_markov_rows_match_the_per_cell_sweep(self, seed, n, horizon, player, longer):
+        rng = random.Random(seed)
+        g = random_game(n, rng)
+        length = horizon + longer
+        rows = {}
+        for sid in g.controlled_ids(player):
+            shape = rng.choice(("constant", "varying", "constant to the horizon"))
+            if shape == "varying":
+                rows[sid] = bytes(rng.getrandbits(1) for _ in range(length))
+            else:
+                arc = rng.getrandbits(1)
+                tail = arc ^ (shape != "constant")  # past the horizon: the other arc
+                rows[sid] = bytes([arc]) * horizon + bytes([tail]) * longer
+        strategy = MarkovStrategy(player, length, solver.MarkovChoices(rows, length))
+        checkpoints = {horizon, rng.randint(0, horizon), rng.randint(0, horizon)}
+        got = values_at(g, checkpoints, strategy)
+        per_cell = (PLAYER_KIND[player], strategy.action)
+        assert got == reference_sweep(g.states, horizon, checkpoints, fixed=per_cell)
+        twin = MarkovStrategy(player, length, dict(strategy.choices))  # read through action
+        assert got == values_at(g, checkpoints, twin)
+
+    def test_constant_rows_settle(self):
+        # x is 1 from step 1 on arc 0 and 0 for ever on arc 1; a row of
+        # one arc throughout sweeps the steps of Game.fix's game
+        g = game_of("x", ("x", StateKind.MAX, ("bot", "x")))
+        horizon = 10**4
+
+        def markov(row):
+            return MarkovStrategy(1, len(row), solver.MarkovChoices({"x": row}, len(row)))
+
+        for arc, value in ((0, ONE), (1, ZERO)):
+            fixed_game = sweep_steps(lambda: final_values(g.fix(1, {"x": arc}), horizon)["x"])
+            assert fixed_game == (value, 2 - arc)
+            for past in (b"", bytes([1 - arc])):  # what the row holds past the horizon
+                constant = markov(bytes([arc]) * horizon + past)
+                played = sweep_steps(lambda: evaluate_fixed_final(g, horizon, constant)["x"])
+                assert played == fixed_game
+            automata = [
+                CounterStrategy(0, 1, {(0, "x"): arc}),
+                CounterStrategy(2, 3, {(m, "x"): arc for m in range(5)}),
+            ]
+            for cs in automata:
+                assert sweep_steps(lambda: evaluate_counter(g, horizon, cs).value) == fixed_game
+                assert sweep_steps(lambda: counter_bound(g, horizon, cs)) == fixed_game
+        # a row of 2s is an optimising state; a row that changes once
+        # sweeps every step
+        free = CounterStrategy(0, 2, {})
+        assert sweep_steps(lambda: counter_bound(g, horizon, free)) == (ONE, 2)
+        late = markov(bytes(horizon - 1) + b"\1")
+        assert sweep_steps(lambda: evaluate_fixed_final(g, horizon, late)["x"]) == (ONE, horizon)
+        varying = CounterStrategy(0, 2, {(0, "x"): 0, (1, "x"): 1})
+        assert sweep_steps(lambda: evaluate_counter(g, horizon, varying).value)[1] == horizon
