@@ -36,10 +36,10 @@ residue class contradicts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 from .errors import StrategyError
+from .record import Record
 from .solver import ActionSetSequence, MarkovChoices, MarkovStrategy
 
 __all__ = [
@@ -52,29 +52,31 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class CounterStrategy:
+class CounterStrategy(Record):
     """Action map of a rho-shaped counter automaton.
 
     ``actions[(m, sid)]`` is the arc chosen at state ``sid`` while the
-    memory is ``m``; the update function is state-independent.
+    memory is ``m`` (by default a new empty dict); the update function
+    is state-independent.
     """
 
-    initial: int
-    period: int
-    actions: Mapping[tuple[int, str], int] = field(default_factory=dict)
+    __slots__ = _fields = ("initial", "period", "actions")
 
-    def __post_init__(self):
-        if self.initial < 0:
+    def __init__(
+        self, initial: int, period: int, actions: Mapping[tuple[int, str], int] | None = None
+    ):
+        if initial < 0:
             raise ValueError("initial memory count must be non-negative")
-        if self.period < 1:
+        if period < 1:
             raise ValueError("period must be at least 1")
-        size = self.initial + self.period
-        for (m, sid), arc in self.actions.items():
+        size = initial + period
+        actions = {} if actions is None else actions
+        for (m, sid), arc in actions.items():
             if not 0 <= m < size:
                 raise ValueError(f"memory index {m} out of range 0..{size - 1}")
             if arc not in (0, 1):
                 raise ValueError(f"arc index must be 0 or 1, got {arc!r}")
+        self._set(initial, period, actions)
 
     @property
     def size(self) -> int:
@@ -145,15 +147,19 @@ def to_markov(cs: CounterStrategy, horizon: int, player: int = 1) -> MarkovStrat
     return MarkovStrategy(player, horizon, MarkovChoices(cs.arc_rows(ids, horizon), horizon))
 
 
-@dataclass(frozen=True)
-class PeriodResult:
+class PeriodResult(NamedTuple):
     """The smallest automaton found, and ``initials[p - 1]``, the least
-    initial count N(p), for every period p = 1..len(initials) tried."""
+    initial count N(p), for every period p = 1..len(initials) tried
+    (left out of the repr)."""
 
     initial: int
     period: int
     witness: CounterStrategy
-    initials: tuple[int, ...] = field(default=(), repr=False)
+    initials: tuple[int, ...] = ()
+
+    def __repr__(self) -> str:
+        shown = f"initial={self.initial!r}, period={self.period!r}, witness={self.witness!r}"
+        return f"PeriodResult({shown})"
 
 
 def least_initial_for_period(seq: ActionSetSequence, period: int) -> int:

@@ -14,13 +14,13 @@ threads.  The JSON document format round-trips structurally.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from typing import Mapping, NamedTuple
 
 from .errors import GameFormatError, InvalidGameError, StrategyError
 from .jsonout import dumps
+from .record import Record
 
 __all__ = [
     "StateKind",
@@ -41,6 +41,8 @@ class StateKind(str, Enum):
 
 
 PLAYER_KIND = {1: StateKind.MAX, 2: StateKind.MIN}
+_COIN = StateKind.COIN
+_TERMINAL = StateKind.TERMINAL
 
 
 class State(NamedTuple):
@@ -51,10 +53,14 @@ class State(NamedTuple):
     arcs: tuple[str, str] | None = None
 
 
-@dataclass(frozen=True)
-class Game:
-    states: tuple[State, ...]
-    start: str
+class Game(Record):
+    """An arena: its ``states``, in declaration order, and the ``start`` id."""
+
+    _fields = ("states", "start")
+    __slots__ = _fields + ("__dict__",)  # __dict__ holds the cached properties
+
+    def __init__(self, states: tuple[State, ...], start: str):
+        self._set(states, start)
 
     @cached_property
     def by_id(self) -> dict[str, State]:
@@ -63,7 +69,7 @@ class Game:
     @cached_property
     def terminal_id(self) -> str:
         for s in self.states:
-            if s.kind is StateKind.TERMINAL:
+            if s.kind is _TERMINAL:
                 return s.id
         raise InvalidGameError([Violation("terminal-count", None, "no terminal state")])
 
@@ -105,13 +111,12 @@ class Game:
                 arc = arcs.get(s.id)
                 if arc not in (0, 1):
                     raise StrategyError(f"arc index {arc!r} at state {s.id!r}")
-                s = State(s.id, StateKind.COIN, (s.arcs[arc],) * 2)
+                s = State(s.id, _COIN, (s.arcs[arc],) * 2)
             states.append(s)
         return Game(tuple(states), self.start)
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(NamedTuple):
     code: str
     state: str | None
     detail: str
@@ -130,7 +135,7 @@ def validate(g: Game) -> list[Violation]:
             out.append(Violation("duplicate-id", s.id, "state id declared twice"))
         seen.add(s.id)
 
-    terminals = [s for s in g.states if s.kind is StateKind.TERMINAL]
+    terminals = [s for s in g.states if s.kind is _TERMINAL]
     if len(terminals) != 1:
         out.append(
             Violation(
@@ -141,7 +146,7 @@ def validate(g: Game) -> list[Violation]:
         )
 
     for s in g.states:
-        if s.kind is StateKind.TERMINAL:
+        if s.kind is _TERMINAL:
             if s.arcs is not None:
                 out.append(Violation("terminal-arcs", s.id, "terminal state has arcs"))
             continue
@@ -211,7 +216,7 @@ def load(text: str) -> Game:
             extra = sorted(set(entry) - _FIELDS)
             raise _format_error(f"$.states[{idx}]", f"unknown fields {extra}")
         arcs = entry.get("arcs")
-        if kind is StateKind.TERMINAL:
+        if kind is _TERMINAL:
             if arcs is not None:
                 raise _format_error(f"$.states[{idx}].arcs", "terminal state must omit arcs")
         else:

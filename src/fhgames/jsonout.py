@@ -18,37 +18,39 @@ those texts picked by the row's bytes.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from fractions import Fraction
 from json.encoder import encode_basestring
 from typing import Sequence
 
 from .numeric import Dyadic, IntervalEnclosure, int_text
+from .record import Record
 
 __all__ = ["Grid", "jsonable", "dumps"]
 
 
-@dataclass(frozen=True)
-class Grid:
+class Grid(Record):
     """Records ``{keys[0]: rows[i], keys[1]: cols[j], keys[2]: cells[j][i]}``
     over i, then j: three distinct string ``keys``, int ``rows``, str
     ``cols`` and per column the bytes of its cells, one per row."""
 
-    keys: tuple[str, str, str]
-    rows: Sequence[int]
-    cols: Sequence[str]
-    cells: Sequence[bytes]
+    __slots__ = _fields = ("keys", "rows", "cols", "cells")
 
-    def __post_init__(self):
-        keys = self.keys
+    def __init__(
+        self,
+        keys: tuple[str, str, str],
+        rows: Sequence[int],
+        cols: Sequence[str],
+        cells: Sequence[bytes],
+    ):
         if len(keys) != 3 or any(type(k) is not str for k in keys) or len(set(keys)) < 3:
             raise ValueError(f"grid keys must be three distinct strings, got {keys!r}")
-        if len(self.cells) != len(self.cols):
-            raise ValueError(f"{len(self.cells)} cell columns for {len(self.cols)} columns")
-        if any(type(c) is not bytes or len(c) != len(self.rows) for c in self.cells):
-            raise ValueError(f"each cell column must be bytes, one per row of {len(self.rows)}")
-        if set(map(type, self.rows)) - {int} or set(map(type, self.cols)) - {str}:
+        if len(cells) != len(cols):
+            raise ValueError(f"{len(cells)} cell columns for {len(cols)} columns")
+        if any(type(c) is not bytes or len(c) != len(rows) for c in cells):
+            raise ValueError(f"each cell column must be bytes, one per row of {len(rows)}")
+        if set(map(type, rows)) - {int} or set(map(type, cols)) - {str}:
             raise ValueError("grid rows must be ints and its columns strings")
+        self._set(keys, rows, cols, cells)
 
 
 def jsonable(value):

@@ -21,11 +21,11 @@ import decimal
 import re
 import threading
 from collections import deque
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, total_ordering
 
 from .errors import GuardExceeded
+from .record import Record
 
 __all__ = [
     "Dyadic",
@@ -289,16 +289,15 @@ def run_threshold(i: int) -> int:
 # -- rational enclosures of e^x ----------------------------------------
 
 
-@dataclass(frozen=True)
-class IntervalEnclosure:
+class IntervalEnclosure(Record):
     """A rational sandwich [lower, upper] certified to contain a real."""
 
-    lower: Fraction
-    upper: Fraction
+    __slots__ = _fields = ("lower", "upper")
 
-    def __post_init__(self):
-        if self.lower > self.upper:
+    def __init__(self, lower: Fraction, upper: Fraction):
+        if lower > upper:
             raise ValueError("enclosure bounds out of order")
+        self._set(lower, upper)
 
     @property
     def width(self) -> Fraction:

@@ -14,8 +14,8 @@ Search caps are explicit and exceeding them raises, never truncates.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .counter import CounterStrategy
 from .errors import GuardExceeded, StrategyError
@@ -36,6 +36,10 @@ __all__ = [
 RNG_ALGORITHM = "mt19937"  # random.Random's generator, named in simulate's output
 
 SWEEP_CAP = 2_000_000  # most sweeps one memory search may perform
+
+_MAX = StateKind.MAX
+_MIN = StateKind.MIN
+_COIN = StateKind.COIN
 
 
 def _fraction_free_solve(matrix: list[list[int]], rhs: list[int]) -> list[Fraction]:
@@ -94,7 +98,7 @@ def _positive(kinds, arcs, target: int, pick) -> dict[int, int]:
             arc = pick[j]
             if arc is None:
                 arc = 0 if pair[0] in found else 1
-                if kinds[j] is StateKind.MIN and pair[1 - arc] not in found:
+                if kinds[j] is _MIN and pair[1 - arc] not in found:
                     continue
             if pair[arc] in found:
                 found[j] = arc
@@ -160,7 +164,7 @@ def _best_reply(kinds, arcs, target: int, pick) -> list[Fraction]:
     away from the target, and policy iteration from arc 0 on it, where
     every min policy reaches the target or a 0-state almost surely."""
     live = _positive(kinds, arcs, target, pick)
-    mins = [j for j in live if kinds[j] is StateKind.MIN]
+    mins = [j for j in live if kinds[j] is _MIN]
     pick = pick[:]
     for j in mins:
         pick[j] = 0
@@ -199,8 +203,7 @@ def _max_values(kinds, arcs, target: int, pick, free) -> list[Fraction]:
     raise ArithmeticError(f"strategy iteration passed {1 << len(free)} strategies")
 
 
-@dataclass(frozen=True)
-class InfiniteSolution:
+class InfiniteSolution(NamedTuple):
     values: dict[str, Fraction]
     strategy: dict[str, int]
 
@@ -223,7 +226,7 @@ def solve_infinite(g: Game) -> InfiniteSolution:
     v*, that optimum completes the new prefix, and if not, none does.
     """
     sids, kinds, arcs, target = _index_form(g)
-    maxes = [j for j, kind in enumerate(kinds) if kind is StateKind.MAX]
+    maxes = [j for j, kind in enumerate(kinds) if kind is _MAX]
     pick = [None] * len(sids)
     best = _max_values(kinds, arcs, target, pick, maxes)
     for k, j in enumerate(maxes):
@@ -239,8 +242,7 @@ def solve_infinite(g: Game) -> InfiniteSolution:
     )
 
 
-@dataclass(frozen=True)
-class MinMemoryResult:
+class MinMemoryResult(NamedTuple):
     """Outcome of the counter-automaton memory search.
 
     ``memory`` is the least N+p reaching the target value, or None when
@@ -343,9 +345,9 @@ def simulate(
 
     actors = {}
     if g.controlled_ids(1):
-        actors[StateKind.MAX] = actor(strategy, 1)
+        actors[_MAX] = actor(strategy, 1)
     if g.controlled_ids(2):
-        actors[StateKind.MIN] = actor(opponent, 2)
+        actors[_MIN] = actor(opponent, 2)
 
     rng = random.Random(seed)
     target = g.terminal_id
@@ -357,7 +359,7 @@ def simulate(
             continue
         for elapsed in range(horizon):
             s = g.state(pos)
-            if s.kind is StateKind.COIN:
+            if s.kind is _COIN:
                 arc = rng.getrandbits(1)
             else:
                 arc = actors[s.kind](elapsed, pos)

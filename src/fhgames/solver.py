@@ -86,14 +86,15 @@ All functions are pure; independent solves can run in parallel.
 from __future__ import annotations
 
 from collections.abc import Mapping
-from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import repeat
-from typing import TYPE_CHECKING, Iterable, Protocol, Sequence
+from types import MappingProxyType
+from typing import TYPE_CHECKING, Iterable, NamedTuple, Protocol, Sequence
 
 from .errors import GuardExceeded, StrategyError
 from .game import Game, StateKind, PLAYER_KIND
 from .numeric import Dyadic, ONE, ZERO
+from .record import Record
 
 if TYPE_CHECKING:  # pragma: no cover
     from .counter import CounterStrategy
@@ -118,6 +119,9 @@ __all__ = [
 CELL_CAP = 5_000_000
 """Most value cells, rows kept times states, that one call may hold."""
 
+_COIN = StateKind.COIN
+_MAX = StateKind.MAX
+
 
 class Strategy(Protocol):
     player: int
@@ -125,8 +129,7 @@ class Strategy(Protocol):
     def action(self, t: int, sid: str) -> int: ...
 
 
-@dataclass(frozen=True)
-class ActionSetSequence:
+class ActionSetSequence(Record):
     """One player's optimal action sets in elapsed time.
 
     The player's states are the keys of ``masks``, in their order, and
@@ -137,14 +140,15 @@ class ActionSetSequence:
     analyses to quantify over every optimal strategy.
     """
 
-    length: int
-    masks: dict[str, bytes]
+    _fields = ("length", "masks")
+    __slots__ = _fields + ("__dict__",)  # __dict__ holds _only
     _DIGITS = (bytes.maketrans(b"\1\2\3", b"100"), bytes.maketrans(b"\1\2\3", b"010"))
 
-    def __post_init__(self):
-        for sid, row in self.masks.items():
-            if len(row) != self.length or row.translate(None, b"\1\2\3"):
-                raise ValueError(f"{sid!r} needs {self.length} masks of 1, 2 or 3")
+    def __init__(self, length: int, masks: dict[str, bytes]):
+        for sid, row in masks.items():
+            if len(row) != length or row.translate(None, b"\1\2\3"):
+                raise ValueError(f"{sid!r} needs {length} masks of 1, 2 or 3")
+        self._set(length, masks)
 
     @cached_property
     def _only(self) -> tuple[tuple[int, int], ...]:
@@ -158,27 +162,26 @@ class ActionSetSequence:
         return tuple(only)
 
 
-class MarkovChoices(Mapping):
+class MarkovChoices(Mapping, Record):
     """A Markov strategy's arcs, as markov_arcs returns them, read as
     a (remaining moves, state id) -> arc mapping.
 
     Byte t - 1 of ``rows[sid]`` is the state's arc, 0 or 1, at remaining
     time t in 1..horizon; any other t is no key.  Keys come t-major,
-    then in the order of ``rows``.  Read-only: it keeps its own copy of
-    the dict, and each row must be bytes, which no caller can change
-    after the check.  Like any Mapping, it equals a dict with the same
-    items.
+    then in the order of ``rows``.  Read-only: ``rows`` is a read-only
+    view of its own copy of the dict, each row must be bytes, which no
+    caller can change after the check, and neither field can be
+    rebound.  Like any Mapping, it equals a dict with the same items.
     """
 
-    __slots__ = ("rows", "horizon")
+    __slots__ = _fields = ("rows", "horizon")
 
     def __init__(self, rows: dict[str, bytes], horizon: int):
         rows = dict(rows)
         for sid, row in rows.items():
             if type(row) is not bytes or len(row) != horizon or row.translate(None, b"\0\1"):
                 raise ValueError(f"{sid!r} needs {horizon} arcs of 0 or 1 as bytes")
-        self.rows = rows
-        self.horizon = horizon
+        self._set(MappingProxyType(rows), horizon)
 
     def __getitem__(self, key):
         try:
@@ -198,11 +201,13 @@ class MarkovChoices(Mapping):
         return self.horizon * len(self.rows)
 
     def __repr__(self) -> str:
-        return f"MarkovChoices({self.rows!r}, horizon={self.horizon})"
+        return f"MarkovChoices({dict(self.rows)!r}, horizon={self.horizon})"
+
+    def __reduce__(self):
+        return MarkovChoices, (dict(self.rows), self.horizon)
 
 
-@dataclass(frozen=True)
-class MarkovStrategy:
+class MarkovStrategy(NamedTuple):
     """One arc choice per (remaining moves, controlled state).
 
     ``choices`` is a MarkovChoices over the arc bytes, as extract_markov
@@ -225,8 +230,7 @@ class MarkovStrategy:
             ) from None
 
 
-@dataclass(frozen=True)
-class CounterEvaluation:
+class CounterEvaluation(Record):
     """Result of evaluating a counter strategy.
 
     ``value`` is computed up front.  ``rows``, built on first read and
@@ -235,11 +239,16 @@ class CounterEvaluation:
     horizon - t traversals, state id).
     """
 
-    value: Dyadic
-    _game: Game = field(repr=False)
-    _strategy: "CounterStrategy" = field(repr=False)
-    _player: int = field(repr=False)
-    _horizon: int = field(repr=False)
+    _fields = ("value", "_game", "_strategy", "_player", "_horizon")
+    __slots__ = _fields + ("__dict__",)  # __dict__ holds rows
+
+    def __init__(
+        self, value: Dyadic, _game: Game, _strategy: "CounterStrategy", _player: int, _horizon: int
+    ):
+        self._set(value, _game, _strategy, _player, _horizon)
+
+    def __repr__(self) -> str:
+        return f"CounterEvaluation(value={self.value!r})"
 
     @cached_property
     def rows(self) -> tuple[dict[tuple[int, str], Dyadic], ...]:
@@ -290,14 +299,14 @@ def _sweep(
         sid, kind, arcs = entry
         if arcs is None:
             terminals.append(entry)
-        elif kind is StateKind.COIN:
+        elif kind is _COIN:
             coins.append(entry)
         elif kind is not fixed_kind:
             players.append(entry)
         elif (played := fixed_rows[sid][:horizon]).strip(played[:1]):  # varies to the horizon
             chosen.append(entry)
         elif played[:1] in (b"\0", b"\1"):  # Game.fix's coin on that arc's destination
-            coins.append((sid, StateKind.COIN, (arcs[played[0]],) * 2))
+            coins.append((sid, _COIN, (arcs[played[0]],) * 2))
         else:  # 2 throughout, or no step at all
             players.append(entry)
     pos = {sid: i for i, (sid, _, _) in enumerate(coins + players + chosen)}
@@ -306,12 +315,12 @@ def _sweep(
     coin_ops = [(pos[a], pos[b]) for _, _, (a, b) in coins]
     sets = {} if sets is None else sets
     player_ops = [
-        (kind is StateKind.MAX, pos[a], pos[b], sets[sid].append if sid in sets else None)
+        (kind is _MAX, pos[a], pos[b], sets[sid].append if sid in sets else None)
         for sid, kind, (a, b) in players
     ]
     steps = repeat(player_ops)
     fixed_ops = [
-        ((pos[a], pos[b], None), fixed_rows[sid], max if kind is StateKind.MAX else min)
+        ((pos[a], pos[b], None), fixed_rows[sid], max if kind is _MAX else min)
         for sid, kind, (a, b) in chosen
     ]
     if ids is None:

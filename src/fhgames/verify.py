@@ -19,8 +19,8 @@ from __future__ import annotations
 import functools
 import random
 import time
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .counter import least_initial_for_period, minimal_period
 from .errors import GuardExceeded
@@ -64,8 +64,7 @@ BELOW_DEFAULT_DS = (Fraction(1, 5), Fraction(2, 5), Fraction(4, 5))
 ABOVE_DEFAULT_DS = (Fraction(1, 5),)
 
 
-@dataclass
-class CheckReport:
+class CheckReport(NamedTuple):
     name: str
     params: dict
     verdict: str

@@ -28,6 +28,7 @@ from fhgames.gadgets import make_H, make_M, random_game
 from fhgames.oracle import simulate
 from fhgames.solver import (
     MarkovChoices,
+    _arc_rows,
     MarkovStrategy,
     evaluate_fixed_final,
     extract_markov,
@@ -261,6 +262,19 @@ class TestMarkovChoices:
         assert strategy.action(3, "x") == 1
         assert (1, "y") not in strategy.choices and len(strategy.choices) == 3
         assert evaluate_fixed_final(g, 3, strategy) == before
+
+    def test_its_rows_and_horizon_are_read_only(self):
+        g = make_M()
+        s = MarkovStrategy(1, 3, MarkovChoices({"x": b"\1\1\1"}, 3))
+        before = evaluate_fixed_final(g, 3, s)
+        with pytest.raises(TypeError):
+            s.choices.rows["x"] = b"\2\2\2"  # would play x as optimising, unchecked
+        for field in ("rows", "horizon"):
+            with pytest.raises(AttributeError, match=f"cannot assign to field '{field}'"):
+                setattr(s.choices, field, {"x": b"\2\2\2"})
+        assert s.action(3, "x") == 1 and evaluate_fixed_final(g, 3, s) == before
+        assert _arc_rows(s, ("x",), 3) is s.choices.rows  # the sweep reads the view itself
+        assert repr(s.choices) == "MarkovChoices({'x': b'\\x01\\x01\\x01'}, horizon=3)"
 
     def test_equality_is_a_mappings(self):
         choices = MarkovChoices({"x": b"\1\0", "y": b"\0\0"}, 2)

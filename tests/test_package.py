@@ -1,9 +1,11 @@
 """Every library name has one import path, its module: each module's
 ``__all__`` must resolve, and the package root holds only
 ``__version__``.  No check in the package is an ``assert``.  Every
-library name README.md gives resolves."""
+library name README.md gives resolves.  A fresh import of the library
+loads no ``dataclasses``."""
 
 import ast
+import dataclasses
 import importlib
 import os
 import re
@@ -14,7 +16,9 @@ import pytest
 
 import fhgames
 
-LIBRARY_MODULES = ("numeric", "game", "solver", "counter", "gadgets", "oracle", "verify", "jsonout")
+LIBRARY_MODULES = (
+    "record", "numeric", "game", "solver", "counter", "gadgets", "oracle", "verify", "jsonout"
+)
 
 
 @pytest.mark.parametrize("name", LIBRARY_MODULES)
@@ -43,6 +47,27 @@ def test_package_root_imports_no_submodule():
         capture_output=True, text=True, env=env, check=True,
     ).stdout
     assert version == f"{fhgames.__version__}\n"
+
+
+def test_a_fresh_import_loads_no_dataclasses():
+    # the records are NamedTuples or fhgames.record.Record classes, which
+    # cost a fraction of a dataclass to create at import
+    src = os.path.dirname(os.path.dirname(fhgames.__file__))
+    modules = [f"fhgames.{name}" for name in LIBRARY_MODULES + ("cli",)]
+    probe = f"import sys; import {', '.join(modules)}; print('dataclasses' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", probe],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src), check=True,
+    ).stdout
+    assert out == "False\n"
+    defined = [
+        value
+        for module in map(importlib.import_module, modules)
+        for value in vars(module).values()
+        if isinstance(value, type) and value.__module__ == module.__name__
+    ]
+    assert len(defined) > 12
+    assert [cls for cls in defined if dataclasses.is_dataclass(cls)] == []
 
 
 def test_no_assert_statements():
@@ -79,7 +104,7 @@ def test_readme_names_resolve():
         else:
             continue  # a file name or another package's name
         named.add(f"{owner}.{attr}")
-        fields = getattr(target, "__dataclass_fields__", ())
+        fields = getattr(target, "_fields", ())  # a record's declared fields
         if target is None or not (hasattr(target, attr) or attr in fields):
             stale.append(f"{owner}.{attr}")
     assert "solver.counter_bound" in named and "Game.fix" in named

@@ -116,7 +116,8 @@ RECORDS = {
         MarkovStrategy(1, 2, MarkovChoices({"x": b"\0\1"}, 2)),
         lambda: MarkovStrategy(player=1, horizon=2, choices={(1, "x"): 0, (2, "x"): 1}),
         MarkovStrategy(2, 2, MarkovChoices({"x": b"\0\1"}, 2)),
-        "MarkovStrategy(player=1, horizon=2, choices=MarkovChoices({'x': b'\\x00\\x01'}, horizon=2))",
+        "MarkovStrategy(player=1, horizon=2, "
+        "choices=MarkovChoices({'x': b'\\x00\\x01'}, horizon=2))",
         False,
     ),
     "CounterEvaluation": (
@@ -131,7 +132,8 @@ RECORDS = {
     "CheckReport": (
         CheckReport("fib-ratio", {"i": 2}, "pass", {"failures": []}, 0.5),
         lambda: CheckReport(
-            name="fib-ratio", params={"i": 2}, verdict="pass", evidence={"failures": []}, runtime=0.5
+            name="fib-ratio", params={"i": 2}, verdict="pass", evidence={"failures": []},
+            runtime=0.5,
         ),
         CheckReport("fib-ratio", {"i": 2}, "pass", {"failures": []}),
         "CheckReport(name='fib-ratio', params={'i': 2}, verdict='pass', "
@@ -157,7 +159,7 @@ def test_record_parity(name):
     assert pickle.loads(pickle.dumps(equal)) == record
 
 
-@pytest.mark.parametrize("name", [name for name in RECORDS if name != "CheckReport"])
+@pytest.mark.parametrize("name", RECORDS)
 def test_fields_refuse_assignment(name):
     record = RECORDS[name][0]
     field = repr(record).split("(", 1)[1].split("=", 1)[0]
