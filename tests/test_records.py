@@ -162,7 +162,7 @@ def test_record_parity(name):
 @pytest.mark.parametrize("name", RECORDS)
 def test_fields_refuse_assignment(name):
     record = RECORDS[name][0]
-    field = repr(record).split("(", 1)[1].split("=", 1)[0]
+    field = record._fields[0]
     with pytest.raises(AttributeError):
         setattr(record, field, None)
     with pytest.raises(AttributeError):
