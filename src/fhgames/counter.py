@@ -103,7 +103,12 @@ class CounterStrategy(Record):
         """Per state of ``ids``, the automaton unrolled into the solver's
         arc bytes: byte t - 1 is the arc at remaining time t in
         1..horizon, that of the memory held after horizon - t traversals,
-        or 2 where that memory has no action at the state."""
+        or 2 where that memory has no action at the state.  An action
+        not 0 or 1, as one written into ``actions`` after the check,
+        raises StrategyError."""
+        if not {0, 1}.issuperset(self.actions.values()):
+            bad = next(arc for arc in self.actions.values() if arc not in (0, 1))
+            raise StrategyError(f"counter strategy arc index must be 0 or 1, got {bad!r}")
         memories = self.trajectory(horizon)[::-1]
         rows = {}
         for sid in ids:
@@ -231,25 +236,6 @@ def minimal_period(seq: ActionSetSequence) -> PeriodResult:
 _AS_MASK = bytes.maketrans(b"\0\1", b"\1\2")  # arc -> the mask of its singleton set
 
 
-def _arc_bytes(strategy: MarkovStrategy) -> dict[str, bytes]:
-    """The strategy's arc bytes over the states its choices name, in
-    sorted order, to its horizon.  A MarkovChoices of that horizon
-    lends its rows.  Other choices are read through ``action`` from
-    remaining time T down, one state after another: every arc is read,
-    so a missing one raises action's StrategyError first, and then an
-    arc not 0 or 1 raises ValueError."""
-    horizon, choices = strategy.horizon, strategy.choices
-    if isinstance(choices, MarkovChoices) and choices.horizon == horizon:
-        return dict(sorted(choices.rows.items()))
-    ids = sorted({sid for _, sid in choices})
-    arcs = [strategy.action(horizon - t, sid) for t in range(horizon) for sid in ids]
-    for arc in arcs:  # before the bytes, where 2 would read as arc 1's mask
-        if arc not in (0, 1):
-            raise ValueError(f"arc index must be 0 or 1, got {arc!r}")
-    flat = bytes(arcs)  # elapsed-major; state k at k::len(ids)
-    return {sid: flat[k :: len(ids)][::-1] for k, sid in enumerate(ids)}
-
-
 def from_markov(strategy: MarkovStrategy) -> CounterStrategy:
     """Minimal counter strategy replaying a Markov strategy exactly.
 
@@ -259,5 +245,5 @@ def from_markov(strategy: MarkovStrategy) -> CounterStrategy:
     minimal_period finds the smallest automaton, and its witness replays
     the strategy over 0..T-1.
     """
-    masks = {sid: row.translate(_AS_MASK)[::-1] for sid, row in _arc_bytes(strategy).items()}
+    masks = {sid: r.translate(_AS_MASK)[::-1] for sid, r in sorted(strategy.choices.rows.items())}
     return minimal_period(ActionSetSequence(strategy.horizon, masks)).witness

@@ -42,10 +42,10 @@ Action-set tables are capped the same way.
 Strategies are indexed by REMAINING moves: a Markov strategy maps
 (t, state) with t in 1..T to an arc.  The sweep varies a player's arcs
 over time in one way, its fixed rows: byte t - 1 of a state's row is
-its arc at remaining time t, or 2 where it optimises.  values_at hands
-it a MarkovChoices's rows, whose arcs were checked once when it was
-built, and turns any other strategy, such as one built from a dict,
-into the same bytes first, reading its action in the sweep's order.
+its arc at remaining time t, or 2 where it optimises.  A MarkovStrategy
+holds its choices as a MarkovChoices, whose arcs were checked once when
+it was built (from a dict, by MarkovStrategy itself), and values_at
+hands the sweep its rows.
 Counter strategies advance their memory on every traversal regardless
 of the observed state; they are defined on the product of memory and
 game state, where a backward induction best response for the opponent
@@ -89,7 +89,7 @@ from collections.abc import Mapping
 from functools import cached_property
 from itertools import repeat
 from types import MappingProxyType
-from typing import TYPE_CHECKING, Iterable, NamedTuple, Protocol, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .errors import GuardExceeded, StrategyError
 from .game import Game, StateKind, PLAYER_KIND
@@ -121,12 +121,6 @@ CELL_CAP = 5_000_000
 
 _COIN = StateKind.COIN
 _MAX = StateKind.MAX
-
-
-class Strategy(Protocol):
-    player: int
-
-    def action(self, t: int, sid: str) -> int: ...
 
 
 class ActionSetSequence(Record):
@@ -207,18 +201,30 @@ class MarkovChoices(Mapping, Record):
         return MarkovChoices, (dict(self.rows), self.horizon)
 
 
-class MarkovStrategy(NamedTuple):
+class MarkovStrategy(Record):
     """One arc choice per (remaining moves, controlled state).
 
-    ``choices`` is a MarkovChoices over the arc bytes, as extract_markov
-    and counter.to_markov build it, or any mapping from (t, state id) to
-    an arc, such as a dict; the consumers turn one of the latter into
-    arc bytes once, before they play it.
+    ``choices`` is held as a MarkovChoices of the strategy's horizon.
+    One given as such, as extract_markov and counter.to_markov build
+    it, is kept as it is.  Any other (t, state id) -> arc mapping, such
+    as a dict, is read once into one: t-major over t = 1..horizon and
+    the states its keys name, in first-seen order.  The first cell
+    with no entry, or with an arc not 0 or 1, raises StrategyError.
     """
 
-    player: int
-    horizon: int
-    choices: Mapping[tuple[int, str], int]
+    __slots__ = _fields = ("player", "horizon", "choices")
+
+    def __init__(self, player: int, horizon: int, choices: Mapping[tuple[int, str], int]):
+        self._set(player, horizon, choices)  # for action, below
+        if isinstance(choices, MarkovChoices) and choices.horizon == horizon:
+            return
+        rows = {sid: bytearray() for _, sid in choices}
+        for t in range(1, horizon + 1):
+            for sid, row in rows.items():
+                if (arc := self.action(t, sid)) not in (0, 1):
+                    raise StrategyError(f"arc index {arc!r} at t={t}, state {sid!r}")
+                row.append(arc == 1)
+        self._set(player, horizon, MarkovChoices({s: bytes(r) for s, r in rows.items()}, horizon))
 
     def action(self, t: int, sid: str) -> int:
         try:
@@ -411,7 +417,10 @@ def _guard_cells(rows: int, states: int) -> None:
 
 
 def values_at(
-    g: Game, checkpoints: Iterable[int], strategy: Strategy | None = None, sets: dict | None = None
+    g: Game,
+    checkpoints: Iterable[int],
+    strategy: MarkovStrategy | None = None,
+    sets: dict | None = None,
 ) -> dict[int, dict[str, Dyadic]]:
     """Value rows at selected horizons from a single streaming pass.
 
@@ -442,28 +451,21 @@ def values_at(
     return _sweep(g.states, cps[-1], cps, fixed=fixed, sets=sets)
 
 
-def _arc_rows(strategy: Strategy, ids: Sequence[str], horizon: int) -> Mapping[str, bytes]:
-    """The strategy's arcs at remaining time 1..horizon for the states
-    ``ids``, one bytes row each, as _sweep's ``fixed`` reads them.
-
-    A MarkovChoices that covers them all lends its own rows, checked
-    once each.  Any other strategy, or one that falls short, is read
-    through ``action`` in a t-major walk over ``ids``, in the sweep's
-    order, so the first cell without a valid arc raises as it would in
-    the sweep: action's own error, or StrategyError for an arc not 0
-    or 1.
+def _arc_rows(strategy: MarkovStrategy, ids: Sequence[str], horizon: int) -> Mapping:
+    """The strategy's arc rows for a sweep of the states ``ids`` to
+    ``horizon``, as _sweep's ``fixed`` reads them: empty ones at horizon
+    0.  A state of ``ids`` the rows do not cover raises action's
+    StrategyError at t=1, and so does a sweep past the strategy's
+    horizon H, at t=H+1 and the first of ``ids``.
     """
-    choices = getattr(strategy, "choices", None)
-    if isinstance(choices, MarkovChoices) and horizon <= choices.horizon:
-        if all(sid in choices.rows for sid in ids):
-            return choices.rows
-    rows = {sid: bytearray() for sid in ids}
-    for t in range(1, horizon + 1):
-        for sid, row in rows.items():
-            arc = strategy.action(t, sid)
-            if arc not in (0, 1):
-                raise StrategyError(f"arc index {arc!r} at t={t}, state {sid!r}")
-            row.append(arc == 1)
+    if horizon == 0:
+        return dict.fromkeys(ids, b"")
+    rows = strategy.choices.rows
+    for sid in ids:
+        if sid not in rows:
+            strategy.action(1, sid)  # raises
+    if ids and horizon > strategy.horizon:
+        strategy.action(strategy.horizon + 1, ids[0])  # raises
     return rows
 
 
@@ -532,7 +534,7 @@ def extract_markov(
     return MarkovStrategy(player, horizon, MarkovChoices(arcs, horizon))
 
 
-def evaluate_fixed_final(g: Game, horizon: int, strategy: Strategy) -> dict[str, Dyadic]:
+def evaluate_fixed_final(g: Game, horizon: int, strategy: MarkovStrategy) -> dict[str, Dyadic]:
     """Values at the full horizon when one player's choices are fixed.
 
     The opponent best-responds through the same recurrence; for an MDP

@@ -32,15 +32,17 @@ for the enumeration, which ``reference_union_solution`` runs on each.
 was before it swept only the start's sub-arena (``Game.reachable``),
 and ``full_game_memoryless_horizon`` is the body of
 ``fhgames.verify.check_memoryless_horizon`` as it was before its
-sweeps did, playing sigma per cell on the whole game (``PerCell``)
-rather than on ``Game.fix``'s game.  ``sub_arena_samples`` yields
-small random arenas from every start, so that some starts reach only
-part of their arena.  ``reference_extract_markov``,
+sweeps did, playing sigma as a Markov strategy on the whole game
+(``memoryless_markov``) rather than on ``Game.fix``'s game.
+``sub_arena_samples`` yields small random arenas from every start, so
+that some starts reach only part of their arena.  ``reference_extract_markov``,
 ``reference_from_markov`` and ``reference_to_markov`` are
 ``fhgames.solver.extract_markov``, ``fhgames.counter.from_markov`` and
 ``fhgames.counter.to_markov`` as they were before a Markov strategy's
 choices became a view of its arc bytes: each builds or reads a
-(t, state id) -> arc dict one cell at a time.
+(t, state id) -> arc dict one cell at a time.  ``reference_markov_rows``
+reads such a dict one cell at a time into the arc rows that
+``fhgames.solver.MarkovStrategy`` builds from it at once.
 """
 
 from __future__ import annotations
@@ -431,15 +433,16 @@ def full_game_counter_value(
     return rows[horizon][g.start]
 
 
-class PerCell:
-    """Player ``player``'s memoryless strategy ``arcs`` as a strategy
-    that values_at plays per cell, through its ``fixed`` path, on the
-    unfixed game; that path never settles.  A missing arc reads as
-    None, which the sweep refuses with StrategyError."""
-
-    def __init__(self, player: int, arcs: dict[str, int]):
-        self.player = player
-        self.action = lambda t, sid: arcs.get(sid)
+def memoryless_markov(player: int, arcs: dict[str, int], horizon: int) -> MarkovStrategy:
+    """Player ``player``'s memoryless strategy ``arcs`` as a Markov
+    strategy to ``horizon``, built from one dict entry per cell, which
+    values_at plays on the unfixed game through its ``fixed`` rows.  Each
+    row holds one arc throughout, so the sweep places it once as
+    Game.fix's coin and settles.  An arc not 0 or 1 is refused with
+    StrategyError when the strategy is built, and a state ``arcs`` leaves
+    out when values_at sweeps it."""
+    choices = {(t, sid): arc for t in range(1, horizon + 1) for sid, arc in arcs.items()}
+    return MarkovStrategy(player, horizon, choices)
 
 
 def full_game_memoryless_horizon(
@@ -447,8 +450,9 @@ def full_game_memoryless_horizon(
 ) -> tuple[dict, str, dict, int]:
     """(params, verdict, evidence, sweeps) of the memoryless-horizon
     check with both sweeps over every state, the masks of every max
-    state, and sigma played per cell (PerCell).  With ``skip`` false,
-    sigma is played even where its arc is optimal at every step."""
+    state, and sigma played as a Markov strategy on the unfixed game
+    (``memoryless_markov``).  With ``skip`` false, sigma is played even
+    where its arc is optimal at every step."""
     exponents = sorted(set(eps_exponents))
     params = {"game": label, "eps_exponents": exponents}
     n = len(g.states)
@@ -465,7 +469,8 @@ def full_game_memoryless_horizon(
     played_rows, sweeps = best_rows, 1
     needed = masks is None or any((b"\2", b"\1")[arc] in masks[sid] for sid, arc in arcs.items())
     if needed or not skip:
-        played_rows, sweeps = values_at(g, checkpoints, strategy=PerCell(1, arcs)), 2
+        strategy = memoryless_markov(1, arcs, max(checkpoints))
+        played_rows, sweeps = values_at(g, checkpoints, strategy=strategy), 2
     rows = []
     for j in exponents:
         optimal = best_rows[horizons[j]][g.start]
@@ -513,9 +518,6 @@ def reference_from_markov(strategy: MarkovStrategy) -> CounterStrategy:
     horizon = strategy.horizon
     ids = tuple(sorted({sid for _, sid in strategy.choices}))
     arcs = [strategy.action(horizon - t, sid) for t in range(horizon) for sid in ids]
-    for arc in arcs:  # before the masks, where arc 2 would read as both arcs
-        if arc not in (0, 1):
-            raise ValueError(f"arc index must be 0 or 1, got {arc!r}")
     flat = bytes(1 + arc for arc in arcs)  # t-major; state k at k::len(ids)
     masks = {sid: flat[k :: len(ids)] for k, sid in enumerate(ids)}
     return minimal_period(ActionSetSequence(horizon, masks)).witness
@@ -531,3 +533,23 @@ def reference_to_markov(cs: CounterStrategy, horizon: int, player: int = 1) -> M
         for sid in ids
     }
     return MarkovStrategy(player=player, horizon=horizon, choices=choices)
+
+
+def reference_markov_rows(choices: dict, horizon: int, player: int = 1) -> dict[str, bytes]:
+    """The arc rows ``MarkovStrategy(player, horizon, choices)`` holds,
+    read one cell at a time: for t = 1..horizon, for each state the keys
+    name, in first-seen order, the arc at (t, state); the first cell
+    with no entry, or with an arc not 0 or 1, raises StrategyError."""
+    ids = list(dict.fromkeys(sid for _, sid in choices))
+    rows = {sid: [] for sid in ids}
+    for t in range(1, horizon + 1):
+        for sid in ids:
+            if (t, sid) not in choices:
+                raise StrategyError(
+                    f"markov strategy (player {player}) has no entry for t={t}, state {sid!r}"
+                )
+            arc = choices[(t, sid)]
+            if arc not in (0, 1):
+                raise StrategyError(f"arc index {arc!r} at t={t}, state {sid!r}")
+            rows[sid].append(arc)
+    return {sid: bytes(row) for sid, row in rows.items()}

@@ -15,7 +15,14 @@ from fhgames.counter import (
 )
 from fhgames.errors import StrategyError
 from fhgames.gadgets import make_F, make_M, primorial, random_game
-from fhgames.solver import MarkovStrategy, extract_markov, optimal_action_sets
+from fhgames.numeric import Dyadic
+from fhgames.solver import (
+    MarkovStrategy,
+    counter_bound,
+    evaluate_counter,
+    extract_markov,
+    optimal_action_sets,
+)
 
 from conftest import reference_least_initial
 
@@ -40,6 +47,22 @@ class TestCounterStrategy:
             CounterStrategy(0, 1, {(1, "x"): 0})
         with pytest.raises(ValueError):
             CounterStrategy(0, 1, {(0, "x"): 2})
+
+    def test_an_arc_written_after_the_check_is_refused(self):
+        # the strategy keeps the caller's dict: arc 7 written into it
+        # later was played as 2, x optimising, for 13/2^4
+        g, acts = make_M(), {(0, "x"): 1}
+        cs = CounterStrategy(0, 1, acts)
+        assert evaluate_counter(g, 5, cs).value == counter_bound(g, 5, cs) == Dyadic(7, 4)
+        acts[(0, "x")] = 7
+        plays = (
+            lambda: evaluate_counter(g, 5, cs),
+            lambda: counter_bound(g, 5, cs),
+            lambda: to_markov(cs, 5),
+        )
+        for play in plays:
+            with pytest.raises(StrategyError, match="arc index must be 0 or 1, got 7"):
+                play()
 
     def test_memory_trajectory_is_rho_shaped(self):
         cs = CounterStrategy(2, 3, {})
@@ -201,14 +224,15 @@ class TestFromMarkov:
 
     def test_arc_outside_zero_one_is_refused(self):
         # mask 1 + 2 = 3 would read as "both arcs" if it were let through
-        with pytest.raises(ValueError, match="got 2"):
-            from_markov(self.make_strategy([0, 2, 1]))
+        # to from_markov; the strategy refuses it when it is built
+        with pytest.raises(StrategyError, match="arc index 2 at t=2, state 'x'"):
+            self.make_strategy([0, 2, 1])
 
     def test_missing_entry_is_refused(self):
-        strat = self.make_strategy([0, 1, 1, 0])
-        del strat.choices[(2, "x")]
-        with pytest.raises(StrategyError, match="t=2, state 'x'"):
-            from_markov(strat)
+        choices = dict(self.make_strategy([0, 1, 1, 0]).choices)
+        del choices[(2, "x")]
+        with pytest.raises(StrategyError, match="no entry for t=2, state 'x'"):
+            MarkovStrategy(player=1, horizon=4, choices=choices)
 
 
 def sequence_of_masks(masks):

@@ -1,8 +1,11 @@
 """Markov strategies as arc bytes.
 
-The error each consumer raises on a strategy built from a dict is pinned
-as a case table, so that the form the kernel plays keeps every exception
-and message.  MarkovChoices's edges are where a bytes index would read a
+A MarkovStrategy built from a dict reads it once into arc bytes and
+refuses its first bad cell there.  One case table pins those refusals,
+at construction and through each consumer, and what the consumers
+still refuse of a strategy that was built; the constructor is also
+checked against conftest's per-cell ``reference_markov_rows`` on random
+dicts.  MarkovChoices's edges are where a bytes index would read a
 wrong arc silently.  The differential test checks the bytes-backed
 strategies against the dict-built ones of conftest's ``reference_*``
 twins, played per cell by ``reference_sweep``.
@@ -18,6 +21,7 @@ from hypothesis import strategies as st
 from conftest import (
     reference_extract_markov,
     reference_from_markov,
+    reference_markov_rows,
     reference_sweep,
     reference_to_markov,
 )
@@ -37,8 +41,9 @@ from fhgames.solver import (
 )
 
 # Two max states whose sweep order (b, a) is not their sorted order
-# (a, b): the sweep walks t-major in the first, from_markov in the other,
-# from the largest remaining time down.
+# (a, b): the constructor walks t-major in the order the keys name the
+# states, the sweep reads the states in the first, from_markov in the
+# other.
 PARITY_GAME = Game(
     (
         State("b", StateKind.MAX, ("a", "bot")),
@@ -70,15 +75,21 @@ def _outcome(call):
     return "ok", str(result)
 
 
-def _consumers(strategy):
+def _consumers(choices):
+    """Each consumer's call on the strategy built from ``choices`` at
+    horizon 4, built inside the call."""
     g = PARITY_GAME
+
+    def strategy():
+        return MarkovStrategy(player=1, horizon=4, choices=choices)
+
     return {
-        "evaluate_fixed_final": lambda: evaluate_fixed_final(g, 4, strategy)["a"],
-        "values_at 1, 3": lambda: values_at(g, (1, 3), strategy)[3]["a"],
-        "values_at 1": lambda: values_at(g, (1,), strategy)[1]["a"],
-        "values_at 5": lambda: values_at(g, (5,), strategy)[5]["a"],
-        "from_markov": lambda: from_markov(strategy).to_json_obj(),
-        "simulate": lambda: simulate(g, 4, strategy, 20, 0),
+        "evaluate_fixed_final": lambda: evaluate_fixed_final(g, 4, strategy())["a"],
+        "values_at 1, 3": lambda: values_at(g, (1, 3), strategy())[3]["a"],
+        "values_at 1": lambda: values_at(g, (1,), strategy())[1]["a"],
+        "values_at 5": lambda: values_at(g, (5,), strategy())[5]["a"],
+        "from_markov": lambda: from_markov(strategy()).to_json_obj(),
+        "simulate": lambda: simulate(g, 4, strategy(), 20, 0),
     }
 
 
@@ -90,18 +101,25 @@ def _arc(arc, t, sid):
     return "StrategyError", f"arc index {arc!r} at t={t}, state {sid!r}"
 
 
-def _got(arc):
-    return "ValueError", f"arc index must be 0 or 1, got {arc!r}"
+# The first cell of a t-major walk, over the states in the order the
+# keys first name them, that has no entry or an arc not 0 or 1.
+REFUSALS = {
+    "missing entry": (_without((2, "a"), (4, "b")), _missing(2, "a")),
+    # (1, "b") goes first, so the keys name a before b
+    "missing and bad": ({**_without((1, "b")), (4, "a"): 2}, _missing(1, "b")),
+    "mixed bad": ({**FULL, (4, "a"): None, (1, "b"): 2}, _arc(2, 1, "b")),
+    **{f"arc {arc!r}": (_bad(arc), _arc(arc, 1, "b")) for arc in (2, None, -1)},
+}
 
-
-PARITY_CASES = {
+# What the consumers refuse, or return, for a strategy that was built.
+OUTCOMES = {
     "full": (
         FULL,
         {
             "evaluate_fixed_final": ("ok", "3/2^2"),
             "values_at 1, 3": ("ok", "1"),
             "values_at 1": ("ok", "0"),
-            "values_at 5": _missing(5, "b"),
+            "values_at 5": _missing(5, "b"),  # past the horizon: the first state swept
             "from_markov": (
                 "ok",
                 "{'N': 0, 'p': 2, 'actions': [{'memory': 0, 'state': 'a', 'arc': 0}, "
@@ -109,17 +127,6 @@ PARITY_CASES = {
                 "{'memory': 1, 'state': 'b', 'arc': 0}]}",
             ),
             "simulate": ("ok", "16"),
-        },
-    ),
-    "missing entry": (
-        _without((2, "a"), (4, "b")),
-        {
-            "evaluate_fixed_final": _missing(2, "a"),
-            "values_at 1, 3": _missing(2, "a"),
-            "values_at 1": ("ok", "0"),
-            "values_at 5": _missing(2, "a"),
-            "from_markov": _missing(4, "b"),
-            "simulate": _missing(2, "a"),
         },
     ),
     "missing state": (
@@ -137,49 +144,45 @@ PARITY_CASES = {
             "simulate": _missing(4, "a"),
         },
     ),
-    # from_markov reads every arc before it checks one; a play stops at
-    # the first arc it cannot follow
-    "missing and bad": (
-        {**_without((1, "b")), (4, "a"): 2},
-        {**{name: _missing(1, "b") for name in _consumers(None)}, "simulate": _arc(2, 4, "a")},
-    ),
-    "mixed bad": (
-        {**FULL, (4, "a"): None, (1, "b"): 2},
-        {
-            **dict.fromkeys(
-                ("evaluate_fixed_final", "values_at 1, 3", "values_at 1", "values_at 5"),
-                _arc(2, 1, "b"),
-            ),
-            "from_markov": _got(None),
-            "simulate": _arc(None, 4, "a"),
-        },
-    ),
-    **{
-        f"arc {arc!r}": (
-            _bad(arc),
-            {
-                **dict.fromkeys(
-                    ("evaluate_fixed_final", "values_at 1, 3", "values_at 1", "values_at 5"),
-                    _arc(arc, 1, "b"),
-                ),
-                "from_markov": _got(arc),
-                "simulate": _arc(arc, 4, "a"),
-            },
-        )
-        for arc in (2, None, -1)
-    },
 }
 
 
-class TestErrorParity:
-    """A strategy built from a dict raises, through every consumer, what
-    it raised when each consumer read the dict one cell at a time."""
+@st.composite
+def choice_dicts(draw):
+    """(choices, horizon): a full dict of arcs over 1-3 states and
+    t = 1..horizon, with, each by a coin, one cell dropped, one arc
+    made 2, -1 or None, and keys at t = 0 or horizon + 1 (arcs never
+    read, some bad, some for a state no other key names); its items in
+    a random order, so the keys name the states in any order."""
+    horizon = draw(st.integers(0, 5))
+    states = ("a", "b", "c")[: draw(st.integers(1, 3))]
+    cells = [(t, sid) for t in range(1, horizon + 1) for sid in states]
+    choices = {cell: draw(st.integers(0, 1)) for cell in cells}
+    if cells and draw(st.booleans()):
+        del choices[draw(st.sampled_from(cells))]
+    if cells and draw(st.booleans()):
+        choices[draw(st.sampled_from(cells))] = draw(st.sampled_from((2, -1, None)))
+    for _ in range(draw(st.integers(0, 2))):
+        key = (draw(st.sampled_from((0, horizon + 1))), draw(st.sampled_from(states + ("z",))))
+        choices[key] = draw(st.sampled_from((0, 1, 2, None)))
+    items = draw(st.permutations(list(choices.items())))
+    return dict(items), horizon
 
-    @pytest.mark.parametrize("case", sorted(PARITY_CASES))
+
+class TestErrorParity:
+    """The one refusal of each bad dict, at construction and through
+    every consumer, and what the consumers still refuse, or return, for
+    a strategy that was built."""
+
+    @pytest.mark.parametrize("case", sorted({**REFUSALS, **OUTCOMES}))
     def test_each_consumer_raises_the_pinned_error(self, case):
-        choices, expected = PARITY_CASES[case]
-        strategy = MarkovStrategy(player=1, horizon=4, choices=choices)
-        got = {name: _outcome(call) for name, call in _consumers(strategy).items()}
+        if case in REFUSALS:
+            choices, refusal = REFUSALS[case]
+            assert _outcome(lambda: MarkovStrategy(player=1, horizon=4, choices=choices)) == refusal
+            expected = dict.fromkeys(_consumers(choices), refusal)
+        else:
+            choices, expected = OUTCOMES[case]
+        got = {name: _outcome(call) for name, call in _consumers(choices).items()}
         assert got == expected
 
     def test_horizon_zero_reads_no_action(self):
@@ -190,6 +193,33 @@ class TestErrorParity:
         cs = from_markov(strategy)
         assert (cs.initial, cs.period, cs.actions) == (0, 1, {})
         assert simulate(g, 0, strategy, 5, 0) == 0
+
+
+class TestConstructor:
+    """MarkovStrategy reads any mapping once into a MarkovChoices."""
+
+    @given(choice_dicts())
+    @example(({(1, "b"): 0, (2, "b"): 2, (2, "a"): 0}, 2))  # a's gap at t=1 comes before b's arc
+    @settings(max_examples=300, deadline=None)
+    def test_matches_the_per_cell_reading(self, case):
+        choices, horizon = case
+        expected = _outcome(lambda: reference_markov_rows(choices, horizon))
+        got = _outcome(lambda: dict(MarkovStrategy(1, horizon, choices).choices.rows))
+        assert got == expected
+
+    def test_a_dict_becomes_its_arc_bytes(self):
+        strategy = MarkovStrategy(player=2, horizon=2, choices={(2, "x"): 1, (1, "x"): 0})
+        assert isinstance(strategy.choices, MarkovChoices)
+        assert dict(strategy.choices.rows) == {"x": b"\0\1"}
+        assert strategy.choices.horizon == 2
+
+    def test_choices_of_its_horizon_are_kept(self):
+        choices = MarkovChoices({"x": b"\0\1\1"}, 3)
+        assert MarkovStrategy(1, 3, choices).choices is choices
+        shorter = MarkovStrategy(1, 2, choices).choices  # any other horizon is read per cell
+        assert dict(shorter.rows) == {"x": b"\0\1"} and shorter.horizon == 2
+        with pytest.raises(StrategyError, match="no entry for t=4, state 'x'"):
+            MarkovStrategy(1, 4, choices)
 
 
 class TestMarkovChoices:

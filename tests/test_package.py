@@ -1,8 +1,9 @@
 """Every library name has one import path, its module: each module's
 ``__all__`` must resolve, and the package root holds only
 ``__version__``.  No check in the package is an ``assert``.  Every
-library name README.md gives resolves.  A fresh import of the library
-loads no ``dataclasses``."""
+library name README.md gives resolves, and its ``fhgames.record`` bullet
+names every record with its base.  A fresh import of the library loads
+no ``dataclasses``."""
 
 import ast
 import dataclasses
@@ -109,3 +110,31 @@ def test_readme_names_resolve():
             stale.append(f"{owner}.{attr}")
     assert "solver.counter_bound" in named and "Game.fix" in named
     assert stale == []
+
+
+def test_readme_record_bullet_matches_the_records():
+    # the fhgames.record bullet names the Record subclasses before "The
+    # other records are", and the NamedTuple records after it; together
+    # they are every record the library defines
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    with open(os.path.join(root, "README.md"), encoding="utf-8") as f:
+        readme = f.read()
+    bullet = re.search(r"^- `fhgames\.record` — (.*?)(?=^- )", readme, re.M | re.S).group(1)
+    built, others = " ".join(bullet.split()).split("The other records are")
+    named = [re.findall(r"`([A-Z]\w*)`", part) for part in (built, others)]
+    record = importlib.import_module("fhgames.record").Record
+    classes = {
+        name: value
+        for module in map(importlib.import_module, (f"fhgames.{m}" for m in LIBRARY_MODULES))
+        for name, value in vars(module).items()
+        if isinstance(value, type) and value.__module__ == module.__name__
+    }
+    records = [name for name in named[0] if name != "Record"]
+    assert records and named[1]
+    assert [name for name in records if not issubclass(classes[name], record)] == []
+    assert [name for name in named[1] if not issubclass(classes[name], tuple)] == []
+    defined = {
+        name for name, cls in classes.items()
+        if cls is not record and (issubclass(cls, record) or hasattr(cls, "_fields"))
+    }
+    assert defined == set(records) | set(named[1])

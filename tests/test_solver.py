@@ -7,10 +7,10 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
-    PerCell,
     arcs_at,
     forbid_sweeps,
     full_game_counter_value,
+    memoryless_markov,
     play_value,
     reference_counter_value,
     reference_product_plan,
@@ -228,10 +228,8 @@ class TestEvaluateFixed:
         assert values_at(g, range(3), always_2)[2]["x"] == ZERO
 
     def test_missing_entry_raises(self):
-        g = make_M()
-        partial = MarkovStrategy(player=1, horizon=3, choices={(3, "x"): 0})
-        with pytest.raises(StrategyError):
-            values_at(g, range(4), partial)
+        with pytest.raises(StrategyError, match="no entry for t=1, state 'x'"):
+            MarkovStrategy(player=1, horizon=3, choices={(3, "x"): 0})
 
     def test_opponent_best_responds(self):
         g = Game(
@@ -628,10 +626,8 @@ class TestScaledKernel:
         assert all(v is ONE for v in cells if v == ONE)
 
     def test_bad_arc_index_raises(self):
-        g = make_M()
-        strategy = MarkovStrategy(player=1, horizon=3, choices={(t, "x"): 2 for t in (1, 2, 3)})
-        with pytest.raises(StrategyError):
-            evaluate_fixed_final(g, 3, strategy)
+        with pytest.raises(StrategyError, match="arc index 2 at t=1, state 'x'"):
+            MarkovStrategy(player=1, horizon=3, choices={(t, "x"): 2 for t in (1, 2, 3)})
 
 
 def chain_game(kind, length, loop):
@@ -810,7 +806,8 @@ class TestSettledStates:
 class TestFixedGame:
     """A memoryless strategy played as Game.fix's game, which the kernel
     sweeps as coins on one destination and settles, against the same
-    strategy read per cell on the unfixed game and the Dyadic loop."""
+    arcs played as a Markov strategy on the unfixed game and the Dyadic
+    loop."""
 
     @given(st.integers(0, 2**32), st.integers(2, 9), st.sampled_from((1, 2)), st.integers(0, 60))
     @example(seed=0, n=2, player=1, horizon=0)
@@ -823,7 +820,7 @@ class TestFixedGame:
         checkpoints = {horizon, rng.randint(0, horizon), rng.randint(0, horizon)}
         fixed = g.fix(player, arcs)
         rows = values_at(fixed, checkpoints)
-        assert rows == values_at(g, checkpoints, PerCell(player, arcs))
+        assert rows == values_at(g, checkpoints, memoryless_markov(player, arcs, horizon))
         assert rows == reference_sweep(fixed.states, horizon, checkpoints)
         sub = values_at(g.reachable.fix(player, arcs), checkpoints)
         assert {t: row[g.start] for t, row in sub.items()} == {
@@ -1082,7 +1079,7 @@ class TestFixedRows:
         got = values_at(g, checkpoints, strategy)
         per_cell = (PLAYER_KIND[player], strategy.action)
         assert got == reference_sweep(g.states, horizon, checkpoints, fixed=per_cell)
-        twin = MarkovStrategy(player, length, dict(strategy.choices))  # read through action
+        twin = MarkovStrategy(player, length, dict(strategy.choices))  # built into the same bytes
         assert got == values_at(g, checkpoints, twin)
 
     def test_constant_rows_settle(self):

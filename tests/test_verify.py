@@ -5,7 +5,7 @@ from unittest import mock
 
 import pytest
 
-from conftest import PerCell, full_game_memoryless_horizon
+from conftest import full_game_memoryless_horizon, memoryless_markov
 import fhgames.cli as cli
 from fhgames import solver, verify
 from fhgames.errors import GuardExceeded, StrategyError
@@ -175,13 +175,13 @@ def memoryless_games():
 
 class TestMemorylessHorizonSweep:
     """check_memoryless_horizon's settling sweeps of Game.fix's game
-    against sigma played per cell on the unfixed game."""
+    against sigma played as a Markov strategy on the unfixed game."""
 
     def test_report_equals_per_cell_sweeps(self):
         for label, g in memoryless_games():
             settled = check_memoryless_horizon(g, label=label)
             params, verdict, evidence, sweeps = full_game_memoryless_horizon(g, label, skip=False)
-            assert sweeps == 2  # sigma played per cell on every game
+            assert sweeps == 2  # sigma played on every game
             assert settled.name == "memoryless-horizon"
             assert (settled.params, settled.verdict) == (params, verdict)
             assert settled.evidence == evidence
@@ -190,9 +190,8 @@ class TestMemorylessHorizonSweep:
         for _, g in memoryless_games():
             arcs = solve_infinite(g).strategy
             checkpoints = {0, 1, len(g.states), 3 * len(g.states), 4 << len(g.states)}
-            assert values_at(g.fix(1, arcs), checkpoints) == values_at(
-                g, checkpoints, strategy=PerCell(1, arcs)
-            )
+            strategy = memoryless_markov(1, arcs, max(checkpoints))
+            assert values_at(g.fix(1, arcs), checkpoints) == values_at(g, checkpoints, strategy)
 
     def test_skip_equals_two_plain_sweeps(self):
         """One sweep when sigma's arc is optimal at every step, two
@@ -207,7 +206,8 @@ class TestMemorylessHorizonSweep:
             sweeps[label] = spy.call_count
             horizons = [row["horizon"] for row in report.evidence["rows"]]
             best = values_at(g, horizons)
-            played = values_at(g, horizons, strategy=PerCell(1, solve_infinite(g).strategy))
+            sigma = memoryless_markov(1, solve_infinite(g).strategy, max(horizons))
+            played = values_at(g, horizons, strategy=sigma)
             for row in report.evidence["rows"]:
                 assert row["optimal"] == best[row["horizon"]][g.start]
                 assert row["achieved"] == played[row["horizon"]][g.start]
@@ -230,9 +230,9 @@ class TestMemorylessHorizonSweep:
         for choices in ({}, {"x": 2}):
             with pytest.raises(StrategyError):
                 g.fix(1, choices)  # whatever the horizon
-            with pytest.raises(StrategyError):
-                values_at(g, (3,), PerCell(1, choices))
-            values_at(g, (0,), PerCell(1, choices))  # no action is read at horizon 0
+            with pytest.raises(StrategyError):  # {}: in values_at, {"x": 2}: when built
+                values_at(g, (3,), memoryless_markov(1, choices, 3))
+            values_at(g, (0,), memoryless_markov(1, choices, 0))  # no arc is read at horizon 0
 
 
 def sub_arena_edge_games():
