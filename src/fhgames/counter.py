@@ -36,6 +36,7 @@ residue class contradicts.
 
 from __future__ import annotations
 
+from types import MappingProxyType
 from typing import Iterable, Mapping, NamedTuple
 
 from .errors import StrategyError
@@ -55,9 +56,10 @@ __all__ = [
 class CounterStrategy(Record):
     """Action map of a rho-shaped counter automaton.
 
-    ``actions[(m, sid)]`` is the arc chosen at state ``sid`` while the
-    memory is ``m`` (by default a new empty dict); the update function
-    is state-independent.
+    ``actions[(m, sid)]``, the int 0 or 1, is the arc chosen at state
+    ``sid`` while the memory is ``m``; the update function is
+    state-independent.  ``actions`` is a read-only view of the
+    strategy's own copy of the mapping given, checked once.
     """
 
     __slots__ = _fields = ("initial", "period", "actions")
@@ -70,13 +72,20 @@ class CounterStrategy(Record):
         if period < 1:
             raise ValueError("period must be at least 1")
         size = initial + period
-        actions = {} if actions is None else actions
+        actions = dict(actions or ())
         for (m, sid), arc in actions.items():
             if not 0 <= m < size:
                 raise ValueError(f"memory index {m} out of range 0..{size - 1}")
-            if arc not in (0, 1):
+            if type(arc) is not int or arc not in (0, 1):
                 raise ValueError(f"arc index must be 0 or 1, got {arc!r}")
-        self._set(initial, period, actions)
+        self._set(initial, period, MappingProxyType(actions))
+
+    def __repr__(self) -> str:
+        shown = f"initial={self.initial!r}, period={self.period!r}, actions={dict(self.actions)!r}"
+        return f"CounterStrategy({shown})"
+
+    def __reduce__(self):
+        return CounterStrategy, (self.initial, self.period, dict(self.actions))
 
     @property
     def size(self) -> int:
@@ -103,12 +112,7 @@ class CounterStrategy(Record):
         """Per state of ``ids``, the automaton unrolled into the solver's
         arc bytes: byte t - 1 is the arc at remaining time t in
         1..horizon, that of the memory held after horizon - t traversals,
-        or 2 where that memory has no action at the state.  An action
-        not 0 or 1, as one written into ``actions`` after the check,
-        raises StrategyError."""
-        if not {0, 1}.issuperset(self.actions.values()):
-            bad = next(arc for arc in self.actions.values() if arc not in (0, 1))
-            raise StrategyError(f"counter strategy arc index must be 0 or 1, got {bad!r}")
+        or 2 where that memory has no action at the state."""
         memories = self.trajectory(horizon)[::-1]
         rows = {}
         for sid in ids:

@@ -102,14 +102,14 @@ class Game(Record):
         """The game that is left once ``player`` plays the memoryless
         strategy ``arcs`` (state id -> arc): each of the player's states
         becomes a coin with both arcs on its arc's destination.  Ids,
-        order and start are kept; an arc not 0 or 1, or missing, raises
-        StrategyError."""
+        order and start are kept; an arc not the int 0 or 1, or missing,
+        raises StrategyError."""
         kind = PLAYER_KIND[player]
         states = []
         for s in self.states:
             if s.kind is kind:
                 arc = arcs.get(s.id)
-                if arc not in (0, 1):
+                if type(arc) is not int or arc not in (0, 1):
                     raise StrategyError(f"arc index {arc!r} at state {s.id!r}")
                 s = State(s.id, _COIN, (s.arcs[arc],) * 2)
             states.append(s)

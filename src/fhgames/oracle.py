@@ -21,7 +21,7 @@ from .counter import CounterStrategy
 from .errors import GuardExceeded, StrategyError
 from .game import Game, StateKind
 from .numeric import Dyadic
-from .solver import counter_bound, evaluate_counter, final_values
+from .solver import _arc_rows, _counter_rows, counter_bound, evaluate_counter, final_values
 
 __all__ = [
     "SWEEP_CAP",
@@ -329,25 +329,26 @@ def simulate(
     ``strategy`` plays player 1 and ``opponent`` player 2, each needed
     where its player has states; either may be a Markov or counter
     strategy.  A memoryless one is played on Game.fix's game, which
-    leaves that player no states.  An arc not 0 or 1 raises
-    StrategyError, as in the sweep, before it is followed.
-    Deterministic given the seed, with the RNG_ALGORITHM generator.
+    leaves that player no states.  Each is played from the arc rows the
+    exact evaluation sweeps (solver._arc_rows, solver._counter_rows), so
+    whatever values_at or evaluate_counter refuses is refused here
+    before the first trial.  Deterministic given the seed, with the
+    RNG_ALGORITHM generator, drawn once per coin state reached.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
-
-    def actor(strat, who):
+    plays = {}  # controlled state id -> its arc row, byte t - 1 at remaining time t
+    for player, strat in ((1, strategy), (2, opponent)):
+        ids = g.controlled_ids(player)
+        if not ids:
+            continue
         if strat is None:
-            raise StrategyError(f"no strategy supplied for player {who}")
+            raise StrategyError(f"no strategy supplied for player {player}")
         if isinstance(strat, CounterStrategy):
-            return strat.action_at
-        return lambda elapsed, sid: strat.action(horizon - elapsed, sid)
-
-    actors = {}
-    if g.controlled_ids(1):
-        actors[_MAX] = actor(strategy, 1)
-    if g.controlled_ids(2):
-        actors[_MIN] = actor(opponent, 2)
+            rows = _counter_rows(g, horizon, strat, player, free=False)[1]
+        else:
+            rows = _arc_rows(strat, ids, horizon)
+        plays.update((sid, rows[sid]) for sid in ids)
 
     rng = random.Random(seed)
     target = g.terminal_id
@@ -357,15 +358,9 @@ def simulate(
         if pos == target:
             hits += 1
             continue
-        for elapsed in range(horizon):
+        for t in range(horizon, 0, -1):
             s = g.state(pos)
-            if s.kind is _COIN:
-                arc = rng.getrandbits(1)
-            else:
-                arc = actors[s.kind](elapsed, pos)
-                if arc not in (0, 1):
-                    t = horizon - elapsed
-                    raise StrategyError(f"arc index {arc!r} at t={t}, state {pos!r}")
+            arc = rng.getrandbits(1) if s.kind is _COIN else plays[pos][t - 1]
             pos = s.arcs[arc]
             if pos == target:
                 hits += 1

@@ -209,7 +209,7 @@ class MarkovStrategy(Record):
     it, is kept as it is.  Any other (t, state id) -> arc mapping, such
     as a dict, is read once into one: t-major over t = 1..horizon and
     the states its keys name, in first-seen order.  The first cell
-    with no entry, or with an arc not 0 or 1, raises StrategyError.
+    with no entry, or an arc not the int 0 or 1, raises StrategyError.
     """
 
     __slots__ = _fields = ("player", "horizon", "choices")
@@ -221,9 +221,9 @@ class MarkovStrategy(Record):
         rows = {sid: bytearray() for _, sid in choices}
         for t in range(1, horizon + 1):
             for sid, row in rows.items():
-                if (arc := self.action(t, sid)) not in (0, 1):
+                if type(arc := self.action(t, sid)) is not int or arc not in (0, 1):
                     raise StrategyError(f"arc index {arc!r} at t={t}, state {sid!r}")
-                row.append(arc == 1)
+                row.append(arc)
         self._set(player, horizon, MarkovChoices({s: bytes(r) for s, r in rows.items()}, horizon))
 
     def action(self, t: int, sid: str) -> int:

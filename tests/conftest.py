@@ -43,6 +43,10 @@ choices became a view of its arc bytes: each builds or reads a
 (t, state id) -> arc dict one cell at a time.  ``reference_markov_rows``
 reads such a dict one cell at a time into the arc rows that
 ``fhgames.solver.MarkovStrategy`` builds from it at once.
+``reference_simulate`` is ``fhgames.oracle.simulate`` as it was before
+it played the arc rows the exact evaluation sweeps: it asks each
+strategy for its arc at every step a play takes and checks that arc
+there.
 """
 
 from __future__ import annotations
@@ -539,7 +543,8 @@ def reference_markov_rows(choices: dict, horizon: int, player: int = 1) -> dict[
     """The arc rows ``MarkovStrategy(player, horizon, choices)`` holds,
     read one cell at a time: for t = 1..horizon, for each state the keys
     name, in first-seen order, the arc at (t, state); the first cell
-    with no entry, or with an arc not 0 or 1, raises StrategyError."""
+    with no entry, or with an arc other than the int 0 or 1, raises
+    StrategyError."""
     ids = list(dict.fromkeys(sid for _, sid in choices))
     rows = {sid: [] for sid in ids}
     for t in range(1, horizon + 1):
@@ -549,7 +554,63 @@ def reference_markov_rows(choices: dict, horizon: int, player: int = 1) -> dict[
                     f"markov strategy (player {player}) has no entry for t={t}, state {sid!r}"
                 )
             arc = choices[(t, sid)]
-            if arc not in (0, 1):
+            if type(arc) is not int or arc not in (0, 1):
                 raise StrategyError(f"arc index {arc!r} at t={t}, state {sid!r}")
             rows[sid].append(arc)
     return {sid: bytes(row) for sid, row in rows.items()}
+
+
+_COIN = StateKind.COIN
+_MAX = StateKind.MAX
+_MIN = StateKind.MIN
+
+
+def reference_simulate(
+    g: Game,
+    horizon: int,
+    strategy,
+    trials: int,
+    seed: int,
+    opponent=None,
+) -> int:
+    """How many of ``trials`` plays reach the terminal within the horizon,
+    each strategy asked for its arc, and that arc checked, at every step
+    of a play."""
+    if trials < 1:
+        raise ValueError("need at least one trial")
+
+    def actor(strat, who):
+        if strat is None:
+            raise StrategyError(f"no strategy supplied for player {who}")
+        if isinstance(strat, CounterStrategy):
+            return strat.action_at
+        return lambda elapsed, sid: strat.action(horizon - elapsed, sid)
+
+    actors = {}
+    if g.controlled_ids(1):
+        actors[_MAX] = actor(strategy, 1)
+    if g.controlled_ids(2):
+        actors[_MIN] = actor(opponent, 2)
+
+    rng = random.Random(seed)
+    target = g.terminal_id
+    hits = 0
+    for _ in range(trials):
+        pos = g.start
+        if pos == target:
+            hits += 1
+            continue
+        for elapsed in range(horizon):
+            s = g.state(pos)
+            if s.kind is _COIN:
+                arc = rng.getrandbits(1)
+            else:
+                arc = actors[s.kind](elapsed, pos)
+                if arc not in (0, 1):
+                    t = horizon - elapsed
+                    raise StrategyError(f"arc index {arc!r} at t={t}, state {pos!r}")
+            pos = s.arcs[arc]
+            if pos == target:
+                hits += 1
+                break
+    return hits

@@ -16,10 +16,12 @@ from fhgames.counter import (
 from fhgames.errors import StrategyError
 from fhgames.gadgets import make_F, make_M, primorial, random_game
 from fhgames.numeric import Dyadic
+from fhgames.oracle import simulate
 from fhgames.solver import (
     MarkovStrategy,
     counter_bound,
     evaluate_counter,
+    evaluate_fixed_final,
     extract_markov,
     optimal_action_sets,
 )
@@ -49,20 +51,18 @@ class TestCounterStrategy:
             CounterStrategy(0, 1, {(0, "x"): 2})
 
     def test_an_arc_written_after_the_check_is_refused(self):
-        # the strategy keeps the caller's dict: arc 7 written into it
-        # later was played as 2, x optimising, for 13/2^4
+        # the strategy keeps its own read-only copy of the caller's dict:
+        # arc 7 written into the dict later reaches no play
         g, acts = make_M(), {(0, "x"): 1}
-        cs = CounterStrategy(0, 1, acts)
-        assert evaluate_counter(g, 5, cs).value == counter_bound(g, 5, cs) == Dyadic(7, 4)
+        cs, twin = CounterStrategy(0, 1, acts), CounterStrategy(0, 1, {(0, "x"): 1})
         acts[(0, "x")] = 7
-        plays = (
-            lambda: evaluate_counter(g, 5, cs),
-            lambda: counter_bound(g, 5, cs),
-            lambda: to_markov(cs, 5),
-        )
-        for play in plays:
-            with pytest.raises(StrategyError, match="arc index must be 0 or 1, got 7"):
-                play()
+        assert evaluate_counter(g, 5, cs).value == counter_bound(g, 5, cs) == Dyadic(7, 4)
+        assert to_markov(cs, 5) == to_markov(twin, 5)
+        assert evaluate_fixed_final(g, 5, to_markov(cs, 5))[g.start] == Dyadic(7, 4)
+        assert simulate(g, 5, cs, 30, 0) == simulate(g, 5, twin, 30, 0)
+        with pytest.raises(TypeError):
+            cs.actions[(0, "x")] = 7
+        assert cs == twin
 
     def test_memory_trajectory_is_rho_shaped(self):
         cs = CounterStrategy(2, 3, {})

@@ -151,9 +151,19 @@ class TestFix:
         start="b",
     )
 
-    @pytest.mark.parametrize("arcs", [{"a": 0}, {"a": 0, "c": 2}, {"a": None, "c": 1}, {}])
+    @pytest.mark.parametrize(
+        "arcs",
+        [
+            {"a": 0},
+            {"a": 0, "c": 2},
+            {"a": None, "c": 1},
+            {},
+            {"a": 1.0, "c": 1},
+            {"a": 0, "c": True},
+        ],
+    )
     def test_missing_or_bad_arcs_raise(self, arcs):
-        with pytest.raises(StrategyError, match=r"^arc index (None|2) at state '[ac]'$"):
+        with pytest.raises(StrategyError, match=r"^arc index (None|2|1\.0|True) at state '[ac]'$"):
             self.GAME.fix(1, arcs)
 
     def test_each_state_of_the_player_reads_its_arc_on_both(self):

@@ -9,6 +9,11 @@ dicts.  MarkovChoices's edges are where a bytes index would read a
 wrong arc silently.  The differential test checks the bytes-backed
 strategies against the dict-built ones of conftest's ``reference_*``
 twins, played per cell by ``reference_sweep``.
+
+``simulate`` plays the rows the exact evaluation sweeps, so a second
+table pins that it refuses a counter strategy exactly as
+``evaluate_counter`` does, and a differential test checks its hit
+counts against conftest's per-step ``reference_simulate``.
 """
 
 import random
@@ -22,10 +27,11 @@ from conftest import (
     reference_extract_markov,
     reference_from_markov,
     reference_markov_rows,
+    reference_simulate,
     reference_sweep,
     reference_to_markov,
 )
-from fhgames.counter import from_markov, to_markov
+from fhgames.counter import CounterStrategy, from_markov, to_markov
 from fhgames.errors import FhgamesError, StrategyError
 from fhgames.game import PLAYER_KIND, Game, State, StateKind
 from fhgames.gadgets import make_H, make_M, random_game
@@ -34,6 +40,7 @@ from fhgames.solver import (
     MarkovChoices,
     _arc_rows,
     MarkovStrategy,
+    evaluate_counter,
     evaluate_fixed_final,
     extract_markov,
     markov_arcs,
@@ -108,7 +115,7 @@ REFUSALS = {
     # (1, "b") goes first, so the keys name a before b
     "missing and bad": ({**_without((1, "b")), (4, "a"): 2}, _missing(1, "b")),
     "mixed bad": ({**FULL, (4, "a"): None, (1, "b"): 2}, _arc(2, 1, "b")),
-    **{f"arc {arc!r}": (_bad(arc), _arc(arc, 1, "b")) for arc in (2, None, -1)},
+    **{f"arc {arc!r}": (_bad(arc), _arc(arc, 1, "b")) for arc in (2, None, -1, 1.0, True)},
 }
 
 # What the consumers refuse, or return, for a strategy that was built.
@@ -133,7 +140,13 @@ OUTCOMES = {
         {k: v for k, v in FULL.items() if k[1] != "a"},
         {
             **dict.fromkeys(
-                ("evaluate_fixed_final", "values_at 1, 3", "values_at 1", "values_at 5"),
+                (
+                    "evaluate_fixed_final",
+                    "values_at 1, 3",
+                    "values_at 1",
+                    "values_at 5",
+                    "simulate",
+                ),
                 _missing(1, "a"),
             ),
             "from_markov": (
@@ -141,8 +154,50 @@ OUTCOMES = {
                 "{'N': 0, 'p': 2, 'actions': [{'memory': 0, 'state': 'b', 'arc': 1}, "
                 "{'memory': 1, 'state': 'b', 'arc': 0}]}",
             ),
-            "simulate": _missing(4, "a"),
         },
+    ),
+}
+
+
+def _no_action(m, sid):
+    return "StrategyError", f"counter strategy has no action for memory {m}, state {sid!r}"
+
+
+# Max state z lies outside the start's sub-arena; min state m needs an
+# opponent, which the last case leaves out: simulate checks the
+# automaton first.
+COUNTER_GAME = Game(
+    (
+        State("a", StateKind.MAX, ("c", "bot")),
+        State("c", StateKind.COIN, ("a", "bot")),
+        State("z", StateKind.MAX, ("z", "bot")),
+        State("bot", StateKind.TERMINAL),
+    ),
+    "a",
+)
+TWO_PLAYER_GAME = Game(
+    (
+        State("a", StateKind.MAX, ("m", "bot")),
+        State("m", StateKind.MIN, ("bot", "c")),
+        State("c", StateKind.COIN, ("a", "bot")),
+        State("bot", StateKind.TERMINAL),
+    ),
+    "a",
+)
+
+# (game, horizon, automaton, the one refusal of evaluate_counter and simulate)
+COUNTER_REFUSALS = {
+    "missing at a memory the play reaches": (
+        make_M(), 3, CounterStrategy(1, 1, {(0, "x"): 0}), _no_action(1, "x")
+    ),
+    "missing at a memory the horizon never reaches": (
+        make_M(), 1, CounterStrategy(0, 5, {(0, "x"): 0}), _no_action(1, "x")
+    ),
+    "missing outside the start's sub-arena": (
+        COUNTER_GAME, 3, CounterStrategy(0, 1, {(0, "a"): 0}), _no_action(0, "z")
+    ),
+    "no opponent given": (
+        TWO_PLAYER_GAME, 3, CounterStrategy(1, 1, {(0, "a"): 0}), _no_action(1, "a")
     ),
 }
 
@@ -151,9 +206,10 @@ OUTCOMES = {
 def choice_dicts(draw):
     """(choices, horizon): a full dict of arcs over 1-3 states and
     t = 1..horizon, with, each by a coin, one cell dropped, one arc
-    made 2, -1 or None, and keys at t = 0 or horizon + 1 (arcs never
-    read, some bad, some for a state no other key names); its items in
-    a random order, so the keys name the states in any order."""
+    made 2, -1, None, 1.0 or True, and keys at t = 0 or horizon + 1
+    (arcs never read, some bad, some for a state no other key names);
+    its items in a random order, so the keys name the states in any
+    order."""
     horizon = draw(st.integers(0, 5))
     states = ("a", "b", "c")[: draw(st.integers(1, 3))]
     cells = [(t, sid) for t in range(1, horizon + 1) for sid in states]
@@ -161,7 +217,7 @@ def choice_dicts(draw):
     if cells and draw(st.booleans()):
         del choices[draw(st.sampled_from(cells))]
     if cells and draw(st.booleans()):
-        choices[draw(st.sampled_from(cells))] = draw(st.sampled_from((2, -1, None)))
+        choices[draw(st.sampled_from(cells))] = draw(st.sampled_from((2, -1, None, 1.0, True)))
     for _ in range(draw(st.integers(0, 2))):
         key = (draw(st.sampled_from((0, horizon + 1))), draw(st.sampled_from(states + ("z",))))
         choices[key] = draw(st.sampled_from((0, 1, 2, None)))
@@ -193,6 +249,12 @@ class TestErrorParity:
         cs = from_markov(strategy)
         assert (cs.initial, cs.period, cs.actions) == (0, 1, {})
         assert simulate(g, 0, strategy, 5, 0) == 0
+
+    @pytest.mark.parametrize("case", sorted(COUNTER_REFUSALS))
+    def test_simulate_refuses_an_automaton_as_evaluate_counter_does(self, case):
+        g, horizon, cs, refusal = COUNTER_REFUSALS[case]
+        assert _outcome(lambda: evaluate_counter(g, horizon, cs).value) == refusal
+        assert _outcome(lambda: simulate(g, horizon, cs, 20, 0)) == refusal
 
 
 class TestConstructor:
@@ -359,3 +421,44 @@ class TestAgainstTheDictForm:
         unrolled = to_markov(cs, horizon, player)
         assert unrolled == reference_to_markov(cs, horizon, player)
         assert unrolled.choices == strategy.choices
+
+
+def random_automaton(ids, rng):
+    """A complete counter automaton over the states ``ids``: 0-3 initial
+    and 1-3 periodic memories, an arc at every (memory, state)."""
+    initial, period = rng.randint(0, 3), rng.randint(1, 3)
+    actions = {(m, sid): rng.getrandbits(1) for m in range(initial + period) for sid in ids}
+    return CounterStrategy(initial, period, actions)
+
+
+KINDS = st.sampled_from(("markov", "from_markov", "automaton"))
+
+
+class TestSimulateAgainstTheReference:
+    """simulate, which plays the sweep's arc rows, against the per-step
+    reference_simulate, on every kind of strategy either player plays."""
+
+    @given(
+        st.integers(0, 2**32),
+        st.integers(2, 8),
+        st.integers(0, 12),
+        st.sampled_from(("lo", "hi")),
+        KINDS,
+        KINDS,
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_same_hit_counts(self, seed, n, horizon, tiebreak, kind1, kind2):
+        rng = random.Random(seed)
+        g = random_game(n, rng)
+        played = []
+        for player, kind in ((1, kind1), (2, kind2)):
+            markov = extract_markov(g, horizon, player, tiebreak)
+            if kind == "markov":
+                played.append(markov)
+            elif kind == "from_markov":
+                played.append(from_markov(markov))
+            else:
+                played.append(random_automaton(g.controlled_ids(player), rng))
+        for trial_seed in (0, 1, seed):
+            expected = reference_simulate(g, horizon, played[0], 30, trial_seed, played[1])
+            assert simulate(g, horizon, played[0], 30, trial_seed, played[1]) == expected

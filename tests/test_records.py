@@ -192,6 +192,8 @@ def test_each_counter_strategy_gets_its_own_actions():
         (lambda: CounterStrategy(0, 0), "period must be at least 1"),
         (lambda: CounterStrategy(1, 2, {(3, "x"): 0}), r"memory index 3 out of range 0\.\.2"),
         (lambda: CounterStrategy(1, 2, {(0, "x"): 2}), "arc index must be 0 or 1, got 2"),
+        (lambda: CounterStrategy(1, 2, {(0, "x"): 1.0}), "arc index must be 0 or 1, got 1.0"),
+        (lambda: CounterStrategy(1, 2, {(0, "x"): True}), "arc index must be 0 or 1, got True"),
         (lambda: Grid(("r", "r", "v"), [1], ["x"], [b"\0"]), "three distinct strings, got "),
         (lambda: Grid(("r", "c"), [1], ["x"], [b"\0"]), "three distinct strings"),
         (lambda: Grid(KEYS, [1], ["x", "y"], [b"\0"]), "^1 cell columns for 2 columns$"),
